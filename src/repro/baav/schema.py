@@ -7,11 +7,27 @@ the relation may serve as key — the defining liberty of BaaV over TaaV.
 A KV schema may carry a primary key ``W ⊆ XY``: tuples of a block are
 distinct on ``W ∩ Y``. When the relation's primary key is contained in
 ``XY`` it is inherited; otherwise the whole ``XY`` serves as the default.
+
+Everything the query checks and the plan generator ask of a schema that
+does not depend on the query is derived here, once: a KV schema's
+attribute tuple and (relation-qualified) attribute sets when it is
+constructed, a BaaV schema's per-relation lists and closures
+``clo(R̃, R̃)`` (§5.2) on first use after the last :meth:`BaaVSchema.add`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import SchemaError
 from repro.relational.schema import RelationSchema
@@ -20,7 +36,17 @@ from repro.relational.schema import RelationSchema
 class KVSchema:
     """A KV schema ``R̃⟨X, Y⟩`` over one relation schema."""
 
-    __slots__ = ("name", "relation", "key", "value", "primary_key")
+    __slots__ = (
+        "name",
+        "relation",
+        "key",
+        "value",
+        "primary_key",
+        "attributes",
+        "attribute_set",
+        "qualified_attributes",
+        "qualified_primary_key",
+    )
 
     def __init__(
         self,
@@ -62,18 +88,24 @@ class KVSchema:
             self.primary_key = tuple(relation.primary_key)
         else:
             self.primary_key = self.key + self.value
-
-    @property
-    def attributes(self) -> Tuple[str, ...]:
-        """``att(R̃)`` — all attributes, key first."""
-        return self.key + self.value
+        #: ``att(R̃)`` — all attributes, key first
+        self.attributes: Tuple[str, ...] = self.key + self.value
+        self.attribute_set: FrozenSet[str] = frozenset(self.attributes)
+        #: ``att(R̃)`` / ``pk(R̃)`` as relation-qualified names (``REL.attr``),
+        #: the vocabulary of ``clo``
+        self.qualified_attributes: FrozenSet[str] = frozenset(
+            f"{relation.name}.{a}" for a in self.attributes
+        )
+        self.qualified_primary_key: FrozenSet[str] = frozenset(
+            f"{relation.name}.{a}" for a in self.primary_key
+        )
 
     @property
     def width(self) -> int:
-        return len(self.key) + len(self.value)
+        return len(self.attributes)
 
     def covers(self, attrs: Iterable[str]) -> bool:
-        return set(attrs) <= set(self.attributes)
+        return self.attribute_set.issuperset(attrs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KVSchema):
@@ -95,11 +127,58 @@ class KVSchema:
         )
 
 
+def attribute_closure(
+    start: FrozenSet[str],
+    pool: Sequence[Tuple[FrozenSet[str], FrozenSet[str]]],
+) -> FrozenSet[str]:
+    """The ``clo`` fixpoint of §5.2 over ``(att, pk)`` pairs.
+
+    1. ``start ⊆ clo``;
+    2. if ``pk ⊆ clo`` for some ``(att, pk)`` of ``pool`` then ``att ⊆ clo``.
+    """
+    clo: Set[str] = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for attrs, primary_key in pool:
+            if not attrs <= clo and primary_key <= clo:
+                clo |= attrs
+                changed = True
+    return frozenset(clo)
+
+
+def closure(start: KVSchema, schemas: Iterable[KVSchema]) -> FrozenSet[str]:
+    """``clo(start, schemas)`` over relation-qualified attributes."""
+    return attribute_closure(
+        start.qualified_attributes,
+        [(s.qualified_attributes, s.qualified_primary_key) for s in schemas],
+    )
+
+
+class _Derived:
+    """What follows from a fixed set of KV schemas; never mutated."""
+
+    __slots__ = ("size", "by_relation", "closures")
+
+    def __init__(self, schemas: Tuple[KVSchema, ...]) -> None:
+        self.size = len(schemas)
+        by_relation: Dict[str, List[KVSchema]] = {}
+        for schema in schemas:
+            by_relation.setdefault(schema.relation.name, []).append(schema)
+        self.by_relation: Dict[str, Tuple[KVSchema, ...]] = {
+            relation: tuple(group) for relation, group in by_relation.items()
+        }
+        self.closures: Dict[str, FrozenSet[str]] = {
+            schema.name: closure(schema, schemas) for schema in schemas
+        }
+
+
 class BaaVSchema:
     """A set of KV schemas — the paper's ``R̃``."""
 
     def __init__(self, schemas: Iterable[KVSchema] = ()) -> None:
         self._schemas: Dict[str, KVSchema] = {}
+        self._derived: Optional[_Derived] = None
         for schema in schemas:
             self.add(schema)
 
@@ -107,6 +186,21 @@ class BaaVSchema:
         if schema.name in self._schemas:
             raise SchemaError(f"duplicate KV schema name {schema.name!r}")
         self._schemas[schema.name] = schema
+        self._derived = None
+
+    def _facts(self) -> _Derived:
+        """The derived facts of the current schema set, built on demand.
+
+        Lock-free: a :class:`_Derived` is immutable and published by one
+        assignment, so concurrent planners at worst build equal values
+        twice. The size check rejects a value a racing builder published
+        from a snapshot older than the last :meth:`add` (schemas are only
+        ever added).
+        """
+        derived = self._derived
+        if derived is None or derived.size != len(self._schemas):
+            derived = self._derived = _Derived(tuple(self._schemas.values()))
+        return derived
 
     def __iter__(self) -> Iterator[KVSchema]:
         return iter(self._schemas.values())
@@ -125,10 +219,14 @@ class BaaVSchema:
 
     def over_relation(self, relation: str) -> List[KVSchema]:
         """All KV schemas declared over ``relation``."""
-        return [s for s in self if s.relation.name == relation]
+        return list(self._facts().by_relation.get(relation, ()))
 
     def relations(self) -> Set[str]:
         return {s.relation.name for s in self}
+
+    def closures(self) -> Dict[str, FrozenSet[str]]:
+        """``clo(R̃, R̃)`` for every KV schema, by schema name (read-only)."""
+        return self._facts().closures
 
     def total_attributes(self) -> int:
         """The paper's |R̃| (attribute count over all KV schemas)."""

@@ -10,48 +10,21 @@ Attributes are qualified by relation name (``REL.attr``) since the paper
 assumes each KV schema draws its attributes from one relation schema.
 Chaining therefore happens among KV schemas of the same relation unless two
 relations deliberately share qualified attribute names (they cannot here).
+
+The fixpoint itself is :func:`repro.baav.schema.closure`; it depends on the
+KV schemas alone, so a :class:`~repro.baav.schema.BaaVSchema` computes its
+closures once and the query checks only read them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set
+from typing import Dict, FrozenSet
 
-from repro.baav.schema import BaaVSchema, KVSchema
+from repro.baav.schema import BaaVSchema, closure
 
-
-def _qualified(schema: KVSchema, attrs: Iterable[str]) -> Set[str]:
-    relation = schema.relation.name
-    return {f"{relation}.{a}" for a in attrs}
-
-
-def attributes_of(schema: KVSchema) -> Set[str]:
-    """``att(R̃)`` as relation-qualified names."""
-    return _qualified(schema, schema.attributes)
-
-
-def primary_key_of(schema: KVSchema) -> Set[str]:
-    """``pk(R̃)`` as relation-qualified names."""
-    return _qualified(schema, schema.primary_key)
-
-
-def closure(start: KVSchema, schemas: Iterable[KVSchema]) -> FrozenSet[str]:
-    """Compute ``clo(start, schemas)`` over relation-qualified attributes."""
-    pool: List[KVSchema] = list(schemas)
-    clo: Set[str] = set(attributes_of(start))
-    changed = True
-    while changed:
-        changed = False
-        for candidate in pool:
-            candidate_attrs = attributes_of(candidate)
-            if candidate_attrs <= clo:
-                continue
-            if primary_key_of(candidate) <= clo:
-                clo |= candidate_attrs
-                changed = True
-    return frozenset(clo)
+__all__ = ["closure", "closures"]
 
 
 def closures(baav: BaaVSchema) -> Dict[str, FrozenSet[str]]:
     """``clo(R̃, R̃)`` for every KV schema of a BaaV schema."""
-    pool = list(baav)
-    return {schema.name: closure(schema, pool) for schema in pool}
+    return baav.closures()

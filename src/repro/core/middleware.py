@@ -19,6 +19,7 @@ from typing import Optional, Union
 from repro.baav.schema import BaaVSchema
 from repro.baav.store import BaaVStore
 from repro.core import preservation, scanfree
+from repro.core.candidates import CandidateTable
 from repro.core.plangen import PlanGenerator, ZidianPlan
 from repro.relational.schema import DatabaseSchema
 from repro.sql.minimize import minimize
@@ -37,6 +38,8 @@ class QueryDecision:
     preservation: preservation.ResultPreservationReport
     scan_free: scanfree.ScanFreeReport
     bounded: Optional[scanfree.BoundedReport] = None
+    #: the candidate table of ``analysis``, for M2 to reuse
+    candidates: Optional[CandidateTable] = None
 
     @property
     def answerable(self) -> bool:
@@ -78,6 +81,9 @@ class Zidian:
     ) -> None:
         self.schema = schema
         self.baav_schema = baav_schema
+        # derive the schema's query-independent facts (closures,
+        # per-relation lists) here rather than inside the first query
+        baav_schema.closures()
         self.store = store
         self.degree_bound = degree_bound
         #: live secondary-index catalog (repro.index.IndexManager):
@@ -114,11 +120,15 @@ class Zidian:
         pres = preservation.is_result_preserving(
             analysis, self.baav_schema, minimized
         )
+        # one candidate table serves the M1 checks (over min(Q)) and M2
+        # (over Q) unless minimization removed an atom
+        table = CandidateTable(analysis, self.baav_schema)
         sf_report = scanfree.is_scan_free(
             analysis,
             self.baav_schema,
             minimized,
             index_catalog=self.index_catalog,
+            table=table if len(minimized.atoms) == len(analysis.atoms) else None,
         )
         bounded = None
         if self.store is not None:
@@ -135,6 +145,7 @@ class Zidian:
             preservation=pres,
             scan_free=sf_report,
             bounded=bounded,
+            candidates=table,
         )
 
     # -- M2 ------------------------------------------------------------------
@@ -144,7 +155,9 @@ class Zidian:
     ) -> "tuple[ZidianPlan, QueryDecision]":
         """Decide and generate the KBA plan for a query."""
         decision = self.decide(query)
-        plan = self.generator.generate(decision.bound, decision.analysis)
+        plan = self.generator.generate(
+            decision.bound, decision.analysis, decision.candidates
+        )
         return plan, decision
 
     # -- diagnostics ------------------------------------------------------------

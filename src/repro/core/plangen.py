@@ -27,15 +27,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baav.schema import BaaVSchema, KVSchema
+from repro.core.candidates import Candidate, CandidateTable
 from repro.errors import NotPreservedError, PlanError
 from repro.index.selection import choose_for_alias
 from repro.kba import plan as kp
 from repro.sql import algebra, ast
 from repro.sql.planner import BoundQuery, build_plan
-from repro.sql.spc import SPCAnalysis, Term
+from repro.sql.spc import SPCAnalysis
 
 
 @dataclass
@@ -92,12 +94,19 @@ class PlanGenerator:
     # -- public entry -------------------------------------------------------
 
     def generate(
-        self, bound: BoundQuery, analysis: SPCAnalysis
+        self,
+        bound: BoundQuery,
+        analysis: SPCAnalysis,
+        table: Optional[CandidateTable] = None,
     ) -> ZidianPlan:
+        """Plan ``bound``; ``table`` is ``analysis``'s candidate table
+        when M1 already built it."""
         ra_plan = build_plan(bound)
         core, replace_node, groupby, having = _split_top(ra_plan)
 
-        state = _ChainState(analysis, self.baav)
+        if table is None:
+            table = CandidateTable(analysis, self.baav)
+        state = _ChainState(analysis, table)
         covered = state.stable_coverage()
         root, access = self._build_core(analysis, state, covered)
 
@@ -149,7 +158,9 @@ class PlanGenerator:
             subplans.append((chain_plan, set(state.avail)))
 
         for alias in sorted(set(analysis.atoms) - covered):
-            subplan, attrs, mode = self._scan_subplan(analysis, alias)
+            subplan, attrs, mode = self._scan_subplan(
+                analysis, alias, state.table
+            )
             access[alias] = mode
             subplans.append((subplan, attrs))
 
@@ -177,7 +188,7 @@ class PlanGenerator:
         return root, access
 
     def _scan_subplan(
-        self, analysis: SPCAnalysis, alias: str
+        self, analysis: SPCAnalysis, alias: str, table: CandidateTable
     ) -> Tuple[kp.KBANode, Set[str], str]:
         """Fetch an uncovered alias: index probe when a usable secondary
         index exists, else by scanning (§6.2 step 3)."""
@@ -191,33 +202,28 @@ class PlanGenerator:
             )
             return plan, attrs, "index"
 
-        need = {
-            a.split(".", 1)[1] for a in analysis.x_attrs(alias)
-        }
-        if not need:
+        group = table.by_alias[alias]
+        need = {a.split(".", 1)[1] for a in table.x_attrs[alias]}
+        if not need and group:
             # pure existence check: any attribute will do
-            schemas = self.baav.over_relation(relation)
-            need = (
-                {schemas[0].attributes[0]}
-                if schemas
-                else set()
-            )
+            need = {group[0].schema.attributes[0]}
 
-        candidates = self.baav.over_relation(relation)
         # single instance covering everything
         best_single = None
-        for schema in candidates:
-            if need <= set(schema.attributes):
-                if best_single is None or schema.width < best_single.width:
-                    best_single = schema
+        for cand in group:
+            if cand.schema.attribute_set.issuperset(need) and (
+                best_single is None
+                or cand.schema.width < best_single.schema.width
+            ):
+                best_single = cand
         plan: Optional[kp.KBANode] = None
         attrs: Set[str] = set()
         if best_single is not None:
-            plan = kp.ScanKV(best_single.name, alias)
-            attrs = {f"{alias}.{a}" for a in best_single.attributes}
+            plan = kp.ScanKV(best_single.schema.name, alias)
+            attrs = set(best_single.attr_set)
         else:
             plan, attrs = self._scan_with_extensions(
-                alias, relation, need, candidates
+                alias, need, [cand.schema for cand in group]
             )
 
         if plan is None:
@@ -272,7 +278,6 @@ class PlanGenerator:
     def _scan_with_extensions(
         self,
         alias: str,
-        relation: str,
         need: Set[str],
         candidates: Sequence[KVSchema],
     ) -> Tuple[Optional[kp.KBANode], Set[str]]:
@@ -284,7 +289,7 @@ class PlanGenerator:
         # requiring the relation's primary key so extensions stay
         # combination-correct (see DESIGN.md)
         def coverage(schema: KVSchema) -> int:
-            return len(need & set(schema.attributes))
+            return len(need & schema.attribute_set)
 
         starts = sorted(candidates, key=coverage, reverse=True)
         for start in starts:
@@ -366,31 +371,29 @@ class PlanGenerator:
 # --------------------------------------------------------------------------
 
 
+#: a candidate extend as the chain builders rank it: (score, alias,
+#: KV schema name, candidate, probes) — the first three are the rank
+_Ranked = Tuple[
+    Tuple[int, int, int], str, str, Candidate, List[Tuple[str, str]]
+]
+_rank = itemgetter(0, 1, 2)
+
+
 class _ChainState:
     """Greedy ∝-chain builder with a dry-run coverage fixpoint."""
 
-    def __init__(self, analysis: SPCAnalysis, baav: BaaVSchema) -> None:
+    def __init__(self, analysis: SPCAnalysis, table: CandidateTable) -> None:
         self.analysis = analysis
-        self.baav = baav
-        self.needed = self._needed_attrs()
+        self.table = table
+        self.needed = table.needed
+        self.leaf = self._constant_leaf()
         self.avail: Set[str] = set()
         self.applied_residuals: Set[int] = set()
 
-    def _needed_attrs(self) -> Set[str]:
-        analysis = self.analysis
-        needed = set(analysis.output_attrs) | set(analysis.residual_attrs)
-        for term in analysis.live_terms():
-            if term.is_bound or len(term.attrs) > 1:
-                needed |= term.attrs
-        return needed
-
     # -- constants ------------------------------------------------------------
 
-    def _bound_terms(self) -> List[Term]:
-        return [t for t in self.analysis.live_terms() if t.is_bound]
-
-    def _constant_leaf(self) -> Optional[Tuple[kp.Constant, Set[str]]]:
-        terms = self._bound_terms()
+    def _constant_leaf(self) -> Optional[kp.Constant]:
+        terms = [t for t in self.analysis.live_terms() if t.is_bound]
         if not terms:
             return None
         reps: List[str] = []
@@ -402,7 +405,7 @@ class _ChainState:
             else:
                 value_sets.append(tuple(term.in_values or ()))
         keys = tuple(itertools.product(*value_sets))
-        return kp.Constant(tuple(reps), keys), set(reps)
+        return kp.Constant(tuple(reps), keys)
 
     # -- candidate extends ---------------------------------------------------------
 
@@ -417,132 +420,108 @@ class _ChainState:
                 return member
         return None
 
+    def _first_fetch_probes(
+        self, cand: Candidate, avail: Set[str]
+    ) -> Optional[List[Tuple[str, str]]]:
+        """``(key attribute, supplying query attribute)`` per key of a
+        not-yet-fetched alias; ``None`` when some key has no supplier."""
+        probes: List[Tuple[str, str]] = []
+        for key_attr, key in zip(cand.schema.key, cand.keys):
+            supplier = self._supplier(key, avail)
+            if supplier is None:
+                return None
+            probes.append((key_attr, supplier))
+        return probes
+
     def _candidates(
         self,
         avail: Set[str],
-        fetched: Dict[str, Set[str]],
-        used: Set[Tuple[str, str]],
+        fetched: Set[str],
+        used: Set[Candidate],
         allowed_aliases: Optional[Set[str]],
-    ) -> List[Tuple[str, KVSchema, List[Tuple[str, str]]]]:
-        out = []
-        for alias in sorted(self.analysis.atoms):
+    ) -> List[_Ranked]:
+        out: List[_Ranked] = []
+        for cand in self.table.pairs:
+            alias = cand.alias
             if allowed_aliases is not None and alias not in allowed_aliases:
                 continue
-            relation = self.analysis.atoms[alias]
-            for schema in self.baav.over_relation(relation):
-                if (alias, schema.name) in used:
+            if cand in used:
+                continue
+            gain_any = len(cand.attr_set - avail)
+            if not gain_any:
+                continue
+            gain_needed = len(cand.needed - avail)
+            if alias in fetched:
+                # secondary fetch: probe keys must come from the alias's
+                # own *currently materialized* attributes and the
+                # relation's primary key must be pinned down
+                # (combination correctness)
+                if cand.refetch_pk is None:
                     continue
-                adds_something = any(
-                    f"{alias}.{a}" not in avail for a in schema.attributes
-                )
-                if not adds_something:
+                if not avail.issuperset(cand.keys):
                     continue
-                if alias in fetched:
-                    # secondary fetch: probe keys must come from the alias's
-                    # own *currently materialized* attributes and the
-                    # relation's primary key must be pinned down
-                    # (combination correctness)
-                    if not all(
-                        f"{alias}.{k}" in avail for k in schema.key
-                    ):
-                        continue
-                    have = {
-                        a
-                        for a in schema.relation.attribute_names
-                        if f"{alias}.{a}" in avail
-                    }
-                    pk = set(schema.relation.primary_key or ())
-                    if not pk:
-                        continue
-                    if not pk <= (have | set(schema.key)):
-                        continue
-                    if not pk <= set(schema.attributes):
-                        continue
-                    probes = [
-                        (k, f"{alias}.{k}") for k in schema.key
-                    ]
-                else:
-                    probes = []
-                    ok = True
-                    for key_attr in schema.key:
-                        supplier = self._supplier(
-                            f"{alias}.{key_attr}", avail
-                        )
-                        if supplier is None:
-                            ok = False
-                            break
-                        probes.append((key_attr, supplier))
-                    if not ok:
-                        continue
-                if (
-                    alias in fetched
-                    and self._score(alias, schema, avail)[0] == 0
-                ):
+                if not avail.issuperset(cand.refetch_pk):
+                    continue
+                if not gain_needed:
                     # a secondary fetch that materializes nothing needed
                     # downstream is pure overhead; a *first* fetch is still
                     # required even with zero gain — the alias acts as an
                     # existence/multiplicity check (e.g. V.vehicle_id = c)
                     continue
-                out.append((alias, schema, probes))
+                probes = list(zip(cand.schema.key, cand.keys))
+            else:
+                first = self._first_fetch_probes(cand, avail)
+                if first is None:
+                    continue
+                probes = first
+            score = (gain_needed, gain_any, -cand.schema.width)
+            out.append((score, alias, cand.schema.name, cand, probes))
         return out
-
-    def _score(
-        self, alias: str, schema: KVSchema, avail: Set[str]
-    ) -> Tuple[int, int]:
-        gain_needed = sum(
-            1
-            for a in schema.attributes
-            if f"{alias}.{a}" in self.needed and f"{alias}.{a}" not in avail
-        )
-        gain_any = sum(
-            1 for a in schema.attributes if f"{alias}.{a}" not in avail
-        )
-        return (gain_needed, gain_any, -schema.width)
 
     # -- dry-run coverage fixpoint -------------------------------------------------
 
-    def _dry_run(self, allowed: Optional[Set[str]]) -> Set[str]:
-        """Which aliases end up fully covered by a chain over ``allowed``."""
-        leaf = self._constant_leaf()
-        if leaf is None:
-            return set()
-        avail = set(leaf[1])
-        fetched: Dict[str, Set[str]] = {}
-        used: Set[Tuple[str, str]] = set()
+    def _dry_run(self, allowed: Optional[Set[str]]) -> Tuple[Set[str], Set[str]]:
+        """Which aliases end up fully covered by a chain over ``allowed``,
+        and which it fetched at all."""
+        if self.leaf is None:
+            return set(), set()
+        term_of = self.analysis.term_of
+        avail = set(self.leaf.attrs)
+        # equality transitivity: everything in a materialized term is
+        # available as a supplier. `avail` is kept closed under it by
+        # closing the terms each step touches (the leaf's terms ride
+        # with the first step, as they always have)
+        touched = [term_of(attr) for attr in self.leaf.attrs]
+        fetched: Set[str] = set()
+        used: Set[Candidate] = set()
         while True:
             candidates = self._candidates(avail, fetched, used, allowed)
             if not candidates:
                 break
-            alias, schema, probes = max(
-                candidates,
-                key=lambda c: (self._score(c[0], c[1], avail), c[0], c[1].name),
-            )
-            used.add((alias, schema.name))
-            fetched.setdefault(alias, set()).update(schema.attributes)
-            fetched[alias].update(k for k, _ in probes)
-            for attr in schema.attributes:
-                avail.add(f"{alias}.{attr}")
-            # equality transitivity: everything in a materialized term is
-            # available as a supplier
-            for attr in list(avail):
-                term = self.analysis.term_of(attr)
+            cand = max(candidates, key=_rank)[3]
+            used.add(cand)
+            fetched.add(cand.alias)
+            avail.update(cand.attrs)
+            touched.extend(term for _, term in cand.termed)
+            for term in touched:
                 if term is not None:
-                    avail |= {m for m in term.attrs}
+                    avail |= term.attrs
+            touched.clear()
         covered = set()
-        for alias in self.analysis.atoms:
-            x_attrs = self.analysis.x_attrs(alias)
-            if not x_attrs:
-                continue
-            if alias in fetched and x_attrs <= avail:
+        for alias in fetched:
+            x_attrs = self.table.x_attrs[alias]
+            if x_attrs and x_attrs <= avail:
                 covered.add(alias)
-        return covered
+        return covered, fetched
 
     def stable_coverage(self) -> Set[str]:
         """Fixpoint: restrict the chain to aliases it can fully cover."""
         allowed: Optional[Set[str]] = None
         while True:
-            covered = self._dry_run(allowed)
-            if allowed is not None and covered == allowed:
+            covered, fetched = self._dry_run(allowed)
+            # a run whose every fetched alias is covered is the fixpoint:
+            # restricting it to `covered` only drops aliases it never chose
+            if fetched <= covered:
                 return covered
             if not covered:
                 return set()
@@ -552,13 +531,12 @@ class _ChainState:
 
     def build_chain(self, allowed: Set[str]) -> kp.KBANode:
         analysis = self.analysis
-        leaf = self._constant_leaf()
-        if leaf is None:
+        if self.leaf is None:
             raise PlanError("chain requested without constant bindings")
-        plan, avail = leaf
-        plan_node: kp.KBANode = plan
-        fetched: Dict[str, Set[str]] = {}
-        used: Set[Tuple[str, str]] = set()
+        plan_node: kp.KBANode = self.leaf
+        avail = set(self.leaf.attrs)
+        fetched: Set[str] = set()
+        used: Set[Candidate] = set()
 
         # equality availability (suppliers) is broader than materialized
         supplier_avail = set(avail)
@@ -569,18 +547,12 @@ class _ChainState:
             )
             if not candidates:
                 break
-            alias, schema, probes = max(
-                candidates,
-                key=lambda c: (
-                    self._score(c[0], c[1], supplier_avail),
-                    c[0],
-                    c[1].name,
-                ),
-            )
-            used.add((alias, schema.name))
+            _, _, _, cand, probes = max(candidates, key=_rank)
+            used.add(cand)
             plan_node, avail = self._apply_extend(
-                plan_node, avail, alias, schema, probes, fetched
+                plan_node, avail, cand, probes
             )
+            fetched.add(cand.alias)
             supplier_avail = set(avail)
             for attr in avail:
                 term = analysis.term_of(attr)
@@ -607,12 +579,11 @@ class _ChainState:
         self,
         plan: kp.KBANode,
         avail: Set[str],
-        alias: str,
-        schema: KVSchema,
+        cand: Candidate,
         probes: List[Tuple[str, str]],
-        fetched: Dict[str, Set[str]],
     ) -> Tuple[kp.KBANode, Set[str]]:
         analysis = self.analysis
+        schema = cand.schema
         # resolve probe suppliers against *materialized* attributes
         on: List[Tuple[str, str]] = []
         for key_attr, supplier in probes:
@@ -626,33 +597,29 @@ class _ChainState:
             on.append((supplier, key_attr))
 
         expose: List[Tuple[str, str]] = []
-        for key_attr in schema.key:
-            qualified = f"{alias}.{key_attr}"
+        for key_attr, qualified in zip(schema.key, cand.keys):
             if qualified not in avail and qualified in self.needed:
                 expose.append((key_attr, qualified))
 
         rename: List[Tuple[str, str]] = []
         dup_checks: List[Tuple[str, str]] = []  # (original, temp)
-        for value_attr in schema.value:
-            qualified = f"{alias}.{value_attr}"
+        new_attrs = [name for _, name in expose]
+        for value_attr, qualified in zip(schema.value, cand.values):
             if qualified in avail:
                 temp = f"{qualified}#dup"
                 rename.append((value_attr, temp))
                 dup_checks.append((qualified, temp))
+            else:
+                new_attrs.append(qualified)
 
         node: kp.KBANode = kp.Extend(
             plan,
             schema.name,
-            alias,
+            cand.alias,
             tuple(on),
             tuple(expose),
             tuple(rename),
         )
-        new_attrs = [name for _, name in expose]
-        for value_attr in schema.value:
-            qualified = f"{alias}.{value_attr}"
-            if qualified not in avail:
-                new_attrs.append(qualified)
         avail = set(avail) | set(new_attrs) | {t for _, t in rename}
 
         # duplicate-fetch verification, then drop the temporaries
@@ -662,13 +629,15 @@ class _ChainState:
         ]
 
         # enforce term constraints on newly materialized value attributes
+        new_set = set(new_attrs)
         exposed_names = {name for _, name in expose}
-        for attr in new_attrs:
+        by_term: Dict[int, List[str]] = {}
+        for attr, term in cand.termed:
+            if attr not in new_set:
+                continue
+            by_term.setdefault(term.term_id, []).append(attr)
             if attr in exposed_names:
                 continue  # equals its probe supplier by construction
-            term = analysis.term_of(attr)
-            if term is None:
-                continue
             if term.has_constant:
                 preds.append(
                     ast.Cmp("=", ast.Column(attr), ast.Lit(term.constant))
@@ -679,18 +648,13 @@ class _ChainState:
                 )
             mates = sorted(
                 m for m in term.attrs if m in avail and m != attr
-                and m not in new_attrs
+                and m not in new_set
             )
             if mates:
                 preds.append(
                     ast.Cmp("=", ast.Column(attr), ast.Column(mates[0]))
                 )
         # equalities among multiple new attrs of one term
-        by_term: Dict[int, List[str]] = {}
-        for attr in new_attrs:
-            term = analysis.term_of(attr)
-            if term is not None:
-                by_term.setdefault(term.term_id, []).append(attr)
         for members in by_term.values():
             for extra in members[1:]:
                 preds.append(
@@ -705,14 +669,11 @@ class _ChainState:
         )
 
         # prune: keep only needed attributes (drops #dup temporaries)
-        keep = tuple(
-            a for a in sorted(avail) if a in self.needed
-        )
-        if keep and set(keep) != avail:
-            node = kp.ProjectK(node, keep)
-            avail = set(keep)
+        kept = avail & self.needed
+        if kept and len(kept) != len(avail):
+            node = kp.ProjectK(node, tuple(sorted(kept)))
+            avail = set(kept)
 
-        fetched.setdefault(alias, set()).update(schema.attributes)
         return node, avail
 
 

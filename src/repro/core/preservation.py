@@ -41,29 +41,20 @@ def is_data_preserving(
 ) -> PreservationReport:
     """Check Condition (I) for every relation of ``schema``.
 
-    Runs in O(|R| · |R̃|²) as discussed under Theorem 1: each closure is a
-    fixpoint over the KV schemas and one closure is tested per relation.
+    One closure is tested per KV schema of the relation; the closures
+    themselves (the O(|R̃|²) fixpoints of Theorem 1) are a derived fact
+    of the BaaV schema. Closures are relation-qualified, so only a KV
+    schema over the relation itself can cover it.
     """
-    clo = closures(baav)
     report = PreservationReport(preserved=True)
     for relation in schema:
         target = {f"{relation.name}.{a}" for a in relation.attribute_names}
-        witness = None
-        for kv_schema in baav.over_relation(relation.name):
-            if target <= clo[kv_schema.name]:
-                witness = kv_schema.name
-                break
-        if witness is None:
-            # closures may also start from schemas of other relations
-            for kv_schema in baav:
-                if target <= clo[kv_schema.name]:
-                    witness = kv_schema.name
-                    break
+        witness = covering_schema(relation.name, target, baav)
         if witness is None:
             report.preserved = False
             report.missing.append(relation.name)
         else:
-            report.witnesses[relation.name] = witness
+            report.witnesses[relation.name] = witness.name
     return report
 
 
@@ -90,38 +81,29 @@ def is_result_preserving(
     ``minimized`` may be supplied to avoid recomputing ``min(Q)``.
     """
     minimal = minimized if minimized is not None else minimize(analysis)
-    clo = closures(baav)
     report = ResultPreservationReport(
         preserved=True, minimal_aliases=frozenset(minimal.atoms)
     )
     for alias, relation in minimal.atoms.items():
-        x_attrs = minimal.x_attrs(alias)
         target = {
-            f"{relation}.{attr.split('.', 1)[1]}" for attr in x_attrs
+            f"{relation}.{attr.split('.', 1)[1]}"
+            for attr in minimal.x_attrs(alias)
         }
-        witness = None
-        for kv_schema in baav.over_relation(relation):
-            if target <= clo[kv_schema.name]:
-                witness = kv_schema.name
-                break
+        witness = covering_schema(relation, target, baav)
         if witness is None:
             report.preserved = False
             report.missing.append(alias)
         else:
-            report.witnesses[alias] = witness
+            report.witnesses[alias] = witness.name
     return report
 
 
 def covering_schema(
-    alias: str,
-    relation: str,
-    x_attrs: Set[str],
-    baav: BaaVSchema,
-    clo: Optional[Dict[str, FrozenSet[str]]] = None,
+    relation: str, target: Set[str], baav: BaaVSchema
 ) -> Optional[KVSchema]:
-    """The first KV schema over ``relation`` whose closure covers ``x_attrs``."""
-    clo = clo if clo is not None else closures(baav)
-    target = {f"{relation}.{attr.split('.', 1)[1]}" for attr in x_attrs}
+    """The first KV schema over ``relation`` whose closure covers
+    ``target`` (relation-qualified attribute names)."""
+    clo = closures(baav)
     for kv_schema in baav.over_relation(relation):
         if target <= clo[kv_schema.name]:
             return kv_schema

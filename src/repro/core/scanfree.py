@@ -1,4 +1,5 @@
-"""Scan-free and bounded query analysis — module M2 of Zidian (§6.1).
+"""Scan-free and bounded query analysis — part of module M1 of Zidian
+(§5.1 assigns the checks to M1; the characterization is §6.1).
 
 Implements the paper's characterization:
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.baav.schema import BaaVSchema, KVSchema
+from repro.baav.schema import BaaVSchema, KVSchema, attribute_closure
 from repro.baav.store import BaaVStore
+from repro.core.candidates import CandidateTable
 from repro.index.selection import choose_for_alias
 from repro.sql.minimize import minimize
 from repro.sql.spc import SPCAnalysis
@@ -51,12 +53,19 @@ class GetResult:
 
     attrs: FrozenSet[str]
     steps: List[ChaseStep]
-    #: attrs retrievable per alias (unqualified attribute names)
-    per_alias: Dict[str, Set[str]] = field(default_factory=dict)
 
 
-def compute_get(analysis: SPCAnalysis, baav: BaaVSchema) -> GetResult:
-    """Compute GET(Q, R̃) with its chasing sequence (§6.1 rules a–c)."""
+def compute_get(
+    analysis: SPCAnalysis,
+    baav: BaaVSchema,
+    table: Optional[CandidateTable] = None,
+) -> GetResult:
+    """Compute GET(Q, R̃) with its chasing sequence (§6.1 rules a–c).
+
+    ``table`` is the query's candidate table when the caller already
+    built it (see :class:`~repro.core.candidates.CandidateTable`).
+    """
+    table = table if table is not None else CandidateTable(analysis, baav)
     get: Set[str] = set()
     steps: List[ChaseStep] = []
 
@@ -66,59 +75,35 @@ def compute_get(analysis: SPCAnalysis, baav: BaaVSchema) -> GetResult:
         if term.is_bound:
             get |= term.attrs
 
-    def term_supplier(attr: str) -> Optional[str]:
-        """A GET member of ``attr``'s term (rule (b) transitivity)."""
-        if attr in get:
-            return attr
-        term = analysis.term_of(attr)
-        if term is None:
-            return None
-        for member in term.attrs:
-            if member in get:
-                return member
-        return None
-
+    # GET stays closed under rule (b) throughout — whatever enters brings
+    # its whole term — so a key attribute is retrievable exactly when it
+    # is in GET itself, and it is its own probe supplier.
+    pending = list(table.pairs)
     changed = True
     while changed:
         changed = False
-        for alias, relation in sorted(analysis.atoms.items()):
-            for schema in baav.over_relation(relation):
-                probes: List[Tuple[str, str]] = []
-                ok = True
-                for key_attr in schema.key:
-                    qualified = f"{alias}.{key_attr}"
-                    supplier = term_supplier(qualified)
-                    if supplier is None:
-                        ok = False
-                        break
-                    probes.append((key_attr, supplier))
-                if not ok:
-                    continue
-                added: List[str] = []
-                for attr in schema.attributes:
-                    qualified = f"{alias}.{attr}"
-                    if qualified not in get:
-                        added.append(qualified)
-                        get.add(qualified)
-                        # rule (b): propagate through the attr's term
-                        term = analysis.term_of(qualified)
-                        if term is not None:
-                            for member in term.attrs:
-                                if member not in get:
-                                    get.add(member)
-                                    added.append(member)
-                if added:
-                    steps.append(
-                        ChaseStep(alias, schema, tuple(probes), tuple(added))
-                    )
-                    changed = True
-
-    per_alias: Dict[str, Set[str]] = {a: set() for a in analysis.atoms}
-    for attr in get:
-        alias = attr.split(".", 1)[0]
-        if alias in per_alias:
-            per_alias[alias].add(attr.split(".", 1)[1])
-    return GetResult(frozenset(get), steps, per_alias)
+        waiting = []
+        for cand in pending:
+            if not get.issuperset(cand.keys):
+                waiting.append(cand)
+                continue
+            added = [a for a in cand.attrs if a not in get]
+            if not added:
+                continue
+            get.update(added)
+            # rule (b): what entered brings its whole term
+            for _, term in cand.termed:
+                for member in term.attrs:
+                    if member not in get:
+                        get.add(member)
+                        added.append(member)
+            probes = tuple(zip(cand.schema.key, cand.keys))
+            steps.append(
+                ChaseStep(cand.alias, cand.schema, probes, tuple(added))
+            )
+            changed = True
+        pending = waiting
+    return GetResult(frozenset(get), steps)
 
 
 @dataclass
@@ -131,7 +116,10 @@ class VCEntry:
 
 
 def compute_vc(
-    analysis: SPCAnalysis, baav: BaaVSchema, get: Optional[GetResult] = None
+    analysis: SPCAnalysis,
+    baav: BaaVSchema,
+    get: Optional[GetResult] = None,
+    table: Optional[CandidateTable] = None,
 ) -> List[VCEntry]:
     """Compute VC(Q, R̃) per §6.1.
 
@@ -139,34 +127,17 @@ def compute_vc(
     GET; each entry's attribute set is the closure of one member within
     ``R̃_Q`` restricted to its alias (clo chains through primary keys).
     """
-    get = get if get is not None else compute_get(analysis, baav)
+    table = table if table is not None else CandidateTable(analysis, baav)
+    get = get if get is not None else compute_get(analysis, baav, table)
     entries: List[VCEntry] = []
-    for alias, relation in analysis.atoms.items():
-        retrievable = get.per_alias.get(alias, set())
+    for alias in analysis.atoms:
         candidates = [
-            s
-            for s in baav.over_relation(relation)
-            if set(s.attributes) <= retrievable
+            c for c in table.by_alias[alias] if c.attr_set <= get.attrs
         ]
+        pool = [(c.attr_set, c.pk_set) for c in candidates]
         for start in candidates:
-            clo: Set[str] = set(start.attributes)
-            changed = True
-            while changed:
-                changed = False
-                for other in candidates:
-                    other_attrs = set(other.attributes)
-                    if other_attrs <= clo:
-                        continue
-                    if set(other.primary_key) <= clo:
-                        clo |= other_attrs
-                        changed = True
-            entries.append(
-                VCEntry(
-                    alias,
-                    start,
-                    frozenset(f"{alias}.{a}" for a in clo),
-                )
-            )
+            clo = attribute_closure(start.attr_set, pool)
+            entries.append(VCEntry(alias, start.schema, clo))
     return entries
 
 
@@ -192,6 +163,7 @@ def is_scan_free(
     baav: BaaVSchema,
     minimized: Optional[SPCAnalysis] = None,
     index_catalog=None,
+    table: Optional[CandidateTable] = None,
 ) -> ScanFreeReport:
     """Condition (III) over ``min(Q)`` (Theorems 4 and 5), extended with
     secondary indexes.
@@ -206,10 +178,13 @@ def is_scan_free(
     attribute with a hash/ordered index, or a range residual over an
     ordered index. The index probe retrieves whole tuples by primary
     key, so coverage of the alias's ``X`` attributes is automatic.
+
+    ``table`` is the candidate table of ``min(Q)`` when the caller has it.
     """
     minimal = minimized if minimized is not None else minimize(analysis)
-    get = compute_get(minimal, baav)
-    vc = compute_vc(minimal, baav, get)
+    table = table if table is not None else CandidateTable(minimal, baav)
+    get = compute_get(minimal, baav, table)
+    vc = compute_vc(minimal, baav, get, table)
     report = ScanFreeReport(
         scan_free=True,
         get=get,
@@ -220,7 +195,7 @@ def is_scan_free(
     for entry in vc:
         by_alias.setdefault(entry.alias, []).append(entry)
     for alias in minimal.atoms:
-        x_attrs = minimal.x_attrs(alias)
+        x_attrs = table.x_attrs[alias]
         witness = None
         if x_attrs:
             for entry in by_alias.get(alias, ()):

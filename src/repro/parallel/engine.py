@@ -626,7 +626,6 @@ class ZidianEngine:
             self._run(c, metrics, probe, cache_probe)
             for c in node.children()
         ]
-        before = time.perf_counter()
         result = execute_node(node, self.ctx, inputs)
         delta = probe.delta()
         cache_hits, cache_misses = cache_probe.delta()

@@ -35,7 +35,7 @@ class RelationSchema:
     tuples aligned with the attribute order.
     """
 
-    __slots__ = ("name", "attributes", "primary_key", "_index")
+    __slots__ = ("name", "attributes", "attribute_names", "primary_key", "_index")
 
     def __init__(
         self,
@@ -52,6 +52,7 @@ class RelationSchema:
             raise SchemaError(f"duplicate attribute names in {name!r}: {names}")
         self.name = name
         self.attributes: Tuple[Attribute, ...] = tuple(attributes)
+        self.attribute_names: Tuple[str, ...] = tuple(names)
         self._index: Dict[str, int] = {a.name: i for i, a in enumerate(self.attributes)}
         for key_attr in primary_key:
             if key_attr not in self._index:
@@ -67,10 +68,6 @@ class RelationSchema:
     ) -> "RelationSchema":
         """Build a schema from an ordered ``{attr: type}`` mapping."""
         return cls(name, [Attribute(a, t) for a, t in attrs.items()], primary_key)
-
-    @property
-    def attribute_names(self) -> Tuple[str, ...]:
-        return tuple(a.name for a in self.attributes)
 
     @property
     def arity(self) -> int:

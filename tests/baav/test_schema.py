@@ -93,6 +93,21 @@ class TestBaaVSchema:
         assert len(schema.over_relation("R")) == 2
         assert schema.over_relation("S") == []
 
+    def test_add_refreshes_the_derived_facts(self, rel):
+        other = RelationSchema.of("S", {"z": AttrType.INT, "w": AttrType.INT}, ["z"])
+        schema = BaaVSchema([kv_schema("x", rel, ["b"])])
+        assert schema.relations() == {"R"}
+        assert set(schema.closures()) == {"x"}
+        schema.add(kv_schema("s_by_z", other, ["z"]))
+        assert [s.name for s in schema.over_relation("S")] == ["s_by_z"]
+        assert schema.relations() == {"R", "S"}
+        assert schema.closures()["s_by_z"] == {"S.z", "S.w"}
+
+    def test_over_relation_returns_a_private_list(self, rel):
+        schema = BaaVSchema([kv_schema("x", rel, ["b"])])
+        schema.over_relation("R").clear()
+        assert len(schema.over_relation("R")) == 1
+
     def test_total_attributes(self, rel):
         schema = BaaVSchema([kv_schema("x", rel, ["b"])])
         assert schema.total_attributes() == 3

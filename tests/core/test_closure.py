@@ -2,7 +2,7 @@
 
 
 from repro.baav import BaaVSchema, KVSchema, kv_schema
-from repro.core import closure, closures, is_data_preserving
+from repro.core import Zidian, closure, closures, is_data_preserving
 from repro.relational import AttrType, DatabaseSchema, RelationSchema
 
 
@@ -59,6 +59,36 @@ class TestClosure:
     def test_closures_computes_all(self, paper_baav_schema):
         clo = closures(paper_baav_schema)
         assert set(clo) == {"nation_by_name", "sup_by_nation", "ps_by_sup"}
+
+
+class TestInvalidation:
+    def test_add_refreshes_closures_on_the_same_schema_object(
+        self, paper_db, paper_baav_schema
+    ):
+        """Stale-closure regression: the verdict follows ``BaaVSchema.add``."""
+        baav = BaaVSchema(
+            [s for s in paper_baav_schema if s.name != "ps_by_sup"]
+        )
+        zidian = Zidian(paper_db.schema, baav)
+        sql = (
+            "select PS.partkey, PS.supplycost from PARTSUPP PS "
+            "where PS.suppkey = 1"
+        )
+        before = zidian.decide(sql)
+        assert not before.answerable and not before.is_scan_free
+        assert "ps_by_sup" not in closures(baav)
+        baav.add(paper_baav_schema.get("ps_by_sup"))
+        after = zidian.decide(sql)
+        assert after.answerable and after.is_scan_free
+        assert closures(baav)["ps_by_sup"] == closure(
+            baav.get("ps_by_sup"), baav
+        )
+        assert zidian.plan(sql)[0].access == {"PS": "chain"}
+
+    def test_closures_are_derived_once_per_schema_state(
+        self, paper_baav_schema
+    ):
+        assert closures(paper_baav_schema) is closures(paper_baav_schema)
 
 
 class TestConditionI:
