@@ -191,6 +191,24 @@ class IndexManager:
             lo=lo, hi=hi, lo_strict=lo_strict, hi_strict=hi_strict
         )
 
+    def lookup(self, relation: str, probe) -> List[Row]:
+        """Primary keys one index access path selects.
+
+        ``probe`` is the planner's description of the path (an
+        ``IndexChoice`` or a KBA ``IndexProbe``): equality/IN when it
+        carries ``eq_values``, otherwise a range on ``attr``.
+        """
+        if probe.eq_values:
+            return self.lookup_eq(relation, probe.attr, probe.eq_values)
+        return self.lookup_range(
+            relation,
+            probe.attr,
+            lo=probe.lo,
+            hi=probe.hi,
+            lo_strict=probe.lo_strict,
+            hi_strict=probe.hi_strict,
+        )
+
     # -- write-through maintenance ------------------------------------------
 
     def apply_updates(

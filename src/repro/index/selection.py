@@ -57,10 +57,6 @@ class IndexChoice:
     lo_strict: bool = False
     hi_strict: bool = False
 
-    @property
-    def is_equality(self) -> bool:
-        return bool(self.eq_values)
-
     def describe(self) -> str:
         return f"{self.kind} on " + describe_predicate(
             self.attr,

@@ -8,12 +8,12 @@ costs to workers and stages.
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.baav.block import Block
 from repro.baav.store import BaaVStore
+from repro.env import env_flag
 from repro.errors import ExecutionError, PlanError
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet, Entry
@@ -34,9 +34,7 @@ VECTORIZED_ENV = "REPRO_VECTORIZED"
 
 def resolve_vectorized(flag: Optional[bool]) -> bool:
     """Resolve the vectorized knob: arg > ``REPRO_VECTORIZED`` > off."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get(VECTORIZED_ENV, "0") not in ("", "0")
+    return env_flag(VECTORIZED_ENV, False) if flag is None else bool(flag)
 
 
 class ExecContext:
@@ -169,19 +167,7 @@ def _run_index_probe(
         raise ExecutionError(
             f"TaaV store has no relation {node.relation!r} to probe"
         )
-    if node.eq_values:
-        pks = ctx.indexes.lookup_eq(
-            node.relation, node.attr, node.eq_values
-        )
-    else:
-        pks = ctx.indexes.lookup_range(
-            node.relation,
-            node.attr,
-            lo=node.lo,
-            hi=node.hi,
-            lo_strict=node.lo_strict,
-            hi_strict=node.hi_strict,
-        )
+    pks = ctx.indexes.lookup(node.relation, node)
     taav = ctx.taav.relation(node.relation)
     rows: List[Row] = []
     for batch in _probe_batches(pks, ctx.batch_size, ctx.batch_partitions):
@@ -398,7 +384,10 @@ def _run_union(node: kp.UnionK, ctx: ExecContext, inputs: List[BlockSet]) -> Blo
             raise ExecutionError(
                 f"union operands misaligned: {left.attrs} vs {right.attrs}"
             )
-    out = BlockSet(left.key_attrs, left.value_attrs, dict(left.data))
+    # fresh entry lists: merge_key extends them in place, and the engine
+    # prices the operator's inputs after it ran
+    data = {key: list(entries) for key, entries in left.data.items()}
+    out = BlockSet(left.key_attrs, left.value_attrs, data)
     for key, entries in right.data.items():
         out.merge_key(key, entries)
     return out

@@ -131,6 +131,7 @@ from typing import (
     Tuple,
 )
 
+from repro.env import env_choice
 from repro.errors import ClusterUnavailableError, NodePeerError
 from repro.kv import wal as walmod
 from repro.kv.codec import encode_value
@@ -236,7 +237,7 @@ class KVCluster:
                 f"num_nodes {num_nodes}"
             )
         if transport is None:
-            transport = os.environ.get(TRANSPORT_ENV, "local")
+            transport = env_choice(TRANSPORT_ENV, TRANSPORTS, "local")
         if transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {transport!r}; expected one of "
@@ -246,7 +247,7 @@ class KVCluster:
             if data_dir is not None:
                 durability = "wal"
             else:
-                durability = os.environ.get(DURABILITY_ENV, "off")
+                durability = env_choice(DURABILITY_ENV, DURABILITY_MODES, "off")
         if durability not in DURABILITY_MODES:
             raise ValueError(
                 f"unknown durability mode {durability!r}; expected one "

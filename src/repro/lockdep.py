@@ -39,11 +39,11 @@ is reported).
 
 from __future__ import annotations
 
-import os
 import threading
 import traceback
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.env import env_flag
 from repro.errors import LockOrderError
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 
 def enabled() -> bool:
     """True when the environment opts into lock-order checking."""
-    return os.environ.get("REPRO_LOCKDEP", "") not in ("", "0")
+    return env_flag("REPRO_LOCKDEP", False)
 
 
 def _capture_stack(skip: int = 2) -> str:

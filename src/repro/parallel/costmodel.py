@@ -38,12 +38,17 @@ class CostModel:
         gets: int,
         values: int,
         bytes_out: int,
-        repartition_bytes: int = 0,
         round_trips: Optional[int] = None,
         cache_hits: int = 0,
         cache_misses: int = 0,
+        index_probes: int = 0,
+        index_postings: int = 0,
+        repartition_bytes: int = 0,
     ) -> StageCost:
         """A stage that reads from the storage layer.
+
+        The counters come first, in the order the engines' I/O probe
+        reports them (``fetch_stage(name, *probe.delta())``).
 
         ``repartition_bytes`` is intermediate data shuffled to align with
         the storage partitioning first (the interleaved ∝ of §7.2).
@@ -55,6 +60,14 @@ class CostModel:
         are served on the SQL-layer side of the network, so they cost
         zero storage time, zero round trips and zero transfer — they
         simply never appear in the counted ``gets``/``values``/``bytes``.
+
+        ``index_probes``/``index_postings`` mark an index-probe access
+        stage (posting/bucket fetches plus the follow-up keyed
+        ``multi_get`` of the matching tuples). Index entries are ordinary
+        KV pairs, so their gets/values/bytes are already inside the
+        counted totals and priced like any other read — the probe/posting
+        counts are surfaced for the evaluation tables (index round-trips
+        and posting-list sizes), not priced twice.
         """
         profile = self.profile
         if round_trips is None:
@@ -76,41 +89,9 @@ class CostModel:
             round_trips=round_trips,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
+            index_probes=index_probes,
+            index_postings=index_postings,
         )
-
-    def index_probe_stage(
-        self,
-        name: str,
-        gets: int,
-        values: int,
-        bytes_out: int,
-        round_trips: Optional[int] = None,
-        index_probes: int = 0,
-        index_postings: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-    ) -> StageCost:
-        """An index-probe access stage: posting/bucket fetches plus the
-        follow-up keyed ``multi_get`` of the matching tuples.
-
-        Index entries are ordinary KV pairs, so their gets/values/bytes
-        are already inside the counted totals and priced exactly like a
-        :meth:`fetch_stage` — the probe/posting counts are surfaced for
-        the evaluation tables (index round-trips and posting-list
-        sizes), not priced twice.
-        """
-        stage = self.fetch_stage(
-            name,
-            gets=gets,
-            values=values,
-            bytes_out=bytes_out,
-            round_trips=round_trips,
-            cache_hits=cache_hits,
-            cache_misses=cache_misses,
-        )
-        stage.index_probes = index_probes
-        stage.index_postings = index_postings
-        return stage
 
     def shuffle_stage(
         self, name: str, shuffle_bytes: int, values: int

@@ -20,8 +20,9 @@ converting them into simulated time with :class:`CostModel`.
 
 from __future__ import annotations
 
+import operator
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.baav.store import BaaVStore
 from repro.core.plangen import ZidianPlan, substitute_table
@@ -37,20 +38,19 @@ from repro.kba.executor import (
 )
 from repro.kv.backends import BackendProfile
 from repro.kv.cluster import KVCluster
-from repro.kv.node import NodeCounters
 from repro.kv.taav import TaaVStore
 from repro.parallel.costmodel import CostModel
 from repro.parallel.partitioner import blockset_skew
 from repro.parallel.metrics import ExecutionMetrics, StageCost
 from repro.relational.database import Database
 from repro.relational.types import row_size
-from repro.sql import algebra
+from repro.sql import algebra, ast
 from repro.sql.executor import (
+    RowFn,
     Table,
-    group_table,
-    join_tables,
+    eval_row,
     run as ra_run,
-    sort_rows,
+    run_node,
 )
 
 
@@ -62,111 +62,68 @@ def _table_values(table: Table) -> int:
     return len(table.rows) * len(table.attrs)
 
 
-class _CounterProbe:
-    """Snapshot/diff of the CALLING THREAD's cluster counters.
+class _IOProbe:
+    """Snapshot/diff of the CALLING THREAD's I/O counters.
 
-    A query executes on one thread, and the node counters are
-    thread-sharded, so diffing the thread's own shards attributes
-    exactly this query's I/O to its stages — even while the query
-    service runs other queries on other threads against the same nodes.
+    A query executes on one thread, and the node counters, the
+    block-cache hit/miss stats, the index probe/posting stats and the
+    MVCC overlay stats are all thread-sharded, so diffing the thread's
+    own shards attributes exactly this query's I/O to its stages — even
+    while the query service runs other queries on other threads against
+    the same nodes. A missing cache, index manager or overlay reads as
+    zeros.
     """
 
-    def __init__(self, cluster: KVCluster) -> None:
+    def __init__(self, cluster: KVCluster, cache, indexes) -> None:
+        self.started = time.perf_counter()
         self.cluster = cluster
-        self._last = self._snapshot()
-
-    def _snapshot(self) -> NodeCounters:
-        return self.cluster.thread_counters()
-
-    def delta(self) -> NodeCounters:
-        now = self._snapshot()
-        diff = NodeCounters(
-            gets=now.gets - self._last.gets,
-            hits=now.hits - self._last.hits,
-            puts=now.puts - self._last.puts,
-            deletes=now.deletes - self._last.deletes,
-            values_read=now.values_read - self._last.values_read,
-            values_written=now.values_written - self._last.values_written,
-            bytes_out=now.bytes_out - self._last.bytes_out,
-            bytes_in=now.bytes_in - self._last.bytes_in,
-            round_trips=now.round_trips - self._last.round_trips,
-        )
-        self._last = now
-        return diff
-
-
-class _CacheProbe:
-    """Snapshot/diff of the calling thread's block-cache hit/miss shard
-    (cache may be ``None``, in which case every delta is zero)."""
-
-    def __init__(self, cache) -> None:
         self.cache = cache
-        self._hits, self._misses = self._snapshot()
-
-    def _snapshot(self) -> Tuple[int, int]:
-        if self.cache is None:
-            return 0, 0
-        stats = self.cache.thread_stats()
-        return stats.hits, stats.misses
-
-    def delta(self) -> Tuple[int, int]:
-        hits, misses = self._snapshot()
-        diff = (hits - self._hits, misses - self._misses)
-        self._hits, self._misses = hits, misses
-        return diff
-
-
-class _IndexStatsProbe:
-    """Snapshot/diff of an index manager's probe/posting counters
-    (manager may be ``None``, in which case every delta is zero)."""
-
-    def __init__(self, indexes) -> None:
         self.indexes = indexes
-        self._probes, self._postings = self._snapshot()
-
-    def _snapshot(self) -> Tuple[int, int]:
-        if self.indexes is None:
-            return 0, 0
-        return self.indexes.stats.snapshot()
-
-    def delta(self) -> Tuple[int, int]:
-        probes, postings = self._snapshot()
-        diff = (probes - self._probes, postings - self._postings)
-        self._probes, self._postings = probes, postings
-        return diff
-
-
-class _SnapshotProbe:
-    """Snapshot/diff of the calling thread's MVCC overlay shard
-    (cluster without an attached overlay: every delta is zero)."""
-
-    def __init__(self, cluster: KVCluster) -> None:
         self.versions = cluster.versions
-        self._reads, self._skipped = self._snapshot()
+        self._last = self._snapshot()
+        self._overlay = self._overlay_snapshot()
 
-    def _snapshot(self) -> Tuple[int, int]:
+    def _snapshot(self) -> Tuple[int, ...]:
+        """The thread's totals so far, in the positional order of
+        ``CostModel.fetch_stage``."""
+        counters = self.cluster.thread_counters()
+        hits = misses = probes = postings = 0
+        if self.cache is not None:
+            stats = self.cache.thread_stats()
+            hits, misses = stats.hits, stats.misses
+        if self.indexes is not None:
+            probes, postings = self.indexes.stats.snapshot()
+        return (
+            counters.gets,
+            counters.values_read,
+            counters.bytes_out,
+            counters.round_trips,
+            hits,
+            misses,
+            probes,
+            postings,
+        )
+
+    def delta(self) -> Tuple[int, ...]:
+        """The I/O since the previous call (runs once per plan node)."""
+        now, last = self._snapshot(), self._last
+        self._last = now
+        return tuple(map(operator.sub, now, last))
+
+    def _overlay_snapshot(self) -> Tuple[int, int]:
         if self.versions is None:
             return 0, 0
         stats = self.versions.thread_stats()
         return stats.overlay_reads, stats.versions_skipped
 
-    def delta(self) -> Tuple[int, int]:
-        reads, skipped = self._snapshot()
-        diff = (reads - self._reads, skipped - self._skipped)
-        self._reads, self._skipped = reads, skipped
-        return diff
-
-    def epoch(self) -> int:
-        """The calling thread's pinned epoch (-1 = latest-state read)."""
-        if self.versions is None:
-            return -1
-        epoch = self.versions.read_epoch()
-        return -1 if epoch is None else epoch
-
-    def finish(self, metrics: ExecutionMetrics) -> None:
-        """Stamp the query's snapshot metadata onto its metrics."""
-        metrics.snapshot_epoch = self.epoch()
-        overlay_reads, versions_skipped = self.delta()
+    def finish(self, metrics: ExecutionMetrics) -> ExecutionMetrics:
+        """Stamp the query's snapshot metadata and wall time onto its
+        metrics."""
+        epoch = None if self.versions is None else self.versions.read_epoch()
+        # the calling thread's pinned epoch (-1 = latest-state read)
+        metrics.snapshot_epoch = -1 if epoch is None else epoch
+        reads, skipped = self._overlay_snapshot()
+        overlay_reads = reads - self._overlay[0]
         if overlay_reads:
             # the overlay's client-side reads cost zero #get / round
             # trips; surfaced as their own stage so breakdowns show
@@ -175,24 +132,20 @@ class _SnapshotProbe:
                 StageCost(
                     "snapshot overlay",
                     overlay_reads=overlay_reads,
-                    versions_skipped=versions_skipped,
+                    versions_skipped=skipped - self._overlay[1],
                 )
             )
+        metrics.wall_time_ms = (time.perf_counter() - self.started) * 1000.0
+        return metrics
 
 
-class BaselineEngine:
-    """Fetch-all SQL-over-NoSQL evaluation over a TaaV store (§7.1).
-
-    With an index manager attached, a selection directly above a scan
-    leaf is answered through an **index probe → multi_get** access path
-    when a usable secondary index exists — the conventional engine's
-    only escape from fetch-all — and the chosen path per alias is
-    recorded in :attr:`access` for EXPLAIN-style inspection.
-    """
+class _Engine:
+    """What the two strategies share: the storage handles, the cost
+    model and the metering frame around one query."""
 
     def __init__(
         self,
-        taav: TaaVStore,
+        taav: Optional[TaaVStore],
         cluster: KVCluster,
         profile: BackendProfile,
         workers: int,
@@ -205,67 +158,104 @@ class BaselineEngine:
         self.cluster = cluster
         self.profile = profile
         self.workers = workers
-        # 1 = the paper's per-key baseline; >1 models a client that
-        # coalesces its scan-driven gets into multi-get round trips
+        # keys coalesced per multi-get round trip (1 = per-key gets, the
+        # paper's baseline client)
         self.batch_size = batch_size
-        # the client-side block cache the TaaV store reads through (only
+        # the client-side block cache the stores read through (only
         # probed here for per-stage hit/miss attribution)
         self.cache = cache
         #: optional repro.index.IndexManager enabling index access paths
         self.indexes = indexes
-        #: compiled positional filters/projections instead of per-row
-        #: eval dicts; None defers to REPRO_VECTORIZED (PR 10). Storage
-        #: counters and simulated cost are identical across modes.
+        #: compiled expressions / columnar kernels instead of per-row
+        #: eval dicts; None defers to REPRO_VECTORIZED (PR 10). Stage
+        #: structure, storage counters and simulated cost are identical
+        #: across modes.
         self.vectorized = resolve_vectorized(vectorized)
-        #: alias -> access-path description of the last execute()
-        self.access: Dict[str, str] = {}
         # storage service time spreads over the LIVE nodes only —
         # a failed node serves nothing
         self.model = CostModel(profile, workers, cluster.num_live_nodes)
 
-    def execute(
-        self, ra_plan: algebra.PlanNode
-    ) -> Tuple[Table, ExecutionMetrics]:
-        start = time.perf_counter()
+    def _begin(self) -> Tuple[ExecutionMetrics, _IOProbe]:
+        """A query's metrics (job overhead charged) and its I/O probe."""
+        probe = _IOProbe(self.cluster, self.cache, self.indexes)
         metrics = ExecutionMetrics(
             workers=self.workers,
             storage_nodes=self.cluster.num_live_nodes,
             backend=self.profile.name,
         )
         metrics.add_stage(self.model.job_overhead())
-        probe = _CounterProbe(self.cluster)
-        cache_probe = _CacheProbe(self.cache)
-        snapshot_probe = _SnapshotProbe(self.cluster)
+        return metrics, probe
+
+
+def _compiled_row(expr: ast.Expr, attrs) -> RowFn:
+    """A compiled positional closure for ``expr``; expressions outside
+    the compilable subset keep the reference evaluation, so the
+    vectorized knob never changes results."""
+    try:
+        return compile_row(expr, tuple(attrs))
+    except CompileError:
+        return eval_row(expr, attrs)
+
+
+def _access_path(relation: str, choice) -> str:
+    """EXPLAIN text of a scan leaf served by index ``choice`` (or not)."""
+    if choice is None:
+        return f"{relation}: taav scan (fetch-all)"
+    return f"{relation}: index probe ({choice.describe()}) -> multi_get"
+
+
+def _predicate_of(node: algebra.PlanNode) -> Optional[ast.Expr]:
+    return node.predicate if isinstance(node, algebra.SelectNode) else None
+
+
+#: RA operator -> (stage name, repartitions its inputs among workers?);
+#: operators not listed (limit, table leaves) are free
+_RA_STAGES = {
+    algebra.SelectNode: ("select", False),
+    algebra.ProjectNode: ("project", False),
+    algebra.UnionNode: ("union", False),
+    algebra.JoinNode: ("join", True),
+    algebra.CrossNode: ("join", True),
+    algebra.GroupByNode: ("group-by", True),
+    algebra.DistinctNode: ("distinct", True),
+    algebra.OrderByNode: ("order-by", True),
+    algebra.DifferenceNode: ("difference", True),
+}
+
+
+class BaselineEngine(_Engine):
+    """Fetch-all SQL-over-NoSQL evaluation over a TaaV store (§7.1).
+
+    With an index manager attached, a selection directly above a scan
+    leaf is answered through an **index probe → multi_get** access path
+    when a usable secondary index exists — the conventional engine's
+    only escape from fetch-all — and the chosen path per alias is
+    recorded in :attr:`access` for EXPLAIN-style inspection.
+    """
+
+    #: alias -> access-path description of the last execute()
+    access: Dict[str, str]
+
+    def execute(
+        self, ra_plan: algebra.PlanNode
+    ) -> Tuple[Table, ExecutionMetrics]:
+        metrics, probe = self._begin()
         self.access = {}
-        table = self._run(ra_plan, metrics, probe, cache_probe)
-        snapshot_probe.finish(metrics)
-        metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
-        return table, metrics
+        table = self._run(ra_plan, metrics, probe)
+        return table, probe.finish(metrics)
 
     def describe_access(self, ra_plan: algebra.PlanNode) -> Dict[str, str]:
         """Access path per alias, without executing (EXPLAIN)."""
         out: Dict[str, str] = {}
 
-        def walk(node: algebra.PlanNode) -> None:
-            if isinstance(node, algebra.SelectNode) and isinstance(
-                node.child, algebra.ScanNode
-            ):
-                scan = node.child
-                choice = self._choose_index(scan, node.predicate)
-                out[scan.alias] = (
-                    f"{scan.relation}: index probe ({choice.describe()}) "
-                    f"-> multi_get"
-                    if choice is not None
-                    else f"{scan.relation}: taav scan (fetch-all)"
-                )
-                return
+        def walk(node: algebra.PlanNode, above: Optional[ast.Expr]) -> None:
             if isinstance(node, algebra.ScanNode):
-                out[node.alias] = f"{node.relation}: taav scan (fetch-all)"
-                return
+                choice = self._choose_index(node, above)
+                out[node.alias] = _access_path(node.relation, choice)
             for child in node.children():
-                walk(child)
+                walk(child, _predicate_of(node))
 
-        walk(ra_plan)
+        walk(ra_plan, None)
         return out
 
     # -- recursive walker -------------------------------------------------------
@@ -274,273 +264,78 @@ class BaselineEngine:
         self,
         node: algebra.PlanNode,
         metrics: ExecutionMetrics,
-        probe: _CounterProbe,
-        cache_probe: _CacheProbe,
+        probe: _IOProbe,
+        above: Optional[ast.Expr] = None,
     ) -> Table:
-        if isinstance(node, algebra.ScanNode):
-            return self._scan(node, metrics, probe, cache_probe)
-        if isinstance(node, algebra.SelectNode):
-            if isinstance(node.child, algebra.ScanNode):
-                fetched = self._index_scan(
-                    node.child, node.predicate, metrics, probe, cache_probe
-                )
-                if fetched is not None:
-                    return fetched
-            child = self._run(node.child, metrics, probe, cache_probe)
-            rows = self._filter_rows(node.predicate, child.attrs, child.rows)
-            metrics.add_stage(
-                self.model.compute_stage("select", _table_values(child))
-            )
-            return Table(child.attrs, rows)
-        if isinstance(node, algebra.ProjectNode):
-            child = self._run(node.child, metrics, probe, cache_probe)
-            table = self._project(node, child)
-            metrics.add_stage(
-                self.model.compute_stage("project", _table_values(child))
-            )
-            return table
-        if isinstance(node, (algebra.JoinNode, algebra.CrossNode)):
-            left = self._run(node.left, metrics, probe, cache_probe)
-            right = self._run(node.right, metrics, probe, cache_probe)
-            equi = node.equi if isinstance(node, algebra.JoinNode) else []
-            residual = (
-                node.residual if isinstance(node, algebra.JoinNode) else None
-            )
-            out = join_tables(left, right, equi, residual)
-            shuffle = _table_bytes(left) + _table_bytes(right)
-            metrics.add_stage(
-                self.model.shuffle_stage(
-                    "join",
-                    shuffle,
-                    _table_values(left)
-                    + _table_values(right)
-                    + _table_values(out),
-                )
-            )
-            return out
-        if isinstance(node, algebra.GroupByNode):
-            child = self._run(node.child, metrics, probe, cache_probe)
-            out = group_table(child, node.keys, node.key_names, node.aggs)
-            metrics.add_stage(
-                self.model.shuffle_stage(
-                    "group-by", _table_bytes(child), _table_values(child)
-                )
-            )
-            return out
-        if isinstance(node, algebra.DistinctNode):
-            child = self._run(node.child, metrics, probe, cache_probe)
-            seen = set()
-            rows = []
-            for row in child.rows:
-                if row not in seen:
-                    seen.add(row)
-                    rows.append(row)
-            metrics.add_stage(
-                self.model.shuffle_stage(
-                    "distinct", _table_bytes(child), _table_values(child)
-                )
-            )
-            return Table(child.attrs, rows)
-        if isinstance(node, algebra.OrderByNode):
-            child = self._run(node.child, metrics, probe, cache_probe)
-            rows = sort_rows(child, node.keys)
-            metrics.add_stage(
-                self.model.shuffle_stage(
-                    "order-by", _table_bytes(child), _table_values(child)
-                )
-            )
-            return Table(child.attrs, rows)
-        if isinstance(node, algebra.LimitNode):
-            child = self._run(node.child, metrics, probe, cache_probe)
-            return Table(child.attrs, child.rows[: node.limit])
-        if isinstance(node, algebra.UnionNode):
-            left = self._run(node.left, metrics, probe, cache_probe)
-            right = self._run(node.right, metrics, probe, cache_probe)
-            metrics.add_stage(
-                self.model.compute_stage(
-                    "union", _table_values(left) + _table_values(right)
-                )
-            )
-            return Table(left.attrs, left.rows + right.rows)
-        if isinstance(node, algebra.DifferenceNode):
-            from collections import Counter
+        """Metered walk: scans fetch from the TaaV store, every other
+        operator is the reference executor's, priced by ``_RA_STAGES``.
 
-            left = self._run(node.left, metrics, probe, cache_probe)
-            right = self._run(node.right, metrics, probe, cache_probe)
-            remaining = Counter(right.rows)
-            rows = []
-            for row in left.rows:
-                if remaining.get(row, 0) > 0:
-                    remaining[row] -= 1
-                else:
-                    rows.append(row)
-            metrics.add_stage(
-                self.model.shuffle_stage(
-                    "difference",
-                    _table_bytes(left) + _table_bytes(right),
-                    _table_values(left) + _table_values(right),
-                )
-            )
-            return Table(left.attrs, rows)
-        if isinstance(node, algebra.TableNode):
-            return node.table  # type: ignore[return-value]
-        raise ExecutionError(
-            f"baseline engine: unsupported node {type(node).__name__}"
-        )
-
-    def _filter_rows(self, predicate, attrs, rows) -> List:
-        """σ over table rows; compiled positional closure when vectorized.
-
-        The compiled filter returns exactly what ``predicate.eval`` would
-        per row; expressions outside the compilable subset fall back to
-        the eval path, so the knob never changes results.
+        ``above`` is the predicate of the selection directly over
+        ``node``: an index may answer one of its conjuncts exactly; the
+        selection still applies the FULL predicate to what was fetched.
         """
-        if self.vectorized:
-            try:
-                fn = compile_row(predicate, tuple(attrs))
-            except CompileError:
-                pass
-            else:
-                return [r for r in rows if fn(r)]
-        return [
-            r for r in rows if predicate.eval(dict(zip(attrs, r)))
+        if isinstance(node, algebra.ScanNode):
+            return self._scan(node, above, metrics, probe)
+        inputs = [
+            self._run(child, metrics, probe, _predicate_of(node))
+            for child in node.children()
         ]
+        out = run_node(node, inputs, _compiled_row if self.vectorized else eval_row)
+        if type(node) not in _RA_STAGES:
+            return out
+        name, shuffles = _RA_STAGES[type(node)]
+        values = sum(_table_values(t) for t in inputs)
+        if name == "join":
+            values += _table_values(out)
+        if shuffles:
+            shuffle = sum(_table_bytes(t) for t in inputs)
+            stage = self.model.shuffle_stage(name, shuffle, values)
+        else:
+            stage = self.model.compute_stage(name, values)
+        metrics.add_stage(stage)
+        return out
 
     def _choose_index(self, scan: algebra.ScanNode, predicate):
         """The index path a selection-over-scan admits, if any."""
         from repro.index.selection import choose_from_conjuncts
-        from repro.sql import ast
 
-        if self.indexes is None or scan.relation not in self.taav:
+        if predicate is None or self.indexes is None or scan.relation not in self.taav:
             return None
         return choose_from_conjuncts(
             ast.conjuncts(predicate), scan.relation, scan.alias, self.indexes
         )
 
-    def _index_scan(
+    def _scan(
         self,
         scan: algebra.ScanNode,
         predicate,
         metrics: ExecutionMetrics,
-        probe: _CounterProbe,
-        cache_probe: _CacheProbe,
-    ) -> Optional[Table]:
-        """Serve σ(scan) through an index probe; ``None`` when no index
-        applies (the caller falls back to fetch-all + filter)."""
+        probe: _IOProbe,
+    ) -> Table:
+        """Fetch a scan leaf: through an index probe → ``multi_get``
+        when the selection directly above it (``predicate``) admits one,
+        else the whole relation."""
         choice = self._choose_index(scan, predicate)
-        if choice is None:
-            return None
-        idx_probe = _IndexStatsProbe(self.indexes)
-        if choice.is_equality:
-            pks = self.indexes.lookup_eq(
-                scan.relation, choice.attr, choice.eq_values
-            )
-        else:
-            pks = self.indexes.lookup_range(
-                scan.relation,
-                choice.attr,
-                lo=choice.lo,
-                hi=choice.hi,
-                lo_strict=choice.lo_strict,
-                hi_strict=choice.hi_strict,
-            )
         taav = self.taav.relation(scan.relation)
-        fetched: List = []
-        step = max(1, self.batch_size)
-        for start in range(0, len(pks), step):
-            for row in taav.multi_get(pks[start:start + step]):
-                if row is not None:
-                    fetched.append(row)
-        attrs = [
-            f"{scan.alias}.{a}" for a in taav.schema.attribute_names
-        ]
-        # the index answered the chosen conjunct exactly; the FULL
-        # predicate is still applied so the other conjuncts hold too
-        rows = self._filter_rows(predicate, attrs, fetched)
-        delta = probe.delta()
-        hits, misses = cache_probe.delta()
-        probes, postings = idx_probe.delta()
-        metrics.add_stage(
-            self.model.index_probe_stage(
-                f"index-scan {scan.relation}.{choice.attr}",
-                gets=delta.gets,
-                values=delta.values_read,
-                bytes_out=delta.bytes_out,
-                round_trips=delta.round_trips,
-                index_probes=probes,
-                index_postings=postings,
-                cache_hits=hits,
-                cache_misses=misses,
-            )
-        )
-        metrics.add_stage(
-            self.model.compute_stage(
-                "select", len(fetched) * len(attrs)
-            )
-        )
-        self.access[scan.alias] = (
-            f"{scan.relation}: index probe ({choice.describe()}) "
-            f"-> multi_get"
-        )
+        self.access[scan.alias] = _access_path(scan.relation, choice)
+        if choice is None:
+            name = f"scan {scan.relation}"
+            rows = list(taav.fetch_all(batch_size=self.batch_size).rows)
+        else:
+            name = f"index-scan {scan.relation}.{choice.attr}"
+            pks = self.indexes.lookup(scan.relation, choice)
+            rows = []
+            step = max(1, self.batch_size)
+            for start in range(0, len(pks), step):
+                for row in taav.multi_get(pks[start:start + step]):
+                    if row is not None:
+                        rows.append(row)
+        metrics.add_stage(self.model.fetch_stage(name, *probe.delta()))
+        attrs = [f"{scan.alias}.{a}" for a in taav.schema.attribute_names]
         return Table(attrs, rows)
 
-    def _scan(
-        self,
-        node: algebra.ScanNode,
-        metrics: ExecutionMetrics,
-        probe: _CounterProbe,
-        cache_probe: _CacheProbe,
-    ) -> Table:
-        self.access[node.alias] = (
-            f"{node.relation}: taav scan (fetch-all)"
-        )
-        relation = self.taav.relation(node.relation).fetch_all(
-            batch_size=self.batch_size
-        )
-        delta = probe.delta()
-        hits, misses = cache_probe.delta()
-        table = Table(
-            [f"{node.alias}.{a}" for a in relation.schema.attribute_names],
-            list(relation.rows),
-        )
-        metrics.add_stage(
-            self.model.fetch_stage(
-                f"scan {node.relation}",
-                gets=delta.gets,
-                values=delta.values_read,
-                bytes_out=delta.bytes_out,
-                round_trips=delta.round_trips,
-                cache_hits=hits,
-                cache_misses=misses,
-            )
-        )
-        return table
 
-    def _project(self, node: algebra.ProjectNode, child: Table) -> Table:
-        from repro.sql import ast
-
-        names = [name for name, _ in node.items]
-        exprs = [expr for _, expr in node.items]
-        if all(isinstance(e, ast.Column) for e in exprs):
-            positions = [child.position(e.name) for e in exprs]  # type: ignore[attr-defined]
-            rows = [tuple(r[p] for p in positions) for r in child.rows]
-            return Table(names, rows)
-        if self.vectorized:
-            try:
-                fns = [compile_row(e, tuple(child.attrs)) for e in exprs]
-            except CompileError:
-                pass
-            else:
-                rows = [tuple(fn(r) for fn in fns) for r in child.rows]
-                return Table(names, rows)
-        rows = []
-        for row in child.rows:
-            env = dict(zip(child.attrs, row))
-            rows.append(tuple(e.eval(env) for e in exprs))
-        return Table(names, rows)
-
-
-class ZidianEngine:
+class ZidianEngine(_Engine):
     """Interleaved parallel execution of KBA plans (§7.2)."""
 
     def __init__(
@@ -551,56 +346,30 @@ class ZidianEngine:
         profile: BackendProfile,
         workers: int,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        cache=None,
-        indexes=None,
-        vectorized: Optional[bool] = None,
+        **shared,
     ) -> None:
+        super().__init__(taav, cluster, profile, workers, batch_size, **shared)
         self.baav = baav
-        self.taav = taav
-        self.cluster = cluster
-        self.profile = profile
-        self.workers = workers
-        self.batch_size = batch_size
-        # the client-side block cache the stores read through (only
-        # probed here for per-stage hit/miss attribution)
-        self.cache = cache
-        #: optional repro.index.IndexManager serving IndexProbe leaves
-        self.indexes = indexes
-        # storage service time spreads over the LIVE nodes only —
-        # a failed node serves nothing
-        self.model = CostModel(profile, workers, cluster.num_live_nodes)
         # each worker partition coalesces its own probe batches; the
-        # vectorized knob (None -> REPRO_VECTORIZED) swaps the per-node
-        # handlers for compiled columnar kernels. The per-operator walk
-        # below is kept either way so each stage is metered separately —
-        # stage structure, simulated cost and storage counters are
-        # mode-invariant (PR 10).
+        # vectorized knob swaps the per-node handlers for compiled
+        # columnar kernels. The per-operator walk below is kept either
+        # way so each stage is metered separately — stage structure,
+        # simulated cost and storage counters are mode-invariant (PR 10).
         self.ctx = ExecContext(
             baav,
             taav,
             batch_size=batch_size,
             batch_partitions=workers,
-            indexes=indexes,
-            vectorized=vectorized,
+            indexes=self.indexes,
+            vectorized=self.vectorized,
         )
-        self.vectorized = self.ctx.vectorized
 
     def execute(
         self, plan: ZidianPlan, database_for_top: Optional[Database] = None
     ) -> Tuple[Table, ExecutionMetrics]:
         """Run the KBA core in the interleaved model, then the RA top."""
-        start = time.perf_counter()
-        metrics = ExecutionMetrics(
-            workers=self.workers,
-            storage_nodes=self.cluster.num_live_nodes,
-            backend=self.profile.name,
-        )
-        metrics.add_stage(self.model.job_overhead())
-        probe = _CounterProbe(self.cluster)
-        cache_probe = _CacheProbe(self.cache)
-        snapshot_probe = _SnapshotProbe(self.cluster)
-        self._idx_probe = _IndexStatsProbe(self.indexes)
-        result = self._run(plan.root, metrics, probe, cache_probe)
+        metrics, probe = self._begin()
+        result = self._run(plan.root, metrics, probe)
 
         table = Table(result.attrs, list(result.expand()))
         final_plan = substitute_table(plan.ra_plan, plan.replace_node, table)
@@ -609,9 +378,7 @@ class ZidianEngine:
         metrics.add_stage(
             self.model.compute_stage("top", _table_values(table))
         )
-        snapshot_probe.finish(metrics)
-        metrics.wall_time_ms = (time.perf_counter() - start) * 1000.0
-        return top, metrics
+        return top, probe.finish(metrics)
 
     # -- recursive walker ------------------------------------------------------
 
@@ -619,94 +386,48 @@ class ZidianEngine:
         self,
         node: kp.KBANode,
         metrics: ExecutionMetrics,
-        probe: _CounterProbe,
-        cache_probe: _CacheProbe,
+        probe: _IOProbe,
     ) -> BlockSet:
-        inputs = [
-            self._run(c, metrics, probe, cache_probe)
-            for c in node.children()
-        ]
+        inputs = [self._run(c, metrics, probe) for c in node.children()]
         result = execute_node(node, self.ctx, inputs)
         delta = probe.delta()
-        cache_hits, cache_misses = cache_probe.delta()
-
+        model = self.model
         if isinstance(node, kp.Constant):
-            pass
-        elif isinstance(node, kp.Extend):
+            return result
+        if isinstance(node, kp.Extend):
             # interleaving: repartition the intermediate by the target's
             # key distribution, then fetch only the needed blocks
-            child_bytes = inputs[0].size_bytes()
-            metrics.add_stage(
-                self.model.fetch_stage(
-                    f"extend {node.kv_name}",
-                    gets=delta.gets,
-                    values=delta.values_read,
-                    bytes_out=delta.bytes_out,
-                    repartition_bytes=child_bytes,
-                    round_trips=delta.round_trips,
-                    cache_hits=cache_hits,
-                    cache_misses=cache_misses,
-                )
+            stage = model.fetch_stage(
+                f"extend {node.kv_name}",
+                *delta,
+                repartition_bytes=inputs[0].size_bytes(),
             )
         elif isinstance(node, kp.IndexProbe):
-            probes, postings = self._idx_probe.delta()
-            metrics.add_stage(
-                self.model.index_probe_stage(
-                    f"index-probe {node.relation}.{node.attr}",
-                    gets=delta.gets,
-                    values=delta.values_read,
-                    bytes_out=delta.bytes_out,
-                    round_trips=delta.round_trips,
-                    index_probes=probes,
-                    index_postings=postings,
-                    cache_hits=cache_hits,
-                    cache_misses=cache_misses,
-                )
+            stage = model.fetch_stage(
+                f"index-probe {node.relation}.{node.attr}", *delta
             )
-        elif isinstance(node, (kp.ScanKV, kp.TaaVScan, kp.StatsGroup)):
-            label = (
-                f"scan {node.kv_name}"
-                if isinstance(node, (kp.ScanKV, kp.StatsGroup))
-                else f"taav-scan {node.relation}"
-            )
-            metrics.add_stage(
-                self.model.fetch_stage(
-                    label,
-                    gets=delta.gets,
-                    values=delta.values_read,
-                    bytes_out=delta.bytes_out,
-                    round_trips=delta.round_trips,
-                    cache_hits=cache_hits,
-                    cache_misses=cache_misses,
-                )
-            )
-        elif isinstance(node, (kp.SelectK, kp.ProjectK, kp.CopyK, kp.Shift)):
-            metrics.add_stage(
-                self.model.compute_stage(
-                    type(node).__name__.lower(), inputs[0].num_values()
-                )
-            )
+        elif isinstance(node, (kp.ScanKV, kp.StatsGroup)):
+            stage = model.fetch_stage(f"scan {node.kv_name}", *delta)
+        elif isinstance(node, kp.TaaVScan):
+            stage = model.fetch_stage(f"taav-scan {node.relation}", *delta)
         elif isinstance(node, (kp.JoinK, kp.UnionK, kp.DifferenceK)):
             shuffle = sum(i.size_bytes() for i in inputs)
             values = sum(i.num_values() for i in inputs) + result.num_values()
-            stage = self.model.shuffle_stage("joink", shuffle, values)
+            stage = model.shuffle_stage("joink", shuffle, values)
             stage.skew = max(
                 blockset_skew(i, self.workers) for i in inputs
             )
-            metrics.add_stage(stage)
         elif isinstance(node, kp.GroupK):
-            stage = self.model.shuffle_stage(
+            stage = model.shuffle_stage(
                 "groupk", inputs[0].size_bytes(), inputs[0].num_values()
             )
             stage.skew = blockset_skew(result, self.workers)
-            metrics.add_stage(stage)
         else:
-            metrics.add_stage(
-                self.model.compute_stage(
-                    type(node).__name__.lower(),
-                    sum(i.num_values() for i in inputs),
-                )
+            # the block-local operators: σ, π, copy, shift (all unary)
+            stage = model.compute_stage(
+                type(node).__name__.lower(), inputs[0].num_values()
             )
+        metrics.add_stage(stage)
         return result
 
 

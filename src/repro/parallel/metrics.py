@@ -7,7 +7,7 @@ Table 2 — plus a per-stage breakdown for debugging and the ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List
 
 
@@ -80,7 +80,6 @@ class ExecutionMetrics:
     sim_time_ms: float = 0.0
     wall_time_ms: float = 0.0
     n_get: int = 0
-    n_put: int = 0
     n_round_trips: int = 0
     data_values: int = 0
     comm_bytes: int = 0
@@ -106,19 +105,10 @@ class ExecutionMetrics:
 
     def add_stage(self, stage: StageCost) -> None:
         self.stages.append(stage)
-        self.sim_time_ms += stage.time_ms
-        self.comm_bytes += stage.comm_bytes
-        self.n_get += stage.gets
-        self.n_round_trips += stage.round_trips
-        self.data_values += stage.values
-        self.cache_hits += stage.cache_hits
-        self.cache_misses += stage.cache_misses
-        self.rebalance_bytes += stage.rebalance_bytes
-        self.index_probes += stage.index_probes
-        self.index_postings += stage.index_postings
-        self.fsyncs += stage.fsyncs
-        self.overlay_reads += stage.overlay_reads
-        self.versions_skipped += stage.versions_skipped
+        for total, source in _STAGE_TOTALS:
+            amount = getattr(stage, source)
+            if amount:
+                setattr(self, total, getattr(self, total) + amount)
 
     @property
     def sim_time_s(self) -> float:
@@ -131,27 +121,13 @@ class ExecutionMetrics:
         return self.cache_hits / lookups if lookups else 0.0
 
     def merge(self, other: "ExecutionMetrics") -> None:
-        self.sim_time_ms += other.sim_time_ms
-        self.wall_time_ms += other.wall_time_ms
-        self.n_get += other.n_get
-        self.n_put += other.n_put
-        self.n_round_trips += other.n_round_trips
-        self.data_values += other.data_values
-        self.comm_bytes += other.comm_bytes
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.rebalance_bytes += other.rebalance_bytes
-        self.index_probes += other.index_probes
-        self.index_postings += other.index_postings
-        self.fsyncs += other.fsyncs
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         # compound sides share one pinned epoch; max() also does the
         # right thing when only one side ran under a snapshot
         self.snapshot_epoch = max(
             self.snapshot_epoch, other.snapshot_epoch
         )
-        self.overlay_reads += other.overlay_reads
-        self.versions_skipped += other.versions_skipped
-        self.gc_reclaimed += other.gc_reclaimed
         self.stages.extend(other.stages)
 
     def summary(self) -> str:
@@ -178,6 +154,30 @@ class ExecutionMetrics:
         return "\n".join(str(s) for s in self.stages)
 
 
+#: what merge() sums and mean_metrics() averages: every field of
+#: ExecutionMetrics but the ones describing the run
+_COUNTERS = tuple(
+    f.name
+    for f in fields(ExecutionMetrics)
+    if f.name
+    not in ("snapshot_epoch", "stages", "workers", "storage_nodes", "backend")
+)
+#: StageCost fields whose total carries the paper's column name instead
+_STAGE_SOURCE = {
+    "sim_time_ms": "time_ms",
+    "n_get": "gets",
+    "n_round_trips": "round_trips",
+    "data_values": "values",
+}
+#: (total, StageCost field) pairs add_stage() accumulates — a counter
+#: that exists on both dataclasses is summed with no further edit
+_STAGE_TOTALS = tuple(
+    (name, _STAGE_SOURCE.get(name, name))
+    for name in _COUNTERS
+    if _STAGE_SOURCE.get(name, name) in StageCost.__dataclass_fields__
+)
+
+
 def mean_metrics(metrics: List[ExecutionMetrics]) -> ExecutionMetrics:
     """Element-wise mean, for averaging over a query set."""
     if not metrics:
@@ -188,20 +188,9 @@ def mean_metrics(metrics: List[ExecutionMetrics]) -> ExecutionMetrics:
         backend=metrics[0].backend,
     )
     n = len(metrics)
-    out.sim_time_ms = sum(m.sim_time_ms for m in metrics) / n
-    out.wall_time_ms = sum(m.wall_time_ms for m in metrics) / n
-    out.n_get = sum(m.n_get for m in metrics) // n
-    out.n_put = sum(m.n_put for m in metrics) // n
-    out.n_round_trips = sum(m.n_round_trips for m in metrics) // n
-    out.data_values = sum(m.data_values for m in metrics) // n
-    out.comm_bytes = sum(m.comm_bytes for m in metrics) // n
-    out.cache_hits = sum(m.cache_hits for m in metrics) // n
-    out.cache_misses = sum(m.cache_misses for m in metrics) // n
-    out.rebalance_bytes = sum(m.rebalance_bytes for m in metrics) // n
-    out.index_probes = sum(m.index_probes for m in metrics) // n
-    out.index_postings = sum(m.index_postings for m in metrics) // n
-    out.fsyncs = sum(m.fsyncs for m in metrics) // n
-    out.overlay_reads = sum(m.overlay_reads for m in metrics) // n
-    out.versions_skipped = sum(m.versions_skipped for m in metrics) // n
-    out.gc_reclaimed = sum(m.gc_reclaimed for m in metrics) // n
+    for name in _COUNTERS:
+        total = sum(getattr(m, name) for m in metrics)
+        # times (float fields) average exactly, counts round down
+        is_time = isinstance(getattr(out, name), float)
+        setattr(out, name, total / n if is_time else total // n)
     return out

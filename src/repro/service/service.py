@@ -54,13 +54,13 @@ service lock only adds the read/update atomicity queries expect.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional
 
+from repro.env import env_flag
 from repro.errors import (
     QueryDeadlineError,
     ServiceClosedError,
@@ -309,7 +309,7 @@ class QueryService:
         self.max_queued = max_queued
         self.default_deadline_ms = default_deadline_ms
         if mvcc is None:
-            mvcc = os.environ.get(MVCC_ENV, "1") != "0"
+            mvcc = env_flag(MVCC_ENV, True)
         #: snapshot reads + transactions on (queries and updates share
         #: the service lock) vs the PR-5 writer-exclusive behavior
         self.mvcc = bool(

@@ -9,7 +9,7 @@ tested for bag-equivalence against it.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.relational.database import Database
@@ -54,7 +54,11 @@ def unique_names(names) -> list:
 
 def execute(plan: algebra.PlanNode, database: Database) -> Relation:
     """Execute ``plan`` against ``database`` and return a Relation."""
-    table = run(plan, database)
+    return to_relation(run(plan, database))
+
+
+def to_relation(table: Table) -> Relation:
+    """A result table as a Relation (duplicate column names suffixed)."""
     schema = RelationSchema(
         "result",
         [Attribute(name, AttrType.STR) for name in unique_names(table.attrs)],
@@ -62,33 +66,57 @@ def execute(plan: algebra.PlanNode, database: Database) -> Relation:
     return Relation(schema, table.rows)
 
 
+RowFn = Callable[[Row], object]
+
+
+def eval_row(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
+    """``expr`` as a function of one row laid out as ``attrs``.
+
+    The reference evaluation — ``Expr.eval`` over an ``attr -> value``
+    dict — that every compiled form must agree with.
+    """
+    return lambda row: expr.eval(dict(zip(attrs, row)))
+
+
 def run(plan: algebra.PlanNode, database: Database) -> Table:
-    """Execute ``plan`` and return the raw :class:`Table`."""
+    """Execute ``plan`` and return the raw :class:`Table`.
+
+    The plain recursive driver: scans read ``database``, every other
+    operator is :func:`run_node` over its children's tables.
+    """
+    if isinstance(plan, algebra.ScanNode):
+        relation = database.relation(plan.relation)
+        attrs = [f"{plan.alias}.{a}" for a in relation.schema.attribute_names]
+        return Table(attrs, list(relation.rows))
+    return run_node(plan, [run(child, database) for child in plan.children()])
+
+
+def run_node(
+    plan: algebra.PlanNode,
+    inputs: Sequence[Table],
+    row_fn: Callable[[ast.Expr, Sequence[str]], RowFn] = eval_row,
+) -> Table:
+    """Execute one operator given its children's tables.
+
+    The baseline engine drives its own recursion through this entry so
+    it can fetch scans from the KV store and meter every operator; its
+    ``row_fn`` may compile selection and projection expressions (same
+    values as :func:`eval_row`, by contract).
+    """
     handler = _HANDLERS.get(type(plan))
     if handler is None:
         raise ExecutionError(f"no handler for plan node {type(plan).__name__}")
-    return handler(plan, database)
+    return handler(plan, inputs, row_fn)
 
 
-def _run_scan(plan: algebra.ScanNode, database: Database) -> Table:
-    relation = database.relation(plan.relation)
-    attrs = [f"{plan.alias}.{a}" for a in relation.schema.attribute_names]
-    return Table(attrs, list(relation.rows))
+def _run_select(plan: algebra.SelectNode, inputs, row_fn) -> Table:
+    (child,) = inputs
+    keep = row_fn(plan.predicate, child.attrs)
+    return Table(child.attrs, [row for row in child.rows if keep(row)])
 
 
-def _run_select(plan: algebra.SelectNode, database: Database) -> Table:
-    child = run(plan.child, database)
-    predicate = plan.predicate
-    attrs = child.attrs
-    rows = [
-        row for row in child.rows if predicate.eval(dict(zip(attrs, row)))
-    ]
-    return Table(attrs, rows)
-
-
-def _run_project(plan: algebra.ProjectNode, database: Database) -> Table:
-    child = run(plan.child, database)
-    attrs = child.attrs
+def _run_project(plan: algebra.ProjectNode, inputs, row_fn) -> Table:
+    (child,) = inputs
     names = [name for name, _ in plan.items]
     exprs = [expr for _, expr in plan.items]
     # Fast path: pure column projection avoids dict envs.
@@ -96,16 +124,12 @@ def _run_project(plan: algebra.ProjectNode, database: Database) -> Table:
         positions = [child.position(e.name) for e in exprs]  # type: ignore[attr-defined]
         rows = [tuple(row[p] for p in positions) for row in child.rows]
         return Table(names, rows)
-    rows = []
-    for row in child.rows:
-        env = dict(zip(attrs, row))
-        rows.append(tuple(expr.eval(env) for expr in exprs))
-    return Table(names, rows)
+    fns = [row_fn(expr, child.attrs) for expr in exprs]
+    return Table(names, [tuple(fn(row) for fn in fns) for row in child.rows])
 
 
-def _run_join(plan: algebra.JoinNode, database: Database) -> Table:
-    left = run(plan.left, database)
-    right = run(plan.right, database)
+def _run_join(plan: algebra.JoinNode, inputs, row_fn) -> Table:
+    left, right = inputs
     return join_tables(left, right, plan.equi, plan.residual)
 
 
@@ -137,24 +161,15 @@ def join_tables(
     return Table(attrs, rows)
 
 
-def _run_cross(plan: algebra.CrossNode, database: Database) -> Table:
-    left = run(plan.left, database)
-    right = run(plan.right, database)
+def _run_cross(plan: algebra.CrossNode, inputs, row_fn) -> Table:
+    left, right = inputs
     return join_tables(left, right, [])
 
 
-def _run_groupby(plan: algebra.GroupByNode, database: Database) -> Table:
-    child = run(plan.child, database)
-    return group_table(child, plan.keys, plan.key_names, plan.aggs)
-
-
-def group_table(
-    child: Table,
-    keys: Sequence[str],
-    key_names: Sequence[str],
-    aggs: Sequence[algebra.AggSpec],
-) -> Table:
-    """Group ``child`` by ``keys`` computing ``aggs``; bag semantics."""
+def _run_groupby(plan: algebra.GroupByNode, inputs, row_fn) -> Table:
+    """Group the child by ``keys`` computing ``aggs``; bag semantics."""
+    (child,) = inputs
+    keys, aggs = plan.keys, plan.aggs
     key_pos = [child.position(k) for k in keys]
     groups: Dict[Row, List] = {}
     attrs = child.attrs
@@ -179,11 +194,11 @@ def group_table(
         key + tuple(acc.result() for acc in accs)
         for key, accs in groups.items()
     ]
-    return Table(tuple(key_names) + tuple(a.name for a in aggs), rows)
+    return Table(tuple(plan.key_names) + tuple(a.name for a in aggs), rows)
 
 
-def _run_distinct(plan: algebra.DistinctNode, database: Database) -> Table:
-    child = run(plan.child, database)
+def _run_distinct(plan: algebra.DistinctNode, inputs, row_fn) -> Table:
+    (child,) = inputs
     seen = set()
     rows = []
     for row in child.rows:
@@ -193,57 +208,53 @@ def _run_distinct(plan: algebra.DistinctNode, database: Database) -> Table:
     return Table(child.attrs, rows)
 
 
-def _run_orderby(plan: algebra.OrderByNode, database: Database) -> Table:
-    child = run(plan.child, database)
-    rows = sort_rows(child, plan.keys)
-    return Table(child.attrs, rows)
-
-
-def sort_rows(
-    table: Table, keys: Sequence[Tuple[ast.Expr, bool]]
-) -> List[Row]:
+def _run_orderby(plan: algebra.OrderByNode, inputs, row_fn) -> Table:
     """Stable multi-key sort honoring ASC/DESC and NULLs-last."""
-    rows = list(table.rows)
-    attrs = table.attrs
-    for expr, ascending in reversed(list(keys)):
+    (child,) = inputs
+    rows = list(child.rows)
+    attrs = child.attrs
+    for expr, ascending in reversed(list(plan.keys)):
         def sort_key(row: Row):
             value = expr.eval(dict(zip(attrs, row)))
             return (value is None, value)
         rows.sort(key=sort_key, reverse=not ascending)
-    return rows
+    return Table(attrs, rows)
 
 
-def _run_limit(plan: algebra.LimitNode, database: Database) -> Table:
-    child = run(plan.child, database)
+def _run_limit(plan: algebra.LimitNode, inputs, row_fn) -> Table:
+    (child,) = inputs
     return Table(child.attrs, child.rows[: plan.limit])
 
 
-def _run_union(plan: algebra.UnionNode, database: Database) -> Table:
-    left = run(plan.left, database)
-    right = run(plan.right, database)
+def _run_union(plan: algebra.UnionNode, inputs, row_fn) -> Table:
+    left, right = inputs
     return Table(left.attrs, left.rows + right.rows)
 
 
-def _run_difference(plan: algebra.DifferenceNode, database: Database) -> Table:
-    left = run(plan.left, database)
-    right = run(plan.right, database)
-    remaining = Counter(right.rows)
+def _run_difference(plan: algebra.DifferenceNode, inputs, row_fn) -> Table:
+    left, right = inputs
+    return Table(left.attrs, bag_difference(left.rows, right.rows))
+
+
+def bag_difference(left: Sequence[Row], right: Sequence[Row]) -> List[Row]:
+    """``left`` minus ``right`` under bag semantics (EXCEPT ALL): each
+    right row cancels one equal left row; order of the rest is kept."""
+    remaining = Counter(right)
     rows = []
-    for row in left.rows:
+    for row in left:
         if remaining.get(row, 0) > 0:
             remaining[row] -= 1
         else:
             rows.append(row)
-    return Table(left.attrs, rows)
+    return rows
 
 
-def _run_table(plan: algebra.TableNode, database: Database) -> Table:
+def _run_table(plan: algebra.TableNode, inputs, row_fn) -> Table:
     return plan.table  # type: ignore[return-value]
 
 
 _HANDLERS = {
     algebra.TableNode: _run_table,
-    algebra.ScanNode: _run_scan,
     algebra.SelectNode: _run_select,
     algebra.ProjectNode: _run_project,
     algebra.JoinNode: _run_join,

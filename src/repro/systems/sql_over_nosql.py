@@ -8,9 +8,9 @@ cluster, same backend, but with a BaaV store and the interleaved engine.
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.baav.maintenance import Maintainer
 from repro.baav.schema import BaaVSchema
@@ -38,9 +38,8 @@ from repro.parallel.engine import BaselineEngine, ZidianEngine
 from repro.parallel.metrics import ExecutionMetrics
 from repro.relational.database import Database
 from repro.relational.relation import Relation
-from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.types import AttrType, Row
-from repro.sql.executor import Table
+from repro.relational.types import Row
+from repro.sql.executor import bag_difference, to_relation
 from repro.sql import ast
 from repro.sql.parser import parse
 from repro.sql.planner import bind, bind_any, build_plan_any
@@ -88,33 +87,6 @@ def _parse_index_spec(spec) -> Tuple[str, str, str]:
     )
 
 
-def _to_relation(table: Table) -> Relation:
-    from repro.sql.executor import unique_names
-
-    schema = RelationSchema(
-        "result",
-        [Attribute(a, AttrType.STR) for a in unique_names(table.attrs)],
-    )
-    return Relation(schema, table.rows)
-
-
-def _rebuild_indexes(indexes: IndexManager, database, requested) -> None:
-    """(Re)build every index over a freshly loaded database.
-
-    A re-``load()`` must rebuild *all* indexes — the constructor's
-    ``indexes=`` specs and any created online since — or stale postings
-    built over the previous data would keep serving. Indexes over
-    relations the new database lacks are dropped.
-    """
-    existing = [
-        (index.relation.name, index.attr, index.kind) for index in indexes
-    ]
-    for relation, attr, kind in dict.fromkeys(existing + list(requested)):
-        indexes.drop(relation, attr, kind)
-        if relation in database:
-            indexes.create(database.relation(relation), attr, kind)
-
-
 def _zidian_plan_summary(plan) -> str:
     """Render a KBA plan's access path per alias (EXPLAIN summary)."""
     scans: dict = {}
@@ -143,6 +115,18 @@ def _zidian_plan_summary(plan) -> str:
         lines.append(f"{alias} -> {relation}: {desc}")
     return "\n".join(lines)
 
+
+def _access_summary(access: Dict[str, str]) -> str:
+    """Render the baseline's access path per alias (EXPLAIN summary)."""
+    return "\n".join(f"{alias} -> {desc}" for alias, desc in sorted(access.items()))
+
+
+_INDEXES_NEED_TAAV = (
+    "secondary indexes need the TaaV store (keep_taav=True): "
+    "index probes fetch tuples by primary key"
+)
+
+_S = TypeVar("_S", bound="KVSystem")
 
 #: serializes concurrent enable_transactions() calls (begin() may
 #: auto-enable from any service thread); leaf-ordered before the
@@ -240,13 +224,9 @@ class TransactionalMixin:
         )
         return result
 
-    def _close_transactions(self) -> None:
-        if self.transactions is not None:
-            self.transactions.close()
 
-
-class SQLOverNoSQL(TransactionalMixin):
-    """A baseline SQL-over-NoSQL system (TaaV storage, fetch-all plans).
+class KVSystem(TransactionalMixin):
+    """What both systems share: one KV cluster and everything wired to it.
 
     ``cache_capacity_bytes`` enables a client-side read-through block
     cache (0 = off, the conventional stack the paper measures). The
@@ -259,15 +239,25 @@ class SQLOverNoSQL(TransactionalMixin):
     replicas, reads pick the least-loaded live replica, and the cluster
     keeps serving through ``fail_node``/``recover_node`` churn.
 
-    ``indexes`` requests secondary indexes built at load time — specs
-    like ``"FLIGHT.tail_id"`` / ``"FLIGHT.arr_delay:ordered"`` or
-    ``(rel, attr[, kind])`` tuples. With an index present, a selective
-    non-key filter runs as an index probe + ``multi_get`` instead of the
-    fetch-all scan; ``create_index``/``drop_index`` manage them online.
+    ``transport=None`` defers to ``REPRO_KV_TRANSPORT`` (default
+    ``"local"``); ``"socket"`` puts every storage node in its own OS
+    process.
 
     ``durability``/``data_dir``/``fsync_policy`` make the storage nodes
     crash-consistent (per-node WAL + checkpoints, recovery by replay)
     — see the "Durability" section of :mod:`repro.kv.cluster`.
+    ``durability=None`` defers to ``REPRO_KV_DURABILITY`` (default
+    ``"off"``); a ``data_dir`` implies ``"wal"``.
+
+    ``indexes`` requests secondary indexes built at load time — specs
+    like ``"FLIGHT.tail_id"`` / ``"FLIGHT.arr_delay:ordered"`` or
+    ``(rel, attr[, kind])`` tuples. With an index present, a selective
+    non-key filter runs as an index probe + ``multi_get`` instead of a
+    scan; ``create_index``/``drop_index`` manage them online.
+
+    ``vectorized=None`` defers to ``REPRO_VECTORIZED`` (default off);
+    True evaluates expressions as compiled closures / columnar kernels
+    (PR 10) — same results and counters, less interpreter time.
     """
 
     def __init__(
@@ -287,10 +277,6 @@ class SQLOverNoSQL(TransactionalMixin):
     ) -> None:
         self.profile: BackendProfile = get_profile(backend)
         self.workers = workers
-        # transport=None defers to REPRO_KV_TRANSPORT (default "local");
-        # "socket" puts every storage node in its own OS process.
-        # durability=None defers to REPRO_KV_DURABILITY (default "off");
-        # "wal" (or a data_dir) makes every node crash-consistent
         self.cluster = KVCluster(
             storage_nodes,
             replication_factor=replication_factor,
@@ -299,12 +285,7 @@ class SQLOverNoSQL(TransactionalMixin):
             durability=durability,
             fsync_policy=fsync_policy,
         )
-        # per-key gets by default — the conventional stack the paper
-        # measures; raise to model a multi-get-capable client
         self.batch_size = batch_size
-        # vectorized=None defers to REPRO_VECTORIZED (default off);
-        # True compiles filters/projections into positional closures
-        # (PR 10) — same results and counters, less interpreter time
         self.vectorized = vectorized
         self.cache = make_cache(cache_capacity_bytes, partitions=workers)
         self.indexes = IndexManager(self.cluster, cache=self.cache)
@@ -314,29 +295,51 @@ class SQLOverNoSQL(TransactionalMixin):
         #: MVCC transaction surface (None until enable_transactions())
         self.transactions: Optional[TransactionManager] = None
 
-    @property
-    def name(self) -> str:
-        return f"So{self.profile.name[0].upper()}"
-
     def cache_stats(self) -> Optional[CacheStats]:
         """Aggregate block-cache statistics (``None`` when cache is off)."""
         return self.cache.stats if self.cache is not None else None
 
-    def load(self, database: Database) -> None:
-        """Load a database into the TaaV store (and build any indexes)."""
-        self.database = database
-        self.taav = TaaVStore.from_database(
-            database, self.cluster, cache=self.cache
+    def _engine(self, engine_cls, *stores):
+        """The per-query engine over this system's cluster and stores."""
+        return engine_cls(
+            *stores,
+            self.taav,
+            self.cluster,
+            self.profile,
+            self.workers,
+            batch_size=self.batch_size,
+            cache=self.cache,
+            indexes=self.indexes if len(self.indexes) else None,
+            vectorized=self.vectorized,
         )
-        _rebuild_indexes(self.indexes, database, self._requested_indexes)
-        self.cluster.reset_counters()
 
-    def create_index(
-        self, relation: str, attr: str, kind: str = "hash"
-    ):
-        """Create (and bulk-build) a secondary index on a loaded relation."""
+    def _rebuild_indexes(self, database: Database) -> None:
+        """(Re)build every index over a freshly loaded database.
+
+        A re-``load()`` must rebuild *all* indexes — the constructor's
+        ``indexes=`` specs and any created online since — or stale
+        postings built over the previous data would keep serving.
+        Indexes over relations the new database lacks are dropped.
+        """
+        existing = [
+            (index.relation.name, index.attr, index.kind)
+            for index in self.indexes
+        ]
+        for relation, attr, kind in dict.fromkeys(existing + self._requested_indexes):
+            self.indexes.drop(relation, attr, kind)
+            if relation in database:
+                self.indexes.create(database.relation(relation), attr, kind)
+
+    def create_index(self, relation: str, attr: str, kind: str = "hash"):
+        """Create (and bulk-build) a secondary index on a loaded relation.
+
+        Index probes resolve primary keys against the TaaV store, so the
+        system must keep it (``keep_taav=True``).
+        """
         if self.database is None:
             raise ExecutionError("load() a database first")
+        if self.taav is None:
+            raise ExecutionError(_INDEXES_NEED_TAAV)
         return self.indexes.create(
             self.database.relation(relation), attr, kind
         )
@@ -350,86 +353,115 @@ class SQLOverNoSQL(TransactionalMixin):
         """Drop matching indexes (and their cluster entries)."""
         return self.indexes.drop(relation, attr, kind)
 
-    def _engine(self) -> BaselineEngine:
-        return BaselineEngine(
-            self.taav,
-            self.cluster,
-            self.profile,
-            self.workers,
-            batch_size=self.batch_size,
-            cache=self.cache,
-            indexes=self.indexes if len(self.indexes) else None,
-            vectorized=self.vectorized,
-        )
-
-    def execute(self, sql: str) -> QueryResult:
-        if self.database is None or self.taav is None:
-            raise ExecutionError("load() a database first")
-        return self._snapshot_execute(lambda: self._execute(sql))
-
-    def _execute(self, sql: str) -> QueryResult:
-        bound = bind_any(parse(sql), self.database.schema)
-        ra_plan = build_plan_any(bound)
-        # per-thread reset: concurrent queries on other service threads
-        # keep their own shards (single-threaded behavior is unchanged)
-        self.cluster.reset_counters(thread_only=True)
-        engine = self._engine()
-        table, metrics = engine.execute(ra_plan)
-        summary = "\n".join(
-            f"{alias} -> {desc}"
-            for alias, desc in sorted(engine.access.items())
-        )
-        return QueryResult(
-            _to_relation(table), metrics, plan_summary=summary or None
-        )
-
-    def explain(self, sql: str) -> str:
-        """The access path each relation occurrence would use (EXPLAIN)."""
-        if self.database is None or self.taav is None:
-            raise ExecutionError("load() a database first")
-        bound = bind_any(parse(sql), self.database.schema)
-        ra_plan = build_plan_any(bound)
-        access = self._engine().describe_access(ra_plan)
-        return "\n".join(
-            f"{alias} -> {desc}" for alias, desc in sorted(access.items())
-        )
-
     def _apply_base(
         self,
         relation: str,
         inserts: Iterable[Row] = (),
         deletes: Iterable[Row] = (),
     ) -> None:
-        """Apply Δ to the database, the TaaV store and every index."""
-        if self.database is None or self.taav is None:
+        """Apply Δ to the database, the stores and every index.
+
+        The whole Δ is validated before the first mutation: a delete of
+        a row the relation does not hold fails with the database, the
+        stores and the index postings all untouched.
+        """
+        if self.database is None:
             raise ExecutionError("load() a database first")
         inserts = [tuple(r) for r in inserts]
         deletes = [tuple(r) for r in deletes]
         base = self.database.relation(relation)
+        for row, copies in Counter(deletes).items():
+            if base.rows.count(row) < copies:
+                raise ExecutionError(
+                    f"cannot delete {row!r}: {relation} holds fewer than "
+                    f"{copies} such row(s)"
+                )
         for row in deletes:
             base.rows.remove(row)
         base.extend(inserts)
-        taav = self.taav.relation(relation)
-        for row in deletes:
-            taav.delete_row(row)
-        for row in inserts:
-            taav.insert(row)
+        if self.taav is not None:
+            taav = self.taav.relation(relation)
+            # deletes first: a same-pk update (delete old + insert new)
+            # must not delete the freshly inserted tuple
+            for row in deletes:
+                taav.delete_row(row)
+            for row in inserts:
+                taav.insert(row)
+        self._apply_store(relation, inserts, deletes)
         self.indexes.apply_updates(relation, inserts, deletes)
+
+    def _apply_store(
+        self, relation: str, inserts: List[Row], deletes: List[Row]
+    ) -> None:
+        """Maintain the stores a subclass keeps beside the TaaV store."""
 
     def close(self) -> None:
         """Shut the cluster down (reaps node processes; idempotent)."""
-        self._close_transactions()
+        if self.transactions is not None:
+            self.transactions.close()
         self.cluster.close()
 
-    def __enter__(self) -> "SQLOverNoSQL":
+    def __enter__(self: _S) -> _S:
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
 
 
-class ZidianSystem(TransactionalMixin):
-    """A baseline system with Zidian plugged in (§8.2 deployment)."""
+class SQLOverNoSQL(KVSystem):
+    """A baseline SQL-over-NoSQL system (TaaV storage, fetch-all plans).
+
+    Per-key gets by default — the conventional stack the paper
+    measures; raise ``batch_size`` to model a multi-get-capable client.
+    """
+
+    @property
+    def name(self) -> str:
+        return f"So{self.profile.name[0].upper()}"
+
+    def load(self, database: Database) -> None:
+        """Load a database into the TaaV store (and build any indexes)."""
+        self.database = database
+        self.taav = TaaVStore.from_database(
+            database, self.cluster, cache=self.cache
+        )
+        self._rebuild_indexes(database)
+        self.cluster.reset_counters()
+
+    def _plan(self, sql: str):
+        if self.database is None or self.taav is None:
+            raise ExecutionError("load() a database first")
+        return build_plan_any(bind_any(parse(sql), self.database.schema))
+
+    def execute(self, sql: str) -> QueryResult:
+        return self._snapshot_execute(lambda: self._execute(sql))
+
+    def _execute(self, sql: str) -> QueryResult:
+        ra_plan = self._plan(sql)
+        # per-thread reset: concurrent queries on other service threads
+        # keep their own shards (single-threaded behavior is unchanged)
+        self.cluster.reset_counters(thread_only=True)
+        engine = self._engine(BaselineEngine)
+        table, metrics = engine.execute(ra_plan)
+        summary = _access_summary(engine.access)
+        return QueryResult(
+            to_relation(table), metrics, plan_summary=summary or None
+        )
+
+    def explain(self, sql: str) -> str:
+        """The access path each relation occurrence would use (EXPLAIN)."""
+        engine = self._engine(BaselineEngine)
+        return _access_summary(engine.describe_access(self._plan(sql)))
+
+
+class ZidianSystem(KVSystem):
+    """A baseline system with Zidian plugged in (§8.2 deployment).
+
+    ``batch_size`` is the number of probe keys coalesced per multi-get
+    round (1 = per-key probes). The block cache stays off by default —
+    paper reproductions measure BaaV's contribution alone. Secondary
+    indexes need ``keep_taav``: index probes fetch TaaV tuples.
+    """
 
     def __init__(
         self,
@@ -443,63 +475,22 @@ class ZidianSystem(TransactionalMixin):
         use_stats: bool = True,
         keep_taav: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        cache_capacity_bytes: int = 0,
-        replication_factor: int = 1,
-        transport: Optional[str] = None,
-        data_dir: Optional[str] = None,
-        durability: Optional[str] = None,
-        fsync_policy: str = "group",
-        indexes: Sequence = (),
-        vectorized: Optional[bool] = None,
+        **shared,
     ) -> None:
-        self.profile: BackendProfile = get_profile(backend)
-        self.workers = workers
-        # R-way replicated DHT (1 = unreplicated, the paper's cluster);
-        # fail_node/recover_node on the cluster model churn under load;
-        # transport="socket" puts each node in its own OS process;
-        # durability="wal" (or a data_dir) write-ahead-logs every node
-        self.cluster = KVCluster(
-            storage_nodes,
-            replication_factor=replication_factor,
-            transport=transport,
-            data_dir=data_dir,
-            durability=durability,
-            fsync_policy=fsync_policy,
-        )
-        # probe keys coalesced per multi-get round (1 = per-key probes)
-        self.batch_size = batch_size
-        # vectorized=None defers to REPRO_VECTORIZED (default off);
-        # True runs KBA operators as compiled columnar kernels (PR 10)
-        # — same results and counters, less interpreter time
-        self.vectorized = vectorized
-        # client-side read-through block cache, partitioned per worker
-        # (0 = off — paper reproductions measure BaaV's contribution alone)
-        self.cache = make_cache(cache_capacity_bytes, partitions=workers)
-        # secondary indexes (index probes fetch TaaV tuples, so they
-        # need keep_taav; enforced in create_index)
-        self.indexes = IndexManager(self.cluster, cache=self.cache)
-        self._requested_indexes = [_parse_index_spec(s) for s in indexes]
+        super().__init__(backend, workers, storage_nodes, batch_size, **shared)
         self.degree_bound = degree_bound
         self.compress = compress
         self.split_threshold = split_threshold
         self.keep_stats = keep_stats
         self.use_stats = use_stats
         self.keep_taav = keep_taav
-        self.database: Optional[Database] = None
-        self.taav: Optional[TaaVStore] = None
         self.store: Optional[BaaVStore] = None
         self.middleware: Optional[Zidian] = None
         self.maintainer: Optional[Maintainer] = None
-        #: MVCC transaction surface (None until enable_transactions())
-        self.transactions: Optional[TransactionManager] = None
 
     @property
     def name(self) -> str:
         return f"So{self.profile.name[0].upper()}Zidian"
-
-    def cache_stats(self) -> Optional[CacheStats]:
-        """Aggregate block-cache statistics (``None`` when cache is off)."""
-        return self.cache.stats if self.cache is not None else None
 
     def load(
         self,
@@ -509,7 +500,6 @@ class ZidianSystem(TransactionalMixin):
         budget_bytes: Optional[int] = None,
     ) -> None:
         """Load a database; design the BaaV schema with T2B if not given."""
-        self.database = database
         if baav_schema is None:
             if not workload:
                 raise ExecutionError(
@@ -522,6 +512,7 @@ class ZidianSystem(TransactionalMixin):
             baav_schema, _ = design_schema(
                 database.schema, qcs, database, budget_bytes
             )
+        self.database = database
         if self.keep_taav:
             self.taav = TaaVStore.from_database(
                 database, self.cluster, cache=self.cache
@@ -537,14 +528,8 @@ class ZidianSystem(TransactionalMixin):
         )
         if self._requested_indexes or len(self.indexes):
             if not self.keep_taav:
-                raise ExecutionError(
-                    "secondary indexes need the TaaV store "
-                    "(keep_taav=True): index probes fetch tuples by "
-                    "primary key"
-                )
-            _rebuild_indexes(
-                self.indexes, database, self._requested_indexes
-            )
+                raise ExecutionError(_INDEXES_NEED_TAAV)
+            self._rebuild_indexes(database)
         self.middleware = Zidian(
             database.schema,
             baav_schema,
@@ -557,46 +542,12 @@ class ZidianSystem(TransactionalMixin):
         self.maintainer = Maintainer(self.store)
         self.cluster.reset_counters()
 
-    def create_index(
-        self, relation: str, attr: str, kind: str = "hash"
-    ):
-        """Create (and bulk-build) a secondary index on a loaded relation.
-
-        Index probes resolve primary keys against the TaaV store, so the
-        system must keep it (``keep_taav=True``).
-        """
-        if self.database is None:
-            raise ExecutionError("load() a database first")
-        if not self.keep_taav:
-            raise ExecutionError(
-                "secondary indexes need the TaaV store (keep_taav=True): "
-                "index probes fetch tuples by primary key"
-            )
-        return self.indexes.create(
-            self.database.relation(relation), attr, kind
-        )
-
-    def drop_index(
-        self,
-        relation: str,
-        attr: Optional[str] = None,
-        kind: Optional[str] = None,
-    ) -> int:
-        """Drop matching indexes (and their cluster entries)."""
-        return self.indexes.drop(relation, attr, kind)
-
     def execute(self, sql: str) -> QueryResult:
         if self.middleware is None or self.store is None:
             raise ExecutionError("load() a database first")
         # the snapshot pin wraps the whole statement, so both sides of
         # a compound query read the same epoch
-        return self._snapshot_execute(lambda: self._run(sql))
-
-    def _run(self, sql: str) -> QueryResult:
-        stmt = parse(sql)
-        if isinstance(stmt, ast.CompoundSelect):
-            return self._execute_compound(stmt)
-        return self._execute_stmt(stmt)
+        return self._snapshot_execute(lambda: self._run(parse(sql)))
 
     def _execute_stmt(self, stmt) -> QueryResult:
         bound = bind(stmt, self.database.schema)
@@ -604,41 +555,38 @@ class ZidianSystem(TransactionalMixin):
         # per-thread reset: concurrent queries on other service threads
         # keep their own shards (single-threaded behavior is unchanged)
         self.cluster.reset_counters(thread_only=True)
-        engine = ZidianEngine(
-            self.store,
-            self.taav,
-            self.cluster,
-            self.profile,
-            self.workers,
-            batch_size=self.batch_size,
-            cache=self.cache,
-            indexes=self.indexes if len(self.indexes) else None,
-            vectorized=self.vectorized,
-        )
+        engine = self._engine(ZidianEngine, self.store)
         table, metrics = engine.execute(plan)
         return QueryResult(
-            _to_relation(table),
+            to_relation(table),
             metrics,
             decision,
             plan_summary=_zidian_plan_summary(plan),
         )
 
     def explain(self, sql: str) -> str:
-        """M1 checks, chase trace, index coverage and the KBA plan."""
+        """M1 checks, chase trace, index coverage and the KBA plan; a
+        compound statement renders each side under its operator."""
         if self.middleware is None:
             raise ExecutionError("load() a database first")
-        return self.middleware.explain(sql)
+        return self._explain(parse(sql))
 
-    def _execute_compound(self, stmt: "ast.CompoundSelect") -> QueryResult:
-        """UNION ALL / EXCEPT ALL: evaluate each side over the BaaV store
-        and combine with KBA's bag ∪ / − semantics (§4.2)."""
-        from collections import Counter
+    def _explain(self, stmt) -> str:
+        if isinstance(stmt, ast.CompoundSelect):
+            keyword = "UNION ALL" if stmt.op == "union" else "EXCEPT ALL"
+            return (
+                f"{self._explain(stmt.left)}\n{keyword}\n"
+                f"{self._explain(stmt.right)}"
+            )
+        return self.middleware.explain(bind(stmt, self.database.schema))
 
-        left = (
-            self._execute_compound(stmt.left)
-            if isinstance(stmt.left, ast.CompoundSelect)
-            else self._execute_stmt(stmt.left)
-        )
+    def _run(self, stmt) -> QueryResult:
+        """Evaluate a statement; UNION ALL / EXCEPT ALL evaluate each side
+        over the BaaV store and combine with KBA's bag ∪ / − semantics
+        (§4.2)."""
+        if not isinstance(stmt, ast.CompoundSelect):
+            return self._execute_stmt(stmt)
+        left = self._run(stmt.left)
         right = self._execute_stmt(stmt.right)
         if len(left.relation.schema.attributes) != len(
             right.relation.schema.attributes
@@ -649,13 +597,7 @@ class ZidianSystem(TransactionalMixin):
         if stmt.op == "union":
             rows = left.relation.rows + right.relation.rows
         else:
-            remaining = Counter(right.relation.rows)
-            rows = []
-            for row in left.relation.rows:
-                if remaining.get(row, 0) > 0:
-                    remaining[row] -= 1
-                else:
-                    rows.append(row)
+            rows = bag_difference(left.relation.rows, right.relation.rows)
         relation = Relation(left.relation.schema, rows)
         metrics = left.metrics
         metrics.merge(right.metrics)
@@ -663,44 +605,11 @@ class ZidianSystem(TransactionalMixin):
         sub.append(right.decision)
         return QueryResult(relation, metrics, None, sub_decisions=sub)
 
-    def _apply_base(
-        self,
-        relation: str,
-        inserts: Iterable[Row] = (),
-        deletes: Iterable[Row] = (),
+    def _apply_store(
+        self, relation: str, inserts: List[Row], deletes: List[Row]
     ) -> None:
-        """Apply Δ to the database and incrementally to the BaaV store."""
-        if self.database is None or self.maintainer is None:
+        """Apply Δ incrementally to the BaaV store."""
+        if self.maintainer is None:
             raise ExecutionError("load() a database first")
-        inserts = list(inserts)
-        deletes = list(deletes)
-        base = self.database.relation(relation)
-        for row in deletes:
-            base.rows.remove(tuple(row))
-        base.extend(inserts)
-        if self.taav is not None:
-            taav = self.taav.relation(relation)
-            # deletes first: a same-pk update (delete old + insert new)
-            # must not delete the freshly inserted tuple
-            for row in deletes:
-                taav.delete_row(tuple(row))
-            for row in inserts:
-                taav.insert(tuple(row))
         self.maintainer.insert(relation, inserts)
         self.maintainer.delete(relation, deletes)
-        self.indexes.apply_updates(
-            relation,
-            [tuple(r) for r in inserts],
-            [tuple(r) for r in deletes],
-        )
-
-    def close(self) -> None:
-        """Shut the cluster down (reaps node processes; idempotent)."""
-        self._close_transactions()
-        self.cluster.close()
-
-    def __enter__(self) -> "ZidianSystem":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

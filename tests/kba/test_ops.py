@@ -19,6 +19,7 @@ from repro.kba import (
     UnionK,
     execute,
 )
+from repro.kba.executor import execute_node
 from repro.kv import KVCluster
 from repro.relational import AttrType, Database, RelationSchema
 from repro.sql import ast
@@ -216,6 +217,21 @@ class TestGroupUnionDifference:
         doubled = UnionK(ScanKV("R1", "r1"), ScanKV("R1", "r1"))
         out = execute(DifferenceK(doubled, ScanKV("R1", "r1")), ctx)
         assert out.num_tuples() == 2
+
+    @pytest.mark.parametrize("operator", [UnionK, DifferenceK])
+    def test_inputs_are_left_unchanged(self, example2, operator):
+        """The engine prices an operator's inputs after running it, so
+        ∪ / − must not extend their entry lists in place."""
+        ctx, _ = example2
+        leaf = ScanKV("R1", "r1")
+        inputs = [execute(leaf, ctx), execute(leaf, ctx)]
+        before = [
+            ({key: list(entries) for key, entries in block.data.items()},
+             block.size_bytes())
+            for block in inputs
+        ]
+        execute_node(operator(leaf, leaf), ctx, inputs)
+        assert [(block.data, block.size_bytes()) for block in inputs] == before
 
     def test_difference_realigns_keys(self, example2):
         ctx, _ = example2

@@ -54,6 +54,33 @@ class TestZidianScanFallbackMetrics:
         assert metrics.n_get < len(paper_db["PARTSUPP"])
 
 
+class TestZidianBagOperatorPricing:
+    @pytest.mark.parametrize("operator", ["UnionK", "DifferenceK"])
+    def test_shuffle_prices_the_inputs_as_they_arrived(
+        self, paper_db, paper_baav_schema, operator
+    ):
+        """``comm_bytes`` of a ∪ / − stage is the size of its two inputs
+        before the operator ran (a union that grew its left input in
+        place used to be billed for the grown input)."""
+        import dataclasses
+
+        from repro import kba
+
+        cluster = KVCluster(3)
+        taav = TaaVStore.from_database(paper_db, cluster)
+        store = BaaVStore.map_database(paper_db, paper_baav_schema, cluster)
+        zidian = Zidian(paper_db.schema, paper_baav_schema, store)
+        plan, _ = zidian.plan("select PS.partkey, PS.suppkey from PARTSUPP PS")
+        side_bytes = kba.execute(
+            plan.root, kba.ExecContext(store, taav)
+        ).size_bytes()
+        both = getattr(kba, operator)(plan.root, plan.root)
+        engine = ZidianEngine(store, taav, cluster, profile("hbase"), 4)
+        _, metrics = engine.execute(dataclasses.replace(plan, root=both))
+        (stage,) = [s for s in metrics.stages if s.name == "joink"]
+        assert stage.comm_bytes == 2 * side_bytes
+
+
 class TestBaselineCompound:
     def test_union_and_difference_nodes(self, paper_db):
         cluster = KVCluster(2)

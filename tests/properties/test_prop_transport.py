@@ -152,7 +152,7 @@ def test_query_results_equivalent_across_transports(
             result = system.execute(q1_sql)
             metrics = result.metrics
             return sorted(result.rows), (
-                metrics.n_get, metrics.n_put, metrics.n_round_trips,
+                metrics.n_get, metrics.data_values, metrics.n_round_trips,
                 metrics.comm_bytes,
             )
 

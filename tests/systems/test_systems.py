@@ -123,3 +123,90 @@ class TestZidianSystem:
         assert bag_equal(
             system.execute(q1_sql).relation, reference(paper_db, q1_sql)
         )
+
+
+def _baseline(db, baav_schema):
+    system = SQLOverNoSQL(
+        "kudu", workers=4, storage_nodes=2, indexes=["PARTSUPP.availqty"]
+    )
+    system.load(db)
+    return system
+
+
+def _zidian(db, baav_schema):
+    system = ZidianSystem(
+        "kudu", workers=4, storage_nodes=2, indexes=["PARTSUPP.availqty"]
+    )
+    system.load(db, baav_schema)
+    return system
+
+
+@pytest.mark.parametrize("make", [_baseline, _zidian])
+class TestCompoundExplain:
+    LEFT = "select S1.suppkey from SUPPLIER S1 where S1.nationkey = 10"
+    RIGHT = "select S2.suppkey from SUPPLIER S2 where S2.suppkey = 2"
+
+    @pytest.mark.parametrize("keyword", ["UNION ALL", "EXCEPT ALL"])
+    def test_explain_answers_what_execute_answers(
+        self, paper_db, paper_baav_schema, make, keyword
+    ):
+        """EXPLAIN of a compound statement renders each side (it used
+        to raise AttributeError on ZidianSystem while execute() ran)."""
+        system = make(paper_db, paper_baav_schema)
+        sql = f"{self.LEFT} {keyword.lower()} {self.RIGHT}"
+        assert bag_equal(system.execute(sql).relation, reference(paper_db, sql))
+        explained = system.explain(sql)
+        if isinstance(system, ZidianSystem):
+            assert explained == (
+                f"{system.explain(self.LEFT)}\n{keyword}\n"
+                f"{system.explain(self.RIGHT)}"
+            )
+        else:
+            assert explained.splitlines() == [
+                "S1 -> SUPPLIER: taav scan (fetch-all)",
+                "S2 -> SUPPLIER: taav scan (fetch-all)",
+            ]
+
+
+def _stored_state(system):
+    """Everything apply_updates writes: rows, and every KV pair (TaaV
+    tuples, BaaV blocks + statistics, index postings)."""
+    cluster = system.cluster
+    pairs = {
+        namespace: sorted(cluster.scan(namespace, count_as_gets=False))
+        for namespace in cluster.namespaces()
+    }
+    rows = {
+        name: list(system.database.relation(name).rows)
+        for name in ("SUPPLIER", "PARTSUPP", "NATION")
+    }
+    return rows, pairs
+
+
+@pytest.mark.parametrize("make", [_baseline, _zidian])
+@pytest.mark.parametrize("transactional", [False, True])
+class TestDeleteOfAbsentRow:
+    PRESENT = (100, 1, 5.0, 7)
+
+    @pytest.mark.parametrize(
+        "deletes",
+        [
+            [PRESENT, (999, 9, 0.0, 0)],  # second row was never there
+            [PRESENT, PRESENT],  # one copy held, two deleted
+        ],
+    )
+    def test_rejected_before_anything_is_written(
+        self, paper_db, paper_baav_schema, make, transactional, deletes
+    ):
+        system = make(paper_db.copy(), paper_baav_schema)
+        if transactional:
+            system.enable_transactions()
+        before = _stored_state(system)
+        with pytest.raises(ExecutionError, match="cannot delete"):
+            system.apply_updates(
+                "PARTSUPP", inserts=[(400, 2, 10.0, 6)], deletes=deletes
+            )
+        assert _stored_state(system) == before
+        # and the system still takes the valid part of that Δ
+        system.apply_updates("PARTSUPP", deletes=[self.PRESENT])
+        assert self.PRESENT not in system.database.relation("PARTSUPP").rows
