@@ -20,7 +20,13 @@ Checks (all emitted under the ``wire-protocol`` rule):
   opcode;
 * module-level ``encode_<T>`` / ``decode_<T>`` helpers in ``wire.py``
   pair up by suffix, modulo the documented asymmetric helpers
-  (:data:`repro.analysis.config.WIRE_PAIR_EXCEPTIONS`).
+  (:data:`repro.analysis.config.WIRE_PAIR_EXCEPTIONS`);
+* the mutation vocabulary is declared once: every member of
+  ``wire.MUTATING_OPS`` has exactly one branch in ``apply_mutation``,
+  no ``OP_*`` outside the group is dispatched there — so none can reach
+  a store-mutating call (the server, the WAL and recovery replay all
+  run mutations through that one dispatch) — and ``kv/wal.py`` declares
+  no opcode constants of its own: a record payload is a wire request.
 
 The checker is silent when the wire module is outside the analyzed
 paths (running repro-lint on a single unrelated file stays quiet).
@@ -36,17 +42,30 @@ from repro.analysis import config
 from repro.analysis.core import Checker, Finding, ParsedModule, Project
 
 _OP_RE = re.compile(r"^OP_[A-Z0-9_]+$")
-_GROUP_RE = re.compile(r"^_[A-Z0-9_]*OPS$")
+_GROUP_RE = re.compile(r"^_?[A-Z0-9_]*OPS$")
+_WAL_OPCODE_RE = re.compile(r"^_?(?:WAL|OP)_[A-Z0-9_]+$")
+_MUTATION_GROUP = "MUTATING_OPS"
+_MUTATION_DISPATCH = "apply_mutation"
 
 
-def _op_refs(tree: ast.AST) -> Set[str]:
-    """Every ``OP_*`` referenced as a name or ``wire.OP_*`` attribute."""
+def _op_refs(
+    tree: ast.AST, groups: Optional[Dict[str, Set[str]]] = None
+) -> Set[str]:
+    """Every ``OP_*`` referenced as a name or ``wire.OP_*`` attribute;
+    with ``groups``, a reference to a declared opcode group (``op in
+    wire.MUTATING_OPS``) stands for each of its members."""
     out: Set[str] = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and _OP_RE.match(node.id):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute) and _OP_RE.match(node.attr):
-            out.add(node.attr)
+        if isinstance(node, ast.Name):
+            ref = node.id
+        elif isinstance(node, ast.Attribute):
+            ref = node.attr
+        else:
+            continue
+        if _OP_RE.match(ref):
+            out.add(ref)
+        elif groups is not None:
+            out.update(groups.get(ref, ()))
     return out
 
 
@@ -61,6 +80,7 @@ class _WireDecl:
         self.codec_refs: Dict[str, Set[str]] = {}
         self.encode_helpers: Dict[str, int] = {}
         self.decode_helpers: Dict[str, int] = {}
+        self.mutation_dispatch: Optional[ast.FunctionDef] = None
         for node in module.tree.body:
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
@@ -94,13 +114,9 @@ class _WireDecl:
                             self.named.add(child.id)
             elif isinstance(node, ast.FunctionDef):
                 if node.name in ("encode_request", "decode_request"):
-                    refs = _op_refs(node)
-                    for child in ast.walk(node):
-                        if isinstance(child, ast.Name) and _GROUP_RE.match(
-                            child.id
-                        ):
-                            refs.update(self.groups.get(child.id, set()))
-                    self.codec_refs[node.name] = refs
+                    self.codec_refs[node.name] = _op_refs(node, self.groups)
+                elif node.name == _MUTATION_DISPATCH:
+                    self.mutation_dispatch = node
                 elif node.name.startswith("encode_"):
                     self.encode_helpers[node.name[len("encode_"):]] = (
                         node.lineno
@@ -109,8 +125,6 @@ class _WireDecl:
                     self.decode_helpers[node.name[len("decode_"):]] = (
                         node.lineno
                     )
-        # group members referenced via `op in _PREFIX_OPS` resolve through
-        # the group name; a group tuple itself names its members
 
 
 class WireProtocolChecker(Checker):
@@ -171,7 +185,7 @@ class WireProtocolChecker(Checker):
                 for child in ast.walk(node):
                     if not isinstance(child, ast.Compare):
                         continue
-                    for ref in _op_refs(child):
+                    for ref in _op_refs(child, decl.groups):
                         counts[ref] = counts.get(ref, 0) + 1
                 for op, count in counts.items():
                     module_refs.add(op)
@@ -218,6 +232,46 @@ class WireProtocolChecker(Checker):
                         wire, lineno,
                         f"{op} has no client call site in kv/remote.py — "
                         f"an unreachable opcode is dead protocol",
+                    )
+
+        # -- one mutation vocabulary ----------------------------------------
+        dispatch = decl.mutation_dispatch
+        if dispatch is not None:
+            members = decl.groups.get(_MUTATION_GROUP, set())
+            branches: Dict[str, int] = {}
+            for node in ast.walk(dispatch):
+                if isinstance(node, ast.If):
+                    for ref in _op_refs(node.test, decl.groups):
+                        branches[ref] = branches.get(ref, 0) + 1
+            for op in sorted(members):
+                if branches.get(op, 0) != 1:
+                    flag(
+                        wire, dispatch.lineno,
+                        f"{op} has {branches.get(op, 0)} branches in "
+                        f"{_MUTATION_DISPATCH}() — exactly one per member "
+                        f"of {_MUTATION_GROUP}",
+                    )
+            for op in sorted(_op_refs(dispatch) & set(decl.ops) - members):
+                flag(
+                    wire, dispatch.lineno,
+                    f"{op} is dispatched by {_MUTATION_DISPATCH}() but is "
+                    f"not in {_MUTATION_GROUP} — only a mutating opcode "
+                    f"may reach the store's write surface there",
+                )
+        wal = project.find("kv/wal.py")
+        if wal is not None:
+            for node in ast.walk(wal.tree):
+                if (
+                    isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store)
+                    and _WAL_OPCODE_RE.match(node.id)
+                ):
+                    flag(
+                        wal, node.lineno,
+                        f"kv/wal.py declares opcode constant {node.id} — a "
+                        f"WAL record is a wire request of "
+                        f"wire.{_MUTATION_GROUP}, the log has no vocabulary "
+                        f"of its own",
                     )
 
         # -- encode/decode pairing ------------------------------------------

@@ -23,7 +23,7 @@ from repro.baav.block import Block, BlockStats, split_block
 from repro.baav.schema import BaaVSchema, KVSchema
 from repro.errors import BaaVError
 from repro.kv import codec
-from repro.kv.cache import read_through, read_through_many
+from repro.kv.cache import read_through_many
 from repro.kv.cluster import KVCluster
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -128,26 +128,14 @@ class KVInstance:
         counters move, zero round trips — and only misses issue a
         cluster get (which fills the cache).
         """
-        return read_through(
-            self.cache,
-            self.namespace,
-            encoded,
-            lambda kb: self.cluster.get(self.namespace, kb, n_values=1),
-            versions=self.cluster.versions,
-        )
+        return self._cached_multi_get([encoded])[0]
 
     def _cached_multi_get(
         self, encoded_keys: Sequence[bytes]
     ) -> List[Tuple[Optional[bytes], bool]]:
         """Positional batched segment fetch; hits never reach the cluster."""
         return read_through_many(
-            self.cache,
-            self.namespace,
-            encoded_keys,
-            lambda missing: self.cluster.multi_get(
-                self.namespace, missing, n_values_each=1
-            ),
-            versions=self.cluster.versions,
+            self.cache, self.cluster, self.namespace, encoded_keys
         )
 
     def get(self, key: Row) -> Optional[Block]:
@@ -162,15 +150,22 @@ class KVInstance:
             data, fetched = self._cached_get(
                 codec.encode_key(tuple(key) + (index,))
             )
-            if data is None:
-                raise BaaVError(
-                    f"missing segment {index} of key {key!r} in {self.schema.name}"
-                )
-            _, segment = _decode_segment(data)
-            if fetched:
-                self._charge_block_values(segment)
-            block.entries.extend(segment.entries)
+            self._append_segment(block, key, index, data, fetched)
         return block
+
+    def _append_segment(
+        self, block: Block, key: Row, index: int,
+        data: Optional[bytes], fetched: bool,
+    ) -> None:
+        """Extend ``block`` with tail segment ``index`` of ``key``."""
+        if data is None:
+            raise BaaVError(
+                f"missing segment {index} of key {key!r} in {self.schema.name}"
+            )
+        _, segment = _decode_segment(data)
+        if fetched:
+            self._charge_block_values(segment)
+        block.entries.extend(segment.entries)
 
     def multi_get(self, keys: Sequence[Row]) -> Dict[Row, Optional[Block]]:
         """Fetch many logical blocks with coalesced multi-gets.
@@ -205,15 +200,7 @@ class KVInstance:
             # pending holds each key's tail segments in ascending index
             # order, so extending in zip order reassembles the block
             for (key, index), (data, fetched) in zip(pending, extras):
-                if data is None:
-                    raise BaaVError(
-                        f"missing segment {index} of key {key!r} "
-                        f"in {self.schema.name}"
-                    )
-                _, segment = _decode_segment(data)
-                if fetched:
-                    self._charge_block_values(segment)
-                blocks[key].entries.extend(segment.entries)
+                self._append_segment(blocks[key], key, index, data, fetched)
         return blocks
 
     def _charge_block_values(
@@ -236,12 +223,12 @@ class KVInstance:
         """Fetch only the per-block statistics (1 get, tiny payload)."""
         if not self.keep_stats:
             return None
-        data, _ = read_through(
+        ((data, _),) = read_through_many(
             self.cache,
+            self.cluster,
             self.stats_namespace,
-            codec.encode_key(tuple(key)),
-            lambda kb: self.cluster.get(self.stats_namespace, kb, n_values=4),
-            versions=self.cluster.versions,
+            [codec.encode_key(tuple(key))],
+            n_values_each=4,
         )
         if data is None:
             return None

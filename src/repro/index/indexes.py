@@ -225,13 +225,7 @@ class SecondaryIndex:
     ) -> List[List[Tuple[Row, int]]]:
         """Read-through fetch of posting payloads; counted as probes."""
         pairs = read_through_many(
-            self.cache,
-            self.namespace,
-            key_bytes_list,
-            lambda missing: self.cluster.multi_get(
-                self.namespace, missing, n_values_each=1
-            ),
-            versions=self.cluster.versions,
+            self.cache, self.cluster, self.namespace, key_bytes_list
         )
         out: List[List[Tuple[Row, int]]] = []
         self.stats.local.probes += len(key_bytes_list)

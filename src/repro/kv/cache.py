@@ -47,13 +47,11 @@ cache.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Optional,
@@ -65,8 +63,8 @@ from typing import (
 from repro.locks import ShardSet, make_rlock
 
 if TYPE_CHECKING:  # import cycle guard: cluster imports this module's
-    # siblings; the overlay is only ever *passed in* here
-    from repro.mvcc.versions import VersionStore
+    # siblings; the cluster is only ever *passed in* here
+    from repro.kv.cluster import KVCluster
 
 
 @dataclass
@@ -431,70 +429,30 @@ def make_cache(
     return PartitionedBlockCache(capacity_bytes, partitions)
 
 
-def read_through(
-    cache: Optional[AnyBlockCache],
-    namespace: str,
-    key_bytes: bytes,
-    fetch_one: Callable[[bytes], Optional[bytes]],
-    versions: Optional["VersionStore"] = None,
-) -> Tuple[Optional[bytes], bool]:
-    """Serve one payload through ``cache``; ``(payload, reached_cluster)``.
-
-    A hit is served locally (no storage traffic); a miss calls
-    ``fetch_one`` and fills the cache with its non-``None`` result.
-    This is THE read-through step — every cached point-read path
-    (TaaV tuples, BaaV segments, stats sidecars) goes through here or
-    :func:`read_through_many`, so cache semantics live in one place.
-
-    ``versions`` is the cluster's MVCC overlay: a thread pinned at a
-    snapshot epoch must not be served the *current* value from the
-    cache when the overlay holds the one visible at its epoch, and a
-    payload the overlay answered must never be filled into the cache
-    (it would poison readers of the current state).
-    """
-    snapshot_epoch = (
-        versions.read_epoch() if versions is not None else None
-    )
-    if versions is not None and snapshot_epoch is not None:
-        handled, data = versions.read_visible(
-            namespace, key_bytes, snapshot_epoch
-        )
-        if handled:
-            return data, False
-    epoch = 0
-    if cache is not None:
-        data = cache.get(namespace, key_bytes)
-        if data is not None:
-            return data, False
-        epoch = cache.read_epoch(namespace, key_bytes)
-    data = fetch_one(key_bytes)
-    if data is not None and cache is not None:
-        if (
-            versions is not None
-            and snapshot_epoch is not None
-            and versions.is_overlaid(
-                namespace, key_bytes, snapshot_epoch
-            )
-        ):
-            # a commit raced the fetch: the payload came from the
-            # overlay, not the current base — do not cache it
-            return data, True
-        # guarded fill: a write that raced the fetch wins
-        cache.put_if_fresh(namespace, key_bytes, data, epoch)
-    return data, True
-
-
 def read_through_many(
     cache: Optional[AnyBlockCache],
+    cluster: "KVCluster",
     namespace: str,
     keys: Sequence[bytes],
-    fetch_many: Callable[[List[bytes]], List[Optional[bytes]]],
-    versions: Optional["VersionStore"] = None,
+    n_values_each: int = 1,
 ) -> List[Tuple[Optional[bytes], bool]]:
-    """Batched :func:`read_through`: positional ``(payload, reached_cluster)``
-    per key; only the cache-missing keys are passed to ``fetch_many``.
-    ``versions`` routes snapshot-pinned threads around the cache (see
-    :func:`read_through`)."""
+    """Serve payloads through ``cache``: positional ``(payload,
+    reached_cluster)`` per key; only the cache-missing keys reach
+    ``cluster.multi_get`` (which counts ``n_values_each`` per hit).
+
+    A hit is served locally (no storage traffic); a miss is fetched and
+    fills the cache with its non-``None`` result. This is THE
+    read-through step — every cached point-read path (TaaV tuples, BaaV
+    segments, stats sidecars, index postings) goes through here, a
+    single key as a batch of one, so cache semantics live in one place.
+
+    The cluster's MVCC overlay (``cluster.versions``) is honoured: a
+    thread pinned at a snapshot epoch must not be served the *current*
+    value from the cache when the overlay holds the one visible at its
+    epoch, and a payload the overlay answered must never be filled into
+    the cache (it would poison readers of the current state).
+    """
+    versions = cluster.versions
     snapshot_epoch = (
         versions.read_epoch() if versions is not None else None
     )
@@ -515,7 +473,9 @@ def read_through_many(
         if not pending:
             return out
     if cache is None:
-        fetched = fetch_many([key_bytes for _, key_bytes in pending])
+        fetched = cluster.multi_get(
+            namespace, [key_bytes for _, key_bytes in pending], n_values_each
+        )
         for (index, _), data in zip(pending, fetched):
             out[index] = (data, True)
         return out
@@ -529,7 +489,9 @@ def read_through_many(
                 (index, key_bytes, cache.read_epoch(namespace, key_bytes))
             )
     if missing:
-        fetched = fetch_many([key_bytes for _, key_bytes, _ in missing])
+        fetched = cluster.multi_get(
+            namespace, [key_bytes for _, key_bytes, _ in missing], n_values_each
+        )
         for (index, key_bytes, epoch), data in zip(missing, fetched):
             out[index] = (data, True)
             if data is not None:

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import DurabilityError, WireProtocolError
 from repro.kv import wal as walmod
-from repro.kv.wire import Reader
+from repro.kv import wire
 from repro.locks import make_lock
 
 _U32 = struct.Struct(">I")
@@ -106,7 +106,7 @@ def read_checkpoint(path: str) -> List[Tuple[bytes, bytes]]:
     (crc,) = _U32.unpack(blob[-_U32.size:])
     if zlib.crc32(body) != crc:
         raise DurabilityError(f"{path}: checkpoint CRC mismatch")
-    reader = Reader(body)
+    reader = wire.Reader(body)
     try:
         count = reader.u64()
         pairs = [(reader.bytes_(), reader.bytes_()) for _ in range(count)]
@@ -193,9 +193,11 @@ class NodeDurability:
         data_dir: str,
         fsync_policy: str = "group",
         group_size: int = walmod.DEFAULT_GROUP_SIZE,
-        checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        checkpoint_interval: Optional[int] = None,
     ) -> None:
         walmod.validate_fsync_policy(fsync_policy)
+        if checkpoint_interval is None:
+            checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         os.makedirs(data_dir, exist_ok=True)
@@ -252,7 +254,7 @@ class NodeDurability:
             log_path = wal_path(self.data_dir, seq)
             records, valid_bytes, torn = walmod.read_wal(log_path)
             for op, args in records:
-                walmod.apply_record(store, op, args)
+                wire.apply_mutation(store, op, args)
             report.records_replayed = len(records)
             if torn:
                 report.torn_tail = True

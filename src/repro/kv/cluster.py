@@ -117,7 +117,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import (
@@ -402,20 +401,13 @@ class KVCluster:
             # after remove_node, and replaying the removed node's stale
             # generation would resurrect data the cluster migrated away
             shutil.rmtree(node_dir, ignore_errors=True)
-        if self.transport == "socket":
-            node: StorageNode = RemoteNode(
-                node_id, engine=self.engine,
-                data_dir=node_dir,
-                fsync_policy=self.fsync_policy,
-                checkpoint_interval=self.checkpoint_interval,
-            )
-        else:
-            node = StorageNode(
-                node_id, engine=self.engine,
-                data_dir=node_dir,
-                fsync_policy=self.fsync_policy,
-                checkpoint_interval=self.checkpoint_interval,
-            )
+        node_cls = RemoteNode if self.transport == "socket" else StorageNode
+        node: StorageNode = node_cls(
+            node_id, engine=self.engine,
+            data_dir=node_dir,
+            fsync_policy=self.fsync_policy,
+            checkpoint_interval=self.checkpoint_interval,
+        )
         self.nodes[node_id] = node
         self.ring.add_node(node_id)
         return node
@@ -607,13 +599,14 @@ class KVCluster:
             else:
                 store = node.store
                 prefixes = self._tombstone_prefixes.pop(node_id, [])
-                store.multi_delete(
-                    [
-                        key
-                        for prefix in prefixes
-                        for key, _ in store.scan(prefix)
-                    ]
-                )
+                if prefixes:
+                    store.multi_delete(
+                        [
+                            key
+                            for prefix in prefixes
+                            for key, _ in store.scan(prefix)
+                        ]
+                    )
                 keys = self._tombstone_keys.pop(node_id, set())
                 if keys:
                     store.multi_delete(sorted(keys))
@@ -634,25 +627,17 @@ class KVCluster:
                     break
         return owners
 
-    def _owners(self, full_key: bytes) -> List[StorageNode]:
+    def _owner_ids(self, full_key: bytes) -> List[int]:
+        """The preference list, refusing a key whose owners are all down."""
         owners = self._live_owner_ids(full_key)
         if not owners:
             raise ClusterUnavailableError(
                 "no live replica for key (all owners are down)"
             )
-        return [self.nodes[node_id] for node_id in owners]
+        return owners
 
-    @staticmethod
-    def _node_load(node: StorageNode) -> int:
-        """A node's cumulative read load across every serving thread."""
-        return node.read_load
-
-    def _read_replica(self, full_key: bytes) -> StorageNode:
-        """The cheapest live owner: least-loaded, ties to the lowest id."""
-        owners = self._owners(full_key)
-        if len(owners) == 1:
-            return owners[0]
-        return min(owners, key=lambda n: (self._node_load(n), n.node_id))
+    def _owners(self, full_key: bytes) -> List[StorageNode]:
+        return [self.nodes[node_id] for node_id in self._owner_ids(full_key)]
 
     def _is_primary(self, full_key: bytes, node_id: int) -> bool:
         """Is ``node_id`` the first live owner of ``full_key``?"""
@@ -672,38 +657,27 @@ class KVCluster:
             if node_id not in self._down
         ]
 
+    def _primary_pairs(
+        self, prefix: bytes
+    ) -> Iterator[Tuple[StorageNode, bytes, bytes]]:
+        """Every logical pair under ``prefix`` exactly once, with the
+        live node serving it (under replication: its primary live
+        owner). Per-node scans take the node mutex, so concurrent puts
+        cannot mutate a store mid-iteration."""
+        # repro-lint: holds=_lock -- callers hold the read lock
+        dedup = self.replication_factor > 1
+        for node in self._live_nodes():
+            for key, value in node.snapshot_scan(prefix):
+                if not dedup or self._is_primary(key, node.node_id):
+                    yield node, key, value
+
     # -- KV API ------------------------------------------------------------
 
     def get(self, namespace: str, key_bytes: bytes,
             n_values: int = 1) -> Optional[bytes]:
-        """Point get; counts one get on the replica that served it."""
-        def op() -> Optional[bytes]:
-            with self._lock.read():
-                versions, epoch = self._read_overlay_epoch()
-                if versions is not None and epoch is not None:
-                    handled, value = versions.read_visible(
-                        namespace, key_bytes, epoch
-                    )
-                    if handled:
-                        # overlay read: client-side, zero #get — like a
-                        # cache hit (metered in VersionStats instead)
-                        return value
-                full = self.full_key(namespace, key_bytes)
-                value = self._read_replica(full).get(
-                    full, n_values=n_values
-                )
-                if versions is not None and epoch is not None:
-                    # a commit may have overwritten the key between the
-                    # overlay check and the node read; its superseded
-                    # value is in the overlay by then (recorded before
-                    # the base write), so re-check
-                    handled, overlaid = versions.read_visible(
-                        namespace, key_bytes, epoch
-                    )
-                    if handled:
-                        return overlaid
-                return value
-        return self._peer_failover(op)
+        """Point get — a :meth:`multi_get` of one: counts one get (and
+        one round trip) on the replica that served it."""
+        return self.multi_get(namespace, [key_bytes], n_values)[0]
 
     def multi_get(
         self,
@@ -724,21 +698,30 @@ class KVCluster:
         def op() -> List[Optional[bytes]]:
             with self._lock.read():
                 results: List[Optional[bytes]] = [None] * len(keys)
-                overlaid: List[bool] = [False] * len(keys)
                 versions, epoch = self._read_overlay_epoch()
-                if versions is not None and epoch is not None:
-                    # overlay pre-pass: keys answered from the version
-                    # chains never reach a node (zero #get, like a
-                    # cache hit — metered in VersionStats)
+
+                def from_overlay(indexes: List[int]) -> List[int]:
+                    """Answer the positions the version chains hold at
+                    the pinned epoch; returns the ones they do not."""
+                    if versions is None or epoch is None:
+                        return indexes
                     visible = versions.read_visible_many(
-                        namespace, keys, epoch
+                        namespace, [keys[i] for i in indexes], epoch
                     )
-                    for index, (handled, value) in enumerate(visible):
+                    rest: List[int] = []
+                    for index, (handled, value) in zip(indexes, visible):
                         if handled:
-                            overlaid[index] = True
                             results[index] = value
-                    if all(overlaid):
-                        return results
+                        else:
+                            rest.append(index)
+                    return rest
+
+                # overlay pre-pass: keys answered from the version
+                # chains never reach a node (zero #get, like a cache
+                # hit — metered in VersionStats)
+                pending = from_overlay(list(range(len(keys))))
+                if not pending:
+                    return results
                 by_node: Dict[int, List[bytes]] = {}
                 positions: Dict[Tuple[int, bytes], List[int]] = {}
                 replicated = (
@@ -746,23 +729,19 @@ class KVCluster:
                 )
                 loads: Dict[int, float] = {}
                 if replicated:
+                    # the cheapest live owner serves: least cumulative
+                    # read load across every serving thread, ties to
+                    # the lowest id
                     loads = {
-                        node.node_id: float(self._node_load(node))
+                        node.node_id: float(node.read_load)
                         for node in self._live_nodes()
                     }
-                for index, key_bytes in enumerate(keys):
-                    if overlaid[index]:
-                        continue
-                    full = self.full_key(namespace, key_bytes)
+                for index in pending:
+                    full = self.full_key(namespace, keys[index])
                     if replicated:
-                        owner_ids = self._live_owner_ids(full)
-                        if not owner_ids:
-                            raise ClusterUnavailableError(
-                                "no live replica for key "
-                                "(all owners are down)"
-                            )
                         node_id = min(
-                            owner_ids, key=lambda nid: (loads[nid], nid)
+                            self._owner_ids(full),
+                            key=lambda nid: (loads[nid], nid),
                         )
                         loads[node_id] += 1.0
                     else:
@@ -778,47 +757,18 @@ class KVCluster:
                     for full, value in zip(node_keys, values):
                         for index in positions[(node_id, full)]:
                             results[index] = value
-                if versions is not None and epoch is not None:
-                    # commits racing the node fetches recorded the
-                    # superseded values before overwriting; re-check so
-                    # no too-new value leaks into the snapshot
-                    recheck = versions.read_visible_many(
-                        namespace,
-                        [k for i, k in enumerate(keys)
-                         if not overlaid[i]],
-                        epoch,
-                    )
-                    fetched = iter(recheck)
-                    for index in range(len(keys)):
-                        if overlaid[index]:
-                            continue
-                        handled, value = next(fetched)
-                        if handled:
-                            results[index] = value
+                # commits racing the node fetches recorded the
+                # superseded values before overwriting; re-check so no
+                # too-new value leaks into the snapshot
+                from_overlay(pending)
                 return results
         return self._peer_failover(op)
 
     def put(self, namespace: str, key_bytes: bytes, value: bytes,
             n_values: int = 1) -> None:
-        """Replicated put: written to (and counted on) every live owner.
-
-        Shared-path write: placement is stable under the read lock
-        (membership events are exclusive) and the per-node mutex
-        serializes same-node store mutations.
-        """
-        def op() -> None:
-            with self._lock.read():
-                with self._meta_lock:
-                    self._namespaces.add(namespace)
-                full = self.full_key(namespace, key_bytes)
-                # overlay BEFORE base write: a snapshot reader either
-                # sees the old base value or finds it in the overlay —
-                # never a torn in-between
-                self._record_overwrite(namespace, key_bytes, full)
-                self._invalidate(namespace, key_bytes)
-                for node in self._owners(full):
-                    node.put(full, value, n_values=n_values)
-        self._peer_failover(op)
+        """Replicated put — a :meth:`multi_put` of one: written to (and
+        counted on) every live owner."""
+        self.multi_put(namespace, [(key_bytes, value)], n_values)
 
     def multi_put(
         self,
@@ -828,7 +778,12 @@ class KVCluster:
     ) -> None:
         """Batched put: ONE round trip per owning node, fanned out to all
         R replicas. Later duplicates win (items are applied in order
-        within each node's batch)."""
+        within each node's batch).
+
+        Shared-path write: placement is stable under the read lock
+        (membership events are exclusive) and the per-node mutex
+        serializes same-node store mutations.
+        """
         def op() -> None:
             with self._lock.read():
                 if items:
@@ -837,14 +792,12 @@ class KVCluster:
                 by_node: Dict[int, List[Tuple[bytes, bytes]]] = {}
                 for key_bytes, value in items:
                     full = self.full_key(namespace, key_bytes)
+                    # overlay BEFORE base write: a snapshot reader either
+                    # sees the old base value or finds it in the overlay —
+                    # never a torn in-between
                     self._record_overwrite(namespace, key_bytes, full)
                     self._invalidate(namespace, key_bytes)
-                    owners = self._live_owner_ids(full)
-                    if not owners:
-                        raise ClusterUnavailableError(
-                            "no live replica for key (all owners are down)"
-                        )
-                    for node_id in owners:
+                    for node_id in self._owner_ids(full):
                         by_node.setdefault(node_id, []).append(
                             (full, value)
                         )
@@ -910,21 +863,14 @@ class KVCluster:
         prefix = encode_value(namespace)
         plen = len(prefix)
 
-        # materialize the snapshot under the read lock (per-node scans
-        # take the node mutex, so concurrent puts cannot mutate a store
-        # mid-iteration), then stream it without holding any lock
+        # materialize the snapshot under the read lock, then stream it
+        # without holding any lock
         def take_snapshot() -> List[Tuple[StorageNode, bytes, bytes]]:
             with self._lock.read():
-                dedup = self.replication_factor > 1
-                snapshot: List[Tuple[StorageNode, bytes, bytes]] = []
-                for node in self._live_nodes():
-                    for key, value in node.snapshot_scan(prefix):
-                        if dedup and not self._is_primary(
-                            key, node.node_id
-                        ):
-                            continue
-                        snapshot.append((node, key[plen:], value))
-                return snapshot
+                return [
+                    (node, key[plen:], value)
+                    for node, key, value in self._primary_pairs(prefix)
+                ]
 
         snapshot = self._peer_failover(take_snapshot)
         versions = self._versions
@@ -959,15 +905,9 @@ class KVCluster:
 
         def op() -> List[bytes]:
             with self._lock.read():
-                dedup = self.replication_factor > 1
-                keys: List[bytes] = []
-                for node in self._live_nodes():
-                    for key, _ in node.snapshot_scan(prefix):
-                        if dedup and not self._is_primary(
-                            key, node.node_id
-                        ):
-                            continue
-                        keys.append(key[plen:])
+                keys = [
+                    key[plen:] for _, key, _ in self._primary_pairs(prefix)
+                ]
                 versions, epoch = self._read_overlay_epoch()
                 if versions is not None and epoch is not None:
                     keys = versions.adjust_keys(namespace, keys, epoch)
@@ -1173,19 +1113,6 @@ class KVCluster:
                 node_id: node.counters_total()
                 for node_id, node in self.nodes.items()
             }
-
-    def max_node_counters(self) -> NodeCounters:
-        """Counters of the busiest node (for max-per-stage cost models)."""
-        with self._lock.read():
-            busiest = NodeCounters()
-            best = -1.0
-            for node in self.nodes.values():
-                counters = node.counters_total()
-                weight = counters.gets + counters.values_read
-                if weight > best:
-                    best = weight
-                    busiest = counters
-            return busiest
 
     def get_stats(self) -> ClusterStats:
         """A snapshot-consistent view of the cluster's accounting.

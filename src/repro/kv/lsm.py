@@ -26,8 +26,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.kv import wal as walmod
-from repro.kv.memstore import prefix_upper_bound
+from repro.kv import wire
+from repro.kv.memstore import Engine
 
 _TOMBSTONE = object()
 
@@ -94,8 +94,14 @@ class LSMStats:
     entries_rewritten: int = 0
 
 
-class LSMStore:
-    """A single-node LSM KV store, interface-compatible with MemStore."""
+class LSMStore(Engine):
+    """A single-node LSM KV store, interface-compatible with MemStore.
+
+    Durability: the shared hook of :class:`~repro.kv.memstore.Engine`,
+    same contract as ``MemStore``. Replay rebuilds the logical contents, not the physical memtable/run
+    layout — a restart effectively compacts, which is also why
+    checkpoints snapshot live pairs via ``scan()``.
+    """
 
     def __init__(
         self,
@@ -104,6 +110,7 @@ class LSMStore:
     ) -> None:
         if memtable_limit <= 0:
             raise ValueError("memtable_limit must be positive")
+        super().__init__()
         self._memtable: Dict[bytes, object] = {}
         self._runs: List[_Run] = []  # newest first
         self._memtable_limit = memtable_limit
@@ -114,76 +121,33 @@ class LSMStore:
         #: iteration is linear overall instead of O(n²)
         self._merged: Optional[Tuple[List[bytes], List[bytes]]] = None
         self.stats = LSMStats()
-        #: durability hook (see MemStore.attach_wal — same contract)
-        self._wal: Optional[walmod.WriteAheadLog] = None
-        self._wal_depth = 0
-
-    # -- durability hook ----------------------------------------------------
-
-    def attach_wal(self, wal: Optional[walmod.WriteAheadLog]) -> None:
-        """Log every subsequent mutation to ``wal`` (``None`` detaches).
-
-        Replay rebuilds the logical contents, not the physical
-        memtable/run layout — a restart effectively compacts, which is
-        also why checkpoints snapshot live pairs via ``scan()``.
-        """
-        self._wal = wal
-
-    def _wal_log(self, op: int, *args: object) -> bool:
-        if self._wal is None or self._wal_depth:
-            return False
-        self._wal.append(op, *args)
-        return True
 
     # -- write path ---------------------------------------------------------
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._wal_log(walmod.WAL_PUT, key, value)
-        # liveness probe is an internal write-path read: uncounted, so
-        # runs_probed / bloom_skips reflect the read amplification of
-        # *reads* only
-        existed = self._contains_live(key)
-        self._memtable[key] = value
-        self._merged = None
-        if not existed:
-            self._live_count += 1
-        self._maybe_flush()
-
-    def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
-        """Batched write of (key, value) pairs (memtable may flush
-        mid-batch; ONE WAL record for the whole batch)."""
-        items = list(items)
-        logged = self._wal_log(walmod.WAL_MULTI_PUT, items)
-        self._wal_depth += 1 if logged else 0
-        try:
-            for key, value in items:
-                self.put(key, value)
-        finally:
-            self._wal_depth -= 1 if logged else 0
-
-    def delete(self, key: bytes) -> bool:
-        self._wal_log(walmod.WAL_DELETE, key)
-        existed = self._contains_live(key)
-        if existed:
-            self._memtable[key] = _TOMBSTONE
+    def _put_unlogged(self, items: List[Tuple[bytes, bytes]]) -> None:
+        """The memtable may flush mid-batch."""
+        for key, value in items:
+            # liveness probe is an internal write-path read: uncounted,
+            # so runs_probed / bloom_skips reflect the read
+            # amplification of *reads* only
+            existed = self._contains_live(key)
+            self._memtable[key] = value
             self._merged = None
-            self._live_count -= 1
+            if not existed:
+                self._live_count += 1
             self._maybe_flush()
-        return existed
 
-    def multi_delete(self, keys: Sequence[bytes]) -> int:
-        """Batched delete; returns how many keys were live."""
-        keys = list(keys)
-        logged = self._wal_log(walmod.WAL_MULTI_DELETE, keys)
-        self._wal_depth += 1 if logged else 0
-        try:
-            removed = 0
-            for key in keys:
-                if self.delete(key):
-                    removed += 1
-            return removed
-        finally:
-            self._wal_depth -= 1 if logged else 0
+    def _delete_unlogged(self, keys: List[bytes]) -> int:
+        """Tombstone every live key of ``keys``."""
+        removed = 0
+        for key in keys:
+            if self._contains_live(key):
+                self._memtable[key] = _TOMBSTONE
+                self._merged = None
+                self._live_count -= 1
+                self._maybe_flush()
+                removed += 1
+        return removed
 
     def _maybe_flush(self) -> None:
         if len(self._memtable) < self._memtable_limit:
@@ -279,58 +243,14 @@ class LSMStore:
             )
         return self._merged
 
-    def keys(self) -> List[bytes]:
-        """All live keys in sorted order (merging memtable and runs)."""
-        return list(self._merged_view()[0])
-
-    def next_key(self, after: Optional[bytes] = None) -> Optional[bytes]:
-        keys = self._merged_view()[0]
-        if not keys:
-            return None
-        if after is None:
-            return keys[0]
-        index = bisect_left(keys, after)
-        if index < len(keys) and keys[index] == after:
-            index += 1
-        return keys[index] if index < len(keys) else None
-
-    def _prefix_range(self, prefix: bytes) -> Tuple[int, int]:
-        """``[lo, hi)`` slice of the merged view carrying ``prefix``."""
-        keys = self._merged_view()[0]
-        if not prefix:
-            return 0, len(keys)
-        lo = bisect_left(keys, prefix)
-        upper = prefix_upper_bound(prefix)
-        hi = len(keys) if upper is None else bisect_left(keys, upper, lo)
-        return lo, hi
+    def _live_keys(self) -> List[bytes]:
+        return self._merged_view()[0]
 
     def scan(self, prefix: bytes = b"") -> Iterator[Tuple[bytes, bytes]]:
         keys, values = self._merged_view()
         lo, hi = self._prefix_range(prefix)
         for index in range(lo, hi):
             yield keys[index], values[index]
-
-    def drop_prefix(self, prefix: bytes = b"") -> List[bytes]:
-        """Delete every live key carrying ``prefix``; return them.
-
-        Routed through :meth:`multi_delete` as one batch (and one WAL
-        record): the doomed keys are materialized up front, so the
-        flushes/compactions individual deletes trigger mid-batch can
-        rebuild ``_merged_view`` freely without the loop iterating a
-        stale snapshot.
-        """
-        keys = self._merged_view()[0]
-        lo, hi = self._prefix_range(prefix)
-        doomed = keys[lo:hi]
-        if not doomed:
-            return doomed
-        logged = self._wal_log(walmod.WAL_DROP_PREFIX, prefix)
-        self._wal_depth += 1 if logged else 0
-        try:
-            self.multi_delete(doomed)
-        finally:
-            self._wal_depth -= 1 if logged else 0
-        return doomed
 
     # -- maintenance ---------------------------------------------------------------
 
@@ -347,7 +267,7 @@ class LSMStore:
         with the empty engine — same semantics as ``MemStore.clear``
         and the wire ``CLEAR`` op.
         """
-        self._wal_log(walmod.WAL_CLEAR)
+        self._wal_log(wire.OP_CLEAR)
         self._memtable.clear()
         self._runs = []
         self._live_count = 0

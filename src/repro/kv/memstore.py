@@ -9,10 +9,11 @@ via next()").
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.kv import wal as walmod
+from repro.kv import wire
+from repro.kv.wal import WriteAheadLog
 
 
 def prefix_upper_bound(prefix: bytes) -> Optional[bytes]:
@@ -26,36 +27,31 @@ def prefix_upper_bound(prefix: bytes) -> Optional[bytes]:
     return None
 
 
-class MemStore:
-    """An in-memory KV store for one storage node.
+class Engine:
+    """What every storage engine shares (:class:`MemStore` here,
+    :class:`~repro.kv.lsm.LSMStore`), written once.
 
-    Keys and values are ``bytes``. Key iteration is in sorted byte order and
-    is computed lazily: the sorted key list is invalidated on writes and
-    rebuilt on demand, which keeps bulk loading O(n) and scans O(n log n)
-    once per write epoch.
-
-    Durability hook (PR 8): :meth:`attach_wal` hands the store a
-    :class:`~repro.kv.wal.WriteAheadLog`; every public mutation then
-    logs exactly one record *before* it is applied (batch operations
-    log one batch record, suspending the per-key inner logging), so
-    replaying the log over the last checkpoint rebuilds the store
-    byte-for-byte. Without a WAL attached the store is purely volatile,
-    exactly as before.
+    * **The durability hook** (PR 8): :meth:`attach_wal` hands the
+      engine a :class:`~repro.kv.wal.WriteAheadLog`; every public
+      mutation then logs exactly one record *before* it is applied
+      (:meth:`_wal_log`). ``multi_put`` / ``multi_delete`` /
+      ``drop_prefix`` are written here: one record per batch, applied
+      through the engine's ``_put_unlogged`` / ``_delete_unlogged``, so
+      nothing beneath a logged operation logs again, and replaying the
+      log over the last checkpoint rebuilds the store's logical
+      contents. Without a WAL attached the engine is purely volatile.
+    * **The single-key names**: ``put`` / ``delete`` are (and log) a
+      batch of one.
+    * **Ordered iteration** over the engine's sorted live keys
+      (:meth:`_live_keys`): ``keys`` / ``next_key`` / prefix ranges.
     """
 
-    __slots__ = ("_data", "_sorted_keys", "_dirty", "_wal", "_wal_depth")
+    __slots__ = ("_wal",)
 
     def __init__(self) -> None:
-        self._data: Dict[bytes, bytes] = {}
-        self._sorted_keys: List[bytes] = []
-        self._dirty = False
-        self._wal: Optional[walmod.WriteAheadLog] = None
-        #: >0 while inside a batch op that already logged its one record
-        self._wal_depth = 0
+        self._wal: Optional[WriteAheadLog] = None
 
-    # -- durability hook ----------------------------------------------------
-
-    def attach_wal(self, wal: Optional[walmod.WriteAheadLog]) -> None:
+    def attach_wal(self, wal: Optional[WriteAheadLog]) -> None:
         """Log every subsequent mutation to ``wal`` (``None`` detaches).
 
         Recovery replays *before* attaching, so replay never re-logs
@@ -63,13 +59,106 @@ class MemStore:
         """
         self._wal = wal
 
-    def _wal_log(self, op: int, *args: object) -> bool:
-        """Append one record if a WAL is attached and no enclosing batch
-        operation already logged; returns whether it logged."""
-        if self._wal is None or self._wal_depth:
-            return False
-        self._wal.append(op, *args)
-        return True
+    def _wal_log(self, op: int, *args: object) -> None:
+        """Append one record when a WAL is attached."""
+        if self._wal is not None:
+            self._wal.append(op, *args)
+
+    def _put_unlogged(self, items: List[Tuple[bytes, bytes]]) -> None:
+        """Apply a non-empty batch of writes, in order."""
+        raise NotImplementedError
+
+    def _delete_unlogged(self, keys: List[bytes]) -> int:
+        """Remove every live key of ``keys``; returns how many were."""
+        raise NotImplementedError
+
+    def _live_keys(self) -> List[bytes]:
+        """The engine's live keys in sorted byte order (a cached view,
+        not to be mutated by callers)."""
+        raise NotImplementedError
+
+    def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
+        """Batched write of (key, value) pairs (ONE WAL record; an empty
+        batch is a no-op and logs nothing)."""
+        items = list(items)
+        if items:
+            self._wal_log(wire.OP_MULTI_PUT, items)
+            self._put_unlogged(items)
+
+    def multi_delete(self, keys: Sequence[bytes]) -> int:
+        """Batched delete; returns how many keys were present (ONE WAL
+        record; an empty batch is a no-op and logs nothing)."""
+        keys = list(keys)
+        if not keys:
+            return 0
+        self._wal_log(wire.OP_MULTI_DELETE, keys)
+        return self._delete_unlogged(keys)
+
+    def drop_prefix(self, prefix: bytes = b"") -> List[bytes]:
+        """Delete every key carrying ``prefix``; return the dropped keys
+        (one bulk operation, so a remote namespace drop is one frame —
+        and one WAL record, replayed as the same prefix drop). The
+        doomed keys are materialized up front, so whatever the deletes
+        trigger mid-batch (an LSM flush or compaction) can rebuild the
+        sorted view freely without the loop iterating a stale one."""
+        lo, hi = self._prefix_range(prefix)
+        doomed = self._live_keys()[lo:hi]
+        if doomed:
+            self._wal_log(wire.OP_DROP_PREFIX, prefix)
+            self._delete_unlogged(doomed)
+        return doomed
+
+    def put(self, key: bytes, value: bytes) -> None:
+        self.multi_put([(key, value)])
+
+    def delete(self, key: bytes) -> bool:
+        """Delete ``key``; return True if it was present."""
+        return self.multi_delete([key]) == 1
+
+    def keys(self) -> List[bytes]:
+        """All keys in sorted byte order."""
+        return list(self._live_keys())
+
+    def next_key(self, after: Optional[bytes] = None) -> Optional[bytes]:
+        """The ``next()`` primitive of §3: iterate keys in order.
+
+        ``after=None`` returns the first key; otherwise the smallest key
+        strictly greater than ``after``; ``None`` when exhausted.
+        """
+        keys = self._live_keys()
+        index = 0 if after is None else bisect_right(keys, after)
+        return keys[index] if index < len(keys) else None
+
+    def _prefix_range(self, prefix: bytes) -> Tuple[int, int]:
+        """``[lo, hi)`` slice of the sorted live keys carrying ``prefix``
+        (two binary searches — O(log n + matches), not a full filter)."""
+        keys = self._live_keys()
+        if not prefix:
+            return 0, len(keys)
+        lo = bisect_left(keys, prefix)
+        upper = prefix_upper_bound(prefix)
+        hi = len(keys) if upper is None else bisect_left(keys, upper, lo)
+        return lo, hi
+
+
+class MemStore(Engine):
+    """An in-memory KV store for one storage node.
+
+    Keys and values are ``bytes``. Key iteration is in sorted byte order and
+    is computed lazily: the sorted key list is invalidated on writes and
+    rebuilt on demand, which keeps bulk loading O(n) and scans O(n log n)
+    once per write epoch. Durability and the single-key names come from
+    :class:`Engine`; without a WAL attached the store is purely
+    volatile, exactly as before PR 8.
+    """
+
+    __slots__ = ("_data", "_sorted_keys", "_dirty")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._data: Dict[bytes, bytes] = {}
+        self._sorted_keys: List[bytes] = []
+        self._dirty = False
 
     def __len__(self) -> int:
         return len(self._data)
@@ -86,91 +175,28 @@ class MemStore:
         data = self._data
         return [data.get(key) for key in keys]
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._wal_log(walmod.WAL_PUT, key, value)
-        if key not in self._data:
+    def _put_unlogged(self, items: List[Tuple[bytes, bytes]]) -> None:
+        data = self._data
+        for key, value in items:
+            if key not in data:
+                self._dirty = True
+            data[key] = value
+
+    def _delete_unlogged(self, keys: List[bytes]) -> int:
+        data = self._data
+        removed = 0
+        for key in keys:
+            if data.pop(key, None) is not None:
+                removed += 1
+        if removed:
             self._dirty = True
-        self._data[key] = value
+        return removed
 
-    def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
-        """Batched write of (key, value) pairs (ONE WAL record)."""
-        items = list(items)
-        logged = self._wal_log(walmod.WAL_MULTI_PUT, items)
-        self._wal_depth += 1 if logged else 0
-        try:
-            for key, value in items:
-                self.put(key, value)
-        finally:
-            self._wal_depth -= 1 if logged else 0
-
-    def delete(self, key: bytes) -> bool:
-        """Delete ``key``; return True if it was present."""
-        self._wal_log(walmod.WAL_DELETE, key)
-        if key in self._data:
-            del self._data[key]
-            self._dirty = True
-            return True
-        return False
-
-    def multi_delete(self, keys: Sequence[bytes]) -> int:
-        """Batched delete; returns how many keys were present."""
-        keys = list(keys)
-        logged = self._wal_log(walmod.WAL_MULTI_DELETE, keys)
-        self._wal_depth += 1 if logged else 0
-        try:
-            removed = 0
-            for key in keys:
-                if self.delete(key):
-                    removed += 1
-            return removed
-        finally:
-            self._wal_depth -= 1 if logged else 0
-
-    def _refresh(self) -> None:
+    def _live_keys(self) -> List[bytes]:
         if self._dirty or len(self._sorted_keys) != len(self._data):
             self._sorted_keys = sorted(self._data)
             self._dirty = False
-
-    def keys(self) -> List[bytes]:
-        """All keys in sorted byte order."""
-        self._refresh()
-        return list(self._sorted_keys)
-
-    def next_key(self, after: Optional[bytes] = None) -> Optional[bytes]:
-        """The ``next()`` primitive of §3: iterate keys in order.
-
-        ``after=None`` returns the first key; otherwise the smallest key
-        strictly greater than ``after``; ``None`` when exhausted.
-        """
-        self._refresh()
-        keys = self._sorted_keys
-        if not keys:
-            return None
-        if after is None:
-            return keys[0]
-        lo, hi = 0, len(keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if keys[mid] <= after:
-                lo = mid + 1
-            else:
-                hi = mid
-        return keys[lo] if lo < len(keys) else None
-
-    def _prefix_range(self, prefix: bytes) -> Tuple[int, int]:
-        """``[lo, hi)`` slice of the sorted-key cache carrying ``prefix``
-        (two binary searches — O(log n + matches), not a full filter)."""
-        self._refresh()
-        if not prefix:
-            return 0, len(self._sorted_keys)
-        lo = bisect_left(self._sorted_keys, prefix)
-        upper = prefix_upper_bound(prefix)
-        hi = (
-            len(self._sorted_keys)
-            if upper is None
-            else bisect_left(self._sorted_keys, upper, lo)
-        )
-        return lo, hi
+        return self._sorted_keys
 
     def scan(self, prefix: bytes = b"") -> Iterator[Tuple[bytes, bytes]]:
         """Yield (key, value) pairs with the given key prefix, in order."""
@@ -178,26 +204,13 @@ class MemStore:
         for key in self._sorted_keys[lo:hi]:
             yield key, self._data[key]
 
-    def drop_prefix(self, prefix: bytes = b"") -> List[bytes]:
-        """Delete every key carrying ``prefix``; return the dropped keys
-        (one bulk operation, so a remote namespace drop is one frame —
-        and one WAL record, replayed as the same prefix drop)."""
-        lo, hi = self._prefix_range(prefix)
-        doomed = self._sorted_keys[lo:hi]
-        if doomed:
-            self._wal_log(walmod.WAL_DROP_PREFIX, prefix)
-            for key in doomed:
-                del self._data[key]
-            self._dirty = True
-        return doomed
-
     def size_bytes(self) -> int:
         """Total stored payload size (keys + values)."""
         return sum(len(k) + len(v) for k, v in self._data.items())
 
     def clear(self) -> None:
         """Reset to the freshly-constructed state (contents and caches)."""
-        self._wal_log(walmod.WAL_CLEAR)
+        self._wal_log(wire.OP_CLEAR)
         self._data.clear()
         self._sorted_keys = []
         self._dirty = False

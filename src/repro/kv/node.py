@@ -25,15 +25,52 @@ so a node must stay correct under concurrent callers:
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kv.checkpoint import NodeDurability, RecoveryReport
 from repro.kv.lsm import LSMStore
 from repro.kv.memstore import MemStore
 from repro.locks import ShardSet, make_lock
+
+
+#: engines a node can host, by name (validated *before* any spawn)
+ENGINE_FACTORIES = {"mem": MemStore, "lsm": LSMStore}
+
+
+def make_engine(engine: str, store_args: Optional[dict] = None) -> Any:
+    """Build a raw store by engine name; unknown names raise ValueError
+    (the same message in-process and, pre-fork, for a node process)."""
+    try:
+        factory = ENGINE_FACTORIES[engine]
+    except KeyError:
+        raise ValueError(f"unknown storage engine {engine!r}") from None
+    return factory(**(store_args or {}))
+
+
+def open_engine(
+    engine: str,
+    store_args: Optional[dict] = None,
+    data_dir: Optional[str] = None,
+    fsync_policy: str = "group",
+    checkpoint_interval: Optional[int] = None,
+) -> Tuple[Any, Optional[NodeDurability]]:
+    """Build a node's raw store and, with ``data_dir``, its durability
+    manager — the one construction path of an in-process node and of a
+    node process. A durable store comes back **recovered**: whatever
+    checkpoint + WAL tail the directory holds is replayed into it, and
+    every later mutation is write-ahead-logged."""
+    store = make_engine(engine, store_args)
+    if data_dir is None:
+        return store, None
+    durability = NodeDurability(
+        data_dir,
+        fsync_policy=fsync_policy,
+        checkpoint_interval=checkpoint_interval,
+    )
+    durability.open(store)
+    return store, durability
 
 
 @dataclass
@@ -134,6 +171,7 @@ class StorageNode:
         self.engine = engine
         self._owns_store = store is None
         self._crashed = False
+        self._durability: Optional[NodeDurability] = None
         if store is not None:
             # injected engine (e.g. the RemoteStore facade of a node
             # process) — the caller has already validated it, and owns
@@ -145,19 +183,9 @@ class StorageNode:
                 )
             self.store = store
         else:
-            self.store = self._build_store()
-        self._durability: Optional[NodeDurability] = None
-        if data_dir is not None:
-            extra = (
-                {}
-                if checkpoint_interval is None
-                else {"checkpoint_interval": checkpoint_interval}
+            self.store, self._durability = open_engine(
+                engine, None, data_dir, fsync_policy, checkpoint_interval
             )
-            durability = NodeDurability(
-                data_dir, fsync_policy=fsync_policy, **extra
-            )
-            durability.open(self.store)
-            self._durability = durability
         #: per-thread counter shards; each shard is mutated only by its
         #: owning thread (see module docstring)
         self._shards: ShardSet[NodeCounters] = ShardSet(NodeCounters)
@@ -167,13 +195,6 @@ class StorageNode:
         #: signal replica selection reads on every point get (benign
         #: ``+=`` races only wobble a tie-break heuristic)
         self._read_load = 0
-
-    def _build_store(self) -> object:
-        if self.engine == "mem":
-            return MemStore()
-        if self.engine == "lsm":
-            return LSMStore()
-        raise ValueError(f"unknown storage engine {self.engine!r}")
 
     # -- durability / crash surface -----------------------------------------
 
@@ -234,7 +255,7 @@ class StorageNode:
             if self._durability is not None:
                 self._durability.abandon()
             # the store object IS the process memory: drop it
-            self.store = self._build_store()
+            self.store = make_engine(self.engine)
             self._crashed = True
             return True
 
@@ -244,7 +265,7 @@ class StorageNode:
         with self._op_lock:
             if not self._crashed:
                 return
-            self.store = self._build_store()
+            self.store = make_engine(self.engine)
             if self._durability is not None:
                 self._durability.open(self.store)
             self._crashed = False
@@ -313,19 +334,7 @@ class StorageNode:
         tuples x 3 attributes) pass it so ``values_read`` counts logical
         values, the paper's ``#data`` unit.
         """
-        with self._op_lock:
-            value = self.store.get(key)
-        counters = self.counters
-        counters.gets += 1
-        counters.round_trips += 1
-        load = 1
-        if value is not None:
-            counters.hits += 1
-            counters.values_read += n_values
-            counters.bytes_out += len(value)
-            load += n_values
-        self._read_load += load
-        return value
+        return self.multi_get([key], n_values_each=n_values)[0]
 
     def multi_get(
         self, keys: Sequence[bytes], n_values_each: int = 1
@@ -353,15 +362,7 @@ class StorageNode:
         return values
 
     def put(self, key: bytes, value: bytes, n_values: int = 1) -> None:
-        with self._op_lock:
-            self.store.put(key, value)
-            if self._durability is not None:
-                self._durability.maybe_checkpoint(self.store)
-        counters = self.counters
-        counters.puts += 1
-        counters.round_trips += 1
-        counters.values_written += n_values
-        counters.bytes_in += len(value)
+        self.multi_put([(key, value)], n_values_each=n_values)
 
     def multi_put(
         self, items: Sequence[Tuple[bytes, bytes]], n_values_each: int = 1

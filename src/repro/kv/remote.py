@@ -31,15 +31,14 @@ import multiprocessing
 import os
 import signal
 import socket
-import threading
 import weakref
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import NodePeerError, RemoteOpError, WireProtocolError
 from repro.kv import wal as walmod
 from repro.kv import wire
-from repro.kv.node import StorageNode
-from repro.kv.server import make_engine, serve_entry
+from repro.kv.node import StorageNode, make_engine
+from repro.kv.server import serve_entry
 from repro.locks import make_lock
 
 #: live NodeProcess instances, for orphan reaping at session teardown
@@ -199,20 +198,14 @@ class NodeClient:
             if not self._closed and len(self._pool) < self._pool_size:
                 self._pool.append(sock)
                 return
-        try:
-            sock.close()
-        except OSError:
-            pass
+        wire.close_quietly(sock)
 
     def close(self) -> None:
         with self._lock:
             self._closed = True
             pool, self._pool = self._pool, []
         for sock in pool:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            wire.close_quietly(sock)
 
     # -- the RPC ------------------------------------------------------------
 
@@ -225,29 +218,19 @@ class NodeClient:
             response = wire.recv_frame(sock)
         except WireProtocolError as exc:
             # stream died mid-frame: unreachable peer, not a codec bug
-            try:
-                sock.close()
-            except OSError:
-                pass
+            wire.close_quietly(sock)
             raise NodePeerError(self.node_id, str(exc))
         except OSError as exc:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            wire.close_quietly(sock)
             raise NodePeerError(self.node_id, f"i/o failed: {exc}")
         if response is None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            wire.close_quietly(sock)
             raise NodePeerError(self.node_id, "peer closed without answering")
         status, body = wire.decode_response(response)
-        if status == wire.STATUS_OK:
-            self._checkin(sock)
-            return body
-        # error frames leave the connection reusable
+        # error frames leave the connection reusable too
         self._checkin(sock)
+        if status == wire.STATUS_OK:
+            return body
         message = wire.decode_error_message(body)
         if status == wire.STATUS_ERROR:
             raise RemoteOpError(message)
@@ -278,6 +261,8 @@ class RemoteStore:
         return self.multi_get([key])[0]
 
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        if not keys:
+            return []  # an empty batch ships no frame
         return wire.decode_values(
             self.client.request(wire.OP_MULTI_GET, list(keys))
         )
@@ -286,12 +271,15 @@ class RemoteStore:
         self.multi_put([(key, value)])
 
     def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
-        self.client.request(wire.OP_MULTI_PUT, list(items))
+        if items:
+            self.client.request(wire.OP_MULTI_PUT, list(items))
 
     def delete(self, key: bytes) -> bool:
-        return wire.decode_bool(self.client.request(wire.OP_DELETE, key))
+        return self.multi_delete([key]) == 1
 
     def multi_delete(self, keys: Sequence[bytes]) -> int:
+        if not keys:
+            return 0
         return wire.decode_u64(
             self.client.request(wire.OP_MULTI_DELETE, list(keys))
         )

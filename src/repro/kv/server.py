@@ -35,32 +35,8 @@ from typing import Dict, Optional
 from repro.errors import WireProtocolError
 from repro.kv import wire
 from repro.kv.checkpoint import NodeDurability
-from repro.kv.lsm import LSMStore
-from repro.kv.memstore import MemStore
+from repro.kv.node import open_engine
 from repro.locks import make_lock
-
-#: engines a node process can host, by name (validated *before* spawn)
-ENGINE_FACTORIES = {"mem": MemStore, "lsm": LSMStore}
-
-#: opcodes that mutate the store — after one of these the server gives
-#: the durability manager a chance to checkpoint/truncate the WAL
-_MUTATING_OPS = frozenset({
-    wire.OP_MULTI_PUT,
-    wire.OP_DELETE,
-    wire.OP_MULTI_DELETE,
-    wire.OP_DROP_PREFIX,
-    wire.OP_CLEAR,
-})
-
-
-def make_engine(engine: str, store_args: Optional[dict] = None):
-    """Build a raw store by engine name; unknown names raise ValueError
-    with the same message contract as :class:`~repro.kv.node.StorageNode`."""
-    try:
-        factory = ENGINE_FACTORIES[engine]
-    except KeyError:
-        raise ValueError(f"unknown storage engine {engine!r}") from None
-    return factory(**(store_args or {}))
 
 
 class NodeServer:
@@ -102,13 +78,10 @@ class NodeServer:
             return b""
         if op == wire.OP_MULTI_GET:
             return wire.encode_values(store.multi_get(args[0]))
-        if op == wire.OP_MULTI_PUT:
-            store.multi_put(args[0])
-            return b""
-        if op == wire.OP_DELETE:
-            return wire.encode_bool(store.delete(args[0]))
-        if op == wire.OP_MULTI_DELETE:
-            return wire.encode_u64(store.multi_delete(args[0]))
+        if op in wire.MUTATING_OPS:
+            # the one dispatch over the mutation vocabulary — the same
+            # call recovery replays a logged record through
+            return wire.apply_mutation(store, op, args)
         if op == wire.OP_SCAN:
             return wire.encode_pairs(list(store.scan(args[0])))
         if op == wire.OP_KEYS:
@@ -131,11 +104,6 @@ class NodeServer:
             return wire.encode_u64(store.size_bytes())
         if op == wire.OP_COUNT:
             return wire.encode_u64(len(store))
-        if op == wire.OP_DROP_PREFIX:
-            return wire.encode_keys(store.drop_prefix(args[0]))
-        if op == wire.OP_CLEAR:
-            store.clear()
-            return b""
         if op == wire.OP_GET_STATS:
             stats = self._durability.wal_stats() if self._durability else {}
             stats = {f"wal_{key}": value for key, value in stats.items()}
@@ -150,20 +118,18 @@ class NodeServer:
         self._bump("requests")
         try:
             op, args = wire.decode_request(payload)
-        except WireProtocolError as exc:
-            self._bump("protocol_errors")
-            return wire.encode_error(wire.STATUS_PROTOCOL, str(exc))
-        if op == wire.OP_SHUTDOWN:
-            return None
-        try:
+            if op == wire.OP_SHUTDOWN:
+                return None
             if op == wire.OP_GET_STATS:
                 body = self._run_op(op, args)
             else:
                 with self._store_lock:
                     body = self._run_op(op, args)
+                    # after a mutation the durability manager gets a
+                    # chance to checkpoint/truncate the WAL
                     if (
                         self._durability is not None
-                        and op in _MUTATING_OPS
+                        and op in wire.MUTATING_OPS
                     ):
                         self._durability.maybe_checkpoint(self.store)
         except WireProtocolError as exc:
@@ -212,10 +178,7 @@ class NodeServer:
         except OSError:
             pass  # peer vanished; the accept loop keeps running
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            wire.close_quietly(conn)
 
     def serve_forever(self) -> None:
         while True:
@@ -243,16 +206,7 @@ def serve_entry(listener: socket.socket, engine: str,
     SIGKILLed process respawned on the same directory comes back with
     every acked write.
     """
-    store = make_engine(engine, store_args)
-    durability = None
-    if data_dir is not None:
-        extra = (
-            {}
-            if checkpoint_interval is None
-            else {"checkpoint_interval": checkpoint_interval}
-        )
-        durability = NodeDurability(
-            data_dir, fsync_policy=fsync_policy, **extra
-        )
-        durability.open(store)
+    store, durability = open_engine(
+        engine, store_args, data_dir, fsync_policy, checkpoint_interval
+    )
     NodeServer(listener, store, durability).serve_forever()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kv import codec
-from repro.kv.cache import read_through, read_through_many
+from repro.kv.cache import read_through_many
 from repro.kv.cluster import KVCluster
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -99,20 +99,9 @@ class TaaVRelation:
         return False
 
     def get(self, key: Row) -> Optional[Row]:
-        """Point get by primary key (read-through the cache when present)."""
-        data, _ = read_through(
-            self.cache,
-            self.namespace,
-            codec.encode_key(key),
-            lambda kb: self.cluster.get(
-                self.namespace, kb, n_values=self.schema.arity
-            ),
-            versions=self.cluster.versions,
-        )
-        if data is None:
-            return None
-        row, _ = codec.decode_row(data)
-        return row
+        """Point get by primary key — a :meth:`multi_get` of one
+        (read-through the cache when present)."""
+        return self.multi_get([key])[0]
 
     def multi_get(self, keys: Sequence[Row]) -> List[Optional[Row]]:
         """Batched point gets (one round trip per owning node); positional.
@@ -136,13 +125,7 @@ class TaaVRelation:
     ) -> List[Optional[bytes]]:
         """Positional payload fetch serving hits locally, misses batched."""
         pairs = read_through_many(
-            self.cache,
-            self.namespace,
-            encoded_keys,
-            lambda missing: self.cluster.multi_get(
-                self.namespace, missing, n_values_each=n_values_each
-            ),
-            versions=self.cluster.versions,
+            self.cache, self.cluster, self.namespace, encoded_keys, n_values_each
         )
         return [data for data, _ in pairs]
 

@@ -4,10 +4,7 @@ Every mutation of a durable storage engine is appended here *before* it
 is acknowledged, so a node that dies mid-stream (``SIGKILL``, a pulled
 plug on the process level) can rebuild its exact pre-crash store by
 replaying the log over the last checkpoint
-(:mod:`repro.kv.checkpoint`). The record codec reuses the
-:mod:`repro.kv.wire` discipline — strict bounds-checked reads via
-:class:`~repro.kv.wire.Reader`, u32 big-endian lengths, one opcode byte
-— so the WAL is as refuse-garbage-early as the socket protocol.
+(:mod:`repro.kv.checkpoint`).
 
 Record layout (append-only file of these)::
 
@@ -15,12 +12,19 @@ Record layout (append-only file of these)::
     | u32 length (BE)| u32 crc32 (BE) | payload (length bytes)    |
     +----------------+----------------+---------------------------+
 
-Payload: ``u8 op`` + op-specific body covering the engines' whole
-mutating surface: ``PUT`` / ``MULTI_PUT`` / ``DELETE`` /
-``MULTI_DELETE`` / ``DROP_PREFIX`` / ``CLEAR``. The CRC is over the
-payload, so a torn or bit-flipped final record is detected and replay
-stops cleanly at the last intact record (`read_wal` reports the valid
-byte offset so recovery can truncate the debris before appending).
+The payload **is a wire request** (:func:`repro.kv.wire.encode_request`)
+of one of the store-mutating opcodes, :data:`repro.kv.wire.MUTATING_OPS`
+— ``MULTI_PUT`` / ``MULTI_DELETE`` / ``DROP_PREFIX`` / ``CLEAR``; a
+single ``put``/``delete`` logs a batch of one. This module declares no
+opcodes and no codec of its own: what the server would execute for a
+frame is what recovery re-executes for a record
+(:func:`repro.kv.wire.apply_mutation`), with the same strict
+bounds-checked decoding. The CRC is over the payload, so a torn or
+bit-flipped final record is detected and replay stops cleanly at the
+last intact record (`read_wal` reports the valid byte offset so
+recovery can truncate the debris before appending). A CRC-valid payload
+that does not decode to a *mutating* request is corruption too and ends
+the log the same way — a log can never make replay read or shut down.
 
 Crash model and fsync policies
 ------------------------------
@@ -50,38 +54,20 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import WireProtocolError
-from repro.kv.wire import MAX_FRAME_BYTES, Reader
+from repro.kv import wire
 from repro.locks import make_lock
 
 _U32 = struct.Struct(">I")
 
 #: a WAL record's payload obeys the same ceiling as a wire frame — a
 #: declared length past it is corruption, refused before any allocation
-MAX_RECORD_BYTES = MAX_FRAME_BYTES
+MAX_RECORD_BYTES = wire.MAX_FRAME_BYTES
 
 #: u32 length + u32 crc32
 _HEADER_BYTES = 8
 
 FSYNC_POLICIES = ("always", "group", "never")
 DEFAULT_GROUP_SIZE = 32
-
-# -- record opcodes (payload byte 0) ----------------------------------------
-
-WAL_PUT = 0x01
-WAL_MULTI_PUT = 0x02
-WAL_DELETE = 0x03
-WAL_MULTI_DELETE = 0x04
-WAL_DROP_PREFIX = 0x05
-WAL_CLEAR = 0x06
-
-WAL_OP_NAMES: Dict[int, str] = {
-    WAL_PUT: "PUT",
-    WAL_MULTI_PUT: "MULTI_PUT",
-    WAL_DELETE: "DELETE",
-    WAL_MULTI_DELETE: "MULTI_DELETE",
-    WAL_DROP_PREFIX: "DROP_PREFIX",
-    WAL_CLEAR: "CLEAR",
-}
 
 
 def validate_fsync_policy(policy: str) -> str:
@@ -93,100 +79,6 @@ def validate_fsync_policy(policy: str) -> str:
             f"{list(FSYNC_POLICIES)}"
         )
     return policy
-
-
-# --------------------------------------------------------------------------
-# record codec
-# --------------------------------------------------------------------------
-
-
-def _put_bytes(out: bytearray, raw: bytes) -> None:
-    out += _U32.pack(len(raw))
-    out += raw
-
-
-def encode_record(op: int, *args: Any) -> bytes:
-    """Encode one record payload (the inverse of :func:`decode_record`)."""
-    out = bytearray((op,))
-    if op == WAL_PUT:
-        key, value = args
-        _put_bytes(out, key)
-        _put_bytes(out, value)
-    elif op == WAL_MULTI_PUT:
-        (items,) = args
-        out += _U32.pack(len(items))
-        for key, value in items:
-            _put_bytes(out, key)
-            _put_bytes(out, value)
-    elif op == WAL_DELETE:
-        (key,) = args
-        _put_bytes(out, key)
-    elif op == WAL_MULTI_DELETE:
-        (keys,) = args
-        out += _U32.pack(len(keys))
-        for key in keys:
-            _put_bytes(out, key)
-    elif op == WAL_DROP_PREFIX:
-        (prefix,) = args
-        _put_bytes(out, prefix)
-    elif op == WAL_CLEAR:
-        if args:
-            raise WireProtocolError("CLEAR takes no arguments")
-    else:
-        raise WireProtocolError(f"unknown WAL opcode {op:#x}")
-    return bytes(out)
-
-
-def decode_record(payload: bytes) -> Tuple[int, Tuple[Any, ...]]:
-    """Decode a record payload to ``(opcode, args)``, strictly."""
-    if not payload:
-        raise WireProtocolError("empty WAL record payload")
-    reader = Reader(payload)
-    op = reader.u8()
-    args: Tuple[Any, ...]
-    if op == WAL_PUT:
-        args = (reader.bytes_(), reader.bytes_())
-    elif op == WAL_MULTI_PUT:
-        args = (
-            [
-                (reader.bytes_(), reader.bytes_())
-                for _ in range(reader.u32())
-            ],
-        )
-    elif op == WAL_DELETE:
-        args = (reader.bytes_(),)
-    elif op == WAL_MULTI_DELETE:
-        args = ([reader.bytes_() for _ in range(reader.u32())],)
-    elif op == WAL_DROP_PREFIX:
-        args = (reader.bytes_(),)
-    elif op == WAL_CLEAR:
-        args = ()
-    else:
-        raise WireProtocolError(f"unknown WAL opcode {op:#x}")
-    reader.expect_end()
-    return op, args
-
-
-def apply_record(store: Any, op: int, args: Tuple[Any, ...]) -> None:
-    """Replay one decoded record against a raw storage engine.
-
-    The store's WAL hook must be detached (or suspended) while
-    replaying, otherwise replay would re-log its own input.
-    """
-    if op == WAL_PUT:
-        store.put(args[0], args[1])
-    elif op == WAL_MULTI_PUT:
-        store.multi_put(args[0])
-    elif op == WAL_DELETE:
-        store.delete(args[0])
-    elif op == WAL_MULTI_DELETE:
-        store.multi_delete(args[0])
-    elif op == WAL_DROP_PREFIX:
-        store.drop_prefix(args[0])
-    elif op == WAL_CLEAR:
-        store.clear()
-    else:  # unreachable after decode_record, kept for totality
-        raise WireProtocolError(f"unknown WAL opcode {op:#x}")
 
 
 # --------------------------------------------------------------------------
@@ -202,9 +94,10 @@ def read_wal(
     Returns ``(records, valid_bytes, torn)``: the decoded records in
     append order, the byte offset of the last intact record's end, and
     whether debris followed it (a record cut short by the crash, a CRC
-    mismatch, or an undecodable payload). Replay stops at the first
-    invalid record — everything after a tear is unacknowledgeable by
-    construction, because records are appended and flushed in order.
+    mismatch, an undecodable payload, or a request that is not a store
+    mutation). Replay stops at the first invalid record — everything
+    after a tear is unacknowledgeable by construction, because records
+    are appended and flushed in order.
     A missing file reads as an empty log.
     """
     try:
@@ -231,10 +124,14 @@ def read_wal(
             torn = True
             break
         try:
-            records.append(decode_record(payload))
+            record = wire.decode_request(payload)
         except WireProtocolError:
             torn = True
             break
+        if record[0] not in wire.MUTATING_OPS:
+            torn = True
+            break
+        records.append(record)
         pos = end
     return records, pos, torn
 
@@ -300,7 +197,7 @@ class WriteAheadLog:
         every policy; ``fsync_policy`` decides whether it also reaches
         the platter (see the module docstring's crash model).
         """
-        payload = encode_record(op, *args)
+        payload = wire.encode_request(op, *args)
         frame = (
             _U32.pack(len(payload))
             + _U32.pack(zlib.crc32(payload))
@@ -391,3 +288,4 @@ class WriteAheadLog:
                 f"WriteAheadLog({self._path!r}, {self.fsync_policy}, "
                 f"{self._stats['records']} records, {state})"
             )
+

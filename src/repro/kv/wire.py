@@ -4,8 +4,16 @@ This is the on-the-wire format between a :class:`~repro.kv.cluster.KVCluster`
 client and a storage-node process (:mod:`repro.kv.server`). It carries
 exactly the batch operations the in-process :class:`~repro.kv.node.StorageNode`
 store surface already has — ``multi_get`` / ``multi_put`` / ``scan`` /
-``delete`` / ``drop_prefix`` (the namespace drop) / ``get_stats`` — so the
-two transports stay op-for-op equivalent.
+``multi_delete`` / ``drop_prefix`` (the namespace drop) / ``get_stats`` — so
+the two transports stay op-for-op equivalent. A single-key ``get`` / ``put``
+/ ``delete`` is a batch of one: it has no opcode of its own.
+
+The store-mutating opcodes (:data:`MUTATING_OPS`) are the node's whole
+**mutation vocabulary**, declared once here: the request codec ships
+them, :func:`apply_mutation` is the server's dispatch for them, the
+write-ahead log (:mod:`repro.kv.wal`) stores the same request payload as
+its record payload, and recovery replays a log through the same
+:func:`apply_mutation`.
 
 Frame layout (both directions)::
 
@@ -55,7 +63,6 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 OP_PING = 0x01
 OP_MULTI_GET = 0x02
 OP_MULTI_PUT = 0x03
-OP_DELETE = 0x04
 OP_MULTI_DELETE = 0x05
 OP_SCAN = 0x06
 OP_KEYS = 0x07
@@ -72,7 +79,6 @@ OP_NAMES: Dict[int, str] = {
     OP_PING: "PING",
     OP_MULTI_GET: "MULTI_GET",
     OP_MULTI_PUT: "MULTI_PUT",
-    OP_DELETE: "DELETE",
     OP_MULTI_DELETE: "MULTI_DELETE",
     OP_SCAN: "SCAN",
     OP_KEYS: "KEYS",
@@ -92,6 +98,10 @@ _PREFIX_OPS = (OP_SCAN, OP_KEYS, OP_HAS_PREFIX, OP_DROP_PREFIX)
 _NULLARY_OPS = (
     OP_PING, OP_SIZE_BYTES, OP_COUNT, OP_CLEAR, OP_GET_STATS, OP_SHUTDOWN,
 )
+#: ops that change the store: what a WAL record may carry, what recovery
+#: replays, and after which the server offers the durability manager a
+#: checkpoint — each has exactly one branch in :func:`apply_mutation`
+MUTATING_OPS = (OP_MULTI_PUT, OP_MULTI_DELETE, OP_DROP_PREFIX, OP_CLEAR)
 
 # -- response status (response payload byte 0) -------------------------------
 
@@ -117,6 +127,14 @@ def encode_frame(payload: bytes) -> bytes:
 
 def send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(encode_frame(payload))
+
+
+def close_quietly(sock: socket.socket) -> None:
+    """Close a connection that may already be dead (either end of it)."""
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
@@ -244,18 +262,10 @@ def encode_request(op: int, *args: Any) -> bytes:
     out = bytearray((op,))
     if op == OP_MULTI_GET or op == OP_MULTI_DELETE:
         (keys,) = args
-        out += _U32.pack(len(keys))
-        for key in keys:
-            _put_bytes(out, key)
+        out += encode_keys(keys)
     elif op == OP_MULTI_PUT:
         (items,) = args
-        out += _U32.pack(len(items))
-        for key, value in items:
-            _put_bytes(out, key)
-            _put_bytes(out, value)
-    elif op == OP_DELETE:
-        (key,) = args
-        _put_bytes(out, key)
+        out += encode_pairs(items)
     elif op == OP_NEXT_KEY:
         (after,) = args
         _put_opt_bytes(out, after)
@@ -286,8 +296,6 @@ def decode_request(payload: bytes) -> Tuple[int, Tuple[Any, ...]]:
                 for _ in range(reader.u32())
             ],
         )
-    elif op == OP_DELETE:
-        args = (reader.bytes_(),)
     elif op == OP_NEXT_KEY:
         args = (reader.opt_bytes(),)
     elif op in _PREFIX_OPS:
@@ -298,6 +306,31 @@ def decode_request(payload: bytes) -> Tuple[int, Tuple[Any, ...]]:
         raise WireProtocolError(f"unknown opcode {op:#x}")
     reader.expect_end()
     return op, args
+
+
+def apply_mutation(store: Any, op: int, args: Tuple[Any, ...]) -> bytes:
+    """Run one decoded :data:`MUTATING_OPS` request against a raw store;
+    returns the OK response body.
+
+    The one dispatch over the mutation vocabulary: the server answers
+    mutating requests with it and recovery replays WAL records through
+    it (ignoring the body), so a logged operation re-executes exactly
+    as it was served. Anything outside the vocabulary is refused — a
+    log can never make replay read, scan or shut down.
+    """
+    if op == OP_MULTI_PUT:
+        store.multi_put(args[0])
+        return b""
+    if op == OP_MULTI_DELETE:
+        return encode_u64(store.multi_delete(args[0]))
+    if op == OP_DROP_PREFIX:
+        return encode_keys(store.drop_prefix(args[0]))
+    if op == OP_CLEAR:
+        store.clear()
+        return b""
+    raise WireProtocolError(
+        f"{OP_NAMES.get(op, hex(op))} is not a store mutation"
+    )
 
 
 # --------------------------------------------------------------------------

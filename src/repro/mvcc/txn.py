@@ -19,20 +19,32 @@ through the overlay, and unpins when done. The last unpin (and every
 ``gc_interval``-th commit, and an optional background thread) runs GC:
 versions dead at or before the epoch horizon are reclaimed.
 
-Failure semantics: an error while replaying statements aborts the
-transaction with the epoch **unpublished** — no snapshot ever pins the
-failed epoch, so its partially-installed base writes stay invisible to
-MVCC readers until a later commit supersedes them (unpinned "latest
-state" readers may observe them, exactly like a half-applied
-``apply_updates`` before this PR). A transaction object belongs to one
-session/thread; it is not itself thread-safe.
+Failure semantics: every buffered statement is **validated** under the
+commit mutex before the first mutation and before an epoch is allocated
+(unknown relation, delete of a row that is not there once the earlier
+statements of the same transaction are applied), so an invalid
+transaction leaves no trace. A fault raised *during* a base write still
+aborts the transaction with the epoch **unpublished** — no snapshot
+ever pins the failed epoch, so its partially-installed base writes stay
+invisible to MVCC readers until a later commit supersedes them
+(unpinned "latest state" readers may observe them, exactly like a
+half-applied ``apply_updates`` before this PR). A transaction object
+belongs to one session/thread; it is not itself thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import TransactionError
 from repro.locks import make_lock
@@ -43,6 +55,8 @@ from repro.mvcc.versions import VersionStore
 Statement = Tuple[str, List[tuple], List[tuple]]
 #: the system hook that applies one statement to every storage layer
 ApplyFn = Callable[..., None]
+#: the system hook that checks a whole transaction before it installs
+ValidateFn = Callable[[Sequence[Statement]], None]
 
 #: commits between amortized GC sweeps (the ``snapshot_gc_interval``
 #: knob of the systems/service layer)
@@ -55,6 +69,9 @@ class TransactionManager:
     ``apply_fn(relation, inserts, deletes)`` is the system's
     *base* apply hook (relational rows + TaaV/BaaV + indexes), called
     once per buffered statement inside the recording context.
+    ``validate_fn(statements)`` is its checking half: it sees the whole
+    transaction under the commit mutex, before the first mutation and
+    before an epoch is allocated, and raises to refuse it.
 
     ``gc_interval`` amortizes garbage collection over commits; GC also
     runs when the last snapshot unpins (the horizon just jumped
@@ -70,12 +87,14 @@ class TransactionManager:
         apply_fn: ApplyFn,
         gc_interval: int = DEFAULT_GC_INTERVAL,
         gc_period_s: Optional[float] = None,
+        validate_fn: Optional[ValidateFn] = None,
     ) -> None:
         if gc_interval <= 0:
             raise ValueError("gc_interval must be positive")
         self.epochs = epochs
         self.versions = versions
         self._apply = apply_fn
+        self._validate = validate_fn
         self.gc_interval = gc_interval
         #: serializes installing writers (readers never take this)
         self._commit_lock = make_lock(
@@ -107,9 +126,13 @@ class TransactionManager:
     def begin(self) -> "Transaction":
         return Transaction(self)
 
-    def commit_statements(self, statements: Iterable[Statement]) -> int:
+    def commit_statements(self, statements: Sequence[Statement]) -> int:
         """Install ``statements`` atomically at one commit epoch."""
         with self._commit_lock:
+            if self._validate is not None:
+                # an invalid statement anywhere in the transaction
+                # refuses all of it: nothing written, no epoch burned
+                self._validate(statements)
             epoch = self.epochs.begin_commit()
             with self.versions.recording(epoch):
                 for relation, inserts, deletes in statements:

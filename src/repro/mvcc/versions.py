@@ -206,20 +206,13 @@ class VersionStore:
     ) -> Tuple[bool, Optional[bytes]]:
         """Value of one key as of ``epoch``; ``(False, None)`` when the
         base value is the visible one (the overlay stays silent)."""
-        with self._lock:
-            handled, value, skipped = self._visible(
-                (namespace, key_bytes), epoch
-            )
-        if handled:
-            stats = self._stats
-            stats.overlay_reads += 1
-            stats.versions_skipped += skipped
-        return handled, value
+        return self.read_visible_many(namespace, [key_bytes], epoch)[0]
 
     def read_visible_many(
         self, namespace: str, keys: Sequence[bytes], epoch: int
     ) -> List[Tuple[bool, Optional[bytes]]]:
-        """Batched :meth:`read_visible` under one lock acquisition."""
+        """Values of ``keys`` as of ``epoch``, positional, under one
+        lock acquisition (see :meth:`read_visible`)."""
         out: List[Tuple[bool, Optional[bytes]]] = []
         overlay_reads = 0
         skipped_total = 0
@@ -267,6 +260,35 @@ class VersionStore:
         cross-node scan: per-node snapshots taken milliseconds apart
         land on the same epoch.
         """
+        out, overlay_reads, skipped_total = self._as_of(
+            namespace, entries, epoch
+        )
+        if overlay_reads:
+            stats = self._stats
+            stats.overlay_reads += overlay_reads
+            stats.versions_skipped += skipped_total
+        return out
+
+    def adjust_keys(
+        self, namespace: str, keys: List[bytes], epoch: int
+    ) -> List[bytes]:
+        """Key set of a namespace as of ``epoch``: the same walk as
+        :meth:`adjust_scan` over value-less entries, unmetered (a key
+        listing is planner metadata, not a read)."""
+        out, _, _ = self._as_of(
+            namespace, [(None, key_bytes, b"") for key_bytes in keys], epoch
+        )
+        return [key_bytes for _, key_bytes, _ in out]
+
+    def _as_of(
+        self,
+        namespace: str,
+        entries: List[Tuple[_Tag, bytes, bytes]],
+        epoch: int,
+    ) -> Tuple[List[Tuple[Optional[_Tag], bytes, bytes]], int, int]:
+        """The state-as-of-``epoch`` walk behind :meth:`adjust_scan` and
+        :meth:`adjust_keys`: ``(entries, overlay reads, versions
+        skipped)``."""
         out: List[Tuple[Optional[_Tag], bytes, bytes]] = []
         seen = set()
         overlay_reads = 0
@@ -300,40 +322,7 @@ class VersionStore:
                     skipped_total += skipped
                     if visible is not None:
                         out.append((None, key_bytes, visible))
-        if overlay_reads:
-            stats = self._stats
-            stats.overlay_reads += overlay_reads
-            stats.versions_skipped += skipped_total
-        return out
-
-    def adjust_keys(
-        self, namespace: str, keys: List[bytes], epoch: int
-    ) -> List[bytes]:
-        """Key set of a namespace as of ``epoch`` (see
-        :meth:`adjust_scan`; values are not materialized)."""
-        out: List[bytes] = []
-        seen = set()
-        with self._lock:
-            for key_bytes in keys:
-                seen.add(key_bytes)
-                handled, visible, _ = self._visible(
-                    (namespace, key_bytes), epoch
-                )
-                if not handled or visible is not None:
-                    out.append(key_bytes)
-            for (entry_ns, key_bytes), birth in self._birth.items():
-                if (
-                    entry_ns != namespace
-                    or birth <= epoch
-                    or key_bytes in seen
-                ):
-                    continue
-                handled, visible, _ = self._visible(
-                    (entry_ns, key_bytes), epoch
-                )
-                if handled and visible is not None:
-                    out.append(key_bytes)
-        return out
+        return out, overlay_reads, skipped_total
 
     # -- GC / lifecycle ----------------------------------------------------
 

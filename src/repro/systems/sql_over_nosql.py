@@ -34,6 +34,7 @@ from repro.mvcc import (
     TransactionManager,
     VersionStore,
 )
+from repro.mvcc.txn import Statement
 from repro.parallel.engine import BaselineEngine, ZidianEngine
 from repro.parallel.metrics import ExecutionMetrics
 from repro.relational.database import Database
@@ -140,7 +141,9 @@ class TransactionalMixin:
     ``enable_transactions()`` attaches a version overlay to the cluster
     and builds the epoch clock + transaction manager whose ``apply_fn``
     is the system's :meth:`_apply_base` (relational rows, TaaV/BaaV
-    stores and secondary indexes). From then on:
+    stores and secondary indexes) and whose ``validate_fn`` is
+    :meth:`_validate_updates`, run over a whole transaction before its
+    first mutation. From then on:
 
     * every ``apply_updates`` routes through an auto-commit transaction
       (record superseded values → install base writes → publish);
@@ -154,11 +157,11 @@ class TransactionalMixin:
     cluster: KVCluster
     transactions: Optional[TransactionManager]
 
+    def _validate_updates(self, statements: Sequence[Statement]) -> None:
+        raise NotImplementedError
+
     def _apply_base(
-        self,
-        relation: str,
-        inserts: Iterable[Row] = (),
-        deletes: Iterable[Row] = (),
+        self, relation: str, inserts: List[Row], deletes: List[Row]
     ) -> None:
         raise NotImplementedError
 
@@ -184,6 +187,7 @@ class TransactionalMixin:
                     self._apply_base,
                     gc_interval=snapshot_gc_interval,
                     gc_period_s=gc_period_s,
+                    validate_fn=self._validate_updates,
                 )
             return self.transactions
 
@@ -202,7 +206,13 @@ class TransactionalMixin:
             with self.transactions.begin() as txn:
                 txn.apply_updates(relation, inserts, deletes)
             return
-        self._apply_base(relation, inserts, deletes)
+        statement = (
+            relation,
+            [tuple(row) for row in inserts],
+            [tuple(row) for row in deletes],
+        )
+        self._validate_updates([statement])
+        self._apply_base(*statement)
 
     def _snapshot_execute(self, run) -> "QueryResult":
         """Run a query pinned at the published epoch (when MVCC is on).
@@ -353,29 +363,36 @@ class KVSystem(TransactionalMixin):
         """Drop matching indexes (and their cluster entries)."""
         return self.indexes.drop(relation, attr, kind)
 
-    def _apply_base(
-        self,
-        relation: str,
-        inserts: Iterable[Row] = (),
-        deletes: Iterable[Row] = (),
-    ) -> None:
-        """Apply Δ to the database, the stores and every index.
-
-        The whole Δ is validated before the first mutation: a delete of
-        a row the relation does not hold fails with the database, the
-        stores and the index postings all untouched.
-        """
+    def _validate_updates(self, statements: Sequence[Statement]) -> None:
+        """Check every statement of one transaction before its first
+        mutation: an unknown relation, or a delete of a row the relation
+        does not hold once the earlier statements of the same
+        transaction are applied, fails with the database, the stores,
+        the index postings and the epoch clock all untouched."""
         if self.database is None:
             raise ExecutionError("load() a database first")
-        inserts = [tuple(r) for r in inserts]
-        deletes = [tuple(r) for r in deletes]
+        #: per relation, the net copies of each row the earlier
+        #: statements add (+) or remove (-)
+        pending: Dict[str, Counter] = {}
+        for relation, inserts, deletes in statements:
+            base = self.database.relation(relation)
+            delta = pending.setdefault(relation, Counter())
+            for row, copies in Counter(deletes).items():
+                if base.rows.count(row) + delta[row] < copies:
+                    raise ExecutionError(
+                        f"cannot delete {row!r}: {relation} holds fewer "
+                        f"than {copies} such row(s)"
+                    )
+            delta.subtract(deletes)
+            delta.update(inserts)
+
+    def _apply_base(
+        self, relation: str, inserts: List[Row], deletes: List[Row]
+    ) -> None:
+        """Apply a validated Δ to the database, the stores and every
+        index (see :meth:`_validate_updates`)."""
+        assert self.database is not None
         base = self.database.relation(relation)
-        for row, copies in Counter(deletes).items():
-            if base.rows.count(row) < copies:
-                raise ExecutionError(
-                    f"cannot delete {row!r}: {relation} holds fewer than "
-                    f"{copies} such row(s)"
-                )
         for row in deletes:
             base.rows.remove(row)
         base.extend(inserts)

@@ -442,6 +442,67 @@ def test_wire_unpaired_codec_helper_triggers(tmp_path):
     assert "decode_widget" in findings[0].message
 
 
+_WIRE_MUTATIONS = _WIRE_OK + """
+    MUTATING_OPS = (OP_PUT,)
+
+    def apply_mutation(store, op, args):
+        if op == OP_PUT:
+            store.multi_put(args[0])
+            return b""
+        raise ValueError(op)
+"""
+
+_WIRE_BAD_MUTATIONS = _WIRE_OK + """
+    MUTATING_OPS = (OP_PUT,)
+
+    def apply_mutation(store, op, args):
+        if op == OP_GET:
+            store.clear()
+"""
+
+_SERVER_MUTATIONS = """
+    from repro.kv import wire
+
+    class Server:
+        def _run_op(self, op, args):
+            if op == wire.OP_GET:
+                return b"get"
+            if op in wire.MUTATING_OPS:
+                return wire.apply_mutation(self.store, op, args)
+"""
+
+
+def test_wire_one_mutation_vocabulary_is_clean(tmp_path):
+    findings = lint(tmp_path, {
+        "repro/kv/wire.py": _WIRE_MUTATIONS,
+        "repro/kv/server.py": _SERVER_MUTATIONS,  # group ref = its members
+        "repro/kv/remote.py": _REMOTE_OK,
+        "repro/kv/wal.py": """
+            from repro.kv import wire
+
+            MAX_RECORD_BYTES = 64
+
+            def append(op, args):
+                return wire.encode_request(op, args)
+        """,
+    }, rules={"wire-protocol"})
+    assert findings == []
+
+
+def test_wire_second_mutation_vocabulary_triggers(tmp_path):
+    findings = lint(tmp_path, {
+        "repro/kv/wire.py": _WIRE_BAD_MUTATIONS,
+        "repro/kv/wal.py": """
+            WAL_PUT = 0x01
+        """,
+    }, rules={"wire-protocol"})
+    messages = " | ".join(finding.message for finding in findings)
+    assert len(findings) == 3
+    assert "OP_PUT has 0 branches in apply_mutation()" in messages
+    assert "OP_GET is dispatched by apply_mutation()" in messages
+    assert "kv/wal.py declares opcode constant WAL_PUT" in messages
+
+
 def test_wire_checker_is_silent_without_wire_module(tmp_path):
     findings = lint(tmp_path, {
         "mod.py": """

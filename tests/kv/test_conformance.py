@@ -18,14 +18,23 @@ speak the wire protocol of :mod:`repro.kv.wire` — so the socket
 transport is held to the exact same contract, counters included
 (:class:`~repro.kv.remote.RemoteNode` inherits the counting bodies, and
 these tests prove the composition stays faithful).
+
+``TestSingleIsBatchOfOne`` states the contract the whole data path
+rests on: a single-key ``get`` / ``put`` / ``delete`` **is** the batch
+of one — same result, same counters, same WAL records, same overlay
+accounting — at store, node and cluster level.
 """
+
+import dataclasses
 
 import pytest
 
+from repro.kv.cluster import KVCluster
 from repro.kv.lsm import LSMStore
 from repro.kv.memstore import MemStore
 from repro.kv.node import StorageNode
 from repro.kv.remote import RemoteNode, RemoteStore
+from repro.mvcc.versions import VersionStore
 
 #: engine name -> raw-store factory exercising that engine's write paths
 #: (the LSM limits force flushes and compactions mid-contract)
@@ -54,15 +63,16 @@ ALL_ENGINES = (
 )
 
 
-def _make_node(engine, tmp_path=None):
+def _make_node(engine, tmp_path=None, name="wal-node"):
     if engine in REMOTE_ENGINES:
-        name, store_args = REMOTE_ENGINES[engine]
-        return RemoteNode(0, engine=name, store_args=store_args)
+        engine_name, store_args = REMOTE_ENGINES[engine]
+        return RemoteNode(0, engine=engine_name, store_args=store_args)
     if engine in DURABLE_ENGINES:
         return StorageNode(
             0,
             engine=DURABLE_ENGINES[engine],
-            data_dir=str(tmp_path / "wal-node"),
+            data_dir=str(tmp_path / name),
+            fsync_policy="always",
         )
     return StorageNode(0, engine=engine)
 
@@ -291,3 +301,172 @@ class TestRemoteNodeSpecifics:
             assert node.counters_total().puts == before  # client-side
         finally:
             node.close()
+
+
+def _node_state(node):
+    """Everything observable about a node besides its contents."""
+    return (
+        dataclasses.asdict(node.counters_total()),
+        node.read_load,
+        node.wal_stats(),
+    )
+
+
+class TestSingleIsBatchOfOne:
+    """``op(key)`` ≡ ``multi_op([key])``: twin fixtures take the same
+    script, one through the single-key names and one through the batch
+    forms, and must end up indistinguishable."""
+
+    @pytest.fixture()
+    def twins(self, engine, tmp_path):
+        nodes = [
+            _make_node(engine, tmp_path, name=f"twin-{i}") for i in (0, 1)
+        ]
+        yield nodes
+        for node in nodes:
+            node.close()
+
+    def test_store_level(self, twins):
+        single, batch = twins
+        single.store.put(b"k", b"v1")
+        batch.store.multi_put([(b"k", b"v1")])
+        assert single.store.get(b"k") == batch.store.multi_get([b"k"])[0]
+        assert single.store.get(b"miss") is None
+        assert batch.store.multi_get([b"miss"]) == [None]
+        assert single.store.delete(b"k") is True
+        assert batch.store.multi_delete([b"k"]) == 1
+        assert single.store.delete(b"k") is False  # a miss is logged too
+        assert batch.store.multi_delete([b"k"]) == 0
+        assert list(single.store.scan()) == list(batch.store.scan()) == []
+        assert single.wal_stats() == batch.wal_stats()
+        if single.durable:
+            assert single.wal_stats()["records"] == 3
+
+    def test_node_level(self, twins):
+        single, batch = twins
+        single.put(b"k", b"value", n_values=3)
+        batch.multi_put([(b"k", b"value")], n_values_each=3)
+        assert _node_state(single) == _node_state(batch)
+        assert single.get(b"k", n_values=3) == b"value"
+        assert batch.multi_get([b"k"], n_values_each=3) == [b"value"]
+        assert single.get(b"miss", n_values=3) is None
+        assert batch.multi_get([b"miss"], n_values_each=3) == [None]
+        state = _node_state(single)
+        assert state == _node_state(batch)
+        counters, read_load, wal_stats = state
+        assert (counters["gets"], counters["hits"]) == (2, 1)
+        assert counters["round_trips"] == 3
+        assert read_load == counters["gets"] + counters["values_read"] == 5
+        if single.durable:
+            assert (wal_stats["records"], wal_stats["fsyncs"]) == (1, 1)
+
+    def test_empty_batch_is_free(self, twins):
+        """An empty batch logs no record, pays no fsync, ships no
+        frame — the counters' "0 round trips" is the truth."""
+        node = twins[0]
+        node.put(b"k", b"v")
+        wal_before = node.wal_stats()
+        requests = getattr(node, "server_stats", dict)().get("requests")
+        assert node.multi_get([]) == []
+        node.multi_put([])
+        node.store.multi_put([])
+        assert node.store.multi_get([]) == []
+        assert node.store.multi_delete([]) == 0
+        assert node.wal_stats() == wal_before
+        if requests is not None:
+            # GET_STATS itself is the only request since the snapshot
+            assert node.server_stats()["requests"] == requests + 1
+        assert node.counters_total().round_trips == 1
+
+
+def _cluster_state(cluster):
+    return (
+        {
+            node_id: dataclasses.asdict(counters)
+            for node_id, counters in cluster.counters_per_node().items()
+        },
+        {node_id: node.read_load for node_id, node in cluster.nodes.items()},
+        cluster.wal_stats(),
+        dataclasses.asdict(cluster.versions.stats()),
+    )
+
+
+@pytest.mark.parametrize("durability", ["off", "wal"])
+@pytest.mark.parametrize("transport", ["local", "socket"])
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_cluster_single_is_batch_of_one(engine_name, transport, durability):
+    """Cluster level, engine × transport × durability, on a replicated
+    (R=2) cluster with the MVCC overlay attached: hit, miss, overwrite
+    under a commit epoch, and a pinned snapshot read served from the
+    overlay."""
+    clusters = [
+        KVCluster(
+            num_nodes=3, engine=engine_name, replication_factor=2,
+            transport=transport, durability=durability,
+            fsync_policy="always",
+        )
+        for _ in range(2)
+    ]
+    try:
+        single, batch = clusters
+        for cluster in clusters:
+            cluster.attach_versions(VersionStore())
+
+        def both(single_call, batch_call):
+            got = single_call(single)
+            assert got == batch_call(batch)
+            assert _cluster_state(single) == _cluster_state(batch)
+            return got
+
+        for key in (b"a", b"b"):
+            both(
+                lambda c: c.put("ns", key, b"old", n_values=2),
+                lambda c: c.multi_put("ns", [(key, b"old")], 2),
+            )
+        assert both(
+            lambda c: c.get("ns", b"a", n_values=2),
+            lambda c: c.multi_get("ns", [b"a"], 2)[0],
+        ) == b"old"
+        assert both(
+            lambda c: c.get("ns", b"miss"),
+            lambda c: c.multi_get("ns", [b"miss"])[0],
+        ) is None
+
+        def overwrite(write):
+            def run(cluster):
+                with cluster.versions.recording(1):
+                    return write(cluster)
+            return run
+
+        both(
+            overwrite(lambda c: c.put("ns", b"a", b"new", n_values=2)),
+            overwrite(lambda c: c.multi_put("ns", [(b"a", b"new")], 2)),
+        )
+
+        def pinned(read):
+            def run(cluster):
+                with cluster.versions.reading(0):
+                    return read(cluster)
+            return run
+
+        assert both(
+            pinned(lambda c: c.get("ns", b"a", n_values=2)),
+            pinned(lambda c: c.multi_get("ns", [b"a"], 2)[0]),
+        ) == b"old"
+        assert both(
+            pinned(lambda c: c.get("ns", b"b", n_values=2)),  # base visible
+            pinned(lambda c: c.multi_get("ns", [b"b"], 2)[0]),
+        ) == b"old"
+        assert single.get("ns", b"a") == b"new"
+
+        counters, _, wal_stats, versions = _cluster_state(single)
+        # R=2: each put lands on two owners, each get on one replica
+        assert sum(c["puts"] for c in counters.values()) == 6
+        assert sum(c["gets"] for c in counters.values()) == 4
+        assert versions["versions_recorded"] == 1
+        assert versions["overlay_reads"] == 1
+        if durability == "wal":
+            assert wal_stats["records"] == wal_stats["fsyncs"] == 6
+    finally:
+        for cluster in clusters:
+            cluster.close()

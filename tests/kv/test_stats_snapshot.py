@@ -155,16 +155,22 @@ class TestStaleFillProtection:
         assert cache.peek("ns", b"k") == b"NEW"
 
     def test_read_through_discards_stale_fetch(self):
-        from repro.kv.cache import read_through
+        from repro.kv.cache import read_through_many
 
         cache = BlockCache(capacity_bytes=4096)
 
-        def fetch(key_bytes):
-            # the write lands while the fetch is in flight
-            cache.invalidate("ns", key_bytes)
-            return b"OLD"
+        class RacingCluster:
+            versions = None
 
-        data, reached = read_through(cache, "ns", b"k", fetch)
+            def multi_get(self, namespace, missing, n_values_each):
+                # the write lands while the fetch is in flight
+                for key_bytes in missing:
+                    cache.invalidate(namespace, key_bytes)
+                return [b"OLD"] * len(missing)
+
+        ((data, reached),) = read_through_many(
+            cache, RacingCluster(), "ns", [b"k"]
+        )
         assert data == b"OLD" and reached  # caller still gets the read
         assert cache.peek("ns", b"k") is None  # but it is not cached
 

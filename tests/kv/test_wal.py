@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import DurabilityError, WireProtocolError
 from repro.kv import checkpoint as ckpt
-from repro.kv import wal
+from repro.kv import wal, wire
 from repro.kv.memstore import MemStore
 
 _U32 = struct.Struct(">I")
@@ -30,59 +30,118 @@ def _frame(payload: bytes) -> bytes:
 # --------------------------------------------------------------------------
 
 
-CODEC_CASES = [
-    (wal.WAL_PUT, (b"key", b"value")),
-    (wal.WAL_PUT, (b"", b"")),
-    (wal.WAL_MULTI_PUT, ([(b"a", b"1"), (b"b", b"2")],)),
-    (wal.WAL_MULTI_PUT, ([],)),
-    (wal.WAL_DELETE, (b"key",)),
-    (wal.WAL_MULTI_DELETE, ([b"a", b"b", b"c"],)),
-    (wal.WAL_DROP_PREFIX, (b"ns:",)),
-    (wal.WAL_CLEAR, ()),
+#: every record shape an engine logs — the wire requests of the mutating
+#: opcodes; a single-key put/delete logs a batch of one
+RECORD_CASES = [
+    (wire.OP_MULTI_PUT, ([(b"key", b"value")],)),
+    (wire.OP_MULTI_PUT, ([(b"", b"")],)),
+    (wire.OP_MULTI_PUT, ([(b"a", b"1"), (b"b", b"2")],)),
+    (wire.OP_MULTI_PUT, ([],)),
+    (wire.OP_MULTI_DELETE, ([b"key"],)),
+    (wire.OP_MULTI_DELETE, ([b"a", b"b", b"c"],)),
+    (wire.OP_DROP_PREFIX, (b"ns:",)),
+    (wire.OP_CLEAR, ()),
+]
+
+#: requests the wire codec accepts but a log must never carry
+NON_MUTATING = [
+    (wire.OP_MULTI_GET, ([b"seed"],)),
+    (wire.OP_SCAN, (b"",)),
+    (wire.OP_SHUTDOWN, ()),
 ]
 
 
+def _write_log(path, payloads):
+    path.write_bytes(b"".join(_frame(p) for p in payloads))
+    return str(path)
+
+
 class TestRecordCodec:
+    """A record payload is a wire request of a mutating opcode: the WAL
+    has no codec of its own, so these cases go through the log file."""
+
+    def test_cases_cover_the_mutation_vocabulary(self):
+        assert {op for op, _ in RECORD_CASES} == set(wire.MUTATING_OPS)
+        assert not {op for op, _ in NON_MUTATING} & set(wire.MUTATING_OPS)
+
     @pytest.mark.parametrize(
-        "op,args", CODEC_CASES,
-        ids=[wal.WAL_OP_NAMES[op] + str(i) for i, (op, _) in
-             enumerate(CODEC_CASES)],
+        "op,args", RECORD_CASES,
+        ids=[wire.OP_NAMES[op] + str(i) for i, (op, _) in
+             enumerate(RECORD_CASES)],
     )
-    def test_roundtrip(self, op, args):
-        payload = wal.encode_record(op, *args)
-        got_op, got_args = wal.decode_record(payload)
-        assert got_op == op
-        assert got_args == args
+    def test_roundtrip(self, tmp_path, op, args):
+        path = str(tmp_path / "wal.log")
+        log = wal.WriteAheadLog(path)
+        log.append(op, *args)
+        log.close()
+        assert wal.read_wal(path) == (
+            [(op, args)], os.path.getsize(path), False)
 
-    def test_unknown_opcode_refused_both_ways(self):
+    def test_unknown_opcode_refused_both_ways(self, tmp_path):
+        log = wal.WriteAheadLog(str(tmp_path / "wal.log"))
         with pytest.raises(WireProtocolError):
-            wal.encode_record(0x7F)
-        with pytest.raises(WireProtocolError):
-            wal.decode_record(bytes([0x7F]))
+            log.append(0x7F)
+        log.close()
+        assert log.stats["records"] == 0
+        path = _write_log(tmp_path / "bad.log", [bytes([0x7F])])
+        assert wal.read_wal(path) == ([], 0, True)
 
-    def test_empty_payload_refused(self):
-        with pytest.raises(WireProtocolError):
-            wal.decode_record(b"")
+    def test_empty_payload_refused(self, tmp_path):
+        path = _write_log(tmp_path / "wal.log", [b""])
+        assert wal.read_wal(path) == ([], 0, True)
 
-    def test_trailing_garbage_refused(self):
-        payload = wal.encode_record(wal.WAL_DELETE, b"k") + b"junk"
-        with pytest.raises(WireProtocolError):
-            wal.decode_record(payload)
+    def test_trailing_garbage_refused(self, tmp_path):
+        payload = wire.encode_request(wire.OP_MULTI_DELETE, [b"k"]) + b"junk"
+        path = _write_log(tmp_path / "wal.log", [payload])
+        assert wal.read_wal(path) == ([], 0, True)
 
-    def test_truncated_payload_refused(self):
-        payload = wal.encode_record(wal.WAL_PUT, b"key", b"value")
-        with pytest.raises(WireProtocolError):
-            wal.decode_record(payload[:-2])
+    def test_truncated_payload_refused(self, tmp_path):
+        payload = wire.encode_request(wire.OP_MULTI_PUT, [(b"key", b"value")])
+        path = _write_log(tmp_path / "wal.log", [payload[:-2]])
+        assert wal.read_wal(path) == ([], 0, True)
 
-    @pytest.mark.parametrize("op,args", CODEC_CASES)
-    def test_apply_record_matches_direct_ops(self, op, args):
+    @pytest.mark.parametrize("op,args", RECORD_CASES)
+    def test_replay_matches_direct_ops(self, op, args):
         direct, replayed = MemStore(), MemStore()
         for store in (direct, replayed):
             store.multi_put([(b"ns:seed", b"s"), (b"other", b"o")])
-        wal.apply_record(direct, op, args)  # direct == the op itself
-        wal.apply_record(replayed, *wal.decode_record(
-            wal.encode_record(op, *args)))
+        wire.apply_mutation(direct, op, args)  # direct == the op itself
+        wire.apply_mutation(replayed, *wire.decode_request(
+            wire.encode_request(op, *args)))
         assert list(direct.scan()) == list(replayed.scan())
+
+    @pytest.mark.parametrize(
+        "op,args", NON_MUTATING,
+        ids=[wire.OP_NAMES[op] for op, _ in NON_MUTATING],
+    )
+    def test_non_mutating_record_is_a_torn_tail(self, tmp_path, op, args):
+        """CRC-valid, decodable, but not a mutation: corruption. The
+        log ends there — neither it nor anything behind it is applied."""
+        good = wire.encode_request(wire.OP_MULTI_PUT, [(b"seed", b"s")])
+        behind = wire.encode_request(wire.OP_MULTI_PUT, [(b"late", b"l")])
+        data_dir = tmp_path / "n0"
+        data_dir.mkdir()
+        log_path = _write_log(
+            data_dir / "wal-00000000.log",
+            [good, wire.encode_request(op, *args), behind],
+        )
+        records, valid, torn = wal.read_wal(log_path)
+        assert records == [(wire.OP_MULTI_PUT, ([(b"seed", b"s")],))]
+        assert (valid, torn) == (len(_frame(good)), True)
+
+        dur, store, report = _durable_store(data_dir)
+        assert report.records_replayed == 1 and report.torn_tail
+        assert list(store.scan()) == [(b"seed", b"s")]
+        assert os.path.getsize(log_path) == len(_frame(good))
+        dur.close()
+
+    @pytest.mark.parametrize("op,args", NON_MUTATING)
+    def test_apply_mutation_refuses_non_mutations(self, op, args):
+        store = MemStore()
+        store.put(b"seed", b"s")
+        with pytest.raises(WireProtocolError):
+            wire.apply_mutation(store, op, args)
+        assert list(store.scan()) == [(b"seed", b"s")]
 
     def test_validate_fsync_policy(self):
         for policy in wal.FSYNC_POLICIES:
@@ -108,20 +167,21 @@ class TestReadWal:
 
     def test_intact_log(self, tmp_path):
         payloads = [
-            wal.encode_record(wal.WAL_PUT, b"k", b"v"),
-            wal.encode_record(wal.WAL_DELETE, b"k"),
+            wire.encode_request(wire.OP_MULTI_PUT, [(b"k", b"v")]),
+            wire.encode_request(wire.OP_MULTI_DELETE, [b"k"]),
         ]
         path = tmp_path / "wal.log"
         path.write_bytes(b"".join(_frame(p) for p in payloads))
         records, valid, torn = wal.read_wal(str(path))
-        assert [op for op, _ in records] == [wal.WAL_PUT, wal.WAL_DELETE]
+        assert [op for op, _ in records] == [
+            wire.OP_MULTI_PUT, wire.OP_MULTI_DELETE]
         assert valid == path.stat().st_size
         assert not torn
 
     @pytest.mark.parametrize("cut", [1, 4, 7, 9])
     def test_torn_final_record(self, tmp_path, cut):
-        good = _frame(wal.encode_record(wal.WAL_PUT, b"k", b"v"))
-        tail = _frame(wal.encode_record(wal.WAL_PUT, b"k2", b"v2"))
+        good = _frame(wire.encode_request(wire.OP_MULTI_PUT, [(b"k", b"v")]))
+        tail = _frame(wire.encode_request(wire.OP_MULTI_PUT, [(b"k2", b"v2")]))
         path = tmp_path / "wal.log"
         path.write_bytes(good + tail[:cut])
         records, valid, torn = wal.read_wal(str(path))
@@ -130,8 +190,8 @@ class TestReadWal:
         assert torn
 
     def test_crc_mismatch_stops_replay(self, tmp_path):
-        good = _frame(wal.encode_record(wal.WAL_PUT, b"k", b"v"))
-        bad = bytearray(_frame(wal.encode_record(wal.WAL_PUT, b"x", b"y")))
+        good = _frame(wire.encode_request(wire.OP_MULTI_PUT, [(b"k", b"v")]))
+        bad = bytearray(_frame(wire.encode_request(wire.OP_MULTI_PUT, [(b"x", b"y")])))
         bad[-1] ^= 0xFF  # flip a payload bit under the CRC
         path = tmp_path / "wal.log"
         path.write_bytes(good + bytes(bad))
@@ -162,14 +222,14 @@ class TestWriteAheadLog:
     def test_append_then_read_back(self, tmp_path):
         path = str(tmp_path / "wal.log")
         log = wal.WriteAheadLog(path)
-        log.append(wal.WAL_PUT, b"k", b"v")
-        log.append(wal.WAL_MULTI_DELETE, [b"a", b"b"])
+        log.append(wire.OP_MULTI_PUT, [(b"k", b"v")])
+        log.append(wire.OP_MULTI_DELETE, [b"a", b"b"])
         log.close()
         records, _, torn = wal.read_wal(path)
         assert not torn
         assert records == [
-            (wal.WAL_PUT, (b"k", b"v")),
-            (wal.WAL_MULTI_DELETE, ([b"a", b"b"],)),
+            (wire.OP_MULTI_PUT, ([(b"k", b"v")],)),
+            (wire.OP_MULTI_DELETE, ([b"a", b"b"],)),
         ]
 
     def test_append_visible_before_close(self, tmp_path):
@@ -177,7 +237,7 @@ class TestWriteAheadLog:
         file (= the page cache a SIGKILL preserves) always holds it."""
         path = str(tmp_path / "wal.log")
         log = wal.WriteAheadLog(path, fsync_policy="never")
-        log.append(wal.WAL_PUT, b"k", b"v")
+        log.append(wire.OP_MULTI_PUT, [(b"k", b"v")])
         records, _, torn = wal.read_wal(path)
         assert len(records) == 1 and not torn
         log.abandon()
@@ -186,7 +246,7 @@ class TestWriteAheadLog:
         log = wal.WriteAheadLog(
             str(tmp_path / "w.log"), fsync_policy="always")
         for i in range(5):
-            log.append(wal.WAL_DELETE, b"k%d" % i)
+            log.append(wire.OP_MULTI_DELETE, [b"k%d" % i])
         assert log.stats["fsyncs"] == 5
         log.close()
         assert log.stats["fsyncs"] == 5  # already synced; close adds none
@@ -195,7 +255,7 @@ class TestWriteAheadLog:
         log = wal.WriteAheadLog(
             str(tmp_path / "w.log"), fsync_policy="group", group_size=4)
         for i in range(10):
-            log.append(wal.WAL_DELETE, b"k%d" % i)
+            log.append(wire.OP_MULTI_DELETE, [b"k%d" % i])
         assert log.stats["fsyncs"] == 2  # at records 4 and 8
         log.close()
         assert log.stats["fsyncs"] == 3  # close drains the window of 2
@@ -204,7 +264,7 @@ class TestWriteAheadLog:
         log = wal.WriteAheadLog(
             str(tmp_path / "w.log"), fsync_policy="never")
         for i in range(10):
-            log.append(wal.WAL_DELETE, b"k%d" % i)
+            log.append(wire.OP_MULTI_DELETE, [b"k%d" % i])
         log.sync()
         log.close()
         assert log.stats["fsyncs"] == 0
@@ -212,7 +272,7 @@ class TestWriteAheadLog:
     def test_sync_idempotent_when_window_empty(self, tmp_path):
         log = wal.WriteAheadLog(
             str(tmp_path / "w.log"), fsync_policy="group", group_size=4)
-        log.append(wal.WAL_CLEAR)
+        log.append(wire.OP_CLEAR)
         log.sync()
         log.sync()
         assert log.stats["fsyncs"] == 1
@@ -221,9 +281,9 @@ class TestWriteAheadLog:
     def test_roll_switches_files(self, tmp_path):
         old, new = str(tmp_path / "a.log"), str(tmp_path / "b.log")
         log = wal.WriteAheadLog(old)
-        log.append(wal.WAL_PUT, b"k", b"v1")
+        log.append(wire.OP_MULTI_PUT, [(b"k", b"v1")])
         assert log.roll(new) == old
-        log.append(wal.WAL_PUT, b"k", b"v2")
+        log.append(wire.OP_MULTI_PUT, [(b"k", b"v2")])
         log.close()
         assert log.path == new
         assert log.stats["rolls"] == 1
@@ -236,12 +296,12 @@ class TestWriteAheadLog:
         log.close()
         assert log.closed
         with pytest.raises(ValueError):
-            log.append(wal.WAL_CLEAR)
+            log.append(wire.OP_CLEAR)
 
     def test_abandon_keeps_flushed_records(self, tmp_path):
         path = str(tmp_path / "w.log")
         log = wal.WriteAheadLog(path, fsync_policy="group", group_size=100)
-        log.append(wal.WAL_PUT, b"k", b"v")
+        log.append(wire.OP_MULTI_PUT, [(b"k", b"v")])
         log.abandon()
         log.abandon()
         assert log.closed
@@ -403,7 +463,7 @@ class TestNodeDurability:
         # grow the log behind the manager's back so open() replays >= 4
         log = wal.WriteAheadLog(ckpt.wal_path(str(tmp_path / "n0"), 0))
         for i in range(6):
-            log.append(wal.WAL_PUT, b"k%d" % i, b"v")
+            log.append(wire.OP_MULTI_PUT, [(b"k%d" % i, b"v")])
         log.close()
 
         dur2, store2, report = _durable_store(

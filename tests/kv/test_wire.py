@@ -70,7 +70,6 @@ def test_multi_delete_roundtrip(keys):
 @settings(max_examples=40, deadline=None)
 def test_single_key_ops_roundtrip(key):
     for op in (
-        wire.OP_DELETE,
         wire.OP_SCAN,
         wire.OP_KEYS,
         wire.OP_HAS_PREFIX,
@@ -151,7 +150,7 @@ def test_truncated_body_rejected():
 
 
 def test_trailing_garbage_rejected():
-    good = wire.encode_request(wire.OP_DELETE, b"k")
+    good = wire.encode_request(wire.OP_MULTI_DELETE, [b"k"])
     with pytest.raises(WireProtocolError):
         wire.decode_request(good + b"\x00")
 
@@ -170,7 +169,7 @@ def test_oversized_frame_refused_on_encode():
 
 def test_declared_length_is_bounds_checked():
     # a body whose inner u32 length points past the end of the frame
-    evil = bytes((wire.OP_DELETE,)) + struct.pack(">I", 2**31) + b"hi"
+    evil = bytes((wire.OP_DROP_PREFIX,)) + struct.pack(">I", 2**31) + b"hi"
     with pytest.raises(WireProtocolError):
         wire.decode_request(evil)
 
@@ -262,7 +261,7 @@ def test_malformed_body_keeps_connection_and_state(node_proc):
         sock = _raw_conn(node_proc)
         try:
             # valid frame, valid opcode, truncated body
-            wire.send_frame(sock, bytes((wire.OP_DELETE,)) + b"\xff")
+            wire.send_frame(sock, bytes((wire.OP_MULTI_DELETE,)) + b"\xff")
             status, _ = wire.decode_response(wire.recv_frame(sock))
             assert status == wire.STATUS_PROTOCOL
         finally:

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.errors import TransactionError
+from repro.errors import ExecutionError, TransactionError, UnknownRelationError
 from repro.service import MVCC_ENV, QueryService
 from repro.systems import SQLOverNoSQL, ZidianSystem
 
@@ -225,3 +225,76 @@ class TestSnapshotIsolation:
         # number of commits, never a torn half-commit
         for epoch, count in seen:
             assert count == base + epoch, (epoch, count)
+
+
+class TestWholeTransactionValidation:
+    """An invalid statement anywhere in a transaction refuses all of it
+    *before* the first write: nothing of the earlier statements may land
+    under the burned epoch and be published by the next commit."""
+
+    DELAY_COUNT = "select count(*) as n from DELAY D"
+
+    @staticmethod
+    def _delay_row(database, delay_id):
+        row = list(database.relation("DELAY").rows[0])
+        row[0] = delay_id
+        return tuple(row)
+
+    def _check(self, database, begin, count, commit_one):
+        before = count()
+        txn = begin()
+        txn.apply_updates("DELAY", inserts=[self._delay_row(database, 900001)])
+        txn.apply_updates("NOPE", inserts=[(1,)])
+        with pytest.raises(UnknownRelationError):
+            txn.commit()
+        assert txn.state == "aborted"
+        assert count() == before
+        # a delete that only an EARLIER statement of the same
+        # transaction makes valid is fine; one nothing provides is not
+        fresh = self._delay_row(database, 900002)
+        txn = begin()
+        txn.apply_updates("DELAY", inserts=[fresh])
+        txn.apply_updates("DELAY", deletes=[fresh, fresh])
+        with pytest.raises(ExecutionError):
+            txn.commit()
+        assert count() == before
+        with begin() as txn:
+            txn.apply_updates("DELAY", inserts=[fresh])
+            txn.apply_updates("DELAY", deletes=[fresh])
+        assert count() == before
+        commit_one(self._delay_row(database, 900003))
+        assert count() == before + 1  # the orphaned row would make it +2
+
+    def test_through_system_begin(self, airca_small):
+        from repro.workloads.airca import airca_baav_schema
+
+        database = airca_small.copy()
+        with ZidianSystem("hbase", workers=2, storage_nodes=2) as system:
+            system.load(database, airca_baav_schema())
+            published = system.enable_transactions().epochs.published
+            self._check(
+                database,
+                system.begin,
+                lambda: system.execute(self.DELAY_COUNT).rows[0][0],
+                lambda row: system.apply_updates("DELAY", inserts=[row]),
+            )
+            # two commits published; the refused ones burned no epoch
+            assert system.transactions.epochs.published == published + 2
+
+    def test_through_session_begin(self, airca_small):
+        from repro.workloads.airca import airca_baav_schema
+
+        database = airca_small.copy()
+        system = ZidianSystem("hbase", workers=2, storage_nodes=2)
+        system.load(database, airca_baav_schema())
+        with QueryService(system, max_workers=2) as svc:
+            with svc.open_session() as session:
+                self._check(
+                    database,
+                    session.begin,
+                    lambda: session.execute(self.DELAY_COUNT).rows[0][0],
+                    lambda row: session.apply_updates(
+                        "DELAY", inserts=[row]
+                    ),
+                )
+            assert svc.stats().transactions_aborted == 2
