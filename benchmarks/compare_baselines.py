@@ -19,11 +19,24 @@ exit code 1 for local bisection.
 Baselines are committed files: refresh one on purpose by copying the
 fresh result over it (``cp benchmarks/results/BENCH_x.json
 benchmarks/baselines/``) in the PR that legitimately moves the number.
+
+``--exact NAME [NAME ...]`` is the other question: a change that must
+not move the *simulated* clock re-runs the artifacts that clock alone
+produces and asks for **byte identity**, not a threshold::
+
+    python benchmarks/compare_baselines.py --exact batching_kv table3
+
+exits 1 unless every ``results/BENCH_<NAME>.json`` named is
+byte-identical to ``baselines/BENCH_<NAME>.json`` (a missing file
+counts as a difference). Wall-clock artifacts (``durability``,
+``multiprocess``, ``vectorized``) never repeat byte for byte; do not
+name them.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import glob
 import json
 import os
@@ -85,6 +98,26 @@ def compare(threshold: float) -> tuple[list[str], list[str]]:
     return regressions, notes
 
 
+def compare_exact(names: list[str]) -> list[str]:
+    """One line per named artifact whose fresh result is not
+    byte-identical to its committed baseline."""
+    differing: list[str] = []
+    for name in names:
+        filename = f"BENCH_{name}.json"
+        try:
+            identical = filecmp.cmp(
+                os.path.join(RESULTS_DIR, filename),
+                os.path.join(BASELINES_DIR, filename),
+                shallow=False,
+            )
+        except FileNotFoundError as error:
+            differing.append(f"{filename}: no {error.filename}")
+            continue
+        if not identical:
+            differing.append(f"{filename}: result differs from the baseline")
+    return differing
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -95,7 +128,22 @@ def main(argv: list[str] | None = None) -> int:
         "--strict", action="store_true",
         help="exit 1 on regression instead of warning",
     )
+    parser.add_argument(
+        "--exact", nargs="+", metavar="NAME",
+        help="instead of the threshold diff: exit 1 unless each "
+        "results/BENCH_<NAME>.json is byte-identical to its baseline",
+    )
     args = parser.parse_args(argv)
+    if args.exact:
+        names = list(dict.fromkeys(args.exact))
+        differing = compare_exact(names)
+        for line in differing:
+            print(f"DIFFERENT: {line}")
+        print(
+            f"{len(names) - len(differing)} of {len(names)} artifact(s) "
+            "byte-identical to the baseline"
+        )
+        return 1 if differing else 0
     regressions, notes = compare(args.threshold)
     for note in notes:
         print(note)

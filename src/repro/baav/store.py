@@ -145,27 +145,28 @@ class KVInstance:
             return None
         n_segments, block = _decode_segment(first)
         if fetched:
-            self._charge_block_values(block)
+            self._charge_block_values([block])
         for index in range(1, n_segments):
             data, fetched = self._cached_get(
                 codec.encode_key(tuple(key) + (index,))
             )
-            self._append_segment(block, key, index, data, fetched)
+            segment = self._append_segment(block, key, index, data)
+            if fetched:
+                self._charge_block_values([segment])
         return block
 
     def _append_segment(
-        self, block: Block, key: Row, index: int,
-        data: Optional[bytes], fetched: bool,
-    ) -> None:
-        """Extend ``block`` with tail segment ``index`` of ``key``."""
+        self, block: Block, key: Row, index: int, data: Optional[bytes]
+    ) -> Block:
+        """Extend ``block`` with tail segment ``index`` of ``key``;
+        returns the decoded segment."""
         if data is None:
             raise BaaVError(
                 f"missing segment {index} of key {key!r} in {self.schema.name}"
             )
         _, segment = _decode_segment(data)
-        if fetched:
-            self._charge_block_values(segment)
         block.entries.extend(segment.entries)
+        return segment
 
     def multi_get(self, keys: Sequence[Row]) -> Dict[Row, Optional[Block]]:
         """Fetch many logical blocks with coalesced multi-gets.
@@ -178,45 +179,62 @@ class KVInstance:
         missing ones are batched to the cluster.
         """
         unique: List[Row] = list(dict.fromkeys(tuple(k) for k in keys))
-        firsts = self._cached_multi_get(
-            [codec.encode_key(key + (0,)) for key in unique]
+        return self._fetch(
+            unique, [codec.encode_key(key + (0,)) for key in unique]
         )
+
+    def _fetch(
+        self, keys: Sequence[Row], first_segments: Sequence[bytes]
+    ) -> Dict[Row, Optional[Block]]:
+        """The two fetch waves of :meth:`multi_get` over distinct
+        ``keys`` whose encoded segment-0 keys the caller already holds.
+        Each wave's decoded values are charged with one cluster call."""
         blocks: Dict[Row, Optional[Block]] = {}
-        pending: List[Tuple[Row, int]] = []
-        for key, (data, fetched) in zip(unique, firsts):
+        pending: List[Tuple[Row, int, Block]] = []
+        fetched_segments: List[Block] = []
+        for key, (data, fetched) in zip(
+            keys, self._cached_multi_get(first_segments)
+        ):
             if data is None:
                 blocks[key] = None
                 continue
             n_segments, block = _decode_segment(data)
             if fetched:
-                self._charge_block_values(block)
+                fetched_segments.append(block)
             blocks[key] = block
             for index in range(1, n_segments):
-                pending.append((key, index))
+                pending.append((key, index, block))
+        # charged before any tail segment is appended: a block counts
+        # its own segment's values here
+        self._charge_block_values(fetched_segments)
         if pending:
             extras = self._cached_multi_get(
-                [codec.encode_key(key + (index,)) for key, index in pending]
+                [codec.encode_key(key + (index,)) for key, index, _ in pending]
             )
+            fetched_segments = []
             # pending holds each key's tail segments in ascending index
             # order, so extending in zip order reassembles the block
-            for (key, index), (data, fetched) in zip(pending, extras):
-                self._append_segment(blocks[key], key, index, data, fetched)
+            for (key, index, block), (data, fetched) in zip(pending, extras):
+                segment = self._append_segment(block, key, index, data)
+                if fetched:
+                    fetched_segments.append(segment)
+            self._charge_block_values(fetched_segments)
         return blocks
 
-    def _charge_block_values(
-        self, block: Block, already_counted: int = 1
-    ) -> None:
-        """Account the logical values of a fetched block.
+    def _charge_block_values(self, segments: Sequence[Block]) -> None:
+        """Account the logical values of segments fetched from the
+        cluster (one fetch wave's worth, or a single one).
 
-        ``cluster.get``/``multi_get`` counted ``n_values=1`` (the serving
-        node is only known inside the cluster); the remainder is spread
-        evenly, which keeps totals exact and per-node counts approximate.
-        ``cluster.scan`` likewise counts one value per pair on the owning
-        node, so scans also top up with ``already_counted=1`` and per-key,
-        batched and scan paths all charge identically.
+        ``cluster.get``/``multi_get``/``scan`` counted one value per
+        segment on the serving node, which is only known inside the
+        cluster; each segment's remainder is spread evenly over the
+        nodes, which keeps totals exact and per-node counts
+        approximate, and per-key, batched and scan paths all charge
+        identically.
         """
-        self.cluster.charge_values_read(
-            block.num_values() - already_counted, live_only=False
+        self.cluster.charge_values_read_many(
+            [segment.num_values() - 1 for segment in segments],
+            live_only=False,
         )
 
     def get_stats(self, key: Row) -> Optional[Dict[str, BlockStats]]:
@@ -248,10 +266,14 @@ class KVInstance:
         by buffering partial blocks.
         """
         if batch_size > 1:
-            keys = self.keys()
+            # the segment-0 key bytes go to the fetch as the cluster
+            # listed them, not re-encoded from the decoded key
+            keys, first_segments = self._first_segments()
             for start in range(0, len(keys), batch_size):
                 chunk = keys[start:start + batch_size]
-                blocks = self.multi_get(chunk)
+                blocks = self._fetch(
+                    chunk, first_segments[start:start + batch_size]
+                )
                 for key in chunk:
                     block = blocks[key]
                     if block is not None:
@@ -266,7 +288,7 @@ class KVInstance:
             _, segment = _decode_segment(payload)
             # cluster.scan charged 1 value on the owning node; top up the
             # decoded remainder so per-key and batched paths charge alike
-            self._charge_block_values(segment, already_counted=1)
+            self._charge_block_values([segment])
             partial[key].append((segment_index, segment))
         for key, segments in partial.items():
             segments.sort(key=lambda pair: pair[0])
@@ -277,12 +299,19 @@ class KVInstance:
 
     def keys(self) -> List[Row]:
         """All logical keys (uncounted; planner metadata)."""
-        out = []
+        return self._first_segments()[0]
+
+    def _first_segments(self) -> Tuple[List[Row], List[bytes]]:
+        """All logical keys and, positionally, the encoded physical key
+        of each one's segment 0 (uncounted)."""
+        keys: List[Row] = []
+        first_segments: List[bytes] = []
         for key_bytes in self.cluster.namespace_keys(self.namespace):
             physical_key = codec.decode_key(key_bytes)
             if physical_key[-1] == 0:
-                out.append(physical_key[:-1])
-        return out
+                keys.append(physical_key[:-1])
+                first_segments.append(key_bytes)
+        return keys, first_segments
 
     # -- conversions -----------------------------------------------------------
 

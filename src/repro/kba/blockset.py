@@ -17,6 +17,16 @@ from repro.relational.types import Row, row_size
 Entry = Tuple[Row, int]
 
 
+def block_bytes(key: Row, entries: Sequence[Entry]) -> int:
+    """Modeled bytes of one keyed block on the wire: every entry ships
+    its key, its value row and a 4-byte count."""
+    per_entry = row_size(key) + 4
+    total = 0
+    for row, _count in entries:
+        total += per_entry + row_size(row)
+    return total
+
+
 class BlockSet:
     """An in-memory KV instance over qualified attribute names."""
 
@@ -85,9 +95,7 @@ class BlockSet:
     def size_bytes(self) -> int:
         total = 0
         for key, entries in self.data.items():
-            key_size = row_size(key)
-            for row, _count in entries:
-                total += key_size + row_size(row) + 4
+            total += block_bytes(key, entries)
         return total
 
     def degree(self) -> int:

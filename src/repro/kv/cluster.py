@@ -736,8 +736,9 @@ class KVCluster:
                         node.node_id: float(node.read_load)
                         for node in self._live_nodes()
                     }
+                prefix = encode_value(namespace)
                 for index in pending:
-                    full = self.full_key(namespace, keys[index])
+                    full = prefix + keys[index]
                     if replicated:
                         node_id = min(
                             self._owner_ids(full),
@@ -790,8 +791,9 @@ class KVCluster:
                     with self._meta_lock:
                         self._namespaces.add(namespace)
                 by_node: Dict[int, List[Tuple[bytes, bytes]]] = {}
+                prefix = encode_value(namespace)
                 for key_bytes, value in items:
-                    full = self.full_key(namespace, key_bytes)
+                    full = prefix + key_bytes
                     # overlay BEFORE base write: a snapshot reader either
                     # sees the old base value or finds it in the overlay —
                     # never a torn in-between
@@ -1051,25 +1053,46 @@ class KVCluster:
     # -- counters ----------------------------------------------------------
 
     def charge_values_read(self, extra: int, live_only: bool = True) -> None:
-        """Spread ``extra`` logical values over the nodes' read counters.
+        """Spread ``extra`` logical values over the nodes' read counters
+        — a :meth:`charge_values_read_many` of one."""
+        self.charge_values_read_many([extra], live_only)
+
+    def charge_values_read_many(
+        self, extras: Sequence[int], live_only: bool = True
+    ) -> None:
+        """Spread each of ``extras`` logical values over the nodes' read
+        counters, in one pass over the nodes.
 
         Decode-aware callers (BaaV block top-ups, index posting-list
         reads) know the logical value count only after decoding, when
-        the serving node is no longer identifiable; the remainder is
-        spread evenly so totals stay exact and per-node counts
-        approximate. Runs under the read lock — membership churn is
-        exclusive, so the node set cannot change mid-iteration.
+        the serving node is no longer identifiable; each charge is
+        spread evenly — node ``i`` of ``n`` takes ``extra // n``, plus
+        one if ``i < extra % n`` — so totals stay exact and per-node
+        counts approximate. A fetch wave hands all its blocks' charges
+        over at once: the nodes end where the same charges made one by
+        one would leave them. Runs under the read lock — membership
+        churn is exclusive, so the node set cannot change mid-iteration.
         """
-        if extra <= 0:
+        extras = [extra for extra in extras if extra > 0]
+        if not extras:
             return
         with self._lock.read():
             nodes = (
                 self._live_nodes() if live_only
                 else list(self.nodes.values())
             )
-            share, remainder = divmod(extra, len(nodes))
+            share = 0
+            #: with_remainder[r] = charges whose remainder is r
+            with_remainder = [0] * len(nodes)
+            for extra in extras:
+                quotient, remainder = divmod(extra, len(nodes))
+                share += quotient
+                with_remainder[remainder] += 1
+            # charges whose remainder exceeds the node's position
+            one_more = len(extras)
             for index, node in enumerate(nodes):
-                charge = share + (1 if index < remainder else 0)
+                one_more -= with_remainder[index]
+                charge = share + one_more
                 node.counters.values_read += charge
                 node.add_read_load(charge)
 

@@ -40,7 +40,11 @@ from repro.kv.backends import BackendProfile
 from repro.kv.cluster import KVCluster
 from repro.kv.taav import TaaVStore
 from repro.parallel.costmodel import CostModel
-from repro.parallel.partitioner import blockset_skew
+from repro.parallel.partitioner import (
+    blockset_skew,
+    partition_blockset,
+    skew_factor,
+)
 from repro.parallel.metrics import ExecutionMetrics, StageCost
 from repro.relational.database import Database
 from repro.relational.types import row_size
@@ -411,12 +415,13 @@ class ZidianEngine(_Engine):
         elif isinstance(node, kp.TaaVScan):
             stage = model.fetch_stage(f"taav-scan {node.relation}", *delta)
         elif isinstance(node, (kp.JoinK, kp.UnionK, kp.DifferenceK)):
-            shuffle = sum(i.size_bytes() for i in inputs)
+            # one walk per input: the per-worker byte vector the skew
+            # is read off sums to the bytes the shuffle ships
+            partitions = [partition_blockset(i, self.workers) for i in inputs]
+            shuffle = sum(map(sum, partitions))
             values = sum(i.num_values() for i in inputs) + result.num_values()
             stage = model.shuffle_stage("joink", shuffle, values)
-            stage.skew = max(
-                blockset_skew(i, self.workers) for i in inputs
-            )
+            stage.skew = max(map(skew_factor, partitions))
         elif isinstance(node, kp.GroupK):
             stage = model.shuffle_stage(
                 "groupk", inputs[0].size_bytes(), inputs[0].num_values()

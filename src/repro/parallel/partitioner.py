@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, List, Sequence
 
-from repro.kba.blockset import BlockSet
+from repro.kba.blockset import BlockSet, block_bytes
 from repro.relational.types import Row, row_size
 
 
@@ -33,13 +33,15 @@ def partition_keys(keys: Iterable[Row], n: int) -> List[int]:
 
 def partition_blockset(blockset: BlockSet, n: int) -> List[int]:
     """Bytes of a block set shipped to each worker when hash-partitioned
-    by its key attributes (the repartitioning of an interleaved ∝)."""
-    sizes = [0] * max(1, n)
+    by its key attributes (the repartitioning of an interleaved ∝).
+
+    The vector sums to ``blockset.size_bytes()``, so a stage that needs
+    both the shuffle volume and its skew walks the block set once.
+    """
+    n = max(1, n)
+    sizes = [0] * n
     for key, entries in blockset.data.items():
-        bucket = _bucket(key, max(1, n))
-        key_size = row_size(key)
-        for row, _count in entries:
-            sizes[bucket] += key_size + row_size(row) + 4
+        sizes[_bucket(key, n)] += block_bytes(key, entries)
     return sizes
 
 
