@@ -45,6 +45,8 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 RESULTS_DIR = os.path.join(HERE, "results")
 BASELINES_DIR = os.path.join(HERE, "baselines")
+#: how far a metric may move against its direction before it regressed
+DEFAULT_THRESHOLD = 0.20
 
 
 def load(path: str) -> dict:
@@ -121,7 +123,7 @@ def compare_exact(names: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--threshold", type=float, default=0.20,
+        "--threshold", type=float, default=DEFAULT_THRESHOLD,
         help="relative regression tolerance (default 0.20 = 20%%)",
     )
     parser.add_argument(

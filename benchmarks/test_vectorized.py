@@ -1,7 +1,7 @@
 """Vectorized columnar execution (PR 10): compiled plans vs row-at-a-time.
 
-Times the same KBA plans under ``ExecContext(vectorized=False)`` (per-row
-``Expr.eval`` over dict environments) and ``vectorized=True``
+Times the same KBA plans under ``ExecContext(vectorized=False)`` (a
+once-compiled positional closure called per row) and ``vectorized=True``
 (:mod:`repro.kba.compile`: once-compiled positional kernels over
 :class:`~repro.baav.frame` columns). The execution-layer workloads run
 scan-free plans over :class:`Constant` leaves — the blocks are already in
@@ -10,11 +10,22 @@ the vectorizer replaces. Fetch, decode and planning are byte-identical
 across modes (same ``multi_get`` batches, same simulated cost), so the
 end-to-end MOT workload reports a smaller, scan-diluted speedup alongside
 proof that the storage counters and simulated cost do not move.
+
+The row path used to evaluate ``Expr.eval`` over a dict per row, and this
+artifact gated on ``scan_filter`` row/vectorized >= 2.0. Since ISSUE 19
+the row handlers compile their expressions as well, so that ratio's
+denominator belongs to the row path (2.3x -> 1.7x with the columnar
+kernels untouched; ``docs/PERFORMANCE.md`` has the table). The gate is
+what this artifact still owns: identical results and counters across
+modes, and the columnar kernel's own time within the baseline
+comparator's threshold of its committed baseline.
 """
 
+import os
 import random
 import time
 
+from compare_baselines import BASELINES_DIR, DEFAULT_THRESHOLD, index_metrics, load
 from harness import dataset, fmt, metric, publish, publish_json, render_table
 
 from repro.kba import (
@@ -144,7 +155,8 @@ def _end_to_end():
 
 
 def test_vectorized_speedup(once):
-    """Headline: >= 2x on the scan/filter execution workload."""
+    """Headline: the columnar scan/filter kernel holds its baseline, with
+    results and counters identical across modes."""
 
     def run():
         operator = {}
@@ -193,4 +205,7 @@ def test_vectorized_speedup(once):
             ),
         },
     )
-    assert operator["scan_filter"][0] / operator["scan_filter"][1] >= 2.0
+    baseline = index_metrics(
+        load(os.path.join(BASELINES_DIR, "BENCH_vectorized.json"))
+    )["scan_filter_vec_ms"]["value"]
+    assert operator["scan_filter"][1] <= baseline * (1 + DEFAULT_THRESHOLD)

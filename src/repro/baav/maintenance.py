@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Tuple
 
 from repro.baav.block import Block
-from repro.baav.store import BaaVStore, KVInstance, _decode_segment, _encode_segment
+from repro.baav.store import BaaVStore, KVInstance, _encode_segment
 from repro.errors import BaaVError
 from repro.kv import codec
 from repro.relational.types import Row
@@ -78,7 +78,7 @@ class Maintainer:
             instance._write_block(key, block)
             return key
         # read-modify-write the *last* segment
-        n_segments, _ = _decode_segment(payload)
+        n_segments, _ = instance._decode_segment(payload)
         n_segments = max(1, n_segments)
         last_index = n_segments - 1
         last_key = codec.encode_key(key + (last_index,))
@@ -87,7 +87,7 @@ class Maintainer:
         )
         if last_payload is None:
             raise BaaVError(f"missing last segment for key {key!r}")
-        head, segment = _decode_segment(last_payload)
+        head, segment = instance._decode_segment(last_payload)
         segment.add(value, 1, compress=instance.compress)
         if (
             instance.split_threshold > 0
@@ -127,7 +127,7 @@ class Maintainer:
         payload = cluster.peek(instance.namespace, first_key)
         if payload is None:
             raise BaaVError(f"missing first segment for key {key!r}")
-        _, first_block = _decode_segment(payload)
+        _, first_block = instance._decode_segment(payload)
         cluster.put(
             instance.namespace,
             first_key,
@@ -149,7 +149,7 @@ class Maintainer:
         # rewrite the whole logical block (segments may shrink)
         first_key = codec.encode_key(key + (0,))
         payload = cluster.peek(instance.namespace, first_key)
-        n_segments, _ = _decode_segment(payload) if payload else (1, None)
+        n_segments, _ = instance._decode_segment(payload) if payload else (1, None)
         for index in range(max(1, n_segments)):
             cluster.delete(instance.namespace, codec.encode_key(key + (index,)))
         instance._num_blocks -= 1
@@ -195,13 +195,13 @@ def _peek_block(instance: KVInstance, key: Row) -> Optional[Block]:
     payload = cluster.peek(instance.namespace, codec.encode_key(key + (0,)))
     if payload is None:
         return None
-    n_segments, block = _decode_segment(payload)
+    n_segments, block = instance._decode_segment(payload)
     for index in range(1, max(1, n_segments)):
         data = cluster.peek(
             instance.namespace, codec.encode_key(key + (index,))
         )
         if data is None:
             break
-        _, segment = _decode_segment(data)
+        _, segment = instance._decode_segment(data)
         block.entries.extend(segment.entries)
     return block

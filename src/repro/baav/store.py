@@ -28,7 +28,7 @@ from repro.kv.cluster import KVCluster
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.types import Row
+from repro.relational.types import AttrType, Row
 
 DEFAULT_SPLIT_THRESHOLD = 10_000
 
@@ -56,6 +56,15 @@ class KVInstance:
         cluster.register_cache(cache)
         self.namespace = f"baav:{schema.name}"
         self.stats_namespace = f"baav:{schema.name}#stats"
+        #: the schema's row shapes, compiled once (codec.row_decoder):
+        #: a value row is Y, a physical key is X plus the segment index
+        type_of = schema.relation.type_of
+        self._decode_value_row = codec.row_decoder(
+            [type_of(attr) for attr in schema.value]
+        )
+        self._decode_physical_key = codec.row_decoder(
+            [type_of(attr) for attr in schema.key] + [AttrType.INT]
+        )
         self._degree = 0
         self._num_blocks = 0
         self._num_tuples = 0
@@ -143,7 +152,7 @@ class KVInstance:
         first, fetched = self._cached_get(codec.encode_key(tuple(key) + (0,)))
         if first is None:
             return None
-        n_segments, block = _decode_segment(first)
+        n_segments, block = self._decode_segment(first)
         if fetched:
             self._charge_block_values([block])
         for index in range(1, n_segments):
@@ -164,9 +173,16 @@ class KVInstance:
             raise BaaVError(
                 f"missing segment {index} of key {key!r} in {self.schema.name}"
             )
-        _, segment = _decode_segment(data)
+        _, segment = self._decode_segment(data)
         block.entries.extend(segment.entries)
         return segment
+
+    def _decode_segment(self, data: bytes) -> Tuple[int, Block]:
+        """A stored segment payload as ``(segment count, block)``; the
+        count is only meaningful on segment 0."""
+        n_segments, pos = codec._read_varint(data, 0)
+        entries, _ = codec.decode_entries(data, pos, self._decode_value_row)
+        return n_segments, Block(entries)
 
     def multi_get(self, keys: Sequence[Row]) -> Dict[Row, Optional[Block]]:
         """Fetch many logical blocks with coalesced multi-gets.
@@ -198,7 +214,7 @@ class KVInstance:
             if data is None:
                 blocks[key] = None
                 continue
-            n_segments, block = _decode_segment(data)
+            n_segments, block = self._decode_segment(data)
             if fetched:
                 fetched_segments.append(block)
             blocks[key] = block
@@ -283,9 +299,9 @@ class KVInstance:
         for key_bytes, payload in self.cluster.scan(
             self.namespace, count_as_gets=True
         ):
-            physical_key = codec.decode_key(key_bytes)
+            physical_key, _ = self._decode_physical_key(key_bytes, 0)
             key, segment_index = physical_key[:-1], physical_key[-1]
-            _, segment = _decode_segment(payload)
+            _, segment = self._decode_segment(payload)
             # cluster.scan charged 1 value on the owning node; top up the
             # decoded remainder so per-key and batched paths charge alike
             self._charge_block_values([segment])
@@ -306,8 +322,9 @@ class KVInstance:
         of each one's segment 0 (uncounted)."""
         keys: List[Row] = []
         first_segments: List[bytes] = []
+        decode = self._decode_physical_key
         for key_bytes in self.cluster.namespace_keys(self.namespace):
-            physical_key = codec.decode_key(key_bytes)
+            physical_key, _ = decode(key_bytes, 0)
             if physical_key[-1] == 0:
                 keys.append(physical_key[:-1])
                 first_segments.append(key_bytes)
@@ -348,8 +365,8 @@ class KVInstance:
             payload = self.cluster.peek(self.namespace, key_bytes)
             if payload is None:
                 continue
-            physical_key = codec.decode_key(key_bytes)
-            _, segment = _decode_segment(payload)
+            physical_key, _ = self._decode_physical_key(key_bytes, 0)
+            _, segment = self._decode_segment(payload)
             counts[physical_key[:-1]] += segment.num_tuples
         if counts:
             degree = max(counts.values())
@@ -369,12 +386,6 @@ def _encode_segment(n_segments: int, block: Block) -> bytes:
     head: List[bytes] = []
     codec._write_varint(head, n_segments)
     return b"".join(head) + block.encode()
-
-
-def _decode_segment(data: bytes) -> Tuple[int, Block]:
-    n_segments, pos = codec._read_varint(data, 0)
-    entries, _ = codec.decode_entries(data, pos)
-    return n_segments, Block(entries)
 
 
 def _encode_stats(stats: Dict[str, BlockStats]) -> bytes:

@@ -1,19 +1,20 @@
 """Compile KBA plans and scalar expressions into vectorized closures (PR 10).
 
-The row-at-a-time executor (:mod:`repro.kba.executor`) evaluates
-predicates by building an ``attr -> value`` dict per tuple and walking the
-expression AST recursively. That is exact but interpreter-bound: the hot
-loops spend their time on dict allocation and ``eval`` dispatch. This
-module compiles an expression **once** per operator into positional
+The reference evaluation of an expression — ``Expr.eval`` over an
+``attr -> value`` dict built per tuple — is exact but interpreter-bound:
+a loop over it spends its time on dict allocation and ``eval`` dispatch.
+This module compiles an expression **once** per operator into positional
 closures — column references become list indexes, comparisons become
-``operator`` calls — and evaluates them over whole
+``operator`` calls. The row-at-a-time handlers of
+:mod:`repro.kba.executor` call such a closure per row
+(:func:`row_evaluator`); the columnar handlers evaluate them over whole
 :class:`~repro.baav.frame.BlockSetFrame` columns, MonetDB/X100 style.
 
 Two compilation targets:
 
-* :func:`compile_row` — a closure over one full row tuple, used where the
-  access pattern is inherently per-row (join residuals, group-by
-  aggregate arguments, the RA baseline engine's filters).
+* :func:`compile_row` — a closure over one full row tuple: the row
+  handlers' predicates, join residuals and group-by aggregate arguments,
+  and the RA baseline engine's filters.
 * :func:`compile_mask` / :func:`compile_values` — columnar kernels over a
   frame, returning one result per entry. Common shapes (``column <op>
   literal``, IN-lists, BETWEEN, LIKE on a bare column) specialize into
@@ -24,8 +25,9 @@ results to ``Expr.eval`` — the same NULL collapses (comparisons are
 ``False`` on NULL, arithmetic propagates ``None``, division by zero is
 ``None``) and the same truthiness composition for AND/OR/NOT. Expressions
 the compiler does not understand (aggregate calls, unbound columns) raise
-:class:`~repro.errors.CompileError` and the operator falls back to the
-row-at-a-time handler, so ``vectorized=True`` never changes results.
+:class:`~repro.errors.CompileError`: a columnar operator falls back to
+the row-at-a-time handler and a row handler to the reference evaluation,
+so neither ``vectorized=True`` nor compilation ever changes results.
 
 Plan compilation (:func:`compile_plan`) additionally fuses adjacent
 ``ProjectK(SelectK(x))`` pairs into one mask-and-take pass over the
@@ -53,6 +55,7 @@ from repro.relational.types import Row
 from repro.sql import ast
 from repro.sql.aggregates import make_accumulator
 from repro.sql.algebra import AggSpec
+from repro.sql.executor import eval_row
 
 RowFn = Callable[[Row], object]
 VecFn = Callable[[Frame], List[object]]
@@ -74,10 +77,13 @@ _CMP_OPS = {
 
 
 def _position(attrs: Tuple[str, ...], name: str) -> int:
-    try:
-        return attrs.index(name)
-    except ValueError:
-        raise CompileError(f"unbound column {name!r}") from None
+    """Where ``name`` sits in a row laid out as ``attrs`` — the *last*
+    position when the layout repeats a name, which is the one the
+    reference env ``dict(zip(attrs, row))`` keeps."""
+    for pos in range(len(attrs) - 1, -1, -1):
+        if attrs[pos] == name:
+            return pos
+    raise CompileError(f"unbound column {name!r}")
 
 
 # -- row compilation ----------------------------------------------------------
@@ -172,6 +178,18 @@ def compile_row(expr: ast.Expr, attrs: Tuple[str, ...]) -> RowFn:
     raise CompileError(
         f"cannot compile {type(expr).__name__} expression"
     )
+
+
+def row_evaluator(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
+    """``expr`` as a function of one row laid out as ``attrs``: the
+    compiled positional closure, or — for what :func:`compile_row`
+    refuses (an unbound column, an uncompilable node) — the reference
+    evaluation over an env dict, which raises where and when
+    ``Expr.eval`` does. Either way the result is ``Expr.eval``'s."""
+    try:
+        return compile_row(expr, tuple(attrs))
+    except CompileError:
+        return eval_row(expr, attrs)
 
 
 # -- columnar compilation -----------------------------------------------------

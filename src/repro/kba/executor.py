@@ -17,6 +17,7 @@ from repro.env import env_flag
 from repro.errors import ExecutionError, PlanError
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet, Entry
+from repro.kba.compile import row_evaluator
 from repro.kv.taav import TaaVStore
 from repro.relational.types import Row
 from repro.sql.aggregates import make_accumulator
@@ -279,16 +280,10 @@ def _run_shift(node: kp.Shift, ctx: ExecContext, inputs: List[BlockSet]) -> Bloc
 
 def _run_select(node: kp.SelectK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
     child = inputs[0]
-    predicate = node.predicate
-    attrs = child.attrs
-    n_key = len(child.key_attrs)
+    keep = row_evaluator(node.predicate, child.attrs)
     data: Dict[Row, List[Entry]] = {}
     for key, entries in child.data.items():
-        kept: List[Entry] = []
-        for row, count in entries:
-            env = dict(zip(attrs, key + row))
-            if predicate.eval(env):
-                kept.append((row, count))
+        kept = [entry for entry in entries if keep(key + entry[0])]
         if kept:
             data[key] = kept
     return BlockSet(child.key_attrs, child.value_attrs, data)
@@ -342,8 +337,6 @@ def join_blocksets(
     residual=None,
 ) -> BlockSet:
     """Hash-join two block sets; result keyed by X1 ∪ X2 (§4.2)."""
-    left_attrs = left.attrs
-    right_attrs = right.attrs
     left_pos = [left.position(l) for l, _ in on]
     right_pos = [right.position(r) for _, r in on]
 
@@ -359,17 +352,19 @@ def join_blocksets(
     n_left_key = len(left.key_attrs)
     n_right_key = len(right.key_attrs)
 
-    all_attrs = left_attrs + right_attrs
+    passes = (
+        None
+        if residual is None
+        else row_evaluator(residual, left.attrs + right.attrs)
+    )
     data: Dict[Row, List[Entry]] = defaultdict(list)
     for lfull, lcount in left.iter_full():
         probe = tuple(lfull[p] for p in left_pos)
         if None in probe:
             continue
         for rfull, rcount in index.get(probe, ()):
-            if residual is not None:
-                env = dict(zip(all_attrs, lfull + rfull))
-                if not residual.eval(env):
-                    continue
+            if passes is not None and not passes(lfull + rfull):
+                continue
             key = lfull[:n_left_key] + rfull[:n_right_key]
             value = lfull[n_left_key:] + rfull[n_right_key:]
             data[key].append((value, lcount * rcount))
@@ -429,6 +424,11 @@ def group_blockset(
 ) -> BlockSet:
     attrs = child.attrs
     key_pos = [child.position(k) for k in keys]
+    # COUNT(*) has no argument: every row counts
+    arg_fns = [
+        None if spec.arg is None else row_evaluator(spec.arg, attrs)
+        for spec in aggs
+    ]
     groups: Dict[Row, List] = {}
     for full, count in child.iter_full():
         group_key = tuple(full[p] for p in key_pos)
@@ -436,14 +436,8 @@ def group_blockset(
         if accs is None:
             accs = [make_accumulator(a.func, a.distinct) for a in aggs]
             groups[group_key] = accs
-        env = None
-        for spec, acc in zip(aggs, accs):
-            if spec.arg is None:
-                acc.add(True, count)
-            else:
-                if env is None:
-                    env = dict(zip(attrs, full))
-                acc.add(spec.arg.eval(env), count)
+        for arg_fn, acc in zip(arg_fns, accs):
+            acc.add(True if arg_fn is None else arg_fn(full), count)
     if not keys and not groups:
         groups[()] = [make_accumulator(a.func, a.distinct) for a in aggs]
     data = {

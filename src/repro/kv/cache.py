@@ -457,14 +457,26 @@ def read_through_many(
         versions.read_epoch() if versions is not None else None
     )
     out: List[Tuple[Optional[bytes], bool]] = [(None, False)] * len(keys)
-    pending: List[Tuple[int, bytes]] = [
-        (index, key_bytes) for index, key_bytes in enumerate(keys)
-    ]
-    if versions is not None and snapshot_epoch is not None:
+    pending: List[Tuple[int, bytes]] = []
+    if (
+        versions is None
+        or snapshot_epoch is None
+        or versions.nothing_newer(snapshot_epoch)
+    ):
+        # the overlay answers no key at this reader's pin; without a
+        # cache either, nothing is served locally and the batch goes
+        # straight through (the cluster's own overlay pass covers a
+        # commit racing this check)
+        if cache is None:
+            return [
+                (data, True)
+                for data in cluster.multi_get(namespace, keys, n_values_each)
+            ]
+        pending = list(enumerate(keys))
+    else:
         visible = versions.read_visible_many(
             namespace, keys, snapshot_epoch
         )
-        pending = []
         for index, (handled, data) in enumerate(visible):
             if handled:
                 out[index] = (data, False)

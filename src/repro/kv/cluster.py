@@ -671,6 +671,16 @@ class KVCluster:
                 if not dedup or self._is_primary(key, node.node_id):
                     yield node, key, value
 
+    def _primary_keys(self, prefix: bytes) -> Iterator[bytes]:
+        """The keys of :meth:`_primary_pairs`, in its order, listed
+        without reading (or, from a node process, shipping) a value."""
+        # repro-lint: holds=_lock -- callers hold the read lock
+        dedup = self.replication_factor > 1
+        for node in self._live_nodes():
+            for key in node.snapshot_keys(prefix):
+                if not dedup or self._is_primary(key, node.node_id):
+                    yield key
+
     # -- KV API ------------------------------------------------------------
 
     def get(self, namespace: str, key_bytes: bytes,
@@ -700,10 +710,14 @@ class KVCluster:
                 results: List[Optional[bytes]] = [None] * len(keys)
                 versions, epoch = self._read_overlay_epoch()
 
-                def from_overlay(indexes: List[int]) -> List[int]:
+                def from_overlay(indexes: Sequence[int]) -> Sequence[int]:
                     """Answer the positions the version chains hold at
                     the pinned epoch; returns the ones they do not."""
-                    if versions is None or epoch is None:
+                    if (
+                        versions is None
+                        or epoch is None
+                        or versions.nothing_newer(epoch)
+                    ):
                         return indexes
                     visible = versions.read_visible_many(
                         namespace, [keys[i] for i in indexes], epoch
@@ -719,11 +733,11 @@ class KVCluster:
                 # overlay pre-pass: keys answered from the version
                 # chains never reach a node (zero #get, like a cache
                 # hit — metered in VersionStats)
-                pending = from_overlay(list(range(len(keys))))
+                pending = from_overlay(range(len(keys)))
                 if not pending:
                     return results
-                by_node: Dict[int, List[bytes]] = {}
-                positions: Dict[Tuple[int, bytes], List[int]] = {}
+                #: serving node -> (full keys, their positions in ``keys``)
+                by_node: Dict[int, Tuple[List[bytes], List[int]]] = {}
                 replicated = (
                     self.replication_factor > 1 or bool(self._down)
                 )
@@ -747,17 +761,23 @@ class KVCluster:
                         loads[node_id] += 1.0
                     else:
                         node_id = self.ring.node_for(full)
-                    slot = positions.setdefault((node_id, full), [])
-                    if not slot:
-                        by_node.setdefault(node_id, []).append(full)
-                    slot.append(index)
-                for node_id, node_keys in by_node.items():
+                    group = by_node.get(node_id)
+                    if group is None:
+                        group = by_node[node_id] = ([], [])
+                    group[0].append(full)
+                    group[1].append(index)
+                for node_id, (node_keys, positions) in by_node.items():
+                    # a key asked for twice is fetched once per serving
+                    # node and fanned back out
+                    distinct = list(dict.fromkeys(node_keys))
                     values = self.nodes[node_id].multi_get(
-                        node_keys, n_values_each=n_values_each
+                        distinct, n_values_each=n_values_each
                     )
-                    for full, value in zip(node_keys, values):
-                        for index in positions[(node_id, full)]:
-                            results[index] = value
+                    if len(distinct) < len(node_keys):
+                        value_of = dict(zip(distinct, values))
+                        values = [value_of[full] for full in node_keys]
+                    for index, value in zip(positions, values):
+                        results[index] = value
                 # commits racing the node fetches recorded the
                 # superseded values before overwriting; re-check so no
                 # too-new value leaks into the snapshot
@@ -907,9 +927,7 @@ class KVCluster:
 
         def op() -> List[bytes]:
             with self._lock.read():
-                keys = [
-                    key[plen:] for _, key, _ in self._primary_pairs(prefix)
-                ]
+                keys = [key[plen:] for key in self._primary_keys(prefix)]
                 versions, epoch = self._read_overlay_epoch()
                 if versions is not None and epoch is not None:
                     keys = versions.adjust_keys(namespace, keys, epoch)

@@ -10,27 +10,45 @@ self-describing format:
 * block payload: varint entry count, then per entry a varint multiplicity
   count followed by the row.
 
-Keys additionally have an order-preserving encoding (:func:`encode_key`)
-so that ``next()`` iteration over the memstore visits keys in tuple order,
-which real wide-column stores (HBase, Cassandra partitioners) rely on.
+Keys are rows (:func:`encode_key` is :func:`encode_row`): unambiguous and
+deterministic, so sorting raw key bytes gives every engine the same scan
+order, but that order is **not** the tuple order of the keys — the
+big-endian two's-complement payload puts ``-1`` after ``1``, the length
+prefix puts ``"b"`` before ``"aa"``, and IEEE-754 bits put ``1.5`` before
+``-2.5``. The get/``next()`` contracts of §3 need a deterministic order,
+not a semantic one; nothing may rely on range order over encoded keys.
 
-Rows are what queries decode by the thousand (a block segment averages
-two entries of eleven values), so :func:`decode_row` and
-:func:`encode_row` walk a row's values in one loop of their own:
-integer tag compares, the one-byte varint read inline, one bound
-``unpack_from``. :func:`decode_value` / :func:`encode_value` are the
-single-value API of the same format and the reference the property
-tests hold the row loops to. Every decoder raises :class:`CodecError`
-on a payload that ends early.
+Rows are what queries decode by the thousand, and every row of one KV
+instance (or TaaV relation) has the tag sequence its schema declares.
+:func:`row_decoder` compiles that declaration once: the decoder it
+returns *speculates* on the declared kinds. Strings cut a row into
+fixed-width stretches of numerics (9-byte cells) and bools (2-byte
+cells); a stretch's tags are verified with strided slice compares — one
+covers a whole run of numerics — and its payloads read with one
+pre-built ``struct`` call, and a string is checked by its own tag and
+sliced by its length. On this path the schema is the dispatch and the
+tags are the verification.
+Any deviation (a NULL, another width, a value of another type, a short
+buffer) hands the row to :func:`decode_row`, the generic loop that
+dispatches on each tag byte and stays the single definition of the
+format: results, types and errors are its by construction.
+:func:`decode_value` / :func:`encode_value` are the single-value API of
+the same format and the reference the property tests hold the row loops
+to. Every decoder raises :class:`CodecError` on a payload that ends
+early.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import CodecError
-from repro.relational.types import Row
+from repro.relational.types import AttrType, Row
+
+#: ``decoder(data, pos) -> (row, new position)``: :func:`decode_row` or a
+#: schema-compiled equivalent from :func:`row_decoder`
+RowDecoder = Callable[[bytes, int], Tuple[Row, int]]
 
 _TAG_NULL = b"N"
 _TAG_INT = b"I"
@@ -195,6 +213,133 @@ def decode_row(data: bytes, pos: int = 0) -> Tuple[Row, int]:
     return tuple(values), pos
 
 
+#: fixed-width cells: declared type -> (``struct`` code of the payload,
+#: tag); a bool payload is one byte, any non-zero value true (exactly
+#: ``?``), the numerics are 8 bytes big-endian
+_FIXED_CELLS = {
+    AttrType.INT: ("q", _TAG_INT),
+    AttrType.FLOAT: ("d", _TAG_FLOAT),
+    AttrType.BOOL: ("?", _TAG_BOOL),
+}
+#: one fixed-width stretch of a row — the count byte, numerics, bools,
+#: and the tag and first length byte of the string that ends it:
+#: ``(width, tag checks, unpack, ends in a string)``. A check is ``(slice
+#: of the stretch, expected bytes)``; the ``struct`` skips every checked
+#: byte and the string's length byte, which is the stretch's last
+_Stretch = Tuple[int, Tuple[Tuple[slice, bytes], ...], Callable, bool]
+
+
+def _tag_checks(tags: Sequence[Tuple[int, bytes]]) -> Tuple[Tuple[slice, bytes], ...]:
+    """Group ``(offset, expected byte)`` pairs into as few strided
+    slice compares as cover them: a run of numeric cells puts its tags
+    nine bytes apart, so one compare verifies the run."""
+    checks: List[Tuple[slice, bytes]] = []
+    index = 0
+    while index < len(tags):
+        first, expected = tags[index]
+        last, stride = first, 1
+        index += 1
+        if index < len(tags):
+            stride = tags[index][0] - first
+            while index < len(tags) and tags[index][0] - last == stride:
+                last = tags[index][0]
+                expected += tags[index][1]
+                index += 1
+        checks.append((slice(first, last + 1, stride), expected))
+    return tuple(checks)
+
+
+def _stretches(types: Sequence[AttrType]) -> List[_Stretch]:
+    """The layout of a row declared to hold ``types``."""
+    stretches: List[_Stretch] = []
+    # the count byte opens the first stretch
+    tags: List[Tuple[int, bytes]] = [(0, _varint(len(types)))]
+    fmt, width = ">x", 1
+    for kind in types:
+        cell = _FIXED_CELLS.get(kind)
+        if cell is not None:
+            code, tag = cell
+            tags.append((width, tag))
+            fmt += "x" + code
+            width += 1 + struct.calcsize(code)
+            continue
+        tags.append((width, _TAG_STR))
+        stretches.append(
+            (width + 2, _tag_checks(tags), struct.Struct(fmt + "xx").unpack, True)
+        )
+        tags, fmt, width = [], ">", 0
+    if width:
+        stretches.append(
+            (width, _tag_checks(tags), struct.Struct(fmt).unpack, False)
+        )
+    return stretches
+
+
+def row_decoder(types: Sequence[AttrType]) -> RowDecoder:
+    """Compile a decoder for rows declared to hold ``types``, equal to
+    :func:`decode_row` on **every** input.
+
+    The decoder checks the count byte and the tags the declaration
+    predicts and reads each fixed-width stretch with one ``struct``
+    call; anything else — a NULL, a value of another type, another
+    width, a short buffer — is decoded by :func:`decode_row` from the
+    row's first byte, so a deviating row costs the failed check and is
+    never decoded differently. Built once per schema (a KV instance's
+    value rows and keys, a TaaV relation's tuples).
+    """
+    if len(types) > 0x7F:
+        return decode_row  # the count is not one byte
+    stretches = _stretches(types)
+    fixed = sum(kind in _FIXED_CELLS for kind in types)
+    if fixed == len(types):
+        ((width, checks, unpack, _),) = stretches
+
+        def decode_fixed(data: bytes, pos: int = 0) -> Tuple[Row, int]:
+            end = pos + width
+            cells = data[pos:end]
+            for where, tags in checks:
+                if cells[where] != tags:
+                    return decode_row(data, pos)
+            try:
+                return unpack(cells), end
+            except struct.error:
+                return decode_row(data, pos)
+
+        return decode_fixed
+    if fixed < 2 * len(stretches):
+        # strings cut the row into stretches of under two cells: checking
+        # a stretch costs what the generic loop spends on two cells
+        # (measured), so there is nothing to win by speculating
+        return decode_row
+
+    def decode(data: bytes, pos: int = 0) -> Tuple[Row, int]:
+        first = pos
+        values: List[object] = []
+        try:
+            for width, checks, unpack, ends_in_string in stretches:
+                end = pos + width
+                cells = data[pos:end]
+                for where, tags in checks:
+                    if cells[where] != tags:
+                        return decode_row(data, first)
+                values += unpack(cells)
+                pos = end
+                if ends_in_string:
+                    length = cells[-1]
+                    if length > 0x7F:
+                        length, pos = _read_varint(data, pos - 1)
+                    end = pos + length
+                    if end > len(data):
+                        return decode_row(data, first)
+                    values.append(data[pos:end].decode("utf-8"))
+                    pos = end
+        except struct.error:
+            return decode_row(data, first)
+        return tuple(values), pos
+
+    return decode
+
+
 def encode_entries(entries: Sequence[Tuple[Row, int]]) -> bytes:
     """Encode block entries ``[(row, multiplicity), ...]``."""
     parts = [_varint(len(entries))]
@@ -204,9 +349,13 @@ def encode_entries(entries: Sequence[Tuple[Row, int]]) -> bytes:
     return b"".join(parts)
 
 
-def decode_entries(data: bytes, pos: int = 0) -> Tuple[List[Tuple[Row, int]], int]:
+def decode_entries(
+    data: bytes, pos: int = 0, decoder: Optional[RowDecoder] = None
+) -> Tuple[List[Tuple[Row, int]], int]:
     """Decode block entries starting at ``pos``; return (entries, new
-    position)."""
+    position). ``decoder`` is the schema-compiled decoder of the block's
+    rows (:func:`row_decoder`) when the caller has one."""
+    decode = decode_row if decoder is None else decoder
     entries: List[Tuple[Row, int]] = []
     try:
         n_entries = data[pos]
@@ -218,7 +367,7 @@ def decode_entries(data: bytes, pos: int = 0) -> Tuple[List[Tuple[Row, int]], in
             pos += 1
             if count > 0x7F:
                 count, pos = _read_varint(data, pos - 1)
-            row, pos = decode_row(data, pos)
+            row, pos = decode(data, pos)
             entries.append((row, count))
     except IndexError:
         raise CodecError("truncated entries") from None
@@ -229,7 +378,8 @@ def decode_entries(data: bytes, pos: int = 0) -> Tuple[List[Tuple[Row, int]], in
 #
 # Keys reuse the self-describing row encoding. Iteration over a memstore
 # sorts raw key bytes, which gives a deterministic (if not semantic) scan
-# order — all that get/next() contracts of §3 require.
+# order — all that get/next() contracts of §3 require (the module
+# docstring has the counter-examples to tuple order).
 
 
 def encode_key(key: Row) -> bytes:

@@ -115,9 +115,11 @@ class Engine:
         """Delete ``key``; return True if it was present."""
         return self.multi_delete([key]) == 1
 
-    def keys(self) -> List[bytes]:
-        """All keys in sorted byte order."""
-        return list(self._live_keys())
+    def keys(self, prefix: bytes = b"") -> List[bytes]:
+        """The keys carrying ``prefix`` (all of them by default), in
+        sorted byte order — the keys of ``scan(prefix)``, no value read."""
+        lo, hi = self._prefix_range(prefix)
+        return self._live_keys()[lo:hi]
 
     def next_key(self, after: Optional[bytes] = None) -> Optional[bytes]:
         """The ``next()`` primitive of §3: iterate keys in order.

@@ -351,14 +351,11 @@ class StorageNode:
         counters.gets += len(keys)
         if keys:
             counters.round_trips += 1
-        load = len(keys)
-        for value in values:
-            if value is not None:
-                counters.hits += 1
-                counters.values_read += n_values_each
-                counters.bytes_out += len(value)
-                load += n_values_each
-        self._read_load += load
+        found = [value for value in values if value is not None]
+        counters.hits += len(found)
+        counters.values_read += len(found) * n_values_each
+        counters.bytes_out += sum(map(len, found))
+        self._read_load += len(keys) + len(found) * n_values_each
         return values
 
     def put(self, key: bytes, value: bytes, n_values: int = 1) -> None:
@@ -414,6 +411,13 @@ class StorageNode:
         """
         with self._op_lock:
             return list(self.store.scan(prefix))
+
+    def snapshot_keys(self, prefix: bytes = b"") -> List[bytes]:
+        """The keys of :meth:`snapshot_scan`, in its order and under the
+        same mutex — a listing reads no value (and a node process ships
+        none)."""
+        with self._op_lock:
+            return self.store.keys(prefix)
 
     def has_prefix(self, prefix: bytes = b"") -> bool:
         """Does any stored key carry ``prefix``? (mutex-guarded probe)"""

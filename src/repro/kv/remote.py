@@ -289,8 +289,8 @@ class RemoteStore:
             wire.decode_pairs(self.client.request(wire.OP_SCAN, prefix))
         )
 
-    def keys(self) -> List[bytes]:
-        return wire.decode_keys(self.client.request(wire.OP_KEYS, b""))
+    def keys(self, prefix: bytes = b"") -> List[bytes]:
+        return wire.decode_keys(self.client.request(wire.OP_KEYS, prefix))
 
     def next_key(self, after: Optional[bytes] = None) -> Optional[bytes]:
         return wire.decode_opt_key(

@@ -85,12 +85,7 @@ class NodeServer:
         if op == wire.OP_SCAN:
             return wire.encode_pairs(list(store.scan(args[0])))
         if op == wire.OP_KEYS:
-            prefix = args[0]
-            if prefix:
-                keys = [key for key, _ in store.scan(prefix)]
-            else:
-                keys = store.keys()
-            return wire.encode_keys(keys)
+            return wire.encode_keys(store.keys(args[0]))
         if op == wire.OP_NEXT_KEY:
             return wire.encode_opt_key(store.next_key(args[0]))
         if op == wire.OP_HAS_PREFIX:

@@ -44,6 +44,10 @@ class TaaVRelation:
         self._pk_positions: Optional[Tuple[int, ...]] = (
             schema.indexes_of(schema.primary_key) if schema.primary_key else None
         )
+        #: the relation's tuple shape, compiled once (codec.row_decoder)
+        self._decode_tuple = codec.row_decoder(
+            [attribute.type for attribute in schema.attributes]
+        )
         self._row_count = 0
         self._next_rowid = 0
 
@@ -111,14 +115,10 @@ class TaaVRelation:
         """
         encoded = [codec.encode_key(tuple(key)) for key in keys]
         payloads = self._cached_multi_get(encoded, self.schema.arity)
-        out: List[Optional[Row]] = []
-        for data in payloads:
-            if data is None:
-                out.append(None)
-            else:
-                row, _ = codec.decode_row(data)
-                out.append(row)
-        return out
+        decode = self._decode_tuple
+        return [
+            None if data is None else decode(data, 0)[0] for data in payloads
+        ]
 
     def _cached_multi_get(
         self, encoded_keys: Sequence[bytes], n_values_each: int
@@ -141,8 +141,7 @@ class TaaVRelation:
             count_as_gets=True,
             values_of=lambda _k, _v: arity,
         ):
-            row, _ = codec.decode_row(value)
-            yield row
+            yield self._decode_tuple(value, 0)[0]
 
     def fetch_all(self, batch_size: int = 1) -> Relation:
         """Materialize the full relation, counting gets and values.
@@ -165,8 +164,7 @@ class TaaVRelation:
             payloads = self._cached_multi_get(batch, arity)
             for data in payloads:
                 if data is not None:
-                    row, _ = codec.decode_row(data)
-                    rows.append(row)
+                    rows.append(self._decode_tuple(data, 0)[0])
         return Relation(self.schema, rows)
 
     def __len__(self) -> int:

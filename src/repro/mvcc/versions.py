@@ -97,6 +97,10 @@ class VersionStore:
         self._birth: Dict[_Key, int] = {}
         #: dead versions, ascending and contiguous per key
         self._chains: Dict[_Key, List[_Entry]] = {}
+        #: high-water mark of every birth epoch ever recorded; only ever
+        #: raised (GC and forget_namespace leave it), so it errs towards
+        #: walking the chains (see :meth:`nothing_newer`)
+        self._newest_birth = 0
         #: per-thread accounting shards (see repro.locks.ShardSet)
         self._shards: ShardSet[VersionStats] = ShardSet(VersionStats)
         #: thread-local epoch context (read pin / recording commit)
@@ -176,6 +180,8 @@ class VersionStore:
                 (birth, epoch, old_value)
             )
             self._birth[key] = epoch
+            if epoch > self._newest_birth:
+                self._newest_birth = epoch
         self._stats.versions_recorded += 1
         return True
 
@@ -201,6 +207,20 @@ class VersionStore:
         # the inserted-after-E case)
         return True, None, skipped
 
+    def nothing_newer(self, epoch: int) -> bool:
+        """Is every base value visible to a snapshot at ``epoch`` — has
+        no write with a later commit epoch ever been recorded?
+
+        O(1) where the chain walk is a dict probe per key, and the
+        common case: readers pin the published epoch. Monotone — once
+        ``False`` for an epoch it stays ``False`` — and a write is
+        recorded *before* its base write, so a reader that fetched base
+        values and then gets ``True`` here fetched nothing too new: one
+        question is the re-check after a fetch for the whole batch.
+        """
+        with self._lock:
+            return epoch >= self._newest_birth
+
     def read_visible(
         self, namespace: str, key_bytes: bytes, epoch: int
     ) -> Tuple[bool, Optional[bytes]]:
@@ -211,8 +231,11 @@ class VersionStore:
     def read_visible_many(
         self, namespace: str, keys: Sequence[bytes], epoch: int
     ) -> List[Tuple[bool, Optional[bytes]]]:
-        """Values of ``keys`` as of ``epoch``, positional, under one
-        lock acquisition (see :meth:`read_visible`)."""
+        """Values of ``keys`` as of ``epoch``, positional (see
+        :meth:`read_visible`); the chains are walked under one lock
+        acquisition."""
+        if self.nothing_newer(epoch):
+            return [(False, None)] * len(keys)
         out: List[Tuple[bool, Optional[bytes]]] = []
         overlay_reads = 0
         skipped_total = 0
@@ -260,6 +283,8 @@ class VersionStore:
         cross-node scan: per-node snapshots taken milliseconds apart
         land on the same epoch.
         """
+        if self.nothing_newer(epoch):
+            return entries
         out, overlay_reads, skipped_total = self._as_of(
             namespace, entries, epoch
         )
@@ -275,6 +300,8 @@ class VersionStore:
         """Key set of a namespace as of ``epoch``: the same walk as
         :meth:`adjust_scan` over value-less entries, unmetered (a key
         listing is planner metadata, not a read)."""
+        if self.nothing_newer(epoch):
+            return keys
         out, _, _ = self._as_of(
             namespace, [(None, key_bytes, b"") for key_bytes in keys], epoch
         )

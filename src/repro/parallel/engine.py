@@ -26,10 +26,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.baav.store import BaaVStore
 from repro.core.plangen import ZidianPlan, substitute_table
-from repro.errors import CompileError, ExecutionError
+from repro.errors import ExecutionError
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet
-from repro.kba.compile import compile_row
+from repro.kba.compile import row_evaluator
 from repro.kba.executor import (
     DEFAULT_BATCH_SIZE,
     ExecContext,
@@ -50,7 +50,6 @@ from repro.relational.database import Database
 from repro.relational.types import row_size
 from repro.sql import algebra, ast
 from repro.sql.executor import (
-    RowFn,
     Table,
     eval_row,
     run as ra_run,
@@ -191,16 +190,6 @@ class _Engine:
         return metrics, probe
 
 
-def _compiled_row(expr: ast.Expr, attrs) -> RowFn:
-    """A compiled positional closure for ``expr``; expressions outside
-    the compilable subset keep the reference evaluation, so the
-    vectorized knob never changes results."""
-    try:
-        return compile_row(expr, tuple(attrs))
-    except CompileError:
-        return eval_row(expr, attrs)
-
-
 def _access_path(relation: str, choice) -> str:
     """EXPLAIN text of a scan leaf served by index ``choice`` (or not)."""
     if choice is None:
@@ -284,7 +273,7 @@ class BaselineEngine(_Engine):
             self._run(child, metrics, probe, _predicate_of(node))
             for child in node.children()
         ]
-        out = run_node(node, inputs, _compiled_row if self.vectorized else eval_row)
+        out = run_node(node, inputs, row_evaluator if self.vectorized else eval_row)
         if type(node) not in _RA_STAGES:
             return out
         name, shuffles = _RA_STAGES[type(node)]

@@ -2,6 +2,7 @@ import pytest
 
 from repro.errors import CodecError
 from repro.kv import codec
+from repro.relational.types import AttrType as T
 
 
 VALUES = [None, True, False, 0, -1, 2**40, -(2**40), 0.0, -3.5, 1e300,
@@ -140,6 +141,83 @@ class TestKeyCodec:
 
     def test_int_vs_string_unambiguous(self):
         assert codec.encode_key((1,)) != codec.encode_key(("1",))
+
+    @pytest.mark.parametrize(
+        "smaller, larger",
+        [
+            ((-1,), (1,)),       # two's complement: the sign bit sorts last
+            (("aa",), ("b",)),   # the length prefix sorts before the text
+            ((-2.5,), (1.5,)),   # IEEE-754 bits: again the sign bit
+        ],
+    )
+    def test_byte_order_is_not_tuple_order(self, smaller, larger):
+        """Key bytes sort deterministically, not semantically: nothing
+        may range-scan encoded keys expecting tuple order (the module
+        docstring's three counter-examples)."""
+        assert smaller < larger
+        assert codec.encode_key(smaller) > codec.encode_key(larger)
+
+
+class TestRowDecoder:
+    """``row_decoder(kinds)``: the schema is the dispatch, the tags the
+    verification (equality with ``decode_row`` on every input is
+    ``tests/properties/test_prop_codec.py``'s)."""
+
+    CASES = [
+        ([], ()),
+        ([T.INT, T.INT], (7, -7)),
+        ([T.INT, T.FLOAT, T.BOOL, T.INT], (1, 2.5, True, 4)),
+        ([T.INT, T.INT, T.DATE, T.FLOAT, T.FLOAT], (1, 2, "1999-01-02", 0.5, -0.5)),
+        (
+            [T.FLOAT, T.FLOAT, T.STR, T.INT, T.BOOL, T.STR],
+            (1.0, 2.0, "é" * 70, 3, False, ""),
+        ),
+    ]
+
+    @pytest.mark.parametrize("kinds, row", CASES)
+    def test_a_conforming_row_never_reaches_the_generic_loop(
+        self, kinds, row, monkeypatch
+    ):
+        decode = codec.row_decoder(kinds)
+        data = b"\x00\x00" + codec.encode_row(row) + b"\xff"
+        expected = codec.decode_row(data, 2)
+        monkeypatch.setattr(codec, "decode_row", None)  # would raise
+        out, end = decode(data, 2)
+        assert (out, end) == expected == (row, len(data) - 1)
+        assert [type(v) for v in out] == [type(v) for v in row]
+
+    @pytest.mark.parametrize("kinds, row", CASES[1:])
+    def test_a_deviating_row_is_the_generic_loops(self, kinds, row):
+        decode = codec.row_decoder(kinds)
+        for deviant in (
+            (None,) + row[1:],        # a NULL
+            row[:-1],                 # another width
+            row + (1,),
+            tuple(reversed(row)),     # other types
+        ):
+            data = codec.encode_row(deviant)
+            assert decode(data, 0) == codec.decode_row(data, 0) == (
+                deviant, len(data)
+            )
+        with pytest.raises(CodecError):
+            decode(codec.encode_row(row)[:-1], 0)
+
+    def test_int_in_a_float_column_keeps_its_type(self):
+        """FLOAT columns accept ints; the stored tag is the value's, and
+        so is the decoded type."""
+        decode = codec.row_decoder([T.FLOAT, T.FLOAT])
+        (a, b), _ = decode(codec.encode_row((1, 2.0)), 0)
+        assert (type(a), type(b)) == (int, float)
+
+    def test_declines_what_speculation_cannot_win(self):
+        """Rows that strings cut into runs of under two fixed cells, and
+        rows of 128 values or more (a two-byte count), get the generic
+        loop itself — no check to fail first."""
+        assert codec.row_decoder([T.STR, T.STR]) is codec.decode_row
+        assert codec.row_decoder([T.INT, T.DATE, T.INT]) is codec.decode_row
+        assert codec.row_decoder([T.INT] * 128) is codec.decode_row
+        assert codec.row_decoder([T.INT] * 127) is not codec.decode_row
+        assert codec.row_decoder([T.INT, T.INT, T.STR]) is not codec.decode_row
 
 
 class TestVarint:

@@ -29,11 +29,13 @@ import dataclasses
 
 import pytest
 
+from repro.baav import BaaVStore
+from repro.kv import wire
 from repro.kv.cluster import KVCluster
 from repro.kv.lsm import LSMStore
 from repro.kv.memstore import MemStore
 from repro.kv.node import StorageNode
-from repro.kv.remote import RemoteNode, RemoteStore
+from repro.kv.remote import NodeClient, RemoteNode, RemoteStore
 from repro.mvcc.versions import VersionStore
 
 #: engine name -> raw-store factory exercising that engine's write paths
@@ -168,6 +170,29 @@ class TestStoreContract:
         store.put(b"ns1:b", b"2")
         store.put(b"ns2:a", b"3")
         assert [k for k, _ in store.scan(b"ns1:")] == [b"ns1:a", b"ns1:b"]
+
+    def test_keys_prefix(self, store):
+        """``keys(prefix)`` is the key column of ``scan(prefix)`` — the
+        same two binary searches, no value read or shipped."""
+        pairs = [
+            (b"ns1:a", b"1"), (b"ns1:b", b"2"), (b"ns2:a", b"3"),
+            (b"\xff", b"4"), (b"\xff\x01", b"5"),
+        ]
+        store.multi_put(pairs)
+        everything = [key for key, _ in pairs]
+        assert store.keys() == store.keys(b"") == everything
+        assert store.keys(b"ns1:") == [b"ns1:a", b"ns1:b"]
+        assert store.keys(b"ns2:a") == [b"ns2:a"]
+        # absent: before every key, between two ranges, and the upper
+        # bound of the last ``ns`` range itself
+        assert store.keys(b"a") == store.keys(b"ns1:c") == []
+        assert store.keys(b"ns2;") == []
+        # a prefix of 0xff bytes has no upper bound: the range runs to
+        # the last key
+        assert store.keys(b"\xff") == [b"\xff", b"\xff\x01"]
+        assert store.keys(b"\xff\xff") == []
+        for prefix in (b"", b"ns", b"ns1:", b"ns2;", b"\xff"):
+            assert store.keys(prefix) == [k for k, _ in store.scan(prefix)]
 
     def test_delete_then_rewrite(self, store):
         for i in range(12):
@@ -470,3 +495,38 @@ def test_cluster_single_is_batch_of_one(engine_name, transport, durability):
     finally:
         for cluster in clusters:
             cluster.close()
+
+
+def test_batched_scan_lists_keys_without_shipping_values(
+    paper_db, paper_baav_schema, monkeypatch
+):
+    """The batched ``KVInstance.scan`` lists the namespace, then fetches
+    it with multi-gets; over the socket transport the listing is
+    ``OP_KEYS`` with the namespace prefix — never an ``OP_SCAN``, which
+    would ship every payload once to be dropped and once more to be
+    read."""
+    cluster = KVCluster(num_nodes=2, transport="socket")
+    try:
+        store = BaaVStore.map_database(paper_db, paper_baav_schema, cluster)
+        instance = store.instance("ps_by_sup")
+        frames = []
+        request = NodeClient.request
+
+        def recording(self, op, *args):
+            frames.append((op, args))
+            return request(self, op, *args)
+
+        monkeypatch.setattr(NodeClient, "request", recording)
+        batched = list(instance.scan(batch_size=64))
+        ops = [op for op, _ in frames]
+        assert wire.OP_SCAN not in ops
+        assert wire.OP_MULTI_GET in ops
+        listings = [args for op, args in frames if op == wire.OP_KEYS]
+        assert len(listings) == 2  # one frame per node
+        assert all(prefix for (prefix,) in listings)
+        monkeypatch.undo()
+        assert sorted(
+            (key, block.entries) for key, block in batched
+        ) == sorted((key, block.entries) for key, block in instance.scan())
+    finally:
+        cluster.close()

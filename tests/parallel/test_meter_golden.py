@@ -14,6 +14,17 @@ row and the vectorized executor, plus a replicated cluster (replica
 choice follows ``read_load``, which the value charges feed) and a store
 whose blocks split into segments (the tail-segment fetch wave).
 
+The ``overlay`` cases pin what those four never reach — they run with the
+MVCC service on but commit nothing between pinned reads, so the overlay
+always answers "base is visible". Here a reader pinned at epoch E runs
+q7–q12-style scans and keyed extends *after* commits E+1… overwrote a
+block (twice: a chain of two), deleted a key and inserted keys in the
+scanned instances; every query is recorded pinned at E and at the latest
+epoch, with the overlay counters and the answers, at R = 1 and R = 2.
+They were generated from the commit *before* the version store learnt
+to answer "nothing is newer than your pin" in O(1) and the key listing
+stopped reading payloads.
+
 Regenerate (only when a metering change is intended and reviewed)::
 
     PYTHONPATH=src python tests/parallel/test_meter_golden.py
@@ -48,15 +59,56 @@ CASES: Dict[str, Dict[str, object]] = {
 }
 
 
+#: overlay case -> ZidianSystem knobs beyond the benchmark's shape
+OVERLAY_CASES: Dict[str, Dict[str, object]] = {
+    "overlay": {"vectorized": False},
+    "overlay+R2": {"vectorized": False, "replication_factor": 2},
+}
+
+#: what the pinned reader runs: scans over the instances the commits
+#: touched (q7, q8, q12, the q9 join), then keyed extends on an
+#: untouched key, the deleted key, an inserted key, and the block
+#: overwritten twice
+OVERLAY_QUERIES: Tuple[Tuple[str, str], ...] = (
+    ("q7", airca.TEMPLATES["q7"]),
+    ("q8", airca.TEMPLATES["q8"].format(date1="1999-03-01", date2="2000-06-01")),
+    ("q9", airca.TEMPLATES["q9"].format(distance=1000)),
+    ("q12", airca.TEMPLATES["q12"].format(distance=1000)),
+    ("q1-untouched", airca.TEMPLATES["q1"].format(fid=7)),
+    ("q6-deleted", airca.TEMPLATES["q6"].format(fid=6)),
+    ("point-deleted", "select F.flight_id, F.flight_date, F.arr_delay "
+                      "from FLIGHT F where F.flight_id = 6"),
+    ("point-inserted", "select F.flight_id, F.flight_date, F.arr_delay "
+                       "from FLIGHT F where F.flight_id = 121"),
+    ("q2-overwritten", airca.TEMPLATES["q2"].format(carrier=1, date="2000-12-26")),
+)
+
+
 def _num(value) -> object:
     """Floats by ``repr`` — the comparison is exact, not approximate."""
     return repr(value) if isinstance(value, float) else value
 
 
-def _record(system: ZidianSystem, session, sql: str) -> Dict[str, object]:
-    metrics = session.execute(sql).metrics
+def _record(
+    system: ZidianSystem, session, sql: str, overlay: bool = False
+) -> Dict[str, object]:
+    result = session.execute(sql)
+    metrics = result.metrics
     nodes = system.cluster.nodes
+    extra: Dict[str, object] = {}
+    if overlay:
+        extra = {
+            "snapshot_epoch": metrics.snapshot_epoch,
+            "overlay": [metrics.overlay_reads, metrics.versions_skipped],
+            "stage_overlay": {
+                stage.name: [stage.overlay_reads, stage.versions_skipped]
+                for stage in metrics.stages
+                if stage.overlay_reads or stage.versions_skipped
+            },
+            "rows": [[_num(value) for value in row] for row in result.rows],
+        }
     return {
+        **extra,
         "sql": " ".join(sql.split()),
         "stages": [
             {
@@ -103,18 +155,62 @@ def _queries(db) -> List[Tuple[str, str]]:
     return out
 
 
+def _overlay_records(system: ZidianSystem, session, db) -> Dict[str, object]:
+    """Pin a reader at the loaded epoch E, land four commits, then run
+    :data:`OVERLAY_QUERIES` pinned at E and at the latest epoch."""
+    manager = system.transactions
+    versions = manager.versions
+    # flights 4 and 6 (both have DELAY rows; each is alone in its
+    # (carrier, date) block)
+    flights = db.relation("FLIGHT").rows
+    first, second = flights[3], flights[5]
+    # held across the commits: the horizon stays at E, nothing is
+    # reclaimed, and the reads below ride the thread-local pin the way
+    # a running query's does
+    pinned = manager.epochs.pin()
+    try:
+        # E+1: a second flight in flight 4's (carrier, date) and tail
+        # blocks — overwrites both, inserts a key in flight_by_id
+        session.apply_updates("FLIGHT", inserts=[(121,) + first[1:]])
+        # E+2: flight 6 is alone in its (carrier, date) block — deletes
+        # that key and flight_by_id's, overwrites its tail block
+        session.apply_updates("FLIGHT", deletes=[second])
+        # E+3: a (carrier, date) nobody flew — inserts a key
+        session.apply_updates(
+            "FLIGHT",
+            inserts=[(122, 3, first[2], first[3], first[4], "2001-01-01")
+                     + first[6:]],
+        )
+        # E+4: the same blocks as E+1 again — a chain of two
+        session.apply_updates("FLIGHT", inserts=[(123,) + first[1:]])
+        out: Dict[str, object] = {}
+        for label, sql in OVERLAY_QUERIES:
+            with versions.reading(pinned):
+                out[f"{label}@pinned"] = _record(system, session, sql, True)
+            out[f"{label}@latest"] = _record(system, session, sql, True)
+    finally:
+        manager.epochs.unpin(pinned)
+    return out
+
+
 def render() -> str:
     """Every case's records as the golden file's text."""
     db = airca.generate_airca(scale=0.3, seed=31)
     queries = _queries(db)
     out: Dict[str, Dict[str, object]] = {}
-    for case, knobs in CASES.items():
+    for case, knobs in {**CASES, **OVERLAY_CASES}.items():
+        if case in OVERLAY_CASES:
+            # the commits change the database in place
+            db = airca.generate_airca(scale=0.3, seed=31)
         with ZidianSystem(
             workers=2, storage_nodes=4, indexes=BENCH_INDEXES, **knobs
         ) as system:
             system.load(db, airca.airca_baav_schema())
             with QueryService(system, max_workers=2, mvcc=True) as service:
                 with service.open_session() as session:
+                    if case in OVERLAY_CASES:
+                        out[case] = _overlay_records(system, session, db)
+                        continue
                     out[case] = {
                         label: _record(system, session, sql)
                         for label, sql in queries
@@ -133,7 +229,7 @@ def golden() -> Dict[str, Dict[str, object]]:
         return json.load(handle)
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted({**CASES, **OVERLAY_CASES}))
 def test_meter_matches_golden(case, rendered, golden):
     assert sorted(rendered[case]) == sorted(golden[case])
     for label, record in golden[case].items():
@@ -148,8 +244,8 @@ def test_golden_file_is_byte_identical(rendered):
 
 def test_golden_covers_what_the_meter_prices(golden):
     """The golden set is only a proof if it reaches every metered path."""
-    assert sorted(golden) == sorted(CASES)
-    assert all(len(records) == 24 + 8 for records in golden.values())
+    assert sorted(golden) == sorted({**CASES, **OVERLAY_CASES})
+    assert all(len(golden[case]) == 24 + 8 for case in CASES)
     stages: List[dict] = [
         stage
         for record in golden["row"].values()
@@ -172,6 +268,38 @@ def test_golden_covers_what_the_meter_prices(golden):
         > golden["row"][label]["totals"]["n_get"]
         for label in golden["row+split"]
     )
+
+
+@pytest.mark.parametrize("case", sorted(OVERLAY_CASES))
+def test_overlay_golden_reaches_the_slow_path(case, golden):
+    """The overlay cases are only a proof if the chains really answer."""
+    records = golden[case]
+    assert len(records) == 2 * len(OVERLAY_QUERIES)
+    pinned = {k: v for k, v in records.items() if k.endswith("@pinned")}
+    latest = {k: v for k, v in records.items() if k.endswith("@latest")}
+    # a read at the published epoch never needs the overlay ...
+    assert all(r["overlay"] == [0, 0] for r in latest.values())
+    assert all(r["snapshot_epoch"] == 4 for r in latest.values())
+    # ... the pinned reader does, on scans and on keyed extends, and a
+    # chain of two is walked past its newest entry
+    assert all(r["snapshot_epoch"] == 0 for r in pinned.values())
+    for label in ("q7", "q12", "q9", "point-deleted", "point-inserted",
+                  "q2-overwritten"):
+        reads, skipped = pinned[f"{label}@pinned"]["overlay"]
+        assert reads > 0 and skipped >= reads, label
+    reads, skipped = pinned["q2-overwritten@pinned"]["overlay"]
+    assert skipped > reads
+    assert pinned["q1-untouched@pinned"]["overlay"] == [0, 0]
+    # the snapshot's answers are the pre-commit ones
+    assert pinned["q7@pinned"]["rows"] != latest["q7@latest"]["rows"]
+    assert len(pinned["point-deleted@pinned"]["rows"]) == 1
+    assert latest["point-deleted@latest"]["rows"] == []
+    assert pinned["point-inserted@pinned"]["rows"] == []
+    assert len(latest["point-inserted@latest"]["rows"]) == 1
+    # an overlay read costs no get: the deleted key's block never
+    # reaches a node at E, the live read does
+    assert pinned["point-deleted@pinned"]["totals"]["n_get"] == 0
+    assert latest["point-deleted@latest"]["totals"]["n_get"] == 1
 
 
 if __name__ == "__main__":

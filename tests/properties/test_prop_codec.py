@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.kv import codec
+from repro.relational.types import AttrType
 
 value_strategy = st.one_of(
     st.none(),
@@ -155,3 +156,147 @@ def test_a_block_of_128_entries_or_more(some, n_entries):
     data = codec.encode_entries(entries)
     assert codec.decode_entries(data) == (entries, len(data))
     assert _reference_decode_entries(data, 0) == (entries, len(data))
+
+
+# --- schema-compiled decoders against the generic loop --------------------
+#
+# ``row_decoder(kinds)`` speculates on the declared kinds and must equal
+# ``decode_row`` on EVERY input: rows that conform, rows that deviate
+# (NULLs, another type, another width), truncated and arbitrary bytes.
+
+#: mostly numerics: runs of fixed-width cells are what a decoder reads
+#: with one ``struct`` call, and it declines rows that strings cut short
+kind_strategy = st.sampled_from(
+    [AttrType.INT] * 3 + [AttrType.FLOAT] * 3
+    + [AttrType.BOOL, AttrType.STR, AttrType.DATE]
+)
+kinds_strategy = st.lists(kind_strategy, max_size=12)
+_int64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_float64 = st.floats(allow_nan=False, width=64)
+_text = st.one_of(
+    st.text(max_size=12),
+    st.text(min_size=1, max_size=3).map(lambda text: text * 128),
+    st.text(alphabet="éß漢🙂", min_size=1, max_size=40),
+)
+_CONFORMING = {
+    AttrType.INT: _int64,
+    AttrType.FLOAT: _float64,
+    AttrType.BOOL: st.booleans(),
+    AttrType.STR: _text,
+    AttrType.DATE: _text,
+}
+#: an encoded cell of any kind — including a bool whose payload byte is
+#: neither 0 nor 1, which ``encode_value`` never writes but every
+#: decoder reads as true
+_any_cell = st.one_of(
+    st.one_of(st.none(), st.booleans(), _int64, _float64, _text).map(
+        codec.encode_value
+    ),
+    st.integers(min_value=0, max_value=255).map(lambda n: b"B" + bytes((n,))),
+)
+
+
+@st.composite
+def declared_rows(draw, max_deviations=2, wide=False):
+    """``(kinds, encoded row)``: a row of the declared kinds in which up
+    to ``max_deviations`` cells were replaced by a cell of any kind, and
+    whose width may differ from the declaration."""
+    kinds = draw(kinds_strategy)
+    cells = [codec.encode_value(draw(_CONFORMING[kind])) for kind in kinds]
+    if wide and kinds and draw(st.integers(min_value=0, max_value=9)) == 0:
+        # a declared width whose count needs a two-byte varint
+        repeat = 128 // len(kinds) + 1
+        kinds, cells = kinds * repeat, cells * repeat
+    for _ in range(draw(st.integers(min_value=0, max_value=max_deviations))):
+        if cells:
+            where = draw(st.integers(min_value=0, max_value=len(cells) - 1))
+            cells[where] = draw(_any_cell)
+    change = draw(st.sampled_from(["keep"] * 6 + ["drop", "add"]))
+    if change == "drop" and cells:
+        cells.pop()
+    elif change == "add":
+        cells.append(draw(_any_cell))
+    return kinds, codec._varint(len(cells)) + b"".join(cells)
+
+
+def _outcome(decode, data, pos):
+    """What decoding did: the typed row and end position, or the error."""
+    try:
+        row, end = decode(data, pos)
+    except (codec.CodecError, UnicodeDecodeError) as exc:
+        return type(exc)
+    return _typed(row), end
+
+
+@given(declared_rows(wide=True), st.binary(max_size=3), st.binary(max_size=3))
+def test_compiled_decoder_equals_generic(declared, lead, trail):
+    kinds, encoded = declared
+    decode = codec.row_decoder(kinds)
+    data = lead + encoded + trail
+    generic = _outcome(codec.decode_row, data, len(lead))
+    assert generic[1] == len(lead) + len(encoded)
+    assert _outcome(decode, data, len(lead)) == generic
+
+
+#: one cell of every kind a declared cell can turn out to be: NULL, an
+#: int, a float, both bools and a non-0/1 bool payload, a short and a
+#: >= 128-byte string
+_DEVIANT_CELLS = [
+    codec.encode_value(value)
+    for value in (None, 7, -7.5, True, False, "x", "é" * 64)
+] + [b"B\x02"]
+
+
+@given(declared_rows(max_deviations=0), st.binary(max_size=3))
+def test_compiled_decoder_equals_generic_on_one_deviation_anywhere(
+    declared, lead
+):
+    """Every position of a conforming row in turn holds every kind of
+    cell: each tag the decoder predicts is contradicted at least once."""
+    kinds, encoded = declared
+    decode = codec.row_decoder(kinds)
+    conforming, _ = codec.decode_row(encoded)
+    cells = [codec.encode_value(value) for value in conforming]
+    head = lead + codec._varint(len(cells))
+    for where in range(len(cells)):
+        for cell in _DEVIANT_CELLS:
+            data = head + b"".join(cells[:where] + [cell] + cells[where + 1:])
+            generic = _outcome(codec.decode_row, data, len(lead))
+            assert generic[1] == len(data)
+            assert _outcome(decode, data, len(lead)) == generic
+
+
+@given(declared_rows(max_deviations=0))
+def test_compiled_decoder_every_cut_is_a_codec_error(declared):
+    kinds, encoded = declared
+    decode = codec.row_decoder(kinds)
+    for cut in range(len(encoded)):
+        assert _outcome(decode, encoded[:cut], 0) is codec.CodecError
+        assert _outcome(codec.decode_row, encoded[:cut], 0) is codec.CodecError
+
+
+@given(kinds_strategy, st.binary(max_size=60), st.integers(0, 4))
+def test_compiled_decoder_equals_generic_on_arbitrary_bytes(kinds, data, pos):
+    decode = codec.row_decoder(kinds)
+    assert _outcome(decode, data, pos) == _outcome(codec.decode_row, data, pos)
+
+
+@given(
+    st.lists(
+        st.tuples(declared_rows(), multiplicity_strategy), max_size=5
+    ),
+    st.binary(max_size=3),
+)
+def test_entries_with_a_decoder_equal_entries_without(rows, lead):
+    """One decoder over a block whose rows need not share its kinds."""
+    kinds = rows[0][0][0] if rows else []
+    data = lead + codec._varint(len(rows)) + b"".join(
+        codec._varint(count) + encoded for (_, encoded), count in rows
+    )
+    expected, end = codec.decode_entries(data, len(lead))
+    out, out_end = codec.decode_entries(
+        data, len(lead), codec.row_decoder(kinds)
+    )
+    assert out_end == end == len(data)
+    assert [c for _, c in out] == [c for _, c in expected]
+    assert [_typed(r) for r, _ in out] == [_typed(r) for r, _ in expected]
