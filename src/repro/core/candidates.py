@@ -61,10 +61,13 @@ class Candidate:
         self.termed: Tuple[Tuple[str, Term], ...] = tuple(
             [(a, terms[a]) for a in self.attrs if a in terms]
         )
-        #: fetching this schema for an alias that is already materialized
-        #: is combination-correct only when the relation's primary key is
-        #: pinned down: within XY, and its non-key part already available.
-        #: ``None`` when the schema cannot be re-fetched at all.
+        #: fetching this schema for an alias that has already fetched
+        #: attributes is combination-correct only when the relation's
+        #: primary key ties the two fetches: within XY here (else
+        #: ``None`` — the schema cannot be re-fetched at all) and among
+        #: what the alias has fetched, which the plan generator checks.
+        #: The tuple is the key's non-key part: the attributes the ∝'s
+        #: ``#dup`` check compares.
         pk = schema.relation.primary_key
         self.refetch_pk: Optional[Tuple[str, ...]] = None
         if pk and schema.attribute_set.issuperset(pk):

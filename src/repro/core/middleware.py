@@ -4,7 +4,7 @@ Workflow for a query Q over relational schema R, given BaaV schema R̃:
 
 1. M1: decide whether Q can be answered over R̃ (Condition II on min(Q));
    decide scan-freeness (Condition III) and boundedness (degrees).
-2. M2: generate a KBA plan — scan-free whenever Q is, falling back to KV
+2. M2: generate a KBA plan — scan-free only if Q is — falling back to KV
    instance scans (and, when allowed, TaaV scans) for uncovered parts.
 
 Parallelization (M3) lives in :mod:`repro.parallel`; schema design (M4) in
@@ -204,9 +204,16 @@ class Zidian:
             ):
                 lines.append(f"  {alias}: {desc}")
         if decision.scan_free.missing:
-            lines.append(
-                f"uncovered: {sorted(decision.scan_free.missing)}"
-            )
+            lines.append("uncovered:")
+            for alias in sorted(decision.scan_free.missing):
+                unreached = decision.scan_free.unreachable[alias]
+                cause = (
+                    f"cannot reach {{{', '.join(sorted(unreached))}}} "
+                    "from the query's constants"
+                    if unreached
+                    else f"no single verifiable combination covers X[{alias}]"
+                )
+                lines.append(f"  {alias}: {cause}")
         if decision.bounded is not None and decision.bounded.degrees:
             degrees = ", ".join(
                 f"{name}={deg}"

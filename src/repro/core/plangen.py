@@ -1,7 +1,8 @@
 """Chase-based KBA plan generation — module M2 of Zidian (§6.2).
 
 Given a bound SQL query and the available BaaV schema, the generator
-replays the GET chasing sequence (§6.1) to build a KBA plan:
+selects a chasing sequence of its own — a greedy, ranked subset of what
+GET (§6.1) may derive — and replays it to build a KBA plan:
 
 1. Start from a *constant keyed block* holding the query's constant-bound
    terms (equality constants and IN-lists; their cartesian product is one
@@ -12,15 +13,23 @@ replays the GET chasing sequence (§6.1) to build a KBA plan:
    prune attributes no longer needed — exactly the T1/T2/T3 chain of
    Example 7.
 3. Aliases the chain cannot cover are fetched with KV-instance scans
-   (possibly extended within the alias following the ``clo`` chain) or, as
-   the last resort, TaaV scans; these sub-plans join into the chain.
+   (possibly extended within the alias by the same select + replay,
+   grown from the scan) or, as the last resort, TaaV scans; these
+   sub-plans join into the chain.
 4. A trailing group-by (plus HAVING) becomes ``GroupK``/``SelectK``;
    everything above (ORDER BY / LIMIT / final projection / DISTINCT) runs
    on the flattened table by substituting a :class:`TableNode` into the
    original RA plan.
 
-The generated plan is scan-free whenever the query is (Theorem 6): every
-covered alias is reached through ``∝`` from constants only.
+A plan reported scan-free reaches every alias through ``∝`` from
+constants only, and only for queries M1 calls scan-free (Theorem 6); the
+converse does not hold yet: the greedy walk can miss a chain GET derives
+(``tests/properties/test_prop_planner.py`` pins an example).
+
+Every ``∝`` step is admitted in one place, :meth:`_ChainState._candidates`,
+chosen in one place, :meth:`_ChainState._select`, and emitted by
+:meth:`_ChainState._replay`, which makes no choice — what the selection
+counted as covered is what the plan fetches.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.baav.schema import BaaVSchema, KVSchema
 from repro.core.candidates import Candidate, CandidateTable
@@ -147,20 +156,14 @@ class PlanGenerator:
         covered: Set[str],
     ) -> Tuple[kp.KBANode, Dict[str, str]]:
         access: Dict[str, str] = {}
-        chain_plan = None
+        subplans: List[Tuple[kp.KBANode, Set[str]]] = []
         if covered:
-            chain_plan = state.build_chain(covered)
+            subplans.append(state.build_chain())
             for alias in covered:
                 access[alias] = "chain"
 
-        subplans: List[Tuple[kp.KBANode, Set[str]]] = []
-        if chain_plan is not None:
-            subplans.append((chain_plan, set(state.avail)))
-
         for alias in sorted(set(analysis.atoms) - covered):
-            subplan, attrs, mode = self._scan_subplan(
-                analysis, alias, state.table
-            )
+            subplan, attrs, mode = self._scan_subplan(analysis, alias, state)
             access[alias] = mode
             subplans.append((subplan, attrs))
 
@@ -188,7 +191,7 @@ class PlanGenerator:
         return root, access
 
     def _scan_subplan(
-        self, analysis: SPCAnalysis, alias: str, table: CandidateTable
+        self, analysis: SPCAnalysis, alias: str, state: "_ChainState"
     ) -> Tuple[kp.KBANode, Set[str], str]:
         """Fetch an uncovered alias: index probe when a usable secondary
         index exists, else by scanning (§6.2 step 3)."""
@@ -202,8 +205,8 @@ class PlanGenerator:
             )
             return plan, attrs, "index"
 
-        group = table.by_alias[alias]
-        need = {a.split(".", 1)[1] for a in table.x_attrs[alias]}
+        group = state.table.by_alias[alias]
+        need = {a.split(".", 1)[1] for a in state.table.x_attrs[alias]}
         if not need and group:
             # pure existence check: any attribute will do
             need = {group[0].schema.attributes[0]}
@@ -216,17 +219,15 @@ class PlanGenerator:
                 or cand.schema.width < best_single.schema.width
             ):
                 best_single = cand
-        plan: Optional[kp.KBANode] = None
-        attrs: Set[str] = set()
         if best_single is not None:
-            plan = kp.ScanKV(best_single.schema.name, alias)
+            plan: kp.KBANode = kp.ScanKV(best_single.schema.name, alias)
             attrs = set(best_single.attr_set)
+            mode = "scan_kv"
         else:
-            plan, attrs = self._scan_with_extensions(
-                alias, need, [cand.schema for cand in group]
-            )
-
-        if plan is None:
+            grown = state.scan_chain(alias)
+            if grown is not None:
+                # the alias's predicates already sit on the scanned leaf
+                return (*grown, "scan_kv")
             if not self.allow_taav_fallback:
                 raise NotPreservedError(
                     f"alias {alias} ({relation}) is not covered by the "
@@ -238,8 +239,6 @@ class PlanGenerator:
                 for a in analysis.bound.aliases[alias].attribute_names
             }
             mode = "taav"
-        else:
-            mode = "scan_kv"
 
         plan, attrs = _apply_alias_predicates(analysis, alias, plan, attrs)
         return plan, attrs, mode
@@ -274,53 +273,6 @@ class PlanGenerator:
             for a in analysis.bound.aliases[alias].attribute_names
         }
         return plan, attrs
-
-    def _scan_with_extensions(
-        self,
-        alias: str,
-        need: Set[str],
-        candidates: Sequence[KVSchema],
-    ) -> Tuple[Optional[kp.KBANode], Set[str]]:
-        """Scan one instance, then follow the clo chain with ∝ within the
-        alias (probing by key, verified on the relation's primary key)."""
-        if not candidates:
-            return None, set()
-        # start from the schema covering the most needed attributes,
-        # requiring the relation's primary key so extensions stay
-        # combination-correct (see DESIGN.md)
-        def coverage(schema: KVSchema) -> int:
-            return len(need & schema.attribute_set)
-
-        starts = sorted(candidates, key=coverage, reverse=True)
-        for start in starts:
-            have = set(start.attributes)
-            pk = set(start.relation.primary_key or ())
-            if pk and not pk <= have:
-                continue
-            plan: kp.KBANode = kp.ScanKV(start.name, alias)
-            used = {start.name}
-            progress = True
-            while not need <= have and progress:
-                progress = False
-                for schema in candidates:
-                    if schema.name in used:
-                        continue
-                    if not set(schema.key) <= have:
-                        continue
-                    if pk and not pk <= (have | set(schema.key)):
-                        continue
-                    new_values = set(schema.value) - have
-                    if not new_values:
-                        continue
-                    plan, have = _extend_same_alias(
-                        plan, alias, schema, have
-                    )
-                    used.add(schema.name)
-                    progress = True
-                    break
-            if need <= have:
-                return plan, {f"{alias}.{a}" for a in have}
-        return None, set()
 
     # -- statistics fast path ----------------------------------------------------
 
@@ -371,23 +323,30 @@ class PlanGenerator:
 # --------------------------------------------------------------------------
 
 
-#: a candidate extend as the chain builders rank it: (score, alias,
-#: KV schema name, candidate, probes) — the first three are the rank
+#: a candidate extend as the selection ranks it: (score, alias, KV
+#: schema name, candidate, probes) — the first three are the rank
 _Ranked = Tuple[
     Tuple[int, int, int], str, str, Candidate, List[Tuple[str, str]]
 ]
 _rank = itemgetter(0, 1, 2)
 
+#: a chosen ∝ step: the candidate, its ``(key attribute, supplying query
+#: attribute)`` probes, and what it reads from the chain below it — the
+#: probe suppliers and, for a secondary fetch, the primary-key attributes
+#: its ``#dup`` check compares
+_Step = Tuple[Candidate, List[Tuple[str, str]], FrozenSet[str]]
+
 
 class _ChainState:
-    """Greedy ∝-chain builder with a dry-run coverage fixpoint."""
+    """The greedy ∝ walk of one query: selected once, replayed to emit."""
 
     def __init__(self, analysis: SPCAnalysis, table: CandidateTable) -> None:
         self.analysis = analysis
         self.table = table
         self.needed = table.needed
         self.leaf = self._constant_leaf()
-        self.avail: Set[str] = set()
+        #: the steps of the chain run :meth:`stable_coverage` accepted
+        self.steps: List[_Step] = []
         self.applied_residuals: Set[int] = set()
 
     # -- constants ------------------------------------------------------------
@@ -436,7 +395,7 @@ class _ChainState:
     def _candidates(
         self,
         avail: Set[str],
-        fetched: Set[str],
+        fetched: Dict[str, Set[str]],
         used: Set[Candidate],
         allowed_aliases: Optional[Set[str]],
     ) -> List[_Ranked]:
@@ -447,133 +406,157 @@ class _ChainState:
                 continue
             if cand in used:
                 continue
-            gain_any = len(cand.attr_set - avail)
-            if not gain_any:
-                continue
-            gain_needed = len(cand.needed - avail)
-            if alias in fetched:
-                # secondary fetch: probe keys must come from the alias's
-                # own *currently materialized* attributes and the
-                # relation's primary key must be pinned down
-                # (combination correctness)
-                if cand.refetch_pk is None:
+            got = fetched.get(alias)
+            if got is None:
+                # first fetch: every key attribute has a supplier. It is
+                # taken even when it gains nothing needed — the alias
+                # then acts as an existence/multiplicity check (e.g.
+                # V.vehicle_id = c)
+                gain_any = len(cand.attr_set - avail)
+                if not gain_any:
                     continue
-                if not avail.issuperset(cand.keys):
-                    continue
-                if not avail.issuperset(cand.refetch_pk):
-                    continue
-                if not gain_needed:
-                    # a secondary fetch that materializes nothing needed
-                    # downstream is pure overhead; a *first* fetch is still
-                    # required even with zero gain — the alias acts as an
-                    # existence/multiplicity check (e.g. V.vehicle_id = c)
-                    continue
-                probes = list(zip(cand.schema.key, cand.keys))
-            else:
                 first = self._first_fetch_probes(cand, avail)
                 if first is None:
                     continue
                 probes = first
+                gain_needed = len(cand.needed - avail)
+            else:
+                # secondary fetch — the one rule of combination
+                # correctness: it gains something needed that the alias
+                # has not *fetched* (available through a term is not
+                # verified against the tuple), the instance holds the
+                # relation's primary key, what the alias has fetched so
+                # far holds it too, and the probe key is available
+                gain_needed = len(cand.needed - got)
+                if not gain_needed or cand.refetch_pk is None:
+                    continue
+                if not got.issuperset(cand.pk_set):
+                    continue
+                if not avail.issuperset(cand.keys):
+                    continue
+                probes = list(zip(cand.schema.key, cand.keys))
+                gain_any = len(cand.attr_set - avail)
             score = (gain_needed, gain_any, -cand.schema.width)
             out.append((score, alias, cand.schema.name, cand, probes))
         return out
 
-    # -- dry-run coverage fixpoint -------------------------------------------------
+    # -- selection ----------------------------------------------------------------
 
-    def _dry_run(self, allowed: Optional[Set[str]]) -> Tuple[Set[str], Set[str]]:
-        """Which aliases end up fully covered by a chain over ``allowed``,
-        and which it fetched at all."""
-        if self.leaf is None:
-            return set(), set()
+    def _select(
+        self,
+        avail: Set[str],
+        fetched: Dict[str, Set[str]],
+        used: Set[Candidate],
+        allowed: Optional[Set[str]],
+    ) -> List[_Step]:
+        """The one greedy walk: from ``avail`` take the best-ranked
+        admissible step until none is left. ``avail`` stays *unpruned* —
+        what may be dropped is decided afterwards, from the steps chosen
+        (:meth:`_replay`); ``fetched`` gains, per alias, the attributes
+        the chosen steps fetch."""
         term_of = self.analysis.term_of
-        avail = set(self.leaf.attrs)
         # equality transitivity: everything in a materialized term is
         # available as a supplier. `avail` is kept closed under it by
         # closing the terms each step touches (the leaf's terms ride
         # with the first step, as they always have)
-        touched = [term_of(attr) for attr in self.leaf.attrs]
-        fetched: Set[str] = set()
-        used: Set[Candidate] = set()
+        touched = [term_of(attr) for attr in avail]
+        steps: List[_Step] = []
         while True:
             candidates = self._candidates(avail, fetched, used, allowed)
             if not candidates:
-                break
-            cand = max(candidates, key=_rank)[3]
+                return steps
+            _, alias, _, cand, probes = max(candidates, key=_rank)
+            reads = {supplier for _, supplier in probes}
+            if alias in fetched:
+                reads.update(cand.refetch_pk or ())
+            steps.append((cand, probes, frozenset(reads)))
             used.add(cand)
-            fetched.add(cand.alias)
+            fetched.setdefault(alias, set()).update(cand.attrs)
             avail.update(cand.attrs)
             touched.extend(term for _, term in cand.termed)
             for term in touched:
                 if term is not None:
                     avail |= term.attrs
             touched.clear()
-        covered = set()
-        for alias in fetched:
-            x_attrs = self.table.x_attrs[alias]
-            if x_attrs and x_attrs <= avail:
-                covered.add(alias)
-        return covered, fetched
+
+    def _holds_x(self, alias: str, got: Set[str]) -> bool:
+        """Do the fetched attributes ``got`` hold the alias's ``X``? An
+        attribute only *available* through its term does not count: no
+        fetch verifies it against the tuple."""
+        x_attrs = self.table.x_attrs[alias]
+        return bool(x_attrs) and x_attrs <= got
 
     def stable_coverage(self) -> Set[str]:
-        """Fixpoint: restrict the chain to aliases it can fully cover."""
+        """Fixpoint: restrict the chain to aliases it can fully cover,
+        and keep the steps of the run that does."""
+        if self.leaf is None:
+            return set()
         allowed: Optional[Set[str]] = None
         while True:
-            covered, fetched = self._dry_run(allowed)
+            fetched: Dict[str, Set[str]] = {}
+            steps = self._select(set(self.leaf.attrs), fetched, set(), allowed)
+            covered = {a for a, got in fetched.items() if self._holds_x(a, got)}
             # a run whose every fetched alias is covered is the fixpoint:
             # restricting it to `covered` only drops aliases it never chose
-            if fetched <= covered:
+            if len(covered) == len(fetched):
+                self.steps = steps
                 return covered
             if not covered:
                 return set()
             allowed = covered
 
-    # -- real chain ------------------------------------------------------------------
+    # -- replay ---------------------------------------------------------------------
 
-    def build_chain(self, allowed: Set[str]) -> kp.KBANode:
-        analysis = self.analysis
+    def build_chain(self) -> Tuple[kp.KBANode, Set[str]]:
+        """The accepted chain, grown from the constant leaf, and the
+        attributes it materializes."""
         if self.leaf is None:
             raise PlanError("chain requested without constant bindings")
-        plan_node: kp.KBANode = self.leaf
-        avail = set(self.leaf.attrs)
-        fetched: Set[str] = set()
-        used: Set[Candidate] = set()
+        return self._replay(self.leaf, set(self.leaf.attrs), self.steps)
 
-        # equality availability (suppliers) is broader than materialized
-        supplier_avail = set(avail)
-
-        while True:
-            candidates = self._candidates(
-                supplier_avail, fetched, used, allowed
-            )
-            if not candidates:
-                break
-            _, _, _, cand, probes = max(candidates, key=_rank)
-            used.add(cand)
-            plan_node, avail = self._apply_extend(
-                plan_node, avail, cand, probes
-            )
-            fetched.add(cand.alias)
-            supplier_avail = set(avail)
-            for attr in avail:
-                term = analysis.term_of(attr)
-                if term is not None:
-                    supplier_avail |= term.attrs
-
-        # materialize needed attributes whose term-mate is available
-        copies: List[Tuple[str, str]] = []
-        for attr in sorted(self.needed - avail):
-            alias = attr.split(".", 1)[0]
-            if alias not in fetched:
+    def scan_chain(self, alias: str) -> Optional[Tuple[kp.KBANode, Set[str]]]:
+        """§6.2 step 3 when no single instance holds the alias's ``X``:
+        scan an instance that holds the relation's primary key and grow
+        the same select + replay from it, within the alias. The alias
+        counts as fetched, so only the secondary-fetch rule of
+        :meth:`_candidates` admits a step. ``None`` when no start's walk
+        holds ``X``."""
+        x_attrs = self.table.x_attrs[alias]
+        starts = sorted(
+            [c for c in self.table.by_alias[alias] if c.refetch_pk is not None],
+            key=lambda c: len(x_attrs & c.attr_set),
+            reverse=True,
+        )
+        for start in starts:
+            fetched = {alias: set(start.attrs)}
+            steps = self._select(set(start.attrs), fetched, {start}, {alias})
+            if not self._holds_x(alias, fetched[alias]):
                 continue
-            supplier = self._supplier(attr, avail)
-            if supplier is not None:
-                copies.append((supplier, attr))
-                avail.add(attr)
-        if copies:
-            plan_node = kp.CopyK(plan_node, tuple(copies))
+            leaf, attrs = _apply_alias_predicates(
+                self.analysis,
+                alias,
+                kp.ScanKV(start.schema.name, alias),
+                set(start.attrs),
+                self.applied_residuals,
+            )
+            return self._replay(leaf, attrs, steps)
+        return None
 
-        self.avail = avail
-        return plan_node
+    def _replay(
+        self, node: kp.KBANode, avail: Set[str], steps: Sequence[_Step]
+    ) -> Tuple[kp.KBANode, Set[str]]:
+        """Emit ``steps`` above ``node`` (which materializes ``avail``);
+        no choice is made here. After step *i* the result is pruned to
+        ``needed`` plus what steps *i+1..* read, so an attribute is
+        dropped only when nothing above still reads it."""
+        keeps: List[FrozenSet[str]] = []
+        keep = self.needed
+        for _, _, reads in reversed(steps):
+            keeps.append(keep)
+            keep = keep | reads
+        for (cand, probes, _), keep in zip(steps, reversed(keeps)):
+            node, avail = self._apply_extend(node, avail, cand, probes, keep)
+        return node, avail
 
     def _apply_extend(
         self,
@@ -581,6 +564,7 @@ class _ChainState:
         avail: Set[str],
         cand: Candidate,
         probes: List[Tuple[str, str]],
+        keep: FrozenSet[str],
     ) -> Tuple[kp.KBANode, Set[str]]:
         analysis = self.analysis
         schema = cand.schema
@@ -668,8 +652,8 @@ class _ChainState:
             analysis, node, avail, self.applied_residuals
         )
 
-        # prune: keep only needed attributes (drops #dup temporaries)
-        kept = avail & self.needed
+        # prune to what is still read above (drops #dup temporaries)
+        kept = avail & keep
         if kept and len(kept) != len(avail):
             node = kp.ProjectK(node, tuple(sorted(kept)))
             avail = set(kept)
@@ -706,8 +690,10 @@ def _apply_alias_predicates(
     alias: str,
     plan: kp.KBANode,
     attrs: Set[str],
+    applied: Optional[Set[int]] = None,
 ) -> Tuple[kp.KBANode, Set[str]]:
-    """Constants and alias-local residuals on a scanned alias."""
+    """Constants and alias-local residuals on a scanned alias; the
+    residuals placed are recorded in ``applied`` when it is given."""
     preds: List[ast.Expr] = []
     prefix = alias + "."
     for term in analysis.live_terms():
@@ -729,51 +715,17 @@ def _apply_alias_predicates(
                     preds.append(
                         ast.Cmp("=", ast.Column(attr), ast.Column(mate))
                     )
-    for residual in analysis.residuals:
+    for index, residual in enumerate(analysis.residuals):
         cols = {c for c in residual.columns() if "." in c}
         if cols and cols <= attrs and all(
             c.startswith(prefix) for c in cols
         ):
             preds.append(residual)
+            if applied is not None:
+                applied.add(index)
     if preds:
         plan = kp.SelectK(plan, ast.make_and(preds))
     return plan, attrs
-
-
-def _extend_same_alias(
-    plan: kp.KBANode,
-    alias: str,
-    schema: KVSchema,
-    have: Set[str],
-) -> Tuple[kp.KBANode, Set[str]]:
-    """Extend a scanned alias with another schema of the same relation."""
-    on = tuple((f"{alias}.{k}", k) for k in schema.key)
-    rename: List[Tuple[str, str]] = []
-    dup_checks: List[Tuple[str, str]] = []
-    new_attrs: List[str] = []
-    for value_attr in schema.value:
-        if value_attr in have:
-            temp = f"{alias}.{value_attr}#dup"
-            rename.append((value_attr, temp))
-            dup_checks.append((f"{alias}.{value_attr}", temp))
-        else:
-            new_attrs.append(value_attr)
-    node: kp.KBANode = kp.Extend(
-        plan, schema.name, alias, on, (), tuple(rename)
-    )
-    if dup_checks:
-        preds = [
-            ast.Cmp("=", ast.Column(orig), ast.Column(temp))
-            for orig, temp in dup_checks
-        ]
-        node = kp.SelectK(node, ast.make_and(preds))
-        keep = tuple(
-            sorted({f"{alias}.{a}" for a in have} | {
-                f"{alias}.{a}" for a in new_attrs
-            })
-        )
-        node = kp.ProjectK(node, keep)
-    return node, have | set(new_attrs)
 
 
 def _equi_pairs_between(

@@ -15,8 +15,11 @@ Implements the paper's characterization:
   member of ``VC(min(Q), R̃)``.
 * Boundedness (§6.1 end): scan-free plus instance degrees below a constant.
 
-``GET`` is computed with a *derivation log* — the chasing sequence of §6.2
-— which the plan generator replays to build scan-free KBA plans.
+``GET`` is computed with a *derivation log* — the chasing sequence of
+§6.2. It is the specification, not the plan: the plan generator selects
+and replays steps of its own (a ranked subset of what GET derives), and
+``tests/properties/test_prop_planner.py`` holds it to this module's
+verdicts.
 """
 
 from __future__ import annotations
@@ -150,6 +153,10 @@ class ScanFreeReport:
     witnesses: Dict[str, VCEntry] = field(default_factory=dict)
     #: aliases of min(Q) that are not covered
     missing: List[str] = field(default_factory=list)
+    #: per missing alias, the cause: ``X − GET``, the attributes no chase
+    #: reaches; empty when GET holds all of ``X`` but no single verifiable
+    #: combination does
+    unreachable: Dict[str, FrozenSet[str]] = field(default_factory=dict)
     #: alias -> index access-path description, for aliases the BaaV
     #: schema leaves uncovered but a secondary index makes bounded
     index_covered: Dict[str, str] = field(default_factory=dict)
@@ -217,6 +224,7 @@ def is_scan_free(
         else:
             report.scan_free = False
             report.missing.append(alias)
+            report.unreachable[alias] = x_attrs - get.attrs
     return report
 
 

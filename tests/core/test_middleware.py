@@ -69,7 +69,31 @@ class TestExplain:
             "select S.suppkey, S.nationkey from SUPPLIER S"
         )
         assert "scan_free=False" in text
-        assert "uncovered" in text
+        assert "uncovered:" in text
+        # the cause is named: no constant, so no chase reaches anything
+        assert (
+            "  S: cannot reach {S.nationkey, S.suppkey} from the query's "
+            "constants"
+        ) in text.splitlines()
+
+    def test_explain_names_a_combination_gap(self, paper_db, paper_schemas):
+        """GET holds all of X, but over two instances no primary key ties."""
+        from repro.baav import BaaVSchema, KVSchema
+
+        supplier, partsupp, nation = paper_schemas
+        baav = BaaVSchema(
+            [
+                KVSchema("ps_cost", partsupp, ["suppkey"], ["supplycost"]),
+                KVSchema("ps_qty", partsupp, ["suppkey"], ["availqty"]),
+            ]
+        )
+        text = Zidian(paper_db.schema, baav).explain(
+            "select PS.supplycost, PS.availqty from PARTSUPP PS "
+            "where PS.suppkey = 1"
+        )
+        assert "  PS: no single verifiable combination covers X[PS]" in (
+            text.splitlines()
+        )
 
     def test_explain_shows_degrees(self, zidian, q1_sql):
         assert "degrees" in zidian.explain(q1_sql)

@@ -4,7 +4,10 @@
 *before* planning was made O(query) (schema facts derived once per BaaV
 schema, one candidate table per query). The test re-plans every query
 and compares the rendered record with the file, so a change to the cost
-of planning cannot silently become a change of one plan.
+of planning cannot silently become a change of one plan. (ISSUE 20
+regenerated it for three scan-extension records and one new shape; plan
+text is all it pins — ``tests/properties/test_prop_planner.py`` checks
+that plans run and are right.)
 
 Regenerate (only when a plan change is intended and reviewed)::
 
@@ -94,6 +97,8 @@ SHAPES: Dict[str, str] = {
     "second_fetch": "select F.carrier_id, F.arr_delay, F.origin from FLIGHT F "
     "where F.flight_id = 11",
     "tail_then_both": "select F.flight_id, F.flight_date, F.dest, F.dep_delay "
+    "from FLIGHT F where F.tail_id = 5",
+    "tail_prunes_probe_key": "select F.flight_date, F.dest, F.dep_delay "
     "from FLIGHT F where F.tail_id = 5",
     "range": "select F.flight_id, F.arr_delay from FLIGHT F "
     "where F.arr_delay >= 50 and F.arr_delay < 55",

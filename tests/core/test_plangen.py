@@ -16,8 +16,11 @@ from repro.kba import (
     walk,
 )
 from repro.errors import NotPreservedError
+from repro.relational import bag_equal
 from repro.sql import execute as ra_execute, plan_sql
 from repro.sql.executor import Table, run as ra_run
+from repro.systems import ZidianSystem
+from repro.workloads import airca
 
 
 def run_zidian_plan(plan, store, taav, db):
@@ -287,3 +290,140 @@ class TestHavingOrderLimit:
         got = run_zidian_plan(plan, paper_store, paper_taav, paper_db)
         want = reference(paper_db, sql)
         assert got.rows == want.rows
+
+
+class TestSelectedStepsAreWhatRuns:
+    """One regression per way the coverage walk, the chain builder and
+    the scan-path extender used to disagree: every plan here executes
+    and bag-equals the reference executor."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return airca.generate_airca(scale=0.1, seed=31)
+
+    @staticmethod
+    def plan_and_check(db, baav, sql, keep_taav=True):
+        with ZidianSystem(workers=2, storage_nodes=2, keep_taav=keep_taav) as system:
+            system.load(db, baav)
+            plan, decision = system.middleware.plan(sql)
+            result = system.execute(sql)
+        ref_plan, _ = plan_sql(sql, db.schema)
+        assert bag_equal(ra_execute(ref_plan, db), result.relation), sql
+        return plan, decision
+
+    def test_probe_key_of_a_later_fetch_survives_the_prune(self, db):
+        """(a) the walk counted on F.flight_id; the builder pruned it."""
+        plan, decision = self.plan_and_check(
+            db,
+            airca.airca_baav_schema(),
+            "select F.flight_date, F.dest, F.dep_delay from FLIGHT F "
+            "where F.tail_id = 5",
+        )
+        assert decision.is_scan_free and plan.access == {"F": "chain"}
+        text = plan.root.describe()
+        assert "ProjectK(F.flight_date, F.flight_id, F.tail_id)" in text
+        # the second ∝ verifies #dup on what both fetches carry
+        assert "F.tail_id = F.tail_id#dup" in text
+        assert "F.flight_date = F.flight_date#dup" in text
+
+    def test_two_hop_probe_key_survives_the_prune(self, db):
+        baav = BaaVSchema(
+            [
+                KVSchema("d_by_id", airca.DELAY, ["delay_id"], ["minutes", "cause"]),
+                KVSchema("d_by_minutes", airca.DELAY, ["minutes"],
+                         ["severity", "delay_id"]),
+            ]
+        )
+        plan, _ = self.plan_and_check(
+            db, baav, "select A.severity from DELAY A where A.delay_id = 20"
+        )
+        assert plan.access == {"A": "chain"}
+        text = plan.root.describe()
+        assert "ProjectK(A.delay_id, A.minutes)" in text
+        assert "A.delay_id = A.delay_id#dup" in text
+
+    def test_join_attribute_behind_a_pruned_probe_key_is_joined_on(self, db):
+        """(b) A.metric_01 sits behind a ∝ on A.metric_02, which the
+        builder pruned: the join predicate was silently dropped."""
+        baav = BaaVSchema(
+            [
+                KVSchema("d_a", airca.DELAY, ["delay_id"],
+                         ["flight_id", "metric_02", "cause"]),
+                KVSchema("d_b", airca.DELAY, ["metric_02", "delay_id"],
+                         ["metric_01", "severity"]),
+                KVSchema("c_by_code", airca.CARRIER, ["code"],
+                         ["carrier_id", "alliance", "metric_01"]),
+            ]
+        )
+        plan, _ = self.plan_and_check(
+            db,
+            baav,
+            "select A.delay_id, B.alliance from DELAY A, CARRIER B "
+            "where A.delay_id = 24 and A.metric_01 = B.metric_01",
+        )
+        assert plan.root.describe().splitlines()[0] == (
+            "JoinK(A.metric_01=B.metric_01)"
+        )
+
+    def test_lossy_scan_extension_falls_to_taav(self, db):
+        """(c) ⟨country | alliance⟩ does not hold the primary key: joined
+        onto a scan of ⟨carrier_id | name, country⟩ it pairs every
+        carrier with every alliance of its country."""
+        baav = BaaVSchema(
+            [
+                KVSchema("c_by_id", airca.CARRIER, ["carrier_id"], ["name", "country"]),
+                KVSchema("c_by_country", airca.CARRIER, ["country"], ["alliance"]),
+            ]
+        )
+        sql = "select A.name, A.alliance from CARRIER A where A.carrier_id = 2"
+        plan, decision = self.plan_and_check(db, baav, sql)
+        assert not decision.answerable
+        assert plan.access == {"A": "taav"}
+        with pytest.raises(NotPreservedError):
+            self.plan_and_check(db, baav, sql, keep_taav=False)
+
+    def test_attribute_only_available_through_its_term_is_not_covered(self, db):
+        """(d) An attribute no fetch holds is never checked against the
+        tuple — a constant on it, or an equality copied from a term-mate,
+        was reported covered and silently dropped."""
+        baav = BaaVSchema(
+            [
+                KVSchema("d_cause", airca.DELAY, ["delay_id"], ["cause"]),
+                KVSchema("d_minutes", airca.DELAY, ["delay_id"], ["minutes"]),
+                KVSchema("f_dep", airca.FLIGHT, ["flight_id"], ["dep_delay"]),
+            ]
+        )
+        plan, decision = self.plan_and_check(
+            db,
+            baav,
+            "select A.cause from DELAY A where A.delay_id = 3 "
+            "and A.severity = 2",
+        )
+        assert not decision.answerable and plan.access == {"A": "taav"}
+        plan, _ = self.plan_and_check(
+            db,
+            baav,
+            "select A.cause from DELAY A, FLIGHT F where A.delay_id = 3 "
+            "and F.flight_id = 7 and A.minutes = F.dep_delay",
+        )
+        assert "A.minutes" in plan.root.describe()
+        assert "CopyK" not in plan.root.describe()
+
+    def test_secondary_fetch_needs_the_primary_key_fetched(self, db):
+        """(e) A first fetch that does not hold the primary key cannot be
+        tied to a later one: a constant on the key is not enough."""
+        baav = BaaVSchema(
+            [
+                KVSchema("c_by_id", airca.CARRIER, ["carrier_id"],
+                         ["fleet_size", "name"]),
+                KVSchema("c_by_name", airca.CARRIER, ["name"], ["alliance"]),
+            ]
+        )
+        plan, decision = self.plan_and_check(
+            db,
+            baav,
+            "select A.alliance, A.fleet_size from CARRIER A "
+            "where A.name = 'Carrier 8' and A.carrier_id = 8",
+        )
+        assert not decision.is_scan_free
+        assert not plan.scan_free

@@ -4,6 +4,8 @@
   are derived when the middleware is built, never inside a statement.
 * The candidate work of one query does not grow with KV schemas over
   relations the query does not mention.
+* The ∝ chain is walked once: candidates are enumerated once per chosen
+  step (plus the round that finds none), not again to emit the plan.
 * The index catalog stays live; concurrent planners from a cold schema
   agree. (``BaaVSchema.add`` invalidation: ``test_closure.py`` and
   ``tests/baav/test_schema.py``.)
@@ -117,6 +119,39 @@ def test_candidate_work_ignores_unrelated_schemas(sql, monkeypatch):
         plans.append((plan.root.describe(), plan.access, decision.summary()))
     assert counts[0] == counts[1] > 0
     assert plans[0] == plans[1]
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "select F.arr_delay, F.distance from FLIGHT F where F.flight_id = 7",
+        "select F.flight_date, F.dest, F.dep_delay from FLIGHT F "
+        "where F.tail_id = 5",
+        "select C.name, D.minutes from FLIGHT F, CARRIER C, DELAY D "
+        "where F.flight_id = 12 and F.carrier_id = C.carrier_id "
+        "and D.flight_id = F.flight_id",
+    ],
+)
+def test_one_candidate_pass_per_chosen_step(sql, monkeypatch):
+    """Selecting the chain enumerates candidates once per step it takes
+    and once more to find none left; emitting the plan replays the
+    chosen steps without enumerating again."""
+    import repro.core.plangen as plangen
+    from repro.kba import Extend, walk
+
+    passes = _Calls(plangen._ChainState._candidates)
+    monkeypatch.setattr(
+        plangen._ChainState,
+        "_candidates",
+        lambda self, *args: passes(self, *args),
+    )
+    plan, decision = Zidian(
+        airca.airca_schema(), airca.airca_baav_schema()
+    ).plan(sql)
+    assert decision.is_scan_free and plan.scan_free
+    steps = sum(isinstance(node, Extend) for node in walk(plan.root))
+    assert steps >= 1
+    assert passes.count == steps + 1
 
 
 def test_index_catalog_stays_live_between_executions(airca_db):

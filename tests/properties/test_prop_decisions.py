@@ -1,11 +1,17 @@
 """Property tests for Zidian's decision procedures.
 
-Soundness properties that must hold for *any* schema/query combination:
+Soundness properties:
 
 * minimization never changes query answers (folded copies are redundant);
 * T2B always supports the QCS it was given;
-* scan-free decisions imply scan-free generated plans (Theorem 6(2));
-* result-preserving decisions imply correct answers (Theorem 6(1)).
+* over one hand-written schema and four query shapes, scan-free
+  decisions come with scan-free plans (Theorem 6(2)) and
+  result-preserving decisions with correct answers (Theorem 6(1)).
+
+"M1 says scan-free (answerable), so M2 plans scan-free (without TaaV)"
+does not hold for *every* schema yet: ``test_prop_planner.py`` sweeps
+random and T2B-designed schemas, holds M2 to "never more than M1 says,
+always executable, always right", and pins the two known gaps.
 """
 
 
