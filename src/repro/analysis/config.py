@@ -60,7 +60,7 @@ GUARDED_FIELDS: Dict[str, Dict[Optional[str], Tuple[GuardSpec, ...]]] = {
                 "_lock", RWLOCK,
                 "nodes", "_down", "_tombstone_keys",
                 "_tombstone_prefixes", "_caches", "_closed",
-                "_versions",
+                "_versions", "_placement_generation",
             ),
             _guard("_meta_lock", MUTEX, "_namespaces"),
         ),

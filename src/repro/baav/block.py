@@ -48,10 +48,20 @@ class BlockStats:
 class Block:
     """A block ``B`` of partial tuples over value attributes ``Y``."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "proven")
 
-    def __init__(self, entries: Optional[List[Tuple[Row, int]]] = None) -> None:
+    def __init__(
+        self,
+        entries: Optional[List[Tuple[Row, int]]] = None,
+        proven: bool = False,
+    ) -> None:
         self.entries: List[Tuple[Row, int]] = entries if entries is not None else []
+        #: stated by the decoder that built the block: every row was
+        #: verified NULL-free and of exactly the kinds its KV schema
+        #: declares, so its modeled size is a
+        #: :class:`~repro.relational.types.RowSizing` away. A block
+        #: built or changed any other way makes no such claim
+        self.proven = proven
 
     @classmethod
     def from_rows(cls, rows: Iterable[Row], compress: bool = True) -> "Block":
@@ -101,6 +111,7 @@ class Block:
 
     def add(self, row: Row, count: int = 1, compress: bool = True) -> None:
         row = tuple(row)
+        self.proven = False
         if compress:
             for index, (existing, existing_count) in enumerate(self.entries):
                 if existing == row:

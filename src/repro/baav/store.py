@@ -17,20 +17,44 @@ the paper's ``D̃``, with its degree ``deg(D̃)``.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.baav.block import Block, BlockStats, split_block
 from repro.baav.schema import BaaVSchema, KVSchema
 from repro.errors import BaaVError
 from repro.kv import codec
 from repro.kv.cache import read_through_many
-from repro.kv.cluster import KVCluster
+from repro.kv.cluster import KeyListing, KVCluster, ListedOn
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
-from repro.relational.types import AttrType, Row
+from repro.relational.types import AttrType, Row, row_sizing
 
 DEFAULT_SPLIT_THRESHOLD = 10_000
+
+
+class _SegmentListing(NamedTuple):
+    """A KV instance's physical keys as the cluster listed them, sorted
+    into logical keys (``keys``; positionally, ``firsts`` lists each
+    one's segment 0) and the listing node of every later segment by its
+    encoded key."""
+
+    keys: List[Row]
+    firsts: KeyListing
+    tail_owners: Dict[bytes, int]
+
+    def tails_listed_on(self, tails: Sequence[bytes]) -> Optional[ListedOn]:
+        """Where the later segments with these encoded keys were listed."""
+        if self.firsts.owners is None:
+            return None
+        owners: List[int] = []
+        for tail in tails:
+            owner = self.tail_owners.get(tail)
+            if owner is None:
+                return None  # a segment written since the listing
+            owners.append(owner)
+        return self.firsts.generation, owners
 
 
 class KVInstance:
@@ -56,12 +80,15 @@ class KVInstance:
         cluster.register_cache(cache)
         self.namespace = f"baav:{schema.name}"
         self.stats_namespace = f"baav:{schema.name}#stats"
-        #: the schema's row shapes, compiled once (codec.row_decoder):
-        #: a value row is Y, a physical key is X plus the segment index
+        #: the schema's row shapes, compiled once: a value row is Y, a
+        #: physical key is X plus the segment index. Value rows go to a
+        #: speculator, which is how a block is born knowing whether all
+        #: its rows are exactly of the declared kinds — and then weigh
+        #: what ``value_sizing`` says
         type_of = schema.relation.type_of
-        self._decode_value_row = codec.row_decoder(
-            [type_of(attr) for attr in schema.value]
-        )
+        value_kinds = [type_of(attr) for attr in schema.value]
+        self._decode_value_row = codec.row_speculator(value_kinds)
+        self.value_sizing = row_sizing(value_kinds)
         self._decode_physical_key = codec.row_decoder(
             [type_of(attr) for attr in schema.key] + [AttrType.INT]
         )
@@ -140,11 +167,17 @@ class KVInstance:
         return self._cached_multi_get([encoded])[0]
 
     def _cached_multi_get(
-        self, encoded_keys: Sequence[bytes]
+        self,
+        encoded_keys: Sequence[bytes],
+        listed_on: Optional[ListedOn] = None,
     ) -> List[Tuple[Optional[bytes], bool]]:
         """Positional batched segment fetch; hits never reach the cluster."""
         return read_through_many(
-            self.cache, self.cluster, self.namespace, encoded_keys
+            self.cache,
+            self.cluster,
+            self.namespace,
+            encoded_keys,
+            listed_on=listed_on,
         )
 
     def get(self, key: Row) -> Optional[Block]:
@@ -175,14 +208,20 @@ class KVInstance:
             )
         _, segment = self._decode_segment(data)
         block.entries.extend(segment.entries)
+        block.proven = block.proven and segment.proven
         return segment
 
     def _decode_segment(self, data: bytes) -> Tuple[int, Block]:
         """A stored segment payload as ``(segment count, block)``; the
-        count is only meaningful on segment 0."""
+        count is only meaningful on segment 0. The block is proven when
+        the speculator verified the tags of every row."""
         n_segments, pos = codec._read_varint(data, 0)
-        entries, _ = codec.decode_entries(data, pos, self._decode_value_row)
-        return n_segments, Block(entries)
+        # this call's own list: two service threads decode at once
+        deviants: List[int] = []
+        entries, _ = codec.decode_entries(
+            data, pos, self._decode_value_row, deviants
+        )
+        return n_segments, Block(entries, not deviants)
 
     def multi_get(self, keys: Sequence[Row]) -> Dict[Row, Optional[Block]]:
         """Fetch many logical blocks with coalesced multi-gets.
@@ -200,16 +239,26 @@ class KVInstance:
         )
 
     def _fetch(
-        self, keys: Sequence[Row], first_segments: Sequence[bytes]
+        self,
+        keys: Sequence[Row],
+        first_segments: Sequence[bytes],
+        listing: Optional[_SegmentListing] = None,
+        start: int = 0,
     ) -> Dict[Row, Optional[Block]]:
         """The two fetch waves of :meth:`multi_get` over distinct
-        ``keys`` whose encoded segment-0 keys the caller already holds.
+        ``keys`` whose encoded segment-0 keys the caller already holds
+        — a scan also holds the ``listing`` they are the
+        ``[start:start + len(keys)]`` of, and each wave tells the
+        cluster which node its segments were listed on.
         Each wave's decoded values are charged with one cluster call."""
         blocks: Dict[Row, Optional[Block]] = {}
         pending: List[Tuple[Row, int, Block]] = []
         fetched_segments: List[Block] = []
+        listed_on = None
+        if listing is not None:
+            listed_on = listing.firsts.listed_on(start, start + len(keys))
         for key, (data, fetched) in zip(
-            keys, self._cached_multi_get(first_segments)
+            keys, self._cached_multi_get(first_segments, listed_on)
         ):
             if data is None:
                 blocks[key] = None
@@ -224,9 +273,12 @@ class KVInstance:
         # its own segment's values here
         self._charge_block_values(fetched_segments)
         if pending:
-            extras = self._cached_multi_get(
-                [codec.encode_key(key + (index,)) for key, index, _ in pending]
-            )
+            tails = [
+                codec.encode_key(key + (index,)) for key, index, _ in pending
+            ]
+            if listing is not None:
+                listed_on = listing.tails_listed_on(tails)
+            extras = self._cached_multi_get(tails, listed_on)
             fetched_segments = []
             # pending holds each key's tail segments in ascending index
             # order, so extending in zip order reassembles the block
@@ -283,12 +335,14 @@ class KVInstance:
         """
         if batch_size > 1:
             # the segment-0 key bytes go to the fetch as the cluster
-            # listed them, not re-encoded from the decoded key
-            keys, first_segments = self._first_segments()
-            for start in range(0, len(keys), batch_size):
-                chunk = keys[start:start + batch_size]
+            # listed them, not re-encoded from the decoded key, and with
+            # the node each was listed on, not hashed onto the ring again
+            listing = self._list_segments()
+            for start in range(0, len(listing.keys), batch_size):
+                stop = start + batch_size
+                chunk = listing.keys[start:stop]
                 blocks = self._fetch(
-                    chunk, first_segments[start:start + batch_size]
+                    chunk, listing.firsts.keys[start:stop], listing, start
                 )
                 for key in chunk:
                     block = blocks[key]
@@ -315,20 +369,31 @@ class KVInstance:
 
     def keys(self) -> List[Row]:
         """All logical keys (uncounted; planner metadata)."""
-        return self._first_segments()[0]
+        return self._list_segments().keys
 
-    def _first_segments(self) -> Tuple[List[Row], List[bytes]]:
-        """All logical keys and, positionally, the encoded physical key
-        of each one's segment 0 (uncounted)."""
+    def _list_segments(self) -> _SegmentListing:
+        """The cluster's listing of this instance's namespace, decoded
+        (uncounted)."""
+        listing = self.cluster.list_keys(self.namespace)
         keys: List[Row] = []
         first_segments: List[bytes] = []
+        first_owners: List[int] = []
+        tail_owners: Dict[bytes, int] = {}
         decode = self._decode_physical_key
-        for key_bytes in self.cluster.namespace_keys(self.namespace):
+        vouched = listing.owners is not None
+        # (a listing that vouches for no node: a filler nobody reads)
+        for key_bytes, owner in zip(listing.keys, listing.owners or repeat(-1)):
             physical_key, _ = decode(key_bytes, 0)
             if physical_key[-1] == 0:
                 keys.append(physical_key[:-1])
                 first_segments.append(key_bytes)
-        return keys, first_segments
+                first_owners.append(owner)
+            else:
+                tail_owners[key_bytes] = owner
+        firsts = KeyListing(
+            first_segments, first_owners if vouched else None, listing.generation
+        )
+        return _SegmentListing(keys, firsts, tail_owners)
 
     # -- conversions -----------------------------------------------------------
 
@@ -351,7 +416,7 @@ class KVInstance:
 
     def size_bytes(self) -> int:
         total = 0
-        for key_bytes in self.cluster.namespace_keys(self.namespace):
+        for key_bytes in self.cluster.list_keys(self.namespace).keys:
             payload = self.cluster.peek(self.namespace, key_bytes)
             if payload is not None:
                 total += len(key_bytes) + len(payload)
@@ -361,7 +426,7 @@ class KVInstance:
         """Recompute the degree by scanning (uncounted); also refresh it."""
         degree = 0
         counts: Dict[Row, int] = defaultdict(int)
-        for key_bytes in self.cluster.namespace_keys(self.namespace):
+        for key_bytes in self.cluster.list_keys(self.namespace).keys:
             payload = self.cluster.peek(self.namespace, key_bytes)
             if payload is None:
                 continue

@@ -9,38 +9,77 @@ compression, §8.2), so KBA results are bag-equivalent to SQL semantics.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ExecutionError
-from repro.relational.types import Row, row_size
+from repro.relational.types import Row, RowSizing, row_size
 
 Entry = Tuple[Row, int]
 
 
-def block_bytes(key: Row, entries: Sequence[Entry]) -> int:
+def row_picker(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """``row -> tuple(row[p] for p in positions)``, built once per
+    operator instead of a generator per row (``itemgetter`` answers a
+    bare value for one position and refuses none)."""
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
+
+
+def block_bytes(
+    key: Row, entries: Sequence[Entry], sizing: Optional[RowSizing] = None
+) -> int:
     """Modeled bytes of one keyed block on the wire: every entry ships
-    its key, its value row and a 4-byte count."""
+    its key, its value row and a 4-byte count. The walk over every value
+    is the definition; ``sizing`` is the same number for entries whose
+    rows were proven to hold exactly their declared kinds."""
     per_entry = row_size(key) + 4
-    total = 0
-    for row, _count in entries:
-        total += per_entry + row_size(row)
+    if sizing is None:
+        total = 0
+        for row, _count in entries:
+            total += per_entry + row_size(row)
+        return total
+    total = len(entries) * (per_entry + sizing.fixed)
+    for position in sizing.strings:
+        for row, _count in entries:
+            total += len(row[position])
     return total
 
 
 class BlockSet:
     """An in-memory KV instance over qualified attribute names."""
 
-    __slots__ = ("key_attrs", "value_attrs", "data")
+    __slots__ = ("key_attrs", "value_attrs", "attrs", "data", "sizing")
 
     def __init__(
         self,
         key_attrs: Sequence[str],
         value_attrs: Sequence[str],
         data: Optional[Dict[Row, List[Entry]]] = None,
+        sizing: Optional[RowSizing] = None,
     ) -> None:
         self.key_attrs = tuple(key_attrs)
         self.value_attrs = tuple(value_attrs)
+        self.attrs = self.key_attrs + self.value_attrs
         self.data: Dict[Row, List[Entry]] = data if data is not None else {}
+        #: the modeled size of every value row, when the operator that
+        #: built the set can state it: a scan whose blocks were all born
+        #: proven, σ over such a set, ⋈ of two. ``None`` — any other
+        #: operator, any hand-built set — means "walk the values"
+        self.sizing = sizing
 
     # -- construction -------------------------------------------------------
 
@@ -69,10 +108,6 @@ class BlockSet:
     # -- views -------------------------------------------------------------
 
     @property
-    def attrs(self) -> Tuple[str, ...]:
-        return self.key_attrs + self.value_attrs
-
-    @property
     def num_blocks(self) -> int:
         return len(self.data)
 
@@ -93,9 +128,10 @@ class BlockSet:
         return self.num_entries() * width
 
     def size_bytes(self) -> int:
+        sizing = self.sizing
         total = 0
         for key, entries in self.data.items():
-            total += block_bytes(key, entries)
+            total += block_bytes(key, entries, sizing)
         return total
 
     def degree(self) -> int:
@@ -141,12 +177,12 @@ class BlockSet:
         if missing:
             raise ExecutionError(f"shift target attrs not present: {missing}")
         new_value = tuple(a for a in self.attrs if a not in set(new_key))
-        positions_key = [self.position(a) for a in new_key]
-        positions_value = [self.position(a) for a in new_value]
+        pick_key = row_picker([self.position(a) for a in new_key])
+        pick_value = row_picker([self.position(a) for a in new_value])
         data: Dict[Row, Dict[Row, int]] = defaultdict(dict)
         for full, count in self.iter_full():
-            key = tuple(full[p] for p in positions_key)
-            value = tuple(full[p] for p in positions_value)
+            key = pick_key(full)
+            value = pick_value(full)
             bucket = data[key]
             bucket[value] = bucket.get(value, 0) + count
         packed = {
@@ -155,6 +191,7 @@ class BlockSet:
         return BlockSet(new_key, new_value, packed)
 
     def merge_key(self, key: Row, entries: List[Entry]) -> None:
+        self.sizing = None  # nobody vouches for the incoming rows
         existing = self.data.get(key)
         if existing is None:
             self.data[key] = list(entries)

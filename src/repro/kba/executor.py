@@ -16,7 +16,7 @@ from repro.baav.store import BaaVStore
 from repro.env import env_flag
 from repro.errors import ExecutionError, PlanError
 from repro.kba import plan as kp
-from repro.kba.blockset import BlockSet, Entry
+from repro.kba.blockset import BlockSet, Entry, row_picker
 from repro.kba.compile import row_evaluator
 from repro.kv.taav import TaaVStore
 from repro.relational.types import Row
@@ -134,9 +134,16 @@ def _run_scan_kv(node: kp.ScanKV, ctx: ExecContext, inputs: List[BlockSet]) -> B
     key_attrs = tuple(f"{alias}.{a}" for a in instance.schema.key)
     value_attrs = tuple(f"{alias}.{a}" for a in instance.schema.value)
     data: Dict[Row, List[Entry]] = {}
+    proven = True
+    # a scan yields each logical key once, in a block decoded for this
+    # call alone: its entry list is adopted, not copied
     for key, block in instance.scan(batch_size=ctx.batch_size):
-        data.setdefault(key, []).extend(block.entries)
-    return BlockSet(key_attrs, value_attrs, data)
+        data[key] = block.entries
+        if not block.proven:
+            proven = False
+    return BlockSet(
+        key_attrs, value_attrs, data, instance.value_sizing if proven else None
+    )
 
 
 def _run_taav_scan(node: kp.TaaVScan, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
@@ -199,14 +206,14 @@ def _run_extend(node: kp.Extend, ctx: ExecContext, inputs: List[BlockSet]) -> Bl
             f"must cover key {schema.key}"
         )
     child_attrs = child.attrs
-    probe_positions = [
-        child_attrs.index(probe_of[kv_attr]) for kv_attr in schema.key
-    ]
+    pick_probe = row_picker(
+        [child_attrs.index(probe_of[kv_attr]) for kv_attr in schema.key]
+    )
 
     exposed_names = tuple(name for _, name in node.expose_key)
-    exposed_positions = [
-        schema.key.index(kv_attr) for kv_attr, _ in node.expose_key
-    ]
+    pick_exposed = row_picker(
+        [schema.key.index(kv_attr) for kv_attr, _ in node.expose_key]
+    )
     rename = dict(node.value_rename)
     value_attrs = tuple(
         rename.get(a, f"{alias}.{a}") for a in schema.value
@@ -218,8 +225,7 @@ def _run_extend(node: kp.Extend, ctx: ExecContext, inputs: List[BlockSet]) -> Bl
     probes: List[Row] = []
     seen = set()
     for key, value, count in child.iter_entries():
-        full = key + value
-        probe = tuple(full[p] for p in probe_positions)
+        probe = pick_probe(key + value)
         if None in probe or probe in seen:
             continue
         seen.add(probe)
@@ -236,13 +242,13 @@ def _run_extend(node: kp.Extend, ctx: ExecContext, inputs: List[BlockSet]) -> Bl
     data: Dict[Row, List[Entry]] = {}
     for key, value, count in child.iter_entries():
         full = key + value
-        probe = tuple(full[p] for p in probe_positions)
+        probe = pick_probe(full)
         if None in probe:
             continue
         block = fetched[probe]
         if block is None:
             continue
-        out_key = full + tuple(probe[p] for p in exposed_positions)
+        out_key = full + pick_exposed(probe)
         bucket = data.get(out_key)
         if bucket is None:
             bucket = []
@@ -286,7 +292,7 @@ def _run_select(node: kp.SelectK, ctx: ExecContext, inputs: List[BlockSet]) -> B
         kept = [entry for entry in entries if keep(key + entry[0])]
         if kept:
             data[key] = kept
-    return BlockSet(child.key_attrs, child.value_attrs, data)
+    return BlockSet(child.key_attrs, child.value_attrs, data, child.sizing)
 
 
 def _run_project(node: kp.ProjectK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
@@ -295,12 +301,12 @@ def _run_project(node: kp.ProjectK, ctx: ExecContext, inputs: List[BlockSet]) ->
     kept_set = set(kept)
     new_key = tuple(a for a in child.key_attrs if a in kept_set)
     new_value = tuple(a for a in kept if a not in set(new_key))
-    positions_key = [child.position(a) for a in new_key]
-    positions_value = [child.position(a) for a in new_value]
+    pick_key = row_picker([child.position(a) for a in new_key])
+    pick_value = row_picker([child.position(a) for a in new_value])
     data: Dict[Row, Dict[Row, int]] = defaultdict(dict)
     for full, count in child.iter_full():
-        key = tuple(full[p] for p in positions_key)
-        value = tuple(full[p] for p in positions_value)
+        key = pick_key(full)
+        value = pick_value(full)
         bucket = data[key]
         bucket[value] = bucket.get(value, 0) + count
     packed = {key: list(bucket.items()) for key, bucket in data.items()}
@@ -309,17 +315,13 @@ def _run_project(node: kp.ProjectK, ctx: ExecContext, inputs: List[BlockSet]) ->
 
 def _run_copy(node: kp.CopyK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
     child = inputs[0]
-    sources = [child.position(src) for src, _ in node.copies]
+    pick_sources = row_picker([child.position(src) for src, _ in node.copies])
     new_names = tuple(dst for _, dst in node.copies)
-    n_key = len(child.key_attrs)
     data: Dict[Row, List[Entry]] = {}
     for key, entries in child.data.items():
-        out_entries: List[Entry] = []
-        for row, count in entries:
-            full = key + row
-            extra = tuple(full[p] for p in sources)
-            out_entries.append((row + extra, count))
-        data[key] = out_entries
+        data[key] = [
+            (row + pick_sources(key + row), count) for row, count in entries
+        ]
     return BlockSet(
         child.key_attrs, child.value_attrs + new_names, data
     )
@@ -337,12 +339,12 @@ def join_blocksets(
     residual=None,
 ) -> BlockSet:
     """Hash-join two block sets; result keyed by X1 ∪ X2 (§4.2)."""
-    left_pos = [left.position(l) for l, _ in on]
-    right_pos = [right.position(r) for _, r in on]
+    pick_left = row_picker([left.position(l) for l, _ in on])
+    pick_right = row_picker([right.position(r) for _, r in on])
 
     index: Dict[Row, List[Entry]] = defaultdict(list)
     for full, count in right.iter_full():
-        probe = tuple(full[p] for p in right_pos)
+        probe = pick_right(full)
         if None in probe:
             continue
         index[probe].append((full, count))
@@ -359,7 +361,7 @@ def join_blocksets(
     )
     data: Dict[Row, List[Entry]] = defaultdict(list)
     for lfull, lcount in left.iter_full():
-        probe = tuple(lfull[p] for p in left_pos)
+        probe = pick_left(lfull)
         if None in probe:
             continue
         for rfull, rcount in index.get(probe, ()):
@@ -368,7 +370,11 @@ def join_blocksets(
             key = lfull[:n_left_key] + rfull[:n_right_key]
             value = lfull[n_left_key:] + rfull[n_right_key:]
             data[key].append((value, lcount * rcount))
-    return BlockSet(out_key_attrs, out_value_attrs, dict(data))
+    # value rows are a left one then a right one: proven when both are
+    sizing = None
+    if left.sizing is not None and right.sizing is not None:
+        sizing = left.sizing.followed_by(len(left.value_attrs), right.sizing)
+    return BlockSet(out_key_attrs, out_value_attrs, dict(data), sizing)
 
 
 def _run_union(node: kp.UnionK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
@@ -423,7 +429,7 @@ def group_blockset(
     child: BlockSet, keys: Tuple[str, ...], aggs: Tuple[AggSpec, ...]
 ) -> BlockSet:
     attrs = child.attrs
-    key_pos = [child.position(k) for k in keys]
+    pick_key = row_picker([child.position(k) for k in keys])
     # COUNT(*) has no argument: every row counts
     arg_fns = [
         None if spec.arg is None else row_evaluator(spec.arg, attrs)
@@ -431,7 +437,7 @@ def group_blockset(
     ]
     groups: Dict[Row, List] = {}
     for full, count in child.iter_full():
-        group_key = tuple(full[p] for p in key_pos)
+        group_key = pick_key(full)
         accs = groups.get(group_key)
         if accs is None:
             accs = [make_accumulator(a.func, a.distinct) for a in aggs]

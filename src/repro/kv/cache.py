@@ -64,7 +64,7 @@ from repro.locks import ShardSet, make_rlock
 
 if TYPE_CHECKING:  # import cycle guard: cluster imports this module's
     # siblings; the cluster is only ever *passed in* here
-    from repro.kv.cluster import KVCluster
+    from repro.kv.cluster import KVCluster, ListedOn
 
 
 @dataclass
@@ -435,10 +435,12 @@ def read_through_many(
     namespace: str,
     keys: Sequence[bytes],
     n_values_each: int = 1,
+    listed_on: Optional["ListedOn"] = None,
 ) -> List[Tuple[Optional[bytes], bool]]:
     """Serve payloads through ``cache``: positional ``(payload,
     reached_cluster)`` per key; only the cache-missing keys reach
-    ``cluster.multi_get`` (which counts ``n_values_each`` per hit).
+    ``cluster.multi_get`` (which counts ``n_values_each`` per hit, and
+    is told where a listing found them when ``listed_on`` says).
 
     A hit is served locally (no storage traffic); a miss is fetched and
     fills the cache with its non-``None`` result. This is THE
@@ -458,6 +460,16 @@ def read_through_many(
     )
     out: List[Tuple[Optional[bytes], bool]] = [(None, False)] * len(keys)
     pending: List[Tuple[int, bytes]] = []
+
+    def fetch(wanted: Sequence[Tuple[int, bytes]]) -> List[Optional[bytes]]:
+        """The cluster's answer for the ``(index, key)`` pairs left."""
+        listed = listed_on
+        if listed is not None and len(wanted) < len(keys):
+            listed = (listed[0], [listed[1][index] for index, _ in wanted])
+        return cluster.multi_get(
+            namespace, [key for _, key in wanted], n_values_each, listed
+        )
+
     if (
         versions is None
         or snapshot_epoch is None
@@ -470,7 +482,9 @@ def read_through_many(
         if cache is None:
             return [
                 (data, True)
-                for data in cluster.multi_get(namespace, keys, n_values_each)
+                for data in cluster.multi_get(
+                    namespace, keys, n_values_each, listed_on
+                )
             ]
         pending = list(enumerate(keys))
     else:
@@ -485,26 +499,22 @@ def read_through_many(
         if not pending:
             return out
     if cache is None:
-        fetched = cluster.multi_get(
-            namespace, [key_bytes for _, key_bytes in pending], n_values_each
-        )
-        for (index, _), data in zip(pending, fetched):
+        for (index, _), data in zip(pending, fetch(pending)):
             out[index] = (data, True)
         return out
-    missing: List[Tuple[int, bytes, int]] = []
+    missing: List[Tuple[int, bytes]] = []
+    epochs: List[int] = []
     for index, key_bytes in pending:
         data = cache.get(namespace, key_bytes)
         if data is not None:
             out[index] = (data, False)
         else:
-            missing.append(
-                (index, key_bytes, cache.read_epoch(namespace, key_bytes))
-            )
+            missing.append((index, key_bytes))
+            epochs.append(cache.read_epoch(namespace, key_bytes))
     if missing:
-        fetched = cluster.multi_get(
-            namespace, [key_bytes for _, key_bytes, _ in missing], n_values_each
-        )
-        for (index, key_bytes, epoch), data in zip(missing, fetched):
+        for (index, key_bytes), epoch, data in zip(
+            missing, epochs, fetch(missing)
+        ):
             out[index] = (data, True)
             if data is not None:
                 if (

@@ -49,7 +49,7 @@ A writer-preferring :class:`~repro.locks.RWLock` splits operations in
 two classes:
 
 * **shared** (read lock): ``get`` / ``multi_get`` / ``peek`` / ``scan``
-  / ``namespace_keys`` / ``namespaces`` / counters — and also ``put`` /
+  / ``list_keys`` / ``namespaces`` / counters — and also ``put`` /
   ``multi_put`` / ``delete``, whose per-key effects are serialized by
   each :class:`StorageNode`'s own mutex. Many queries (and the ordinary
   write stream) proceed concurrently.
@@ -124,6 +124,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -211,6 +212,37 @@ class ClusterStats:
     cache: Optional[object] = None
 
 
+#: ``(placement generation, node id per key)`` — where a listing found
+#: the keys of a batch, positional with the batch
+ListedOn = Tuple[int, Sequence[int]]
+
+
+class KeyListing(NamedTuple):
+    """The keys of a namespace as one listing walk found them.
+
+    The walk goes node by node, so it knows which node it read each key
+    from. With one copy per key and every node up that node *is* the
+    key's owner, for as long as membership stands: a fetch that hands
+    the owners back (:meth:`KVCluster.multi_get`'s ``listed_on``) is
+    routed by them instead of hashing every key onto the ring again.
+    """
+
+    #: stripped key bytes, distinct
+    keys: List[bytes]
+    #: the node each key was listed on, positional with ``keys``; ``None``
+    #: when the MVCC overlay rewrote the listing (no node vouches for a
+    #: key the overlay put back)
+    owners: Optional[List[int]]
+    #: :attr:`KVCluster._placement_generation` during the walk
+    generation: int
+
+    def listed_on(self, start: int, stop: int) -> Optional[ListedOn]:
+        """What ``multi_get`` takes for the batch ``keys[start:stop]``."""
+        if self.owners is None:
+            return None
+        return self.generation, self.owners[start:stop]
+
+
 class KVCluster:
     """A cluster of :class:`StorageNode` behind a consistent-hash ring."""
 
@@ -280,6 +312,10 @@ class KVCluster:
         self.ring = HashRing(replicas=ring_replicas)
         #: node ids currently crashed (on the ring, but unreachable)
         self._down: Set[int] = set()
+        #: bumped by every membership change (they all end in
+        #: :meth:`_rebalance`): the owners a :class:`KeyListing` carries
+        #: are only believed while this still reads what the listing saw
+        self._placement_generation = 0
         #: per-down-node log of deletes it missed (full keys / prefixes),
         #: applied on recovery so stale entries cannot resurrect
         self._tombstone_keys: Dict[int, Set[bytes]] = {}
@@ -671,15 +707,20 @@ class KVCluster:
                 if not dedup or self._is_primary(key, node.node_id):
                     yield node, key, value
 
-    def _primary_keys(self, prefix: bytes) -> Iterator[bytes]:
-        """The keys of :meth:`_primary_pairs`, in its order, listed
-        without reading (or, from a node process, shipping) a value."""
+    def _primary_keys(
+        self, prefix: bytes
+    ) -> Iterator[Tuple[int, List[bytes]]]:
+        """The keys of :meth:`_primary_pairs`, in its order, as one
+        ``(node id, its keys)`` per live node, listed without reading
+        (or, from a node process, shipping) a value."""
         # repro-lint: holds=_lock -- callers hold the read lock
         dedup = self.replication_factor > 1
         for node in self._live_nodes():
-            for key in node.snapshot_keys(prefix):
-                if not dedup or self._is_primary(key, node.node_id):
-                    yield key
+            node_id = node.node_id
+            keys = node.snapshot_keys(prefix)
+            if dedup:
+                keys = [key for key in keys if self._is_primary(key, node_id)]
+            yield node_id, keys
 
     # -- KV API ------------------------------------------------------------
 
@@ -694,6 +735,7 @@ class KVCluster:
         namespace: str,
         keys: Sequence[bytes],
         n_values_each: int = 1,
+        listed_on: Optional[ListedOn] = None,
     ) -> List[Optional[bytes]]:
         """Batched get: ONE round trip per serving node for the whole batch.
 
@@ -704,6 +746,12 @@ class KVCluster:
         within the batch are fetched once per node and fanned back out.
         Results are positional — ``out[i]`` answers ``keys[i]`` — so
         callers keep their ordering guarantees regardless of placement.
+
+        ``listed_on`` is where a :class:`KeyListing` found these keys.
+        While placement stands as the listing saw it — one copy per
+        key, every node up, the same generation — the node a key was
+        listed on is the one the ring would name, so the batch is
+        grouped by those; otherwise the ring is asked, as without it.
         """
         def op() -> List[Optional[bytes]]:
             with self._lock.read():
@@ -750,6 +798,13 @@ class KVCluster:
                         node.node_id: float(node.read_load)
                         for node in self._live_nodes()
                     }
+                owners: Optional[Sequence[int]] = None
+                if (
+                    listed_on is not None
+                    and not replicated
+                    and listed_on[0] == self._placement_generation
+                ):
+                    owners = listed_on[1]
                 prefix = encode_value(namespace)
                 for index in pending:
                     full = prefix + keys[index]
@@ -759,6 +814,8 @@ class KVCluster:
                             key=lambda nid: (loads[nid], nid),
                         )
                         loads[node_id] += 1.0
+                    elif owners is not None:
+                        node_id = owners[index]
                     else:
                         node_id = self.ring.node_for(full)
                     group = by_node.get(node_id)
@@ -920,18 +977,32 @@ class KVCluster:
                 node.add_read_load(1 + values)
             yield stripped, value
 
-    def namespace_keys(self, namespace: str) -> List[bytes]:
-        """All (stripped) key bytes of a namespace, uncounted, distinct."""
+    def list_keys(self, namespace: str) -> KeyListing:
+        """All (stripped) key bytes of a namespace, uncounted, distinct,
+        each with the node it was listed on (see :class:`KeyListing`)."""
         prefix = encode_value(namespace)
         plen = len(prefix)
 
-        def op() -> List[bytes]:
+        def op() -> KeyListing:
             with self._lock.read():
-                keys = [key[plen:] for key in self._primary_keys(prefix)]
+                keys: List[bytes] = []
+                owners: List[int] = []
+                for node_id, node_keys in self._primary_keys(prefix):
+                    keys += [key[plen:] for key in node_keys]
+                    owners += [node_id] * len(node_keys)
+                generation = self._placement_generation
                 versions, epoch = self._read_overlay_epoch()
-                if versions is not None and epoch is not None:
-                    keys = versions.adjust_keys(namespace, keys, epoch)
-                return keys
+                if (
+                    versions is not None
+                    and epoch is not None
+                    and not versions.nothing_newer(epoch)
+                ):
+                    return KeyListing(
+                        versions.adjust_keys(namespace, keys, epoch),
+                        None,
+                        generation,
+                    )
+                return KeyListing(keys, owners, generation)
         return self._peer_failover(op)
 
     def namespaces(self) -> List[str]:
@@ -1008,6 +1079,9 @@ class KVCluster:
         ``rebalance_bytes_moved`` per key, plus one bulk round trip per
         distinct source peer it synced from.
         """
+        # repro-lint: holds=_lock -- every membership change calls this
+        # under the write lock, and may have moved any key's owners
+        self._placement_generation += 1
         report = RebalanceReport()
         if not len(self.ring):
             return report

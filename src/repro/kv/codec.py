@@ -32,6 +32,9 @@ Any deviation (a NULL, another width, a value of another type, a short
 buffer) hands the row to :func:`decode_row`, the generic loop that
 dispatches on each tag byte and stays the single definition of the
 format: results, types and errors are its by construction.
+:func:`row_speculator` is the same compiled decoder answering ``None``
+for such a row instead, so :func:`decode_entries` can tell its caller
+which rows were *not* verified to hold exactly the declared kinds.
 :func:`decode_value` / :func:`encode_value` are the single-value API of
 the same format and the reference the property tests hold the row loops
 to. Every decoder raises :class:`CodecError` on a payload that ends
@@ -49,6 +52,8 @@ from repro.relational.types import AttrType, Row
 #: ``decoder(data, pos) -> (row, new position)``: :func:`decode_row` or a
 #: schema-compiled equivalent from :func:`row_decoder`
 RowDecoder = Callable[[bytes, int], Tuple[Row, int]]
+#: a :func:`row_speculator`: ``None`` for a row off the declared kinds
+RowSpeculator = Callable[[bytes, int], Optional[Tuple[Row, int]]]
 
 _TAG_NULL = b"N"
 _TAG_INT = b"I"
@@ -275,6 +280,15 @@ def _stretches(types: Sequence[AttrType]) -> List[_Stretch]:
     return stretches
 
 
+def _decode_generically(data: bytes, pos: int) -> Tuple[Row, int]:
+    # looked up per call: a test that counts fallbacks swaps decode_row
+    return decode_row(data, pos)
+
+
+def _decline(data: bytes, pos: int) -> None:
+    return None
+
+
 def row_decoder(types: Sequence[AttrType]) -> RowDecoder:
     """Compile a decoder for rows declared to hold ``types``, equal to
     :func:`decode_row` on **every** input.
@@ -285,34 +299,54 @@ def row_decoder(types: Sequence[AttrType]) -> RowDecoder:
     width, a short buffer — is decoded by :func:`decode_row` from the
     row's first byte, so a deviating row costs the failed check and is
     never decoded differently. Built once per schema (a KV instance's
-    value rows and keys, a TaaV relation's tuples).
+    keys, a TaaV relation's tuples).
     """
     if len(types) > 0x7F:
         return decode_row  # the count is not one byte
-    stretches = _stretches(types)
     fixed = sum(kind in _FIXED_CELLS for kind in types)
-    if fixed == len(types):
-        ((width, checks, unpack, _),) = stretches
-
-        def decode_fixed(data: bytes, pos: int = 0) -> Tuple[Row, int]:
-            end = pos + width
-            cells = data[pos:end]
-            for where, tags in checks:
-                if cells[where] != tags:
-                    return decode_row(data, pos)
-            try:
-                return unpack(cells), end
-            except struct.error:
-                return decode_row(data, pos)
-
-        return decode_fixed
-    if fixed < 2 * len(stretches):
+    if fixed < len(types) and fixed < 2 * len(_stretches(types)):
         # strings cut the row into stretches of under two cells: checking
         # a stretch costs what the generic loop spends on two cells
         # (measured), so there is nothing to win by speculating
         return decode_row
+    return _compile(types, _decode_generically)
 
-    def decode(data: bytes, pos: int = 0) -> Tuple[Row, int]:
+
+def row_speculator(types: Sequence[AttrType]) -> RowSpeculator:
+    """:func:`row_decoder` without the fallback: the decoder answers
+    ``None`` where that one would call :func:`decode_row`, so every row
+    it *does* answer had its tags verified — no NULL, each value of
+    exactly its declared kind. That verdict is what this one is built
+    for, so it speculates on every shape (on a string-cut one the
+    verdict costs less than any other way of reaching it) and declines
+    every row only where the count does not fit one byte."""
+    if len(types) > 0x7F:
+        return _decline
+    return _compile(types, _decline)
+
+
+def _compile(types: Sequence[AttrType], give_up: Callable) -> Callable:
+    """The speculating decoder of ``types`` (at most 127 of them); a
+    deviating row is answered by ``give_up(data, first byte of the
+    row)``."""
+    stretches = _stretches(types)
+    if all(kind in _FIXED_CELLS for kind in types):
+        ((width, checks, unpack, _),) = stretches
+
+        def decode_fixed(data: bytes, pos: int = 0):
+            end = pos + width
+            cells = data[pos:end]
+            for where, tags in checks:
+                if cells[where] != tags:
+                    return give_up(data, pos)
+            try:
+                return unpack(cells), end
+            except struct.error:
+                return give_up(data, pos)
+
+        return decode_fixed
+
+    def decode(data: bytes, pos: int = 0):
         first = pos
         values: List[object] = []
         try:
@@ -321,7 +355,7 @@ def row_decoder(types: Sequence[AttrType]) -> RowDecoder:
                 cells = data[pos:end]
                 for where, tags in checks:
                     if cells[where] != tags:
-                        return decode_row(data, first)
+                        return give_up(data, first)
                 values += unpack(cells)
                 pos = end
                 if ends_in_string:
@@ -330,11 +364,11 @@ def row_decoder(types: Sequence[AttrType]) -> RowDecoder:
                         length, pos = _read_varint(data, pos - 1)
                     end = pos + length
                     if end > len(data):
-                        return decode_row(data, first)
+                        return give_up(data, first)
                     values.append(data[pos:end].decode("utf-8"))
                     pos = end
         except struct.error:
-            return decode_row(data, first)
+            return give_up(data, first)
         return tuple(values), pos
 
     return decode
@@ -350,11 +384,18 @@ def encode_entries(entries: Sequence[Tuple[Row, int]]) -> bytes:
 
 
 def decode_entries(
-    data: bytes, pos: int = 0, decoder: Optional[RowDecoder] = None
+    data: bytes,
+    pos: int = 0,
+    decoder: Optional[Callable] = None,
+    deviants: Optional[List[int]] = None,
 ) -> Tuple[List[Tuple[Row, int]], int]:
     """Decode block entries starting at ``pos``; return (entries, new
     position). ``decoder`` is the schema-compiled decoder of the block's
-    rows (:func:`row_decoder`) when the caller has one."""
+    rows when the caller has one — a :func:`row_decoder`, or a
+    :func:`row_speculator`: a row that one declines is decoded by
+    :func:`decode_row` and its index appended to ``deviants``, the
+    caller's own list, so an empty list afterwards says every row of
+    *this* payload was verified against the declared kinds."""
     decode = decode_row if decoder is None else decoder
     entries: List[Tuple[Row, int]] = []
     try:
@@ -367,7 +408,12 @@ def decode_entries(
             pos += 1
             if count > 0x7F:
                 count, pos = _read_varint(data, pos - 1)
-            row, pos = decode(data, pos)
+            decoded = decode(data, pos)
+            if decoded is None:
+                if deviants is not None:
+                    deviants.append(len(entries))
+                decoded = decode_row(data, pos)
+            row, pos = decoded
             entries.append((row, count))
     except IndexError:
         raise CodecError("truncated entries") from None

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kv import codec
 from repro.kv.cache import read_through_many
-from repro.kv.cluster import KVCluster
+from repro.kv.cluster import KVCluster, ListedOn
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
@@ -94,7 +94,7 @@ class TaaVRelation:
                 tuple(row[p] for p in self._pk_positions)
             )
         encoded = codec.encode_row(tuple(row))
-        for key_bytes in self.cluster.namespace_keys(self.namespace):
+        for key_bytes in self.cluster.list_keys(self.namespace).keys:
             if self.cluster.peek(self.namespace, key_bytes) == encoded:
                 removed = self.cluster.delete(self.namespace, key_bytes)
                 if removed:
@@ -121,11 +121,19 @@ class TaaVRelation:
         ]
 
     def _cached_multi_get(
-        self, encoded_keys: Sequence[bytes], n_values_each: int
+        self,
+        encoded_keys: Sequence[bytes],
+        n_values_each: int,
+        listed_on: Optional[ListedOn] = None,
     ) -> List[Optional[bytes]]:
         """Positional payload fetch serving hits locally, misses batched."""
         pairs = read_through_many(
-            self.cache, self.cluster, self.namespace, encoded_keys, n_values_each
+            self.cache,
+            self.cluster,
+            self.namespace,
+            encoded_keys,
+            n_values_each,
+            listed_on,
         )
         return [data for data, _ in pairs]
 
@@ -156,12 +164,14 @@ class TaaVRelation:
         return Relation(self.schema, list(self.scan()))
 
     def _fetch_all_batched(self, batch_size: int) -> Relation:
-        key_bytes = self.cluster.namespace_keys(self.namespace)
+        listing = self.cluster.list_keys(self.namespace)
         arity = self.schema.arity
         rows: List[Row] = []
-        for start in range(0, len(key_bytes), batch_size):
-            batch = key_bytes[start:start + batch_size]
-            payloads = self._cached_multi_get(batch, arity)
+        for start in range(0, len(listing.keys), batch_size):
+            stop = start + batch_size
+            payloads = self._cached_multi_get(
+                listing.keys[start:stop], arity, listing.listed_on(start, stop)
+            )
             for data in payloads:
                 if data is not None:
                     rows.append(self._decode_tuple(data, 0)[0])

@@ -40,8 +40,9 @@ def partition_blockset(blockset: BlockSet, n: int) -> List[int]:
     """
     n = max(1, n)
     sizes = [0] * n
+    sizing = blockset.sizing
     for key, entries in blockset.data.items():
-        sizes[_bucket(key, n)] += block_bytes(key, entries)
+        sizes[_bucket(key, n)] += block_bytes(key, entries, sizing)
     return sizes
 
 

@@ -10,7 +10,7 @@ bytes for numerics, length plus a small header for strings.
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import TypeMismatchError
 
@@ -117,6 +117,40 @@ def row_size(row: Row) -> int:
         else:
             total += value_size(value)
     return total
+
+
+class RowSizing(NamedTuple):
+    """:func:`row_size` of a row *proven* to hold exactly its declared
+    kinds — no NULL, no bool in an INT column, no int in a FLOAT one:
+    ``fixed`` bytes plus ``len`` of the string at each of ``strings``
+    (the modeled ``4 + len(chars)``; the header is in ``fixed``, and the
+    UTF-8 length never enters)."""
+
+    fixed: int
+    strings: Tuple[int, ...]
+
+    def followed_by(self, width: int, other: "RowSizing") -> "RowSizing":
+        """Sizing of ``row + other_row`` for rows of ``width`` values."""
+        return RowSizing(
+            self.fixed + other.fixed,
+            self.strings + tuple(width + p for p in other.strings),
+        )
+
+
+def row_sizing(kinds: Sequence[AttrType]) -> RowSizing:
+    """The :class:`RowSizing` of rows declared to hold ``kinds``."""
+    fixed = 0
+    strings = []
+    for position, kind in enumerate(kinds):
+        python_type = _PYTHON_TYPES[kind]
+        if python_type is str:
+            fixed += _STRING_HEADER_BYTES
+            strings.append(position)
+        elif python_type is bool:
+            fixed += _BOOL_BYTES
+        else:
+            fixed += _NUMERIC_BYTES
+    return RowSizing(fixed, tuple(strings))
 
 
 def infer_type(value: Value) -> Optional[AttrType]:

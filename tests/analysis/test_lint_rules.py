@@ -99,6 +99,35 @@ def test_guarded_field_holds_directive_marks_helper(tmp_path):
     assert findings == []
 
 
+def test_guarded_field_placement_generation_needs_the_write_lock(tmp_path):
+    """Readers trust a listing's owners while the generation stands, so
+    a bump a reader could interleave with is a finding; the real bump
+    sits in ``_rebalance``, which every membership change calls with
+    the write lock held."""
+    findings = lint(tmp_path, {
+        "repro/kv/cluster.py": """
+            class KVCluster:
+                def bad(self):
+                    with self._lock.read():
+                        self._placement_generation += 1
+
+                def also_bad(self):
+                    self._placement_generation += 1
+
+                def good(self):
+                    with self._lock.write():
+                        self._placement_generation += 1
+
+                def _rebalance(self):
+                    # repro-lint: holds=_lock -- membership changes only
+                    self._placement_generation += 1
+        """,
+    }, rules={"guarded-field"})
+    assert rules_of(findings) == ["guarded-field"] * 2
+    assert all("_placement_generation" in f.message for f in findings)
+    assert "write()" in findings[0].message
+
+
 def test_guarded_field_alias_mutation_is_tracked(tmp_path):
     findings = lint(tmp_path, {
         "repro/kv/cluster.py": """

@@ -1,0 +1,34 @@
+"""``tools/sample_profile.py`` (PR 21): the sampler attributes samples to
+``repro`` functions, and its ``--smoke`` mode runs a real workload."""
+
+import signal
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import sample_profile  # noqa: E402
+from repro.kv import codec  # noqa: E402
+
+
+def test_sampler_charges_the_innermost_repro_frame():
+    sampler = sample_profile.Sampler()
+    row = codec.encode_row(tuple(range(40)))
+    deadline = time.process_time() + 0.15
+    with sampler.running():
+        while time.process_time() < deadline:
+            codec.decode_row(row)
+    assert signal.getsignal(signal.SIGPROF) in (signal.SIG_DFL, None)
+    assert sampler.total >= 20  # 150 ms of CPU at 1 ms
+    (name, self_share, cum_share), *_ = sampler.rows(1)
+    assert name == "kv/codec.py:decode_row"
+    assert 0.5 < self_share <= cum_share <= 1.0
+
+
+def test_smoke_mode_profiles_a_workload(capsys):
+    assert sample_profile.main(["--smoke", "--top", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("# analytic_local seed 12:")
+    assert len(out) >= 3 and all("%" in line for line in out[2:])

@@ -70,7 +70,7 @@ class TestDropCascade:
         cluster.drop_namespace("taav:R")
         assert cache.peek(
             index_namespace("R", "c", "hash"),
-            next(iter(cluster.namespace_keys("__idx__/R/c")), b""),
+            next(iter(cluster.list_keys("__idx__/R/c").keys), b""),
         ) is None
         assert len(cache) == 0
 

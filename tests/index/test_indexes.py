@@ -75,7 +75,7 @@ class TestHashIndex:
         manager.create(rel, "c", "hash")
         namespace = index_namespace("R", "c", "hash")
         assert namespace == "__idx__/R/c"
-        assert cluster.namespace_keys(namespace)
+        assert cluster.list_keys(namespace).keys
 
     def test_maintenance_insert_delete(self, rel, manager):
         manager.create(rel, "c", "hash")
@@ -90,7 +90,7 @@ class TestHashIndex:
         manager.create(rel, "c", "hash")
         manager.apply_updates("R", deletes=[(1, 42, 0.0, "a")])
         assert manager.lookup_eq("R", "c", [42]) == []
-        assert not cluster.namespace_keys(index_namespace("R", "c", "hash"))
+        assert not cluster.list_keys(index_namespace("R", "c", "hash")).keys
 
     def test_duplicate_rows_keep_multiplicity(self, cluster, manager):
         # two logical occurrences of the same (value, pk): deleting one
@@ -160,7 +160,7 @@ class TestOrderedIndex:
 
     def test_ordered_namespace_suffix(self, rel, cluster, manager):
         manager.create(rel, "s", "ordered")
-        assert cluster.namespace_keys("__idx__/R/s#ord")
+        assert cluster.list_keys("__idx__/R/s#ord").keys
 
 
 class TestManager:
@@ -204,7 +204,7 @@ class TestManager:
         manager.create(rel, "c", "hash")
         assert manager.drop("R", "c") == 1
         assert manager.equality_attrs("R") == set()
-        assert not cluster.namespace_keys("__idx__/R/c")
+        assert not cluster.list_keys("__idx__/R/c").keys
 
     def test_drop_all_of_relation(self, rel, manager):
         manager.create(rel, "c", "hash")

@@ -279,3 +279,31 @@ class TestRepeatedAttributeName:
         assert join_blocksets(self.child, right, on, residual).data == (
             reference_join(self.child, right, on, residual)
         ) == {(1, 1): [((10, 20, 99), 1)]}
+
+
+# -- the positional picker behind join keys, group keys, π and copy -----------
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [(), (2,), (0, 3), (3, 0, 1), (1, 1), (2, 0, 2)],
+    ids=["arity-0", "arity-1", "arity-2", "arity-3", "repeated", "repeated-apart"],
+)
+def test_row_picker_is_the_per_row_generator(positions):
+    """``itemgetter`` answers a bare value for one position and refuses
+    none; the picker is ``tuple(row[p] for p in positions)`` at every
+    arity, a repeated position included."""
+    from repro.kba.blockset import row_picker
+
+    pick = row_picker(positions)
+    for row in [(1, "x", None, 2.5), ((), None, "", 0)]:
+        picked = pick(row)
+        assert picked == tuple(row[p] for p in positions)
+        assert type(picked) is tuple
+
+
+def test_attrs_are_computed_once():
+    block_set = BlockSet(["a", "b"], ["c"])
+    assert block_set.attrs == ("a", "b", "c")
+    assert block_set.attrs is block_set.attrs
+    assert [block_set.position(name) for name in "cab"] == [2, 0, 1]

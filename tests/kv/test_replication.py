@@ -136,7 +136,7 @@ class TestReplicatedReads:
     def test_namespace_keys_distinct(self):
         cluster = KVCluster(4, replication_factor=3)
         expected = load(cluster, 60)
-        assert sorted(cluster.namespace_keys("ns")) == sorted(expected)
+        assert sorted(cluster.list_keys("ns").keys) == sorted(expected)
 
 
 class TestFailover:
@@ -192,7 +192,7 @@ class TestFailover:
         cluster.fail_node(0)
         cluster.drop_namespace("ns")
         cluster.recover_node(0)
-        assert cluster.namespace_keys("ns") == []
+        assert cluster.list_keys("ns").keys == []
         assert cluster.get("other", b"k") == b"keep"
 
     def test_unavailable_when_all_owners_down(self):

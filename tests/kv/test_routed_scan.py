@@ -1,0 +1,262 @@
+"""A batched scan routes its fetches by the node each key was listed on.
+
+``KVCluster.list_keys`` returns every key with the node the listing walk
+read it from, and ``multi_get(listed_on=...)`` groups a batch by those
+owners instead of hashing each key onto the ring a second time — but
+only while placement stands as the listing saw it. This is a
+differential: every scenario runs twice on identically built clusters,
+once as shipped and once with the owners **withheld** from the listing
+(the ring names every node, as before the listing carried them), with a
+membership event or a commit fired *between the listing and its first
+fetch*. Answers, per-node counters and read load must be equal; what a
+quiet cluster gains is asserted separately — no ring lookup at all.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+
+from repro.baav import KVInstance
+from repro.baav.block import Block
+from repro.baav.schema import kv_schema
+from repro.errors import BaaVError
+from repro.kv import KVCluster, TaaVRelation, codec
+from repro.kv.hashring import HashRing
+from repro.mvcc.versions import VersionStore
+from repro.relational import AttrType, Relation, RelationSchema
+
+REL = RelationSchema.of(
+    "R", {"k": AttrType.INT, "g": AttrType.INT, "v": AttrType.STR}, ["k"]
+)
+#: 12 blocks of 5 tuples: 3 segments each at split_threshold=2, so the
+#: tail-segment wave runs for every key
+ROWS = [(k, k % 12, f"v{k}") for k in range(60)]
+BY_G = kv_schema("r_by_g", REL, ["g"])
+
+
+class Deployment:
+    """One cluster holding ROWS as a segmented KV instance and as TaaV."""
+
+    def __init__(self, transport: str, replication: int, withhold: bool):
+        self.cluster = KVCluster(
+            4, replication_factor=replication, transport=transport
+        )
+        self.versions = VersionStore()
+        self.cluster.attach_versions(self.versions)
+        self.instance = KVInstance(BY_G, self.cluster, split_threshold=2)
+        self.instance.build_from(Relation(REL, ROWS))
+        self.taav = TaaVRelation(REL, self.cluster)
+        self.taav.load(ROWS)
+        if withhold:
+            listed = self.cluster.list_keys
+            self.cluster.list_keys = lambda namespace: listed(
+                namespace
+            )._replace(owners=None)
+
+    def fire_before_first_fetch(self, event) -> None:
+        """Run ``event(self)`` once, after the listing, before the fetch."""
+        fetch = self.cluster.multi_get
+        fired = []
+
+        def multi_get(*args, **kwargs):
+            if not fired:
+                fired.append(True)
+                event(self)
+            return fetch(*args, **kwargs)
+
+        self.cluster.multi_get = multi_get
+
+    def commit(self, epoch: int, writes) -> None:
+        """Install ``writes(self)`` at ``epoch`` from a writer thread (the
+        calling thread may be a pinned reader)."""
+
+        def install():
+            with self.versions.recording(epoch):
+                writes(self)
+
+        writer = threading.Thread(target=install)
+        writer.start()
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+    def observe(self, read):
+        """``read(self)``'s answer (or the error it died of) plus what
+        every node counted serving it."""
+        self.cluster.reset_counters()
+        load_before = {
+            node_id: node.read_load for node_id, node in self.cluster.nodes.items()
+        }
+        try:
+            answer = read(self)
+        except BaaVError as exc:  # a tail segment on a node that is gone
+            answer = type(exc).__name__
+        counters = {
+            node_id: (c.gets, c.values_read, c.round_trips)
+            for node_id, c in self.cluster.counters_per_node().items()
+        }
+        load = {
+            node_id: node.read_load - load_before.get(node_id, 0)
+            for node_id, node in self.cluster.nodes.items()
+        }
+        return answer, counters, load
+
+
+def scan_blocks(deployment: Deployment):
+    return sorted(
+        (key, sorted(block.entries))
+        for key, block in deployment.instance.scan(batch_size=4)
+    )
+
+
+def fetch_tuples(deployment: Deployment):
+    return sorted(deployment.taav.fetch_all(batch_size=4).rows)
+
+
+READS = {"baav-scan": scan_blocks, "taav-fetch-all": fetch_tuples}
+#: what each reads ROWS as when no copy is lost
+RIGHT = {
+    "baav-scan": sorted(
+        ((g,), sorted(((k, f"v{k}"), 1) for k in range(g, 60, 12)))
+        for g in range(12)
+    ),
+    "taav-fetch-all": sorted(ROWS),
+}
+
+
+def nothing(deployment: Deployment) -> None:
+    pass
+
+
+def overwrite_delete_insert(deployment: Deployment) -> None:
+    """Rewrite block 1 and tuple 1, drop block 2 and tuple 2, add block
+    12 and tuple 60 — every segment, so the state stays well-formed."""
+    instance, taav = deployment.instance, deployment.taav
+    instance._write_block((1,), Block.from_rows([(k, "new") for k in range(5)]))
+    for segment in range(3):
+        instance.cluster.delete(
+            instance.namespace, codec.encode_key((2, segment))
+        )
+    instance._write_block((12,), Block.from_rows([(99, "born")]))
+    taav.load([(1, 1, "new")])
+    taav.delete_by_key((2,))
+    taav.insert((60, 0, "born"))
+
+
+#: name -> (before the listing, between the listing and the first fetch)
+MEMBERSHIP = {
+    "quiet": (nothing, nothing),
+    "add_node": (nothing, lambda d: d.cluster.add_node()),
+    "remove_node": (nothing, lambda d: d.cluster.remove_node(0)),
+    "partition": (nothing, lambda d: d.cluster.fail_node(1)),
+    "kill": (nothing, lambda d: d.cluster.fail_node(1, kill=True)),
+    "recover_node": (
+        lambda d: d.cluster.fail_node(1),
+        lambda d: d.cluster.recover_node(1),
+    ),
+    "listed-while-down": (lambda d: d.cluster.fail_node(2), nothing),
+}
+
+
+def run(transport, replication, read, before, between, pinned=False):
+    """The same scenario as shipped and with the owners withheld."""
+    observed = []
+    for withhold in (False, True):
+        deployment = Deployment(transport, replication, withhold)
+        with deployment.cluster:
+            before(deployment)
+            deployment.fire_before_first_fetch(between)
+            if pinned:
+                with deployment.versions.reading(0):
+                    observed.append(deployment.observe(read))
+            else:
+                observed.append(deployment.observe(read))
+    return observed
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("scenario", sorted(MEMBERSHIP))
+@pytest.mark.parametrize("replication", [1, 2])
+@pytest.mark.parametrize("transport", ["local", "socket"])
+def test_membership_change_between_listing_and_fetch(
+    transport, replication, scenario, read
+):
+    before, between = MEMBERSHIP[scenario]
+    routed, withheld = run(transport, replication, READS[read], before, between)
+    assert routed == withheld
+    if replication == 2 or scenario in ("quiet", "add_node", "remove_node"):
+        # no copy was lost: the scan is also simply right
+        assert routed[0] == RIGHT[read]
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("replication", [1, 2])
+def test_peer_death_between_listing_and_fetch(replication, read):
+    routed, withheld = run(
+        "socket",
+        replication,
+        READS[read],
+        nothing,
+        lambda d: d.cluster.nodes[1].process.sigkill(),
+    )
+    assert routed == withheld
+    if replication == 2:
+        assert routed[0] == RIGHT[read]
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("replication", [1, 2])
+@pytest.mark.parametrize("transport", ["local", "socket"])
+@pytest.mark.parametrize("when", ["before-listing", "before-fetch"])
+def test_pinned_reader_under_commits(when, transport, replication, read):
+    """A reader pinned at epoch 0 while epoch 1 overwrites, deletes and
+    inserts keys: committed before the listing the overlay rewrites it
+    (no owners to trust), committed after it the listed owners are used
+    and the overlay answers the touched keys — epoch 0 either way."""
+    commit = lambda d: d.commit(1, overwrite_delete_insert)
+    before, between = (
+        (commit, nothing) if when == "before-listing" else (nothing, commit)
+    )
+    routed, withheld = run(
+        transport, replication, READS[read], before, between, pinned=True
+    )
+    assert routed == withheld
+    assert routed[0] == RIGHT[read]
+
+
+# -- what the route saves -----------------------------------------------------
+
+
+@pytest.fixture()
+def ring_lookups(monkeypatch):
+    """Every key ``HashRing.node_for`` is asked about from here on."""
+    asked = []
+    node_for = HashRing.node_for
+
+    def counting(self, key):
+        asked.append(key)
+        return node_for(self, key)
+
+    monkeypatch.setattr(HashRing, "node_for", counting)
+    return asked
+
+
+@pytest.mark.parametrize("read", sorted(READS))
+def test_quiet_cluster_scan_asks_the_ring_nothing(read, ring_lookups):
+    deployment = Deployment("local", 1, withhold=False)
+    del ring_lookups[:]  # the load placed every key by the ring
+    assert READS[read](deployment) == RIGHT[read]
+    assert ring_lookups == []
+
+
+def test_point_reads_and_stale_listings_still_ask_the_ring(ring_lookups):
+    deployment = Deployment("local", 1, withhold=False)
+    del ring_lookups[:]
+    deployment.instance.multi_get([(3,)])
+    assert len(ring_lookups) == 3  # one per segment: no listing, no owners
+    del ring_lookups[:]
+    deployment.fire_before_first_fetch(lambda d: d.cluster.add_node())
+    assert scan_blocks(deployment) == RIGHT["baav-scan"]
+    # the generation moved under the listing: every segment hashed again
+    assert len(ring_lookups) >= 36

@@ -162,7 +162,7 @@ class TestStaleFillProtection:
         class RacingCluster:
             versions = None
 
-            def multi_get(self, namespace, missing, n_values_each):
+            def multi_get(self, namespace, missing, n_values_each, listed_on=None):
                 # the write lands while the fetch is in flight
                 for key_bytes in missing:
                     cache.invalidate(namespace, key_bytes)

@@ -89,7 +89,7 @@ def test_churn_matches_dict_oracle(replication, num_nodes, ops):
             assert cluster.get("churn", key) is None
     # the full scan is exactly the oracle, each pair exactly once
     assert dict(cluster.scan("churn", count_as_gets=False)) == oracle
-    assert sorted(cluster.namespace_keys("churn")) == sorted(oracle)
+    assert sorted(cluster.list_keys("churn").keys) == sorted(oracle)
 
 
 @given(

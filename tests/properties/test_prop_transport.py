@@ -36,7 +36,7 @@ _ops = st.lists(
         st.tuples(st.just("multi_get"), _namespaces,
                   st.lists(_keys, max_size=6)),
         st.tuples(st.just("scan"), _namespaces),
-        st.tuples(st.just("namespace_keys"), _namespaces),
+        st.tuples(st.just("list_keys"), _namespaces),
         st.tuples(st.just("namespaces")),
         st.tuples(st.just("drop"), _namespaces),
         st.tuples(st.just("size_bytes")),
@@ -62,8 +62,8 @@ def _apply(cluster: KVCluster, op) -> object:
         return cluster.multi_get(op[1], op[2])
     if kind == "scan":
         return sorted(cluster.scan(op[1]))  # counted: exercises metering
-    if kind == "namespace_keys":
-        return sorted(cluster.namespace_keys(op[1]))
+    if kind == "list_keys":
+        return sorted(cluster.list_keys(op[1]).keys)
     if kind == "namespaces":
         return cluster.namespaces()
     if kind == "drop":

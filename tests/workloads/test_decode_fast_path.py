@@ -19,10 +19,12 @@ from repro.workloads.tpch import tpch_baav_schema
 
 #: dataset -> (session fixture holding it, its BaaV schema, the least
 #: share of its rows a speculating decoder must own). ``row_decoder``
-#: declines rows that strings cut into runs of under two numerics (no
-#: fallback either: their decoder *is* ``decode_row``), so the share
-#: follows the schemas: 81 % of AIRCA's rows (the benchmark's dataset,
-#: wide in numerics), 65 % of MOT's, 50 % of string-heavy TPC-H's
+#: declines keys and TaaV tuples that strings cut into runs of under two
+#: numerics (no fallback either: their decoder *is* ``decode_row``);
+#: value rows always go to a ``row_speculator``, whose verdict is what a
+#: scan's size proof rests on. The floors follow the schemas and predate
+#: the speculator (81 % of AIRCA's rows, the benchmark's dataset, wide
+#: in numerics; 65 % of MOT's; 50 % of string-heavy TPC-H's)
 DATASETS = {
     "airca": ("airca_small", airca_baav_schema, 0.75),
     "mot": ("mot_small", mot_baav_schema, 0.55),

@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Sampling profiler over one end-to-end benchmark workload.
+
+``cProfile`` charges every Python call the same fixed cost, so
+call-heavy code (a ``row_size`` per value row, a generator expression
+per tuple) reads about 3x what it costs untraced; the benchmark's own
+``--trace 1`` only times the ~40 public callables it patches. This tool
+interrupts the program instead: ``signal.setitimer(ITIMER_PROF)`` fires
+every millisecond of CPU time, the handler reads the interrupted stack,
+and nothing else is touched, so the shares it prints are shares of the
+untraced run.
+
+Per function (``package/module.py:name``) over N passes of a workload's
+seeded op list it reports
+
+* **self** — samples whose *innermost* ``repro`` frame was the function
+  (time in the C calls it makes — ``struct``, ``hashlib``, ``bisect`` —
+  is charged to it, which is what an optimiser wants to know), and
+* **cum** — samples with the function anywhere on the stack.
+
+It imports ``benchmarks/e2e`` read-only: the deployment, the op list and
+the pass loop are the benchmark's own.
+
+    python tools/sample_profile.py --workload analytic_local --passes 8
+    python tools/sample_profile.py --smoke
+"""
+
+from __future__ import annotations
+
+import argparse
+import signal
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from pathlib import Path
+from types import FrameType
+from typing import Dict, Iterator, List, Optional, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+_SRC = str(REPO / "src") + "/"
+
+#: sampling interval in seconds of process CPU time
+INTERVAL_S = 0.001
+
+
+class Sampler:
+    """Counts, per ``repro`` function, the samples it was innermost in
+    (``self_samples``) and the samples it was on the stack of
+    (``cum_samples``), while :meth:`running`."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.self_samples: Counter = Counter()
+        self.cum_samples: Counter = Counter()
+        self._names: Dict[object, Optional[str]] = {}
+
+    def _name(self, frame: FrameType) -> Optional[str]:
+        code = frame.f_code
+        name = self._names.get(code, "")
+        if name == "":
+            filename = code.co_filename
+            name = self._names[code] = (
+                f"{filename[len(_SRC) + len('repro/'):]}:"
+                f"{getattr(code, 'co_qualname', code.co_name)}"
+                if filename.startswith(_SRC)
+                else None
+            )
+        return name
+
+    def _sample(self, _signum: int, frame: Optional[FrameType]) -> None:
+        self.total += 1
+        innermost = True
+        seen = set()
+        while frame is not None:
+            name = self._name(frame)
+            if name is not None:
+                if innermost:
+                    self.self_samples[name] += 1
+                    innermost = False
+                if name not in seen:
+                    seen.add(name)
+                    self.cum_samples[name] += 1
+            frame = frame.f_back
+
+    @contextmanager
+    def running(self) -> Iterator["Sampler"]:
+        """Sample the calling (main) thread until the block exits."""
+        previous = signal.signal(signal.SIGPROF, self._sample)
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+        try:
+            yield self
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0.0)
+            signal.signal(signal.SIGPROF, previous)
+
+    def rows(self, top: int) -> List[Tuple[str, float, float]]:
+        """``(function, self share, cumulative share)`` by self share."""
+        total = max(1, self.total)
+        return [
+            (name, count / total, self.cum_samples[name] / total)
+            for name, count in self.self_samples.most_common(top)
+        ]
+
+
+def profile(workload: str, seed: int, passes: int, smoke: bool) -> Sampler:
+    """Sample ``passes`` replays of ``workload``'s op list (after the
+    benchmark's own answer check, which is also the warm-up)."""
+    for path in (str(REPO), _SRC):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    from benchmarks.e2e.bench import Runner
+    from benchmarks.e2e.workloads import WORKLOADS, Deployment
+
+    sampler = Sampler()
+    with Deployment(WORKLOADS[workload], smoke) as deployment:
+        runner = Runner(deployment, seed, smoke)
+        _, wrong = runner.check_answers()
+        if wrong:
+            raise SystemExit(f"{wrong} wrong answers on {workload}")
+        with sampler.running():
+            for _ in range(passes):
+                if runner.run_pass().failed:
+                    raise SystemExit(f"failed ops on {workload}")
+    return sampler
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="analytic_local")
+    parser.add_argument("--seed", type=int, default=12)
+    parser.add_argument("--passes", type=int, default=8)
+    parser.add_argument("--top", type=int, default=30)
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help="tiny data, one pass: checks the tool, not the program",
+    )
+    args = parser.parse_args(argv)
+    passes = 1 if args.smoke else args.passes
+    sampler = profile(args.workload, args.seed, passes, args.smoke)
+    print(
+        f"# {args.workload} seed {args.seed}: {sampler.total} samples "
+        f"at {INTERVAL_S * 1e3:g} ms over {passes} passes"
+    )
+    print(f"{'self':>7} {'cum':>7}  function")
+    for name, self_share, cum_share in sampler.rows(args.top):
+        print(f"{self_share:7.1%} {cum_share:7.1%}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
