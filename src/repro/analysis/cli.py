@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Set
 
+from repro.analysis.closure_cycles import ClosureCycleChecker
 from repro.analysis.core import Checker, Finding, render_findings, run_analysis
 from repro.analysis.counter_accounting import CounterAccountingChecker
 from repro.analysis.error_taxonomy import ErrorTaxonomyChecker
@@ -31,6 +32,7 @@ def all_checkers() -> List[Checker]:
         CounterAccountingChecker(),
         WireProtocolChecker(),
         ErrorTaxonomyChecker(),
+        ClosureCycleChecker(),
     ]
 
 
@@ -51,7 +53,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description=(
             "repro-lint: project-specific concurrency/protocol static "
             "analysis (lock discipline, counter accounting, wire-protocol "
-            "totality, error taxonomy)"
+            "totality, error taxonomy, closure cycles)"
         ),
     )
     parser.add_argument(

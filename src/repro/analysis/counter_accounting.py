@@ -89,6 +89,20 @@ def _terminal_accessor(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _ordered(body) -> Iterator[ast.stmt]:
+    """The statements of ``body`` and of every block nested in them, in
+    source order."""
+    for stmt in body:
+        yield stmt
+        for child in ast.iter_child_nodes(stmt):
+            if isinstance(child, ast.stmt):
+                yield from _ordered([child])
+            elif hasattr(child, "body") and isinstance(
+                child, (ast.ExceptHandler,)
+            ):
+                yield from _ordered(child.body)
+
+
 class _FunctionState:
     __slots__ = ("approved", "shared")
 
@@ -206,18 +220,7 @@ class CounterAccountingChecker(Checker):
     ) -> None:
         state = _FunctionState()
 
-        def ordered(body) -> Iterator[ast.stmt]:
-            for stmt in body:
-                yield stmt
-                for child in ast.iter_child_nodes(stmt):
-                    if isinstance(child, ast.stmt):
-                        yield from ordered([child])
-                    elif hasattr(child, "body") and isinstance(
-                        child, (ast.ExceptHandler,)
-                    ):
-                        yield from ordered(child.body)
-
-        for stmt in ordered(func.body):
+        for stmt in _ordered(func.body):
             self._note_bindings(stmt, state, stats_classes)
             if not isinstance(stmt, ast.AugAssign):
                 continue

@@ -102,6 +102,15 @@ def _specs_for(
     return None
 
 
+def _targets_of(node: ast.AST) -> Iterator[ast.AST]:
+    """The single targets of an assignment target (tuples unpacked)."""
+    if isinstance(node, ast.Tuple) or isinstance(node, ast.List):
+        for element in node.elts:
+            yield from _targets_of(element)
+    else:
+        yield node
+
+
 class _FunctionScanner:
     """Scan one function body with lexical held-lock tracking."""
 
@@ -170,13 +179,6 @@ class _FunctionScanner:
     def _mutation_bases(self, stmt: ast.stmt) -> Iterator[Tuple[str, ast.AST]]:
         """Guarded fields this statement mutates, with anchor nodes."""
 
-        def targets_of(node: ast.AST) -> Iterator[ast.AST]:
-            if isinstance(node, ast.Tuple) or isinstance(node, ast.List):
-                for element in node.elts:
-                    yield from targets_of(element)
-            else:
-                yield node
-
         def base_of_target(target: ast.AST) -> Optional[str]:
             # self.F = ... | self.F[k] = ... | self.F.attr = ... |
             # alias[k] = ... — all mutate F (one container level deep)
@@ -196,7 +198,7 @@ class _FunctionScanner:
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             )
             for raw in raw_targets:
-                for target in targets_of(raw):
+                for target in _targets_of(raw):
                     field = base_of_target(target)
                     if field is not None:
                         yield field, target

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.baav.block import Block, BlockStats, split_block
 from repro.baav.schema import BaaVSchema, KVSchema
-from repro.errors import BaaVError
+from repro.errors import BaaVError, CodecError
 from repro.kv import codec
 from repro.kv.cache import read_through_many
 from repro.kv.cluster import KeyListing, KVCluster, ListedOn
@@ -239,26 +239,16 @@ class KVInstance:
         )
 
     def _fetch(
-        self,
-        keys: Sequence[Row],
-        first_segments: Sequence[bytes],
-        listing: Optional[_SegmentListing] = None,
-        start: int = 0,
+        self, keys: Sequence[Row], first_segments: Sequence[bytes]
     ) -> Dict[Row, Optional[Block]]:
         """The two fetch waves of :meth:`multi_get` over distinct
-        ``keys`` whose encoded segment-0 keys the caller already holds
-        — a scan also holds the ``listing`` they are the
-        ``[start:start + len(keys)]`` of, and each wave tells the
-        cluster which node its segments were listed on.
-        Each wave's decoded values are charged with one cluster call."""
+        ``keys`` and their encoded segment-0 keys. Each wave's decoded
+        values are charged with one cluster call."""
         blocks: Dict[Row, Optional[Block]] = {}
         pending: List[Tuple[Row, int, Block]] = []
         fetched_segments: List[Block] = []
-        listed_on = None
-        if listing is not None:
-            listed_on = listing.firsts.listed_on(start, start + len(keys))
         for key, (data, fetched) in zip(
-            keys, self._cached_multi_get(first_segments, listed_on)
+            keys, self._cached_multi_get(first_segments)
         ):
             if data is None:
                 blocks[key] = None
@@ -273,21 +263,30 @@ class KVInstance:
         # its own segment's values here
         self._charge_block_values(fetched_segments)
         if pending:
-            tails = [
-                codec.encode_key(key + (index,)) for key, index, _ in pending
-            ]
-            if listing is not None:
-                listed_on = listing.tails_listed_on(tails)
-            extras = self._cached_multi_get(tails, listed_on)
-            fetched_segments = []
-            # pending holds each key's tail segments in ascending index
-            # order, so extending in zip order reassembles the block
-            for (key, index, block), (data, fetched) in zip(pending, extras):
-                segment = self._append_segment(block, key, index, data)
-                if fetched:
-                    fetched_segments.append(segment)
-            self._charge_block_values(fetched_segments)
+            self._fetch_tails(pending)
         return blocks
+
+    def _fetch_tails(
+        self,
+        pending: Sequence[Tuple[Row, int, Block]],
+        listing: Optional[_SegmentListing] = None,
+    ) -> None:
+        """The second fetch wave: append to each ``(key, index, block)``
+        of ``pending`` its tail segment ``index``, charging the wave's
+        decoded values with one cluster call. A scan says which
+        ``listing`` found the segments."""
+        tails = [codec.encode_key(key + (index,)) for key, index, _ in pending]
+        listed_on = None if listing is None else listing.tails_listed_on(tails)
+        fetched_segments: List[Block] = []
+        # pending holds each key's tail segments in ascending index
+        # order, so extending in zip order reassembles the block
+        for (key, index, block), (data, fetched) in zip(
+            pending, self._cached_multi_get(tails, listed_on)
+        ):
+            segment = self._append_segment(block, key, index, data)
+            if fetched:
+                fetched_segments.append(segment)
+        self._charge_block_values(fetched_segments)
 
     def _charge_block_values(self, segments: Sequence[Block]) -> None:
         """Account the logical values of segments fetched from the
@@ -338,16 +337,52 @@ class KVInstance:
             # listed them, not re-encoded from the decoded key, and with
             # the node each was listed on, not hashed onto the ring again
             listing = self._list_segments()
-            for start in range(0, len(listing.keys), batch_size):
+            keys, firsts = listing.keys, listing.firsts
+            decode_value_row = self._decode_value_row
+            width = len(self.schema.value)
+            for start in range(0, len(keys), batch_size):
                 stop = start + batch_size
-                chunk = listing.keys[start:stop]
-                blocks = self._fetch(
-                    chunk, listing.firsts.keys[start:stop], listing, start
-                )
-                for key in chunk:
-                    block = blocks[key]
-                    if block is not None:
-                        yield key, block
+                # one loop per batch: each segment 0 becomes a block
+                # where it was fetched, and the wave's value charges
+                # (``num_values() - 1`` a segment) are gathered on the way
+                blocks: List[Tuple[Row, Block]] = []
+                charges: List[int] = []
+                pending: List[Tuple[Row, int, Block]] = []
+                decode_entries = codec.decode_entries
+                for key, (data, fetched) in zip(
+                    keys[start:stop],
+                    self._cached_multi_get(
+                        firsts.keys[start:stop], firsts.listed_on(start, stop)
+                    ),
+                ):
+                    if data is None:
+                        continue  # deleted since the listing
+                    try:
+                        n_segments, pos = data[0], 1
+                    except IndexError:
+                        raise CodecError("truncated segment") from None
+                    if n_segments > 0x7F:
+                        n_segments, pos = codec._read_varint(data, 0)
+                    # this segment's own list: two service threads
+                    # decode at once
+                    deviants: List[int] = []
+                    entries, _ = decode_entries(
+                        data, pos, decode_value_row, deviants
+                    )
+                    block = Block(entries, not deviants)
+                    if fetched:
+                        charges.append(len(entries) * width - 1)
+                    if n_segments > 1:
+                        pending.extend(
+                            (key, index, block) for index in range(1, n_segments)
+                        )
+                    blocks.append((key, block))
+                # charged before any tail segment is appended: a block
+                # counts its own segment's values here
+                self.cluster.charge_values_read_many(charges, live_only=False)
+                if pending:
+                    self._fetch_tails(pending, listing)
+                yield from blocks
             return
         partial: Dict[Row, List[Tuple[int, Block]]] = defaultdict(list)
         for key_bytes, payload in self.cluster.scan(

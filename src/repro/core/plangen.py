@@ -34,6 +34,7 @@ counted as covered is what the plan fetches.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -740,6 +741,21 @@ def _equi_pairs_between(
     return pairs
 
 
+_CORE_TYPES = (
+    algebra.ScanNode,
+    algebra.SelectNode,
+    algebra.JoinNode,
+    algebra.CrossNode,
+)
+
+
+def _is_core(node: algebra.PlanNode) -> bool:
+    """Is the subtree at ``node`` select-project-join only?"""
+    if not isinstance(node, _CORE_TYPES):
+        return False
+    return all(_is_core(c) for c in node.children())
+
+
 def _split_top(
     ra_plan: algebra.PlanNode,
 ) -> Tuple[
@@ -754,22 +770,10 @@ def _split_top(
     the subtree whose result the KBA plan computes (core, or group-by, or
     having-select) — the system substitutes a TableNode there.
     """
-    core_types = (
-        algebra.ScanNode,
-        algebra.SelectNode,
-        algebra.JoinNode,
-        algebra.CrossNode,
-    )
-
-    def is_core(node: algebra.PlanNode) -> bool:
-        if not isinstance(node, core_types):
-            return False
-        return all(is_core(c) for c in node.children())
-
     # descend through unary top operators to the core
     path: List[algebra.PlanNode] = []
     node = ra_plan
-    while not is_core(node):
+    while not _is_core(node):
         children = node.children()
         if len(children) != 1:
             raise PlanError(
@@ -797,18 +801,29 @@ def substitute_table(
     target: algebra.PlanNode,
     table,
 ) -> algebra.PlanNode:
-    """Replace ``target`` inside ``ra_plan`` with a TableNode over ``table``."""
-    replacement = algebra.TableNode(table)
-    if ra_plan is target:
+    """``ra_plan`` with a TableNode over ``table`` where ``target`` is.
+
+    ``ra_plan`` is left as it was — a plan can be executed again — so
+    the nodes above ``target`` (one to four of them) are copied and
+    everything beside the path is shared with the original.
+    """
+    return _substituted(ra_plan, target, algebra.TableNode(table))
+
+
+def _substituted(
+    node: algebra.PlanNode,
+    target: algebra.PlanNode,
+    replacement: algebra.PlanNode,
+) -> algebra.PlanNode:
+    if node is target:
         return replacement
-
-    def rebuild(node: algebra.PlanNode) -> algebra.PlanNode:
-        if node is target:
-            return replacement
-        for attr in ("child", "left", "right"):
-            child = getattr(node, attr, None)
-            if child is not None and isinstance(child, algebra.PlanNode):
-                setattr(node, attr, rebuild(child))
-        return node
-
-    return rebuild(ra_plan)
+    for attr in ("child", "left", "right"):
+        child = getattr(node, attr, None)
+        if isinstance(child, algebra.PlanNode):
+            rebuilt = _substituted(child, target, replacement)
+            if rebuilt is not child:
+                # a shallow copy keeps the node's declared output
+                clone = copy.copy(node)
+                setattr(clone, attr, rebuilt)
+                return clone
+    return node

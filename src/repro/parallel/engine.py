@@ -240,16 +240,20 @@ class BaselineEngine(_Engine):
     def describe_access(self, ra_plan: algebra.PlanNode) -> Dict[str, str]:
         """Access path per alias, without executing (EXPLAIN)."""
         out: Dict[str, str] = {}
-
-        def walk(node: algebra.PlanNode, above: Optional[ast.Expr]) -> None:
-            if isinstance(node, algebra.ScanNode):
-                choice = self._choose_index(node, above)
-                out[node.alias] = _access_path(node.relation, choice)
-            for child in node.children():
-                walk(child, _predicate_of(node))
-
-        walk(ra_plan, None)
+        self._describe(ra_plan, None, out)
         return out
+
+    def _describe(
+        self,
+        node: algebra.PlanNode,
+        above: Optional[ast.Expr],
+        out: Dict[str, str],
+    ) -> None:
+        if isinstance(node, algebra.ScanNode):
+            choice = self._choose_index(node, above)
+            out[node.alias] = _access_path(node.relation, choice)
+        for child in node.children():
+            self._describe(child, _predicate_of(node), out)
 
     # -- recursive walker -------------------------------------------------------
 

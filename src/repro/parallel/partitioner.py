@@ -12,15 +12,31 @@ flag where the paper's guarantee would degrade on real deployments.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from typing import Iterable, List, Sequence
 
 from repro.kba.blockset import BlockSet, block_bytes
 from repro.relational.types import Row, row_size
 
 
+#: key texts whose hash is remembered. A memo of a pure function has no
+#: invalidation, only a size: ≈ 180 B an entry for a one-integer key
+#: (its text, the int, the cache's links), so ≈ 6 MB full at worst; the
+#: e2e benchmark's analytic statements shuffle 3 580 distinct keys,
+#: 0.65 MB (``docs/PERFORMANCE.md``, "ISSUE 22")
+HASH_MEMO_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=HASH_MEMO_SIZE)
+def _text_hash(text: str) -> int:
+    """First 8 bytes of the md5 of ``text``, big-endian."""
+    return int.from_bytes(hashlib.md5(text.encode()).digest()[:8], "big")
+
+
 def _bucket(key: Row, n: int) -> int:
-    digest = hashlib.md5(repr(key).encode()).digest()
-    return int.from_bytes(digest[:8], "big") % n
+    # memoised on the key's text, never on the key: (1,), (1.0,) and
+    # (True,) are one dict key and three different buckets
+    return _text_hash(repr(key)) % n
 
 
 def partition_keys(keys: Iterable[Row], n: int) -> List[int]:

@@ -45,6 +45,12 @@ Architecture
   relational store, the TaaV/BaaV stores and every secondary index.
 * **Drain / shutdown**: :meth:`drain` stops admitting and waits for
   the in-flight work; :meth:`close` drains and tears the pool down.
+* **Collector sizing (ISSUE 22)**: while a service is open the cyclic
+  collector's young generation is sized for a query's rows
+  (:data:`GC_THRESHOLD0`); closing the last one puts back what the
+  first one found. The query path leaves no cycles, so the collector
+  is resized, never disabled, and only by the object that makes a
+  process a server.
 
 The layers underneath have their own locking story (cluster membership,
 per-node store mutexes, cache LRU, index catalog — see
@@ -54,6 +60,7 @@ service lock only adds the read/update atomicity queries expect.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
@@ -67,7 +74,7 @@ from repro.errors import (
     ServiceOverloadedError,
     TransactionError,
 )
-from repro.locks import RWLock, make_condition
+from repro.locks import RWLock, make_condition, make_lock
 from repro.mvcc import DEFAULT_GC_INTERVAL
 
 #: default bound on queries waiting for a worker before load shedding
@@ -76,6 +83,43 @@ DEFAULT_MAX_QUEUED = 16
 #: environment override for the MVCC default ("0" restores the PR-5
 #: writer-exclusive lock; anything else — or unset — keeps MVCC on)
 MVCC_ENV = "REPRO_MVCC"
+
+#: the collector's generation-0 threshold while a service is open. The
+#: interpreter's 700 suits a program that makes cycles; the query path
+#: makes none (``tests/systems/test_collector.py``), so every young
+#: collection it triggers — one per 700 live rows a scan allocates —
+#: re-walks those rows to free nothing. The smallest value of the sweep
+#: in ``docs/PERFORMANCE.md`` ("ISSUE 22") that reads like no collector
+GC_THRESHOLD0 = 20_000
+
+
+class _YoungGeneration:
+    """Sizes the process's collector for serving queries: raised by the
+    first :class:`QueryService` to open, put back as found when the last
+    one closes. The threshold is the interpreter's, so this is per
+    process; a threshold already larger, or 0 (collection off), stays."""
+
+    def __init__(self) -> None:
+        self._lock = make_lock("_YoungGeneration._lock")
+        self._open = 0
+        self._found = gc.get_threshold()
+
+    def open(self) -> None:
+        with self._lock:
+            if self._open == 0:
+                self._found = found = gc.get_threshold()
+                if 0 < found[0] < GC_THRESHOLD0:
+                    gc.set_threshold(GC_THRESHOLD0, *found[1:])
+            self._open += 1
+
+    def close(self) -> None:
+        with self._lock:
+            self._open -= 1
+            if self._open == 0:
+                gc.set_threshold(*self._found)
+
+
+_YOUNG_GENERATION = _YoungGeneration()
 
 
 @dataclass
@@ -332,6 +376,7 @@ class QueryService:
         self._closed = False
         self._sessions: Dict[int, Session] = {}
         self._next_session_id = 1
+        _YOUNG_GENERATION.open()
 
     # -- sessions ---------------------------------------------------------
 
@@ -669,11 +714,14 @@ class QueryService:
         """
         drained = self.drain(timeout=timeout)
         with self._gate:
+            first_close = not self._closed
             self._closed = True
             for session in list(self._sessions.values()):
                 session.closed = True
             self._sessions.clear()
         self._pool.shutdown(wait=True, cancel_futures=True)
+        if first_close:
+            _YOUNG_GENERATION.close()
         if close_system:
             closer = getattr(self.system, "close", None)
             if closer is not None:
@@ -698,6 +746,7 @@ class QueryService:
 
 __all__ = [
     "DEFAULT_MAX_QUEUED",
+    "GC_THRESHOLD0",
     "MVCC_ENV",
     "QueryService",
     "QueryTicket",

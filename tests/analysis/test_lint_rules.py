@@ -542,6 +542,79 @@ def test_wire_checker_is_silent_without_wire_module(tmp_path):
     assert findings == []
 
 
+# -- recursive-closure ---------------------------------------------------------
+
+
+def test_recursive_closure_triggers_on_a_self_reference(tmp_path):
+    findings = lint(tmp_path, {
+        "mod.py": """
+            def split(plan, kinds):
+                def is_core(node):
+                    return isinstance(node, kinds) and all(
+                        is_core(child) for child in node.children()
+                    )
+                return is_core(plan)
+        """,
+    }, rules={"recursive-closure"})
+    assert rules_of(findings) == ["recursive-closure"]
+    assert "`is_core` of `split` refers to itself" in findings[0].message
+
+
+def test_recursive_closure_triggers_through_an_inner_function(tmp_path):
+    # the lambda needs `walk`, so `walk` carries its own cell
+    findings = lint(tmp_path, {
+        "mod.py": """
+            class Engine:
+                def describe(self, plan):
+                    def walk(node):
+                        return list(map(lambda child: walk(child), node.children()))
+                    return walk(plan)
+        """,
+    }, rules={"recursive-closure"})
+    assert rules_of(findings) == ["recursive-closure"]
+
+
+def test_recursive_closure_triggers_on_mutual_siblings(tmp_path):
+    findings = lint(tmp_path, {
+        "mod.py": """
+            def parity(n):
+                def even(k):
+                    return k == 0 or odd(k - 1)
+                def odd(k):
+                    return k != 0 and even(k - 1)
+                return even(n)
+        """,
+    }, rules={"recursive-closure"})
+    assert rules_of(findings) == ["recursive-closure"] * 2
+    assert "`odd`, which refers back" in findings[0].message
+
+
+def test_recursive_closure_silent_on_hoisted_and_one_way_closures(tmp_path):
+    findings = lint(tmp_path, {
+        "mod.py": """
+            def is_core(node, kinds):
+                return isinstance(node, kinds) and all(
+                    is_core(child, kinds) for child in node.children()
+                )
+
+            class Engine:
+                def walk(self, node):
+                    for child in node.children():
+                        self.walk(child)
+
+            def outer(rows):
+                def key(row):
+                    return row[0]
+                def ordered(batch):
+                    return sorted(batch, key=key)  # one way: no loop
+                def shadow(shadow):
+                    return shadow  # its own parameter, not its cell
+                return ordered(rows), shadow
+        """,
+    }, rules={"recursive-closure"})
+    assert findings == []
+
+
 # -- suppression mechanics ---------------------------------------------------
 
 

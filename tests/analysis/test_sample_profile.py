@@ -1,10 +1,16 @@
 """``tools/sample_profile.py`` (PR 21): the sampler attributes samples to
-``repro`` functions, and its ``--smoke`` mode runs a real workload."""
+``repro`` functions, and its ``--smoke`` mode runs a real workload —
+all of it, or the ops ``--match`` keeps, with ``--gc`` logging the
+collector per pass."""
 
+import gc
+import re
 import signal
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -32,3 +38,21 @@ def test_smoke_mode_profiles_a_workload(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("# analytic_local seed 12:")
     assert len(out) >= 3 and all("%" in line for line in out[2:])
+
+
+def test_smoke_mode_with_match_and_gc(capsys):
+    callbacks = list(gc.callbacks)
+    args = ["--smoke", "--top", "5", "--gc", "--match", "D.cause"]
+    assert sample_profile.main(args) == 0
+    assert gc.callbacks == callbacks
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("# analytic_local seed 12:")
+    # the pass starts with the benchmark's own full collection
+    assert re.fullmatch(
+        r"# gc pass 0: collections \d+/\d+/[1-9]\d* \(gen 0/1/2\), "
+        r"\d+\.\d ms in the collector, \d+ objects collected",
+        out[1],
+    ), out[1]
+    assert out[2].split() == ["self", "cum", "function"]
+    with pytest.raises(SystemExit, match="no op of analytic_local contains"):
+        sample_profile.main(["--smoke", "--match", "no such text"])

@@ -49,6 +49,6 @@ def test_cli_list_rules(capsys):
     for rule in (
         "guarded-field", "raw-acquire", "lock-blocking-call",
         "counter-accounting", "wire-protocol", "bare-except",
-        "broad-except", "foreign-raise",
+        "broad-except", "foreign-raise", "recursive-closure",
     ):
         assert rule in out, rule

@@ -60,6 +60,23 @@ class TestSubstituteTable:
         out = ra_run(final, _NoDb())
         assert out.rows == [(1, 99.0)]
 
+    def test_the_plan_is_left_as_it_was(self, paper_db, q1_sql):
+        plan = plan_for(
+            paper_db,
+            q1_sql + " having SUM(PS.supplycost) > 1.0 order by total desc limit 1 ",
+        )
+        _, replace, _, _ = _split_top(plan)
+        described = plan.describe()
+        fake = Table(tuple(replace.output), [(1, 99.0)])
+        final = substitute_table(plan, replace, fake)
+        assert plan.describe() == described  # `replace` is still in it
+        assert final is not plan and "Table(2 cols)" in final.describe()
+        assert final.output == plan.output
+        # a second substitution into the same plan sees its own table
+        again = substitute_table(plan, replace, Table(fake.attrs, [(2, 5.0)]))
+        assert ra_run(again, _NoDb()).rows == [(2, 5.0)]
+        assert ra_run(final, _NoDb()).rows == [(1, 99.0)]
+
     def test_root_replacement(self):
         table = Table(("x",), [(1,)])
         node = algebra.TableNode(Table(("x",), []))

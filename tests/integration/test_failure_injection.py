@@ -398,6 +398,14 @@ class TestCorruptedStorage:
         with pytest.raises(CodecError):
             instance.get((10,))
 
+    @pytest.mark.parametrize("payload", [b"", b"\xff", b"\xff\xff\xff"])
+    def test_corrupt_block_payload_under_a_batched_scan(self, store, payload):
+        instance = store.instance("sup_by_nation")
+        key_bytes = codec.encode_key((10, 0))
+        instance.cluster.put(instance.namespace, key_bytes, payload)
+        with pytest.raises(CodecError):
+            list(instance.scan(batch_size=64))
+
     def test_missing_segment_detected(self, store):
         instance = store.instance("sup_by_nation")
         # claim 3 segments but store only segment 0
@@ -411,6 +419,8 @@ class TestCorruptedStorage:
         )
         with pytest.raises(BaaVError):
             instance.get((77,))
+        with pytest.raises(BaaVError):
+            list(instance.scan(batch_size=64))
 
     def test_errors_are_repro_errors(self):
         assert issubclass(CodecError, ReproError)

@@ -130,7 +130,7 @@ def _instance(system: ZidianSystem, template: str) -> str:
 def test_value_charges_per_fetch_wave_not_per_block(
     system, template, monkeypatch
 ):
-    count = {"charges": 0, "waves": 0, "fetches": 0}
+    count = {"charges": 0, "waves": 0}
 
     def counting(owner, attr: str, name: str) -> None:
         original = getattr(owner, attr)
@@ -143,10 +143,8 @@ def test_value_charges_per_fetch_wave_not_per_block(
 
     counting(KVCluster, "charge_values_read_many", "charges")
     counting(KVInstance, "_cached_multi_get", "waves")
-    counting(KVInstance, "_fetch", "fetches")
     metrics = system.execute(_instance(system, template)).metrics
-    assert count["fetches"] > 0
-    assert count["charges"] <= count["waves"] <= 2 * count["fetches"]
+    assert 0 < count["charges"] <= count["waves"]
     # a wave is a batch of gets: the charges do not scale with the blocks
     assert count["waves"] <= metrics.n_round_trips < metrics.n_get
 

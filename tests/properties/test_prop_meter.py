@@ -13,11 +13,19 @@ a relation too wide for the compiled decoder.
 
 Three hand-made mutants of the proof are installed at the end; the same
 check must fail under each.
+
+Last, the worker a key shuffles to: ``partitioner._bucket`` remembers
+the hash of a key's *text*, and must stay the definition written out
+here for keys that are ``==`` but print differently, whichever was
+asked first, and after the memo has turned over; a mutant that
+remembers by the key itself is killed.
 """
 
 from __future__ import annotations
 
 import enum
+import hashlib
+from functools import lru_cache
 from typing import Dict, List
 
 import pytest
@@ -338,3 +346,73 @@ def test_mutant_utf8_length_is_used(monkeypatch):
     monkeypatch.setattr(partitioner, "block_bytes", utf8_block_bytes)
     with pytest.raises(AssertionError):
         weigh_the_zoo(CLEAN_LEFT)
+
+
+# -- the shuffle's hash is remembered by a key's text, never by the key -------
+
+
+def defined_bucket(key, n: int) -> int:
+    """``_bucket``, written out."""
+    return int.from_bytes(hashlib.md5(repr(key).encode()).digest()[:8], "big") % n
+
+
+#: ``==`` and equal-hashing as dict keys, three texts: three hashes
+EQUAL_KEYS = [(1,), (1.0,), (True,)], [(0, "é"), (0.0, "é"), (False, "é")]
+
+key_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 1.0, -1.5, float("inf")]),
+    st.text(alphabet="ab'é漢🙂", max_size=3),
+    st.dates().map(lambda day: day.isoformat()),  # how DATE is stored
+)
+keys = st.lists(key_values, max_size=3).map(tuple)
+
+
+def check_buckets(asked) -> None:
+    for key, n in asked:
+        assert partitioner._bucket(key, n) == defined_bucket(key, n), (key, n)
+
+
+@given(st.lists(st.tuples(keys, st.integers(1, 8)), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_bucket_is_its_definition_whatever_was_asked_before(asked):
+    check_buckets(asked)
+    check_buckets(reversed(asked))
+
+
+def ask_equal_keys_in_both_orders() -> None:
+    for family in EQUAL_KEYS:
+        assert len(set(family)) == 1 and len(set(map(repr, family))) == 3
+        for order in (family, family[::-1]):
+            partitioner._text_hash.cache_clear()
+            check_buckets((key, n) for key in order for n in range(1, 9))
+
+
+def test_equal_keys_with_distinct_texts_keep_their_own_buckets():
+    ask_equal_keys_in_both_orders()
+    # the three really differ, so the mutant below has something to lose
+    assert len({defined_bucket(key, 1 << 30) for key in EQUAL_KEYS[0]}) == 3
+
+
+def test_more_distinct_keys_than_the_memo_holds(monkeypatch):
+    small = lru_cache(maxsize=8)(partitioner._text_hash.__wrapped__)
+    monkeypatch.setattr(partitioner, "_text_hash", small)
+    asked = [((i, f"k{i % 5}"), 1 + i % 8) for i in range(40)]
+    check_buckets(asked + asked[::-1])
+    info = small.cache_info()
+    assert info.currsize == 8 and info.misses > 40  # evicted, and asked again
+
+
+def test_mutant_memo_keyed_on_the_key(monkeypatch):
+    remembered: Dict[tuple, int] = {}
+
+    def by_key(key, n: int) -> int:
+        if key not in remembered:
+            remembered[key] = defined_bucket(key, 1 << 64)
+        return remembered[key] % n
+
+    monkeypatch.setattr(partitioner, "_bucket", by_key)
+    with pytest.raises(AssertionError):
+        ask_equal_keys_in_both_orders()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ExecutionError
+from repro.parallel.engine import BaselineEngine, ZidianEngine
 from repro.relational import bag_equal
 from repro.sql import execute as ra_execute, plan_sql
 from repro.systems import SQLOverNoSQL, ZidianSystem
@@ -210,3 +211,75 @@ class TestDeleteOfAbsentRow:
         # and the system still takes the valid part of that Δ
         system.apply_updates("PARTSUPP", deletes=[self.PRESENT])
         assert self.PRESENT not in system.database.relation("PARTSUPP").rows
+
+
+class TestPlanExecutedTwice:
+    """A plan is an engine's input, not its scratch space: executed
+    again after an update it reads the new state. (`substitute_table`
+    used to put the first result's TableNode into `plan.ra_plan`, so
+    the second run of a `ZidianPlan` returned the first answer.)"""
+
+    GROUPED = (
+        "select PS.suppkey, count(*) as n from PARTSUPP PS "
+        "where PS.suppkey = 2 group by PS.suppkey"
+    )
+    LEFT = "select PS.partkey, PS.availqty from PARTSUPP PS where PS.suppkey = 2"
+    RIGHT = "select PS.partkey, PS.availqty from PARTSUPP PS where PS.suppkey = 1"
+
+    @staticmethod
+    def _update(system):
+        system.apply_updates(
+            "PARTSUPP", inserts=[(400, 2, 10.0, 6)], deletes=[(100, 1, 5.0, 7)]
+        )
+
+    @staticmethod
+    def _run(system, plans):
+        """The rows of ``plans`` through a fresh engine, as ``execute``
+        builds one per statement."""
+        if isinstance(system, ZidianSystem):
+            engine = system._engine(ZidianEngine, system.store)
+        else:
+            engine = system._engine(BaselineEngine)
+        return sorted(
+            row for plan in plans for row in engine.execute(plan)[0].rows
+        )
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            GROUPED,
+            GROUPED + " having count(*) > 0 order by n desc limit 3",
+            LEFT + " order by PS.partkey",
+        ],
+    )
+    def test_zidian_plan_reads_the_new_state(
+        self, paper_db, paper_baav_schema, sql
+    ):
+        system = _zidian(paper_db.copy(), paper_baav_schema)
+        plan, _ = system.middleware.plan(sql)
+        described, replace_node = plan.ra_plan.describe(), plan.replace_node
+        before = self._run(system, [plan])
+        assert before == sorted(system.execute(sql).rows)
+        self._update(system)
+        after = self._run(system, [plan])
+        assert after == sorted(system.execute(sql).rows) != before
+        assert plan.ra_plan.describe() == described
+        assert plan.replace_node is replace_node
+
+    @pytest.mark.parametrize("make", [_baseline, _zidian])
+    def test_compound_statement(self, paper_db, paper_baav_schema, make):
+        system = make(paper_db.copy(), paper_baav_schema)
+        sql = f"{self.LEFT} union all {self.RIGHT}"
+        if isinstance(system, ZidianSystem):
+            # each side is planned, and its RA top run, on its own
+            plans = [
+                system.middleware.plan(side)[0]
+                for side in (self.LEFT, self.RIGHT)
+            ]
+        else:
+            plans = [system._plan(sql)]
+        before = self._run(system, plans)
+        assert before == sorted(system.execute(sql).rows)
+        self._update(system)
+        after = self._run(system, plans)
+        assert after == sorted(system.execute(sql).rows) != before

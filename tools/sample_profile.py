@@ -22,16 +22,27 @@ It imports ``benchmarks/e2e`` read-only: the deployment, the op list and
 the pass loop are the benchmark's own.
 
     python tools/sample_profile.py --workload analytic_local --passes 8
+    python tools/sample_profile.py --match "D.cause" --gc
     python tools/sample_profile.py --smoke
+
+``--match SUBSTR`` keeps only the ops whose SQL contains the string (one
+template's profile); ``--gc`` also prints, per pass, what the cyclic
+collector did: collections per generation, milliseconds inside it and
+objects it freed (``gc.callbacks``, installed around the sampled passes
+only — each pass starts with the benchmark's own ``gc.collect()``,
+which is one of the generation-2 collections).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
+import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import FrameType
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -102,9 +113,63 @@ class Sampler:
         ]
 
 
-def profile(workload: str, seed: int, passes: int, smoke: bool) -> Sampler:
-    """Sample ``passes`` replays of ``workload``'s op list (after the
-    benchmark's own answer check, which is also the warm-up)."""
+@dataclass
+class PassCollections:
+    """What the cyclic collector did during one pass."""
+
+    per_generation: List[int] = field(default_factory=lambda: [0, 0, 0])
+    ms: float = 0.0
+    collected: int = 0
+
+
+class CollectorLog:
+    """One :class:`PassCollections` per pass, while :meth:`watching`."""
+
+    def __init__(self) -> None:
+        self.passes: List[PassCollections] = []
+        self._started = 0.0
+
+    def next_pass(self) -> None:
+        self.passes.append(PassCollections())
+
+    def _on_gc(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        current = self.passes[-1]
+        current.ms += (time.perf_counter() - self._started) * 1e3
+        current.per_generation[info["generation"]] += 1
+        current.collected += info["collected"]
+
+    @contextmanager
+    def watching(self) -> Iterator["CollectorLog"]:
+        gc.callbacks.append(self._on_gc)
+        try:
+            yield self
+        finally:
+            gc.callbacks.remove(self._on_gc)
+
+    def lines(self) -> List[str]:
+        return [
+            f"# gc pass {index}: collections "
+            f"{'/'.join(map(str, each.per_generation))} (gen 0/1/2), "
+            f"{each.ms:.1f} ms in the collector, "
+            f"{each.collected} objects collected"
+            for index, each in enumerate(self.passes)
+        ]
+
+
+def profile(
+    workload: str,
+    seed: int,
+    passes: int,
+    smoke: bool,
+    match: str = "",
+    collector: Optional[CollectorLog] = None,
+) -> Sampler:
+    """Sample ``passes`` replays of ``workload``'s op list — of its ops
+    whose SQL contains ``match`` — after the benchmark's own answer
+    check, which is also the warm-up. ``collector`` logs each pass."""
     for path in (str(REPO), _SRC):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -114,11 +179,17 @@ def profile(workload: str, seed: int, passes: int, smoke: bool) -> Sampler:
     sampler = Sampler()
     with Deployment(WORKLOADS[workload], smoke) as deployment:
         runner = Runner(deployment, seed, smoke)
+        runner.ops = [sql for sql in runner.ops if match in sql]
+        if not runner.ops:
+            raise SystemExit(f"no op of {workload} contains {match!r}")
         _, wrong = runner.check_answers()
         if wrong:
             raise SystemExit(f"{wrong} wrong answers on {workload}")
-        with sampler.running():
+        watching = nullcontext() if collector is None else collector.watching()
+        with watching, sampler.running():
             for _ in range(passes):
+                if collector is not None:
+                    collector.next_pass()
                 if runner.run_pass().failed:
                     raise SystemExit(f"failed ops on {workload}")
     return sampler
@@ -135,13 +206,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="tiny data, one pass: checks the tool, not the program",
     )
+    parser.add_argument(
+        "--match",
+        default="",
+        metavar="SUBSTR",
+        help="keep only the ops whose SQL contains SUBSTR",
+    )
+    parser.add_argument(
+        "--gc",
+        action="store_true",
+        help="also print, per pass, what the cyclic collector did",
+    )
     args = parser.parse_args(argv)
     passes = 1 if args.smoke else args.passes
-    sampler = profile(args.workload, args.seed, passes, args.smoke)
+    collector = CollectorLog() if args.gc else None
+    sampler = profile(
+        args.workload, args.seed, passes, args.smoke, args.match, collector
+    )
     print(
         f"# {args.workload} seed {args.seed}: {sampler.total} samples "
         f"at {INTERVAL_S * 1e3:g} ms over {passes} passes"
     )
+    if collector is not None:
+        print("\n".join(collector.lines()))
     print(f"{'self':>7} {'cum':>7}  function")
     for name, self_share, cum_share in sampler.rows(args.top):
         print(f"{self_share:7.1%} {cum_share:7.1%}  {name}")
