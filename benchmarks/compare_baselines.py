@@ -28,9 +28,8 @@ produces and asks for **byte identity**, not a threshold::
 
 exits 1 unless every ``results/BENCH_<NAME>.json`` named is
 byte-identical to ``baselines/BENCH_<NAME>.json`` (a missing file
-counts as a difference). Wall-clock artifacts (``durability``,
-``multiprocess``, ``vectorized``) never repeat byte for byte; do not
-name them.
+counts as a difference). The wall-clock artifact (``vectorized``) never
+repeats byte for byte; do not name it.
 """
 
 from __future__ import annotations

@@ -271,15 +271,15 @@ def run_maintenance():
     out = {}
     for label, system in systems.items():
         system.cluster.reset_counters()
-        idx_puts = system.indexes.stats.maintenance_puts
-        idx_bytes = system.indexes.stats.maintenance_bytes
+        idx_puts = system.indexes.stats.total().maintenance_puts
+        idx_bytes = system.indexes.stats.total().maintenance_bytes
         system.apply_updates("FLIGHT", inserts=inserts, deletes=deletes)
         counters = system.cluster.total_counters()
         out[label] = (
             counters.puts,
             counters.bytes_in,
-            system.indexes.stats.maintenance_puts - idx_puts,
-            system.indexes.stats.maintenance_bytes - idx_bytes,
+            system.indexes.stats.total().maintenance_puts - idx_puts,
+            system.indexes.stats.total().maintenance_bytes - idx_bytes,
         )
     return out
 

@@ -138,10 +138,12 @@ GUARDED_FIELDS: Dict[str, Dict[Optional[str], Tuple[GuardSpec, ...]]] = {
             _guard("_lock", MUTEX, "_indexes"),
         ),
     },
-    "repro/locks.py": {
+    "repro/tally.py": {
         "ShardSet": (
             _guard("_lock", MUTEX, "_entries", "_retired"),
         ),
+    },
+    "repro/locks.py": {
         "RWLock": (
             _guard(
                 "_cond", MUTEX,
@@ -163,16 +165,15 @@ MUTATING_METHODS: FrozenSet[str] = frozenset({
 })
 
 #: attribute/property names that yield the CALLING THREAD's private
-#: counter shard — increments through these are the sanctioned pattern
-#: (``repro.locks.ShardSet`` routing); see counter_accounting.py
-SHARD_ACCESSORS: FrozenSet[str] = frozenset({
-    "local",      # IndexStats.local
-    "counters",   # StorageNode.counters
-    "_stats",     # BlockCache._stats (thread-shard property)
-})
+#: counter shard (``StorageNode.counters``) — increments through these
+#: are the sanctioned pattern; see counter_accounting.py
+SHARD_ACCESSORS: FrozenSet[str] = frozenset({"counters"})
 
-#: calls returning a live shard the calling thread owns
-SHARD_CALLS: FrozenSet[str] = frozenset({"local", "peek"})
+#: ``ShardSet`` / ``Tally`` calls returning what the calling thread may
+#: mutate: its own live shard, or a private copy
+SHARD_CALLS: FrozenSet[str] = frozenset(
+    {"local", "peek", "copy", "thread", "total"}
+)
 
 #: blocking calls that must never run while a lock is held: module-level
 #: dotted names...

@@ -1,26 +1,26 @@
 """Counter-accounting checker: stats increments go through shards.
 
-PR 5 made every hot counter *thread-sharded* (:class:`repro.locks.ShardSet`):
+Every hot counter is *thread-sharded* (:class:`repro.tally.ShardSet`):
 each thread increments a private shard, aggregates sum the shards. A
 bare ``+=`` on a *shared* stats instance silently loses increments
 under concurrency — the exact bug class the sharding removed — so this
 checker flags it.
 
 What counts as a stats field is discovered from the tree itself: every
-``@dataclass`` that defines an ``add(self, other)`` method is a
-shard-able counter set (``NodeCounters``, ``CacheStats``,
-``IndexCounters``, ...), and its annotated field names form the
-protected vocabulary. An augmented assignment to one of those field
-names is then only allowed when the receiver is provably the calling
-thread's own shard:
+``@tally`` class that some ``ShardSet(<Class>)`` shards
+(``NodeCounters``, ``CacheStats``, ``IndexCounters``, ...) is a counter
+set, and its annotated field names form the protected vocabulary. (A
+``@tally`` class with one owner — an engine's ``LSMStats``, mutated
+under its node's mutex — takes plain ``+=``.) An augmented assignment
+to one of those field names is then only allowed when the receiver is
+provably the calling thread's own shard:
 
-* through a shard accessor property (``self.counters``, ``stats.local``,
-  the cache's ``_stats``) or a ``.local()`` / ``.peek()`` call;
+* through a shard accessor property (``self.counters``) or a
+  ``.local()`` / ``.peek()`` call;
 * through a local alias of one of those;
-* on a freshly constructed private instance (``total = NodeCounters()``
-  or a ``.copy()`` / ``thread_stats()`` / ``counters_total()`` result);
-* inside the stats dataclass's own methods (``add``/``reset`` fold
-  fields by design).
+* on a private instance (``total = NodeCounters()``, or a ``.copy()`` /
+  ``.thread()`` / ``.total()`` result);
+* inside the counter set's own methods.
 
 Iterating ``.all()`` and mutating the yielded shards is flagged: those
 are other threads' live shards (aggregation sweeps may only *read*
@@ -35,53 +35,42 @@ from typing import Dict, Iterator, List, Optional, Set
 from repro.analysis import config
 from repro.analysis.core import Checker, Finding, ParsedModule, Project
 
-#: call names whose result is a private copy, safe to mutate
-_FRESH_CALLS = frozenset({
-    "copy", "thread_stats", "thread_counters", "counters_total",
-    "snapshot", "replace",
-})
-
-
-def _is_dataclass_with_add(node: ast.ClassDef) -> bool:
-    decorated = any(
-        (isinstance(dec, ast.Name) and dec.id == "dataclass")
-        or (
-            isinstance(dec, ast.Call)
-            and isinstance(dec.func, ast.Name)
-            and dec.func.id == "dataclass"
-        )
-        for dec in node.decorator_list
-    )
-    if not decorated:
-        return False
+def _is_tally(node: ast.ClassDef) -> bool:
     return any(
-        isinstance(item, ast.FunctionDef) and item.name == "add"
-        for item in node.body
+        isinstance(dec, ast.Name) and dec.id == "tally"
+        for dec in node.decorator_list
     )
 
 
 def _stats_classes(project: Project) -> Dict[str, Set[str]]:
-    """name → annotated field names, for every stats dataclass."""
-    out: Dict[str, Set[str]] = {}
+    """name → annotated field names, for every sharded ``@tally`` class."""
+    declared: Dict[str, Set[str]] = {}
+    sharded: Set[str] = set()
     for module in project.modules:
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not _is_dataclass_with_add(node):
-                continue
-            fields = {
-                item.target.id
-                for item in node.body
-                if isinstance(item, ast.AnnAssign)
-                and isinstance(item.target, ast.Name)
-            }
-            out[node.name] = fields
-    return out
+            if isinstance(node, ast.ClassDef) and _is_tally(node):
+                declared[node.name] = {
+                    item.target.id
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                }
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "ShardSet"
+                and node.args
+                and isinstance(node.args[0], ast.Name)
+            ):
+                sharded.add(node.args[0].id)
+    return {
+        name: fields for name, fields in declared.items() if name in sharded
+    }
 
 
 def _terminal_accessor(node: ast.AST) -> Optional[str]:
-    """The last attribute/call name of a receiver chain: ``self.stats.local``
-    → ``local``; ``self._shards.local()`` → ``local`` (call form)."""
+    """The last attribute/call name of a receiver chain: ``self.counters``
+    → ``counters``; ``self._shards.local()`` → ``local`` (call form)."""
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -132,7 +121,7 @@ class CounterAccountingChecker(Checker):
         for node in module.tree.body:
             if isinstance(node, ast.ClassDef):
                 if node.name in stats_classes:
-                    continue  # add()/reset() fold their own fields
+                    continue  # a counter set's own methods
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
                         self._scan_function(
@@ -164,7 +153,7 @@ class CounterAccountingChecker(Checker):
         if terminal in config.SHARD_ACCESSORS:
             return "approved"
         if isinstance(node, ast.Call):
-            if terminal in config.SHARD_CALLS or terminal in _FRESH_CALLS:
+            if terminal in config.SHARD_CALLS:
                 return "approved"
             if (
                 isinstance(node.func, ast.Name)
@@ -241,8 +230,8 @@ class CounterAccountingChecker(Checker):
                     message=(
                         f"increment of stats field {target.attr!r} on a "
                         f"shared instance — route it through a per-thread "
-                        f"shard (ShardSet .local(), the `counters`/`local` "
-                        f"accessors) so concurrent increments are not lost"
+                        f"shard (ShardSet .local(), the `counters` "
+                        f"accessor) so concurrent increments are not lost"
                     ),
                 )
             )

@@ -106,9 +106,6 @@ class Block:
             for _ in range(count):
                 yield row
 
-    def rows_with_counts(self) -> List[Tuple[Row, int]]:
-        return list(self.entries)
-
     def add(self, row: Row, count: int = 1, compress: bool = True) -> None:
         row = tuple(row)
         self.proven = False

@@ -4,7 +4,7 @@ Every knob that can be set from the environment resolves as *argument >
 environment > default*: the owning module calls :func:`env_flag` or
 :func:`env_choice` only when its caller left the argument ``None``. An
 unset or empty variable means the default; a value the knob does not
-list (``REPRO_VECTORIZED=false``) raises instead of being read as on or
+list (``REPRO_LOCKDEP=false``) raises instead of being read as on or
 off. The variables and their defaults are tabulated in README.md,
 "Configuration reference".
 """

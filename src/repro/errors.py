@@ -77,10 +77,6 @@ class KVError(ReproError):
     """Base class for KV storage errors."""
 
 
-class KeyNotFoundError(KVError):
-    """``get`` was called for a key that is not present."""
-
-
 class ClusterUnavailableError(KVError):
     """No live node can serve the request (every cluster node is down).
 

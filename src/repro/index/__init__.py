@@ -8,7 +8,7 @@ plus a bounded TaaV ``multi_get`` instead of an O(relation) scan.
 from repro.index.indexes import (
     DEFAULT_BUCKET_TARGET,
     HashIndex,
-    IndexStats,
+    IndexCounters,
     OrderedIndex,
     SecondaryIndex,
     dependent_index_prefix,
@@ -25,8 +25,8 @@ __all__ = [
     "DEFAULT_BUCKET_TARGET",
     "HashIndex",
     "IndexChoice",
+    "IndexCounters",
     "IndexManager",
-    "IndexStats",
     "KINDS",
     "OrderedIndex",
     "SecondaryIndex",

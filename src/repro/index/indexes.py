@@ -25,7 +25,7 @@ Write-through maintenance (:meth:`SecondaryIndex.apply`) mirrors the
 BaaV maintainer: each inserted/deleted tuple read-modify-writes only the
 posting list / bucket of its attribute value — ``O(|Δ|)`` work. The puts
 are counted on the storage nodes like any other write, and the index
-additionally tallies its own :class:`IndexStats` so benchmarks can
+additionally tallies its own :class:`IndexCounters` so benchmarks can
 report maintenance write amplification separately from base-table writes.
 
 ``NULL`` attribute values are never indexed: no supported predicate
@@ -37,16 +37,15 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.kv import codec
 from repro.kv.cache import read_through_many
 from repro.kv.cluster import KVCluster
-from repro.locks import ShardSet
 from repro.relational.schema import RelationSchema
 from repro.relational.types import Row
+from repro.tally import ShardSet, Tally, tally
 
 #: distinct values per ordered-index bucket (build-time cut target)
 DEFAULT_BUCKET_TARGET = 32
@@ -79,79 +78,19 @@ def _canonical(value: object) -> object:
     return value
 
 
-@dataclass
-class IndexCounters:
-    """One thread's shard of the index statistics (plain accumulators)."""
+@tally
+class IndexCounters(Tally):
+    """Index accounting (one manager-wide ``ShardSet``, or one per
+    standalone index): ``probes``/``postings`` meter the read path
+    (index entries fetched / posting entries decoded), the
+    ``maintenance_*`` family the write-through path, so write
+    amplification is reportable."""
 
     probes: int = 0
     postings: int = 0
     maintenance_puts: int = 0
     maintenance_deletes: int = 0
     maintenance_bytes: int = 0
-
-    def add(self, other: "IndexCounters") -> None:
-        self.probes += other.probes
-        self.postings += other.postings
-        self.maintenance_puts += other.maintenance_puts
-        self.maintenance_deletes += other.maintenance_deletes
-        self.maintenance_bytes += other.maintenance_bytes
-
-
-class IndexStats:
-    """Cumulative counters of one index (or a manager-wide aggregate).
-
-    ``probes``/``postings`` meter the read path (index entries fetched /
-    posting entries decoded); the ``maintenance_*`` family meters the
-    write-through path so write amplification is reportable.
-
-    Thread-sharded (PR 5): index code accumulates into :attr:`local`,
-    the calling thread's private :class:`IndexCounters` shard, so
-    concurrent queries never lose increments. The aggregate fields
-    (``stats.probes`` etc.) sum the shards; :meth:`snapshot` reads only
-    the calling thread's shard so per-query metric probes attribute
-    exactly their own index traffic.
-    """
-
-    def __init__(self) -> None:
-        self._shards: ShardSet[IndexCounters] = ShardSet(IndexCounters)
-
-    @property
-    def local(self) -> IndexCounters:
-        """The calling thread's shard — mutate counters through this."""
-        return self._shards.local()
-
-    def _total(self) -> IndexCounters:
-        total = IndexCounters()
-        for shard in self._shards.all():
-            total.add(shard)
-        return total
-
-    @property
-    def probes(self) -> int:
-        return self._total().probes
-
-    @property
-    def postings(self) -> int:
-        return self._total().postings
-
-    @property
-    def maintenance_puts(self) -> int:
-        return self._total().maintenance_puts
-
-    @property
-    def maintenance_deletes(self) -> int:
-        return self._total().maintenance_deletes
-
-    @property
-    def maintenance_bytes(self) -> int:
-        return self._total().maintenance_bytes
-
-    def snapshot(self) -> Tuple[int, int]:
-        """(probes, postings) of the CALLING THREAD's shard only."""
-        local = self._shards.peek()
-        if local is None:
-            return 0, 0
-        return local.probes, local.postings
 
 
 def index_namespace(relation: str, attr: str, kind: str) -> str:
@@ -177,7 +116,7 @@ class SecondaryIndex:
         attr: str,
         cluster: KVCluster,
         cache=None,
-        stats: Optional[IndexStats] = None,
+        stats: Optional[ShardSet[IndexCounters]] = None,
     ) -> None:
         if not relation.primary_key:
             raise ExecutionError(
@@ -201,7 +140,7 @@ class SecondaryIndex:
         self.namespace = index_namespace(relation.name, attr, self.kind)
         self._attr_pos = relation.index_of(attr)
         self._pk_positions = relation.indexes_of(relation.primary_key)
-        self.stats = stats if stats is not None else IndexStats()
+        self.stats = stats if stats is not None else ShardSet(IndexCounters)
 
     def _project(self, row: Row) -> Tuple[object, Row]:
         return row[self._attr_pos], tuple(
@@ -213,12 +152,13 @@ class SecondaryIndex:
         self.cluster.put(
             self.namespace, key_bytes, payload, n_values=len(entries)
         )
-        self.stats.local.maintenance_puts += 1
-        self.stats.local.maintenance_bytes += len(key_bytes) + len(payload)
+        stats = self.stats.local()
+        stats.maintenance_puts += 1
+        stats.maintenance_bytes += len(key_bytes) + len(payload)
 
     def _delete_entry(self, key_bytes: bytes) -> None:
         self.cluster.delete(self.namespace, key_bytes)
-        self.stats.local.maintenance_deletes += 1
+        self.stats.local().maintenance_deletes += 1
 
     def _fetch_entries(
         self, key_bytes_list: Sequence[bytes]
@@ -228,7 +168,8 @@ class SecondaryIndex:
             self.cache, self.cluster, self.namespace, key_bytes_list
         )
         out: List[List[Tuple[Row, int]]] = []
-        self.stats.local.probes += len(key_bytes_list)
+        stats = self.stats.local()
+        stats.probes += len(key_bytes_list)
         for data, fetched in pairs:
             if data is None:
                 out.append([])
@@ -240,7 +181,7 @@ class SecondaryIndex:
                 # values_read charges the posting-list size, exactly
                 # like the BaaV segment reads do
                 self._charge_posting_values(len(entries))
-            self.stats.local.postings += len(entries)
+            stats.postings += len(entries)
             out.append(entries)
         return out
 
@@ -371,7 +312,7 @@ class OrderedIndex(SecondaryIndex):
         attr: str,
         cluster: KVCluster,
         cache=None,
-        stats: Optional[IndexStats] = None,
+        stats: Optional[ShardSet[IndexCounters]] = None,
         bucket_target: int = DEFAULT_BUCKET_TARGET,
     ) -> None:
         super().__init__(relation, attr, cluster, cache=cache, stats=stats)

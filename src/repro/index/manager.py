@@ -12,9 +12,11 @@ over that system's cluster. It is three things at once:
   every index of the touched relation, keeping indexes consistent with
   the base data under inserts/deletes.
 
-All indexes share one :class:`~repro.index.indexes.IndexStats`, so the
-engines can snapshot/diff a single counter set to attribute index
-round-trips and posting reads to plan stages.
+All indexes share one ``ShardSet`` of
+:class:`~repro.index.indexes.IndexCounters` (:attr:`IndexManager.stats`
+— written through ``.local()``, read through ``.total()`` /
+``.thread()``), so the engines diff a single counter set to attribute
+index round-trips and posting reads to plan stages.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.errors import ExecutionError
 from repro.index.indexes import (
     HashIndex,
-    IndexStats,
+    IndexCounters,
     OrderedIndex,
     SecondaryIndex,
 )
@@ -33,6 +35,7 @@ from repro.kv.cluster import KVCluster
 from repro.locks import make_rlock
 from repro.relational.relation import Relation
 from repro.relational.types import Row
+from repro.tally import ShardSet
 
 #: accepted index kinds (the ``kind`` arg of ``create_index``)
 KINDS = ("hash", "ordered")
@@ -44,7 +47,7 @@ class IndexManager:
     def __init__(self, cluster: KVCluster, cache=None) -> None:
         self.cluster = cluster
         self.cache = cache
-        self.stats = IndexStats()
+        self.stats: ShardSet[IndexCounters] = ShardSet(IndexCounters)
         self._indexes: Dict[Tuple[str, str, str], SecondaryIndex] = {}
         # guards the catalog dict: DDL (create/drop/forget) is rare but
         # must not mutate it under a concurrent planner/executor read;

@@ -7,7 +7,7 @@ This module compiles an expression **once** per operator into positional
 closures — column references become list indexes, comparisons become
 ``operator`` calls. The row-at-a-time handlers of
 :mod:`repro.kba.executor` call such a closure per row
-(:func:`row_evaluator`); the columnar handlers evaluate them over whole
+(:func:`compile_row`); the columnar handlers evaluate them over whole
 :class:`~repro.baav.frame.BlockSetFrame` columns, MonetDB/X100 style.
 
 Two compilation targets:
@@ -23,11 +23,14 @@ Two compilation targets:
 Exactness is the contract: every compiled closure returns byte-identical
 results to ``Expr.eval`` — the same NULL collapses (comparisons are
 ``False`` on NULL, arithmetic propagates ``None``, division by zero is
-``None``) and the same truthiness composition for AND/OR/NOT. Expressions
-the compiler does not understand (aggregate calls, unbound columns) raise
-:class:`~repro.errors.CompileError`: a columnar operator falls back to
-the row-at-a-time handler and a row handler to the reference evaluation,
-so neither ``vectorized=True`` nor compilation ever changes results.
+``None``) and the same truthiness composition for AND/OR/NOT.
+:func:`compile_row` is total over :class:`~repro.sql.ast.Expr`: what
+``Expr.eval`` would refuse (an unbound column, an aggregate outside
+GROUP BY, an unknown operator) compiles to a closure that raises the same
+error *when called*, so a short-circuited conjunct still never raises.
+The columnar kernels raise :class:`~repro.errors.CompileError` for what
+they do not understand and the operator falls back to the row-at-a-time
+handler, so ``vectorized=True`` never changes results.
 
 Plan compilation (:func:`compile_plan`) additionally fuses adjacent
 ``ProjectK(SelectK(x))`` pairs into one mask-and-take pass over the
@@ -48,14 +51,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.baav.block import Block
 from repro.baav.frame import BlockSetFrame, Frame, group_fold, hash_probe
-from repro.errors import CompileError
+from repro.errors import CompileError, ExecutionError
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet, Entry
 from repro.relational.types import Row
 from repro.sql import ast
 from repro.sql.aggregates import make_accumulator
 from repro.sql.algebra import AggSpec
-from repro.sql.executor import eval_row
 
 RowFn = Callable[[Row], object]
 VecFn = Callable[[Frame], List[object]]
@@ -76,7 +78,7 @@ _CMP_OPS = {
 }
 
 
-def _position(attrs: Tuple[str, ...], name: str) -> int:
+def _position(attrs: Sequence[str], name: str) -> int:
     """Where ``name`` sits in a row laid out as ``attrs`` — the *last*
     position when the layout repeats a name, which is the one the
     reference env ``dict(zip(attrs, row))`` keeps."""
@@ -89,19 +91,34 @@ def _position(attrs: Tuple[str, ...], name: str) -> int:
 # -- row compilation ----------------------------------------------------------
 
 
-def compile_row(expr: ast.Expr, attrs: Tuple[str, ...]) -> RowFn:
+def _unknown_arith(symbol: str) -> Callable[[object, object], object]:
+    def fail(a: object, b: object) -> object:
+        raise ExecutionError(f"unknown arithmetic operator {symbol!r}")
+
+    return fail
+
+
+def compile_row(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
     """Compile ``expr`` into a closure over one full row tuple.
 
     The closure returns exactly what ``expr.eval`` returns for the env
-    ``dict(zip(attrs, row))``, without building the dict. Raises
-    :class:`CompileError` for expressions outside the compilable subset
-    (aggregate calls, unknown operators, unbound columns).
+    ``dict(zip(attrs, row))``, without building the dict — and raises
+    what and when it raises (see the module docstring). Every node type
+    of :mod:`repro.sql.ast` compiles.
     """
     if isinstance(expr, ast.Lit):
         value = expr.value
         return lambda row: value
-    if isinstance(expr, ast.Column):
-        pos = _position(attrs, expr.name)
+    if isinstance(expr, (ast.Column, ast.AggCall)):
+        # an aggregate's result sits under its output name (the group-by
+        # operator binds it there)
+        name = expr.name if isinstance(expr, ast.Column) else str(expr)
+        try:
+            pos = _position(attrs, name)
+        except CompileError:
+            # not in this layout: raise, per call, exactly what
+            # ``Expr.eval`` raises for an env without it
+            return lambda row: expr.eval({})
         return lambda row: row[pos]
     if isinstance(expr, ast.Neg):
         fn = compile_row(expr.operand, attrs)
@@ -119,9 +136,7 @@ def compile_row(expr: ast.Expr, attrs: Tuple[str, ...]) -> RowFn:
                 return a / b
 
             return divide
-        op = _ARITH_OPS.get(expr.op)
-        if op is None:
-            raise CompileError(f"unknown arithmetic operator {expr.op!r}")
+        op = _ARITH_OPS.get(expr.op) or _unknown_arith(expr.op)
 
         def arith(row: Row) -> object:
             a = left(row)
@@ -149,6 +164,9 @@ def compile_row(expr: ast.Expr, attrs: Tuple[str, ...]) -> RowFn:
     if isinstance(expr, ast.Not):
         fn = compile_row(expr.operand, attrs)
         return lambda row: not fn(row)
+    if isinstance(expr, ast.IsNull):
+        fn = compile_row(expr.operand, attrs)
+        return lambda row: fn(row) is None
     if isinstance(expr, ast.InList):
         fn = compile_row(expr.operand, attrs)
         members = tuple(expr.values)
@@ -175,21 +193,9 @@ def compile_row(expr: ast.Expr, attrs: Tuple[str, ...]) -> RowFn:
         return lambda row: (
             False if (v := fn(row)) is None else bool(regex.match(str(v)))
         )
-    raise CompileError(
-        f"cannot compile {type(expr).__name__} expression"
+    raise ExecutionError(
+        f"no row compilation for {type(expr).__name__} expression"
     )
-
-
-def row_evaluator(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
-    """``expr`` as a function of one row laid out as ``attrs``: the
-    compiled positional closure, or — for what :func:`compile_row`
-    refuses (an unbound column, an uncompilable node) — the reference
-    evaluation over an env dict, which raises where and when
-    ``Expr.eval`` does. Either way the result is ``Expr.eval``'s."""
-    try:
-        return compile_row(expr, tuple(attrs))
-    except CompileError:
-        return eval_row(expr, attrs)
 
 
 # -- columnar compilation -----------------------------------------------------
@@ -635,22 +641,6 @@ def _vec_project(
     return BlockSet(new_key, new_value, data)
 
 
-def _vec_copy(node: kp.CopyK, ctx, inputs: List[BlockSet]) -> BlockSet:
-    child = inputs[0]
-    sources = [child.position(src) for src, _ in node.copies]
-    new_names = tuple(dst for _, dst in node.copies)
-    frame = BlockSetFrame(child)
-    source_cols = [frame.values(p) for p in sources]
-    extras = list(zip(*source_cols)) if source_cols else [()] * frame.n
-    data: Dict[Row, List[Entry]] = {}
-    for (key, value, count), extra in zip(frame.triples, extras):
-        bucket = data.get(key)
-        if bucket is None:
-            data[key] = bucket = []
-        bucket.append((value + extra, count))
-    return BlockSet(child.key_attrs, child.value_attrs + new_names, data)
-
-
 def _vec_join(node: kp.JoinK, ctx, inputs: List[BlockSet]) -> BlockSet:
     left, right = inputs
     return join_blocksets_vectorized(left, right, node.on, node.residual)
@@ -813,7 +803,6 @@ def _vec_extend(node: kp.Extend, ctx, inputs: List[BlockSet]) -> BlockSet:
 VEC_HANDLERS: Dict[type, Callable] = {
     kp.SelectK: _vec_select,
     kp.ProjectK: _vec_project,
-    kp.CopyK: _vec_copy,
     kp.JoinK: _vec_join,
     kp.GroupK: _vec_group,
     kp.Extend: _vec_extend,

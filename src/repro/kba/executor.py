@@ -13,11 +13,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.baav.block import Block
 from repro.baav.store import BaaVStore
-from repro.env import env_flag
 from repro.errors import ExecutionError, PlanError
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet, Entry, row_picker
-from repro.kba.compile import row_evaluator
+from repro.kba.compile import compile_row
 from repro.kv.taav import TaaVStore
 from repro.relational.types import Row
 from repro.sql.aggregates import make_accumulator
@@ -26,16 +25,6 @@ from repro.sql.algebra import AggSpec
 
 #: default number of probe keys coalesced into one multi-get batch
 DEFAULT_BATCH_SIZE = 64
-
-#: environment override turning compiled columnar execution on for every
-#: ExecContext that does not pass ``vectorized`` explicitly (the CI
-#: vectorized rerun sets ``REPRO_VECTORIZED=1``)
-VECTORIZED_ENV = "REPRO_VECTORIZED"
-
-
-def resolve_vectorized(flag: Optional[bool]) -> bool:
-    """Resolve the vectorized knob: arg > ``REPRO_VECTORIZED`` > off."""
-    return env_flag(VECTORIZED_ENV, False) if flag is None else bool(flag)
 
 
 class ExecContext:
@@ -51,8 +40,7 @@ class ExecContext:
     ``vectorized`` selects compiled columnar execution
     (:mod:`repro.kba.compile`): operators evaluate once-compiled
     positional kernels over whole-frame columns instead of per-row
-    ``eval`` dicts. ``None`` defers to the ``REPRO_VECTORIZED``
-    environment variable (default off). Results and storage counters are
+    ``eval`` dicts (default off). Results and storage counters are
     identical across modes — only wall-clock changes.
     """
 
@@ -63,7 +51,7 @@ class ExecContext:
         batch_size: int = DEFAULT_BATCH_SIZE,
         batch_partitions: int = 1,
         indexes=None,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ExecutionError("batch_size must be >= 1")
@@ -75,7 +63,7 @@ class ExecContext:
         self.batch_partitions = batch_partitions
         #: optional repro.index.IndexManager serving IndexProbe leaves
         self.indexes = indexes
-        self.vectorized = resolve_vectorized(vectorized)
+        self.vectorized = vectorized
 
     def instance(self, name: str):
         if self.baav is None:
@@ -286,7 +274,7 @@ def _run_shift(node: kp.Shift, ctx: ExecContext, inputs: List[BlockSet]) -> Bloc
 
 def _run_select(node: kp.SelectK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
     child = inputs[0]
-    keep = row_evaluator(node.predicate, child.attrs)
+    keep = compile_row(node.predicate, child.attrs)
     data: Dict[Row, List[Entry]] = {}
     for key, entries in child.data.items():
         kept = [entry for entry in entries if keep(key + entry[0])]
@@ -311,20 +299,6 @@ def _run_project(node: kp.ProjectK, ctx: ExecContext, inputs: List[BlockSet]) ->
         bucket[value] = bucket.get(value, 0) + count
     packed = {key: list(bucket.items()) for key, bucket in data.items()}
     return BlockSet(new_key, new_value, packed)
-
-
-def _run_copy(node: kp.CopyK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
-    child = inputs[0]
-    pick_sources = row_picker([child.position(src) for src, _ in node.copies])
-    new_names = tuple(dst for _, dst in node.copies)
-    data: Dict[Row, List[Entry]] = {}
-    for key, entries in child.data.items():
-        data[key] = [
-            (row + pick_sources(key + row), count) for row, count in entries
-        ]
-    return BlockSet(
-        child.key_attrs, child.value_attrs + new_names, data
-    )
 
 
 def _run_join(node: kp.JoinK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
@@ -357,7 +331,7 @@ def join_blocksets(
     passes = (
         None
         if residual is None
-        else row_evaluator(residual, left.attrs + right.attrs)
+        else compile_row(residual, left.attrs + right.attrs)
     )
     data: Dict[Row, List[Entry]] = defaultdict(list)
     for lfull, lcount in left.iter_full():
@@ -432,7 +406,7 @@ def group_blockset(
     pick_key = row_picker([child.position(k) for k in keys])
     # COUNT(*) has no argument: every row counts
     arg_fns = [
-        None if spec.arg is None else row_evaluator(spec.arg, attrs)
+        None if spec.arg is None else compile_row(spec.arg, attrs)
         for spec in aggs
     ]
     groups: Dict[Row, List] = {}
@@ -526,7 +500,6 @@ _HANDLERS = {
     kp.Extend: _run_extend,
     kp.Shift: _run_shift,
     kp.SelectK: _run_select,
-    kp.CopyK: _run_copy,
     kp.ProjectK: _run_project,
     kp.JoinK: _run_join,
     kp.UnionK: _run_union,

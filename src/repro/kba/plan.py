@@ -184,26 +184,6 @@ class ProjectK(KBANode):
 
 
 @dataclass
-class CopyK(KBANode):
-    """Duplicate columns under new names (materialize term-mates).
-
-    Equality transitivity (GET rule (b)) makes an attribute available when
-    a term-mate is materialized; CopyK realizes it as an actual column so
-    downstream operators can reference it by name.
-    """
-
-    child: KBANode
-    copies: Tuple[Tuple[str, str], ...]  # (source attr, new attr)
-
-    def children(self) -> Tuple[KBANode, ...]:
-        return (self.child,)
-
-    def _label(self) -> str:
-        inner = ", ".join(f"{s}->{d}" for s, d in self.copies)
-        return f"CopyK({inner})"
-
-
-@dataclass
 class JoinK(KBANode):
     """⋈ of two keyed-block sets on equality pairs."""
 

@@ -34,22 +34,18 @@ Concurrency (PR 5)
 
 The cache is shared by every query thread, so each :class:`BlockCache`
 guards its LRU map with a mutex (an ``OrderedDict`` cannot survive
-concurrent ``move_to_end``), and its statistics are **thread-sharded**:
-each thread accumulates hits/misses into a private
-:class:`CacheStats` shard, so increments are never lost and
-:attr:`BlockCache.stats` can aggregate a snapshot under the lock whose
+concurrent ``move_to_end``). Its statistics are thread-sharded
+(:mod:`repro.tally`) and counted under that mutex, so
+:attr:`BlockCache.stats`, summed under it, is a snapshot whose
 invariants always hold (``hits + misses == lookups``, ``hit_rate <= 1``
-— the bug class the PR-5 regression tests pin down). Per-query metric
-probes read :meth:`thread_stats`, the calling thread's own shard, so a
-query's cache-hit attribution stays exact while other queries share the
-cache.
+— the bug class the PR-5 regression tests pin down); a query's probe
+reads :meth:`thread_stats`, its own thread's shard.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -60,15 +56,16 @@ from typing import (
     Union,
 )
 
-from repro.locks import ShardSet, make_rlock
+from repro.locks import make_rlock
+from repro.tally import ShardSet, Tally, tally
 
 if TYPE_CHECKING:  # import cycle guard: cluster imports this module's
     # siblings; the cluster is only ever *passed in* here
     from repro.kv.cluster import KVCluster, ListedOn
 
 
-@dataclass
-class CacheStats:
+@tally
+class CacheStats(Tally):
     """Cumulative statistics of one cache (or an aggregate of several)."""
 
     hits: int = 0
@@ -88,15 +85,6 @@ class CacheStats:
         """Hits over lookups; 0.0 when the cache was never consulted."""
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def add(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.invalidations += other.invalidations
-        self.insertions += other.insertions
-        self.bytes_cached += other.bytes_cached
-        self.bytes_served += other.bytes_served
 
     def __str__(self) -> str:
         return (
@@ -147,11 +135,6 @@ class BlockCache:
         self._invalidated_namespaces: Dict[str, int] = {}
 
     @property
-    def _stats(self) -> CacheStats:
-        """The calling thread's statistics shard."""
-        return self._shards.local()
-
-    @property
     def stats(self) -> CacheStats:
         """Aggregate statistics — a consistent snapshot, not a live view.
 
@@ -159,18 +142,11 @@ class BlockCache:
         (``hits + misses == lookups`` always holds on the copy).
         """
         with self._lock:
-            total = CacheStats()
-            for shard in self._shards.all():
-                total.add(shard)
-            return total
+            return self._shards.total()
 
     def thread_stats(self) -> CacheStats:
         """A copy of the CALLING THREAD's shard (per-query attribution)."""
-        shard = self._shards.peek()
-        total = CacheStats()
-        if shard is not None:
-            total.add(shard)
-        return total
+        return self._shards.thread()
 
     # -- read path --------------------------------------------------------
 
@@ -179,10 +155,10 @@ class BlockCache:
         with self._lock:
             entry = self._entries.get((namespace, key_bytes))
             if entry is None:
-                self._stats.misses += 1
+                self._shards.local().misses += 1
                 return None
             self._entries.move_to_end((namespace, key_bytes))
-            stats = self._stats
+            stats = self._shards.local()
             stats.hits += 1
             stats.bytes_served += len(entry)
             return entry
@@ -209,7 +185,7 @@ class BlockCache:
         if charge > self.capacity_bytes:
             return
         with self._lock:
-            stats = self._stats
+            stats = self._shards.local()
             old = self._entries.pop(key, None)
             if old is not None:
                 stats.bytes_cached -= self._charge(key, old)
@@ -286,7 +262,7 @@ class BlockCache:
             entry = self._entries.pop((namespace, key_bytes), None)
             if entry is None:
                 return False
-            stats = self._stats
+            stats = self._shards.local()
             stats.bytes_cached -= self._charge(
                 (namespace, key_bytes), entry
             )
@@ -298,7 +274,7 @@ class BlockCache:
         with self._lock:
             self._record_invalidation(namespace, None)
             doomed = [k for k in self._entries if k[0] == namespace]
-            stats = self._stats
+            stats = self._shards.local()
             for key in doomed:
                 entry = self._entries.pop(key)
                 stats.bytes_cached -= self._charge(key, entry)

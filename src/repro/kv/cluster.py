@@ -149,7 +149,7 @@ TRANSPORTS = ("local", "socket")
 
 #: environment override for the default durability mode, so an
 #: unmodified test suite runs with write-ahead logging on (the CI
-#: crash-recovery matrix sets ``REPRO_KV_DURABILITY=wal``)
+#: ``deployments`` matrix sets ``REPRO_KV_DURABILITY=wal``)
 DURABILITY_ENV = "REPRO_KV_DURABILITY"
 DURABILITY_MODES = ("off", "wal")
 

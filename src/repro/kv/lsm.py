@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kv import wire
 from repro.kv.memstore import Engine
+from repro.tally import Tally, tally
 
 _TOMBSTONE = object()
 
@@ -83,8 +83,8 @@ class _Run:
         return len(self.keys)
 
 
-@dataclass
-class LSMStats:
+@tally
+class LSMStats(Tally):
     """Amplification counters of the engine."""
 
     flushes: int = 0
@@ -272,7 +272,7 @@ class LSMStore(Engine):
         self._runs = []
         self._live_count = 0
         self._merged = None
-        self.stats = LSMStats()
+        self.stats.reset()
 
     @property
     def num_runs(self) -> int:

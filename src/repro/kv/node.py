@@ -14,25 +14,22 @@ so a node must stay correct under concurrent callers:
   sorted-key refresh, flush/compaction, read-path statistics) are
   guarded by a per-node mutex — operations on *different* nodes never
   contend, operations on the same node are serialized;
-* **counters** are *thread-sharded*: each thread accumulates into its
-  private :class:`NodeCounters` shard (reached via the :attr:`counters`
-  property), so hot-path increments take no lock and are never lost.
-  :meth:`counters_total` sums the shards for the cluster-wide
-  aggregates, and :meth:`thread_counters` exposes the calling thread's
-  shard so a query running on one thread can snapshot/diff exactly its
-  own I/O while other queries run (per-stage metric attribution).
+* **counters** are *thread-sharded* (:mod:`repro.tally`): increments
+  go through :attr:`counters`, the calling thread's private
+  :class:`NodeCounters` shard; :meth:`counters_total` sums the shards
+  and :meth:`thread_counters` is what a query's probe diffs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kv.checkpoint import NodeDurability, RecoveryReport
 from repro.kv.lsm import LSMStore
 from repro.kv.memstore import MemStore
-from repro.locks import ShardSet, make_lock
+from repro.locks import make_lock
+from repro.tally import ShardSet, Tally, tally
 
 
 #: engines a node can host, by name (validated *before* any spawn)
@@ -73,8 +70,8 @@ def open_engine(
     return store, durability
 
 
-@dataclass
-class NodeCounters:
+@tally
+class NodeCounters(Tally):
     """Cumulative I/O counters of one storage node.
 
     ``round_trips`` counts client↔node RPCs: a single get/put is one
@@ -102,39 +99,6 @@ class NodeCounters:
     rebalance_keys_moved: int = 0
     rebalance_bytes_moved: int = 0
     rebalance_round_trips: int = 0
-
-    def reset(self) -> None:
-        self.gets = 0
-        self.hits = 0
-        self.puts = 0
-        self.deletes = 0
-        self.values_read = 0
-        self.values_written = 0
-        self.bytes_out = 0
-        self.bytes_in = 0
-        self.round_trips = 0
-        self.rebalance_keys_moved = 0
-        self.rebalance_bytes_moved = 0
-        self.rebalance_round_trips = 0
-
-    def add(self, other: "NodeCounters") -> None:
-        self.gets += other.gets
-        self.hits += other.hits
-        self.puts += other.puts
-        self.deletes += other.deletes
-        self.values_read += other.values_read
-        self.values_written += other.values_written
-        self.bytes_out += other.bytes_out
-        self.bytes_in += other.bytes_in
-        self.round_trips += other.round_trips
-        self.rebalance_keys_moved += other.rebalance_keys_moved
-        self.rebalance_bytes_moved += other.rebalance_bytes_moved
-        self.rebalance_round_trips += other.rebalance_round_trips
-
-    def copy(self) -> "NodeCounters":
-        out = NodeCounters()
-        out.add(self)
-        return out
 
 
 class StorageNode:
@@ -280,24 +244,12 @@ class StorageNode:
 
     @property
     def counters(self) -> NodeCounters:
-        """The calling thread's counter shard (create on first use).
-
-        Single-threaded callers see the familiar cumulative counters;
-        under the query service each thread meters its own I/O.
-        """
+        """The calling thread's counter shard (created on first use)."""
         return self._shards.local()
 
     def counters_total(self) -> NodeCounters:
-        """Sum of every thread's shard — the node's aggregate counters.
-
-        Shards of finished threads stay registered, so the aggregate
-        keeps their history (thread idents are recycled; the registry
-        is not keyed by them).
-        """
-        total = NodeCounters()
-        for shard in self._shards.all():
-            total.add(shard)
-        return total
+        """Sum of every thread's shard — the node's aggregate counters."""
+        return self._shards.total()
 
     def thread_counters(self) -> Optional[NodeCounters]:
         """The calling thread's shard, or ``None`` if it never counted."""

@@ -3,8 +3,8 @@
 The query service (:mod:`repro.service`) executes many queries at once
 over one shared storage stack, so every layer with hot mutable state
 needs an explicit locking story (documented per layer in
-``docs/ARCHITECTURE.md``). This module holds the two primitives those
-layers share:
+``docs/ARCHITECTURE.md``). This module holds the lock primitives those
+layers share (the thread-sharded counters live in :mod:`repro.tally`):
 
 * :class:`RWLock` — a writer-preferring readers/writer lock. Reads
   (point gets, scans, lookups) run concurrently; structural writes
@@ -12,32 +12,19 @@ layers share:
   The write side is reentrant, and a thread holding the write lock may
   take the read side as a no-op, so exclusive operations can call the
   shared-path helpers they are composed of.
-* :class:`ShardSet` — the machinery behind per-thread *sharded
-  counters*: each thread accumulates into a private shard (no lost
-  ``+=`` increments, no hot-path locks) and readers sum the shards for a
-  consistent aggregate. Counter objects stay plain dataclasses; only
-  the shard routing lives here.
+* :func:`make_lock` / :func:`make_rlock` / :func:`make_condition` —
+  the stdlib primitives, instrumented for lock-order checking when
+  ``REPRO_LOCKDEP=1``.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import (
-    Any,
-    Callable,
-    Generic,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    TypeVar,
-)
+from typing import Any, Iterator
 
 from repro import lockdep
 from repro.errors import LockError
-
-T = TypeVar("T")
 
 #: latched once at import: instrumenting later would miss early edges
 #: and make the wrapper overhead data-dependent mid-run
@@ -170,75 +157,3 @@ class RWLock:
             yield
         finally:
             self.release_write()
-
-
-class ShardSet(Generic[T]):
-    """Per-thread shards of a counter set, with a stable registry.
-
-    Each thread gets a private shard on first use (via
-    ``threading.local``, NOT the thread ident — idents are recycled
-    after a thread dies, and a recycled ident must not let a new
-    thread read or reset a dead thread's counts). Shards are only ever
-    *mutated* by their owning thread, so hot-path increments need no
-    lock and are never lost.
-
-    Dead threads' history is preserved WITHOUT unbounded growth: the
-    registry remembers each shard's owning thread, and aggregation /
-    registration sweeps fold shards of finished threads into one
-    *retired* accumulator (safe — a finished thread can no longer
-    mutate its shard), keeping the registry O(live threads) on
-    long-lived stacks with thread churn. ``T`` must provide
-    ``add(other)``; ``reset()`` is required only by callers that reset.
-    """
-
-    __slots__ = ("_factory", "_local", "_entries", "_retired", "_lock")
-
-    def __init__(self, factory: Callable[[], T]) -> None:
-        self._factory = factory
-        self._local = threading.local()
-        #: (owning thread, shard) for every live registration
-        self._entries: List[Tuple[threading.Thread, T]] = []
-        #: folded history of finished threads (created lazily)
-        self._retired: Optional[T] = None
-        self._lock = make_lock("ShardSet._lock")
-
-    def _sweep_locked(self) -> None:
-        # repro-lint: holds=_lock -- every caller takes self._lock first
-        survivors: List[Tuple[threading.Thread, T]] = []
-        for thread, shard in self._entries:
-            if thread.is_alive():
-                survivors.append((thread, shard))
-            else:
-                if self._retired is None:
-                    self._retired = self._factory()
-                self._retired.add(shard)  # type: ignore[attr-defined]
-        self._entries = survivors
-
-    def local(self) -> T:
-        """The calling thread's shard (created and registered on first
-        use)."""
-        # annotated, not cast(): a call that builds Optional[T] on every
-        # counter touch is measurable on the query hot path
-        shard: Optional[T] = getattr(self._local, "shard", None)
-        if shard is None:
-            shard = self._factory()
-            with self._lock:
-                self._sweep_locked()
-                self._entries.append((threading.current_thread(), shard))
-            self._local.shard = shard
-        return shard
-
-    def peek(self) -> Optional[T]:
-        """The calling thread's shard, or ``None`` if it never counted."""
-        shard: Optional[T] = getattr(self._local, "shard", None)
-        return shard
-
-    def all(self) -> List[T]:
-        """Every live shard plus the retired accumulator (aggregation
-        and reset sweeps — a reset must reset the retired history too)."""
-        with self._lock:
-            self._sweep_locked()
-            out = [shard for _, shard in self._entries]
-            if self._retired is not None:
-                out.append(self._retired)
-            return out

@@ -16,8 +16,8 @@ A :class:`Transaction` buffers ``apply_updates`` statements;
 Readers never block: a query pins the published epoch
 (:meth:`TransactionManager.snapshot`), reads state-as-of-that-epoch
 through the overlay, and unpins when done. The last unpin (and every
-``gc_interval``-th commit, and an optional background thread) runs GC:
-versions dead at or before the epoch horizon are reclaimed.
+``gc_interval``-th commit) runs GC: versions dead at or before the
+epoch horizon are reclaimed.
 
 Failure semantics: every buffered statement is **validated** under the
 commit mutex before the first mutation and before an epoch is allocated
@@ -34,7 +34,6 @@ belongs to one session/thread; it is not itself thread-safe.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import (
     Callable,
@@ -75,9 +74,7 @@ class TransactionManager:
 
     ``gc_interval`` amortizes garbage collection over commits; GC also
     runs when the last snapshot unpins (the horizon just jumped
-    forward). ``gc_period_s`` additionally starts a background daemon
-    thread sweeping on a wall-clock period — useful for long-lived
-    services whose pin/commit cadence alone would let chains linger.
+    forward).
     """
 
     def __init__(
@@ -86,7 +83,6 @@ class TransactionManager:
         versions: VersionStore,
         apply_fn: ApplyFn,
         gc_interval: int = DEFAULT_GC_INTERVAL,
-        gc_period_s: Optional[float] = None,
         validate_fn: Optional[ValidateFn] = None,
     ) -> None:
         if gc_interval <= 0:
@@ -101,10 +97,6 @@ class TransactionManager:
             "TransactionManager._commit_lock"
         )
         self._commits_since_gc = 0
-        self._gc_stop: Optional[threading.Event] = None
-        self._gc_thread: Optional[threading.Thread] = None
-        if gc_period_s is not None:
-            self.start_gc_thread(gc_period_s)
 
     # -- reader surface ----------------------------------------------------
 
@@ -149,35 +141,6 @@ class TransactionManager:
     def gc_now(self) -> int:
         """Sweep versions dead at the current horizon; returns count."""
         return self.versions.gc(self.epochs.horizon())
-
-    def start_gc_thread(self, period_s: float) -> None:
-        """Start the background GC daemon (idempotent)."""
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if self._gc_thread is not None:
-            return
-        stop = threading.Event()
-
-        def loop() -> None:
-            while not stop.wait(period_s):
-                self.gc_now()
-
-        self._gc_stop = stop
-        self._gc_thread = threading.Thread(
-            target=loop, name="mvcc-gc", daemon=True
-        )
-        self._gc_thread.start()
-
-    def close(self) -> None:
-        """Stop the background GC thread, if any. Idempotent."""
-        thread = self._gc_thread
-        if thread is None:
-            return
-        assert self._gc_stop is not None
-        self._gc_stop.set()
-        thread.join(timeout=5.0)
-        self._gc_thread = None
-        self._gc_stop = None
 
     def __repr__(self) -> str:
         return (

@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.locks import ShardSet, make_lock
+from repro.locks import make_lock
+from repro.tally import ShardSet, Tally, tally
 
 _Key = Tuple[str, bytes]
 #: one superseded version: (birth epoch, death epoch, value-or-absent)
@@ -55,8 +55,8 @@ _Entry = Tuple[int, int, Optional[bytes]]
 _Tag = TypeVar("_Tag")
 
 
-@dataclass
-class VersionStats:
+@tally
+class VersionStats(Tally):
     """Cumulative overlay accounting (one shard per serving thread)."""
 
     #: superseded versions captured into chains by commits
@@ -68,12 +68,6 @@ class VersionStats:
     versions_skipped: int = 0
     #: dead versions reclaimed by GC
     gc_reclaimed: int = 0
-
-    def add(self, other: "VersionStats") -> None:
-        self.versions_recorded += other.versions_recorded
-        self.overlay_reads += other.overlay_reads
-        self.versions_skipped += other.versions_skipped
-        self.gc_reclaimed += other.gc_reclaimed
 
     def __str__(self) -> str:
         return (
@@ -101,15 +95,10 @@ class VersionStore:
         #: raised (GC and forget_namespace leave it), so it errs towards
         #: walking the chains (see :meth:`nothing_newer`)
         self._newest_birth = 0
-        #: per-thread accounting shards (see repro.locks.ShardSet)
+        #: per-thread accounting shards (see repro.tally.ShardSet)
         self._shards: ShardSet[VersionStats] = ShardSet(VersionStats)
         #: thread-local epoch context (read pin / recording commit)
         self._ctx = threading.local()
-
-    @property
-    def _stats(self) -> VersionStats:
-        """The calling thread's statistics shard."""
-        return self._shards.local()
 
     # -- thread-local epoch context ---------------------------------------
 
@@ -182,7 +171,7 @@ class VersionStore:
             self._birth[key] = epoch
             if epoch > self._newest_birth:
                 self._newest_birth = epoch
-        self._stats.versions_recorded += 1
+        self._shards.local().versions_recorded += 1
         return True
 
     # -- read side (snapshot path) ----------------------------------------
@@ -249,7 +238,7 @@ class VersionStore:
                     overlay_reads += 1
                     skipped_total += skipped
         if overlay_reads:
-            stats = self._stats
+            stats = self._shards.local()
             stats.overlay_reads += overlay_reads
             stats.versions_skipped += skipped_total
         return out
@@ -289,7 +278,7 @@ class VersionStore:
             namespace, entries, epoch
         )
         if overlay_reads:
-            stats = self._stats
+            stats = self._shards.local()
             stats.overlay_reads += overlay_reads
             stats.versions_skipped += skipped_total
         return out
@@ -379,7 +368,7 @@ class VersionStore:
                 del self._chains[key]
                 self._birth.pop(key, None)
         if reclaimed:
-            self._stats.gc_reclaimed += reclaimed
+            self._shards.local().gc_reclaimed += reclaimed
         return reclaimed
 
     def forget_namespace(self, namespace: str) -> int:
@@ -409,18 +398,11 @@ class VersionStore:
     def stats(self) -> VersionStats:
         """Aggregate accounting over every serving thread (a snapshot)."""
         with self._lock:
-            total = VersionStats()
-            for shard in self._shards.all():
-                total.add(shard)
-            return total
+            return self._shards.total()
 
     def thread_stats(self) -> VersionStats:
         """A copy of the CALLING THREAD's shard (per-query attribution)."""
-        shard = self._shards.peek()
-        total = VersionStats()
-        if shard is not None:
-            total.add(shard)
-        return total
+        return self._shards.thread()
 
     def __repr__(self) -> str:
         with self._lock:

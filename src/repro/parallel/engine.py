@@ -29,12 +29,11 @@ from repro.core.plangen import ZidianPlan, substitute_table
 from repro.errors import ExecutionError
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet
-from repro.kba.compile import row_evaluator
+from repro.kba.compile import compile_row
 from repro.kba.executor import (
     DEFAULT_BATCH_SIZE,
     ExecContext,
     execute_node,
-    resolve_vectorized,
 )
 from repro.kv.backends import BackendProfile
 from repro.kv.cluster import KVCluster
@@ -49,12 +48,7 @@ from repro.parallel.metrics import ExecutionMetrics, StageCost
 from repro.relational.database import Database
 from repro.relational.types import row_size
 from repro.sql import algebra, ast
-from repro.sql.executor import (
-    Table,
-    eval_row,
-    run as ra_run,
-    run_node,
-)
+from repro.sql.executor import Table, run as ra_run, run_node
 
 
 def _table_bytes(table: Table) -> int:
@@ -95,7 +89,8 @@ class _IOProbe:
             stats = self.cache.thread_stats()
             hits, misses = stats.hits, stats.misses
         if self.indexes is not None:
-            probes, postings = self.indexes.stats.snapshot()
+            index = self.indexes.stats.thread()
+            probes, postings = index.probes, index.postings
         return (
             counters.gets,
             counters.values_read,
@@ -155,7 +150,7 @@ class _Engine:
         batch_size: int = 1,
         cache=None,
         indexes=None,
-        vectorized: Optional[bool] = None,
+        vectorized: bool = False,
     ) -> None:
         self.taav = taav
         self.cluster = cluster
@@ -169,11 +164,10 @@ class _Engine:
         self.cache = cache
         #: optional repro.index.IndexManager enabling index access paths
         self.indexes = indexes
-        #: compiled expressions / columnar kernels instead of per-row
-        #: eval dicts; None defers to REPRO_VECTORIZED (PR 10). Stage
-        #: structure, storage counters and simulated cost are identical
-        #: across modes.
-        self.vectorized = resolve_vectorized(vectorized)
+        #: columnar kernels instead of row-at-a-time KBA handlers
+        #: (PR 10). Stage structure, storage counters and simulated cost
+        #: are identical across modes.
+        self.vectorized = vectorized
         # storage service time spreads over the LIVE nodes only —
         # a failed node serves nothing
         self.model = CostModel(profile, workers, cluster.num_live_nodes)
@@ -277,7 +271,7 @@ class BaselineEngine(_Engine):
             self._run(child, metrics, probe, _predicate_of(node))
             for child in node.children()
         ]
-        out = run_node(node, inputs, row_evaluator if self.vectorized else eval_row)
+        out = run_node(node, inputs, compile_row)
         if type(node) not in _RA_STAGES:
             return out
         name, shuffles = _RA_STAGES[type(node)]

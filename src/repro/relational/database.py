@@ -20,15 +20,6 @@ class Database:
         }
 
     @classmethod
-    def from_relations(cls, relations: Iterable[Relation]) -> "Database":
-        """Build a database (and its schema) from relation instances."""
-        relations = list(relations)
-        db = cls(DatabaseSchema([r.schema for r in relations]))
-        for relation in relations:
-            db._relations[relation.schema.name] = relation
-        return db
-
-    @classmethod
     def from_dict(
         cls,
         schemas: Iterable[RelationSchema],

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence
 
 from repro.errors import SchemaError
 from repro.relational.schema import RelationSchema
@@ -83,10 +83,6 @@ class Relation:
         """The bag of rows as a Counter, for order-insensitive comparison."""
         return Counter(self.rows)
 
-    def sorted_rows(self) -> List[Row]:
-        """Rows sorted with a NULL-safe, mixed-type-safe key."""
-        return sorted(self.rows, key=_sort_key)
-
     def __eq__(self, other: object) -> bool:
         """Bag equality: same schema attribute names and same multiset."""
         if not isinstance(other, Relation):
@@ -131,8 +127,3 @@ def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4f}".rstrip("0").rstrip(".")
     return str(value)
-
-
-def _sort_key(row: Row) -> Tuple:
-    return tuple((v is None, str(type(v).__name__), v if v is not None else 0)
-                 for v in row)

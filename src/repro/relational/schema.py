@@ -139,10 +139,6 @@ class DatabaseSchema:
     def __len__(self) -> int:
         return len(self._relations)
 
-    @property
-    def relation_names(self) -> Tuple[str, ...]:
-        return tuple(self._relations)
-
     def total_attributes(self) -> int:
         """Number of attributes across all relations (the paper's |R|)."""
         return sum(schema.arity for schema in self)

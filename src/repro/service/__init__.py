@@ -7,7 +7,7 @@ Public surface:
 * :class:`Session` / :class:`QueryTicket` — per-client handles and
   asynchronous query futures;
 * :class:`ServiceTransaction` — a session-bound multi-statement
-  transaction (PR 9: MVCC snapshot isolation, ``REPRO_MVCC`` knob);
+  transaction (PR 9: MVCC snapshot isolation, the ``mvcc=`` knob);
 * :class:`ServiceStats` — snapshot-consistent service accounting;
 * the service errors live in :mod:`repro.errors`
   (``ServiceOverloadedError``, ``ServiceClosedError``,
@@ -16,7 +16,6 @@ Public surface:
 
 from repro.service.service import (
     DEFAULT_MAX_QUEUED,
-    MVCC_ENV,
     QueryService,
     QueryTicket,
     ServiceStats,
@@ -26,7 +25,6 @@ from repro.service.service import (
 
 __all__ = [
     "DEFAULT_MAX_QUEUED",
-    "MVCC_ENV",
     "QueryService",
     "QueryTicket",
     "ServiceStats",

@@ -35,7 +35,7 @@ Architecture
   through the version overlay (:mod:`repro.mvcc`), so the update
   stream no longer stalls the analytic path. The write side is now
   exclusive only for membership/DDL (online index create/drop).
-  ``mvcc=False`` (or ``REPRO_MVCC=0``) restores the PR-5 behavior:
+  ``mvcc=False`` restores the PR-5 behavior:
   updates take the write lock and queries wait. Either way no query
   observes a half-applied Δ (the property tests replay the history
   against a single-threaded oracle).
@@ -67,7 +67,6 @@ from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional
 
-from repro.env import env_flag
 from repro.errors import (
     QueryDeadlineError,
     ServiceClosedError,
@@ -79,10 +78,6 @@ from repro.mvcc import DEFAULT_GC_INTERVAL
 
 #: default bound on queries waiting for a worker before load shedding
 DEFAULT_MAX_QUEUED = 16
-
-#: environment override for the MVCC default ("0" restores the PR-5
-#: writer-exclusive lock; anything else — or unset — keeps MVCC on)
-MVCC_ENV = "REPRO_MVCC"
 
 #: the collector's generation-0 threshold while a service is open. The
 #: interpreter's 700 suits a program that makes cycles; the query path
@@ -328,9 +323,8 @@ class QueryService:
     intra-query worker knob — one pool thread per modeled worker.
 
     ``mvcc`` turns snapshot isolation + transactions on (the default
-    when the system supports it; ``None`` defers to the ``REPRO_MVCC``
-    environment variable). ``snapshot_gc_interval`` paces the version
-    store's amortized GC (commits between sweeps).
+    when the system supports it). ``snapshot_gc_interval`` paces the
+    version store's amortized GC (commits between sweeps).
     """
 
     def __init__(
@@ -339,7 +333,7 @@ class QueryService:
         max_workers: Optional[int] = None,
         max_queued: int = DEFAULT_MAX_QUEUED,
         default_deadline_ms: Optional[float] = None,
-        mvcc: Optional[bool] = None,
+        mvcc: bool = True,
         snapshot_gc_interval: int = DEFAULT_GC_INTERVAL,
     ) -> None:
         if max_workers is None:
@@ -352,8 +346,6 @@ class QueryService:
         self.max_workers = max_workers
         self.max_queued = max_queued
         self.default_deadline_ms = default_deadline_ms
-        if mvcc is None:
-            mvcc = env_flag(MVCC_ENV, True)
         #: snapshot reads + transactions on (queries and updates share
         #: the service lock) vs the PR-5 writer-exclusive behavior
         self.mvcc = bool(
@@ -616,8 +608,7 @@ class QueryService:
         if not self.mvcc:
             raise TransactionError(
                 "transactions need MVCC (service constructed with "
-                "mvcc=False, REPRO_MVCC=0, or a system without a "
-                "transaction surface)"
+                "mvcc=False, or a system without a transaction surface)"
             )
         return ServiceTransaction(self, session)
 
@@ -747,7 +738,6 @@ class QueryService:
 __all__ = [
     "DEFAULT_MAX_QUEUED",
     "GC_THRESHOLD0",
-    "MVCC_ENV",
     "QueryService",
     "QueryTicket",
     "ServiceStats",

@@ -66,11 +66,6 @@ class AvgAcc(Accumulator):
             return None
         return self._total / self._count
 
-    def merge_sum_count(self, total: float, count: int) -> None:
-        """Merge pre-aggregated (sum, count) — used by block statistics."""
-        self._total += total
-        self._count += count
-
 
 class MinAcc(Accumulator):
     def __init__(self) -> None:

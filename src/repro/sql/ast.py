@@ -3,7 +3,7 @@
 The subset covers what the paper's evaluation needs: select-project-join
 queries with conjunctive (and disjunctive) predicates, arithmetic in the
 select list, group-by aggregates (SUM/COUNT/AVG/MIN/MAX), HAVING, ORDER BY,
-LIMIT, DISTINCT, IN-lists, BETWEEN and LIKE.
+LIMIT, DISTINCT, IN-lists, BETWEEN, LIKE and IS [NOT] NULL.
 
 Column references are created unqualified or ``alias.attr`` by the parser;
 the planner *binds* them, rewriting every reference to its qualified
@@ -319,6 +319,25 @@ class Like(Expr):
 
     def __str__(self) -> str:
         return f"{self.operand} LIKE '{self.pattern}'"
+
+
+@dataclass
+class IsNull(Expr):
+    """``expr IS NULL`` (``IS NOT NULL`` parses as ``Not(IsNull(expr))``)."""
+
+    operand: Expr
+
+    def eval(self, env: Env) -> object:
+        return self.operand.eval(env) is None
+
+    def _collect(self, out: Set[str]) -> None:
+        self.operand._collect(out)
+
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.operand,)
+
+    def __str__(self) -> str:
+        return f"{self.operand} IS NULL"
 
 
 AGG_FUNCS = ("SUM", "COUNT", "AVG", "MIN", "MAX")

@@ -285,7 +285,7 @@ class _Parser:
             self._advance()
             negated = self._accept_keyword("NOT") is not None
             self._expect_keyword("NULL")
-            check: ast.Expr = _IsNull(left)
+            check: ast.Expr = ast.IsNull(left)
             return ast.Not(check) if negated else check
         return left
 
@@ -402,22 +402,3 @@ class _Parser:
             second = self._expect_ident()
             return ast.Column(f"{first}.{second}")
         return ast.Column(first)
-
-
-class _IsNull(ast.Expr):
-    """Internal IS NULL predicate."""
-
-    def __init__(self, operand: ast.Expr) -> None:
-        self.operand = operand
-
-    def eval(self, env: ast.Env) -> object:
-        return self.operand.eval(env) is None
-
-    def _collect(self, out) -> None:
-        self.operand._collect(out)
-
-    def children(self):
-        return (self.operand,)
-
-    def __str__(self) -> str:
-        return f"{self.operand} IS NULL"

@@ -30,9 +30,6 @@ class BoundQuery:
     def alias_relations(self) -> Dict[str, str]:
         return {a: s.name for a, s in self.aliases.items()}
 
-    def attr_alias(self, qualified: str) -> str:
-        return qualified.split(".", 1)[0]
-
 
 def bind(stmt: ast.SelectStmt, schema: DatabaseSchema) -> BoundQuery:
     """Resolve names in ``stmt`` against ``schema`` (mutates the AST)."""

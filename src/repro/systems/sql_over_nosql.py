@@ -168,14 +168,12 @@ class TransactionalMixin:
     def enable_transactions(
         self,
         snapshot_gc_interval: int = DEFAULT_GC_INTERVAL,
-        gc_period_s: Optional[float] = None,
     ) -> TransactionManager:
         """Switch the system to MVCC snapshots + transactions.
 
-        Idempotent (the first call's knobs win). ``snapshot_gc_interval``
+        Idempotent (the first call's knob wins). ``snapshot_gc_interval``
         sets how many commits may pass between amortized version-GC
-        sweeps; ``gc_period_s`` additionally starts a background GC
-        thread (off by default).
+        sweeps.
         """
         with _ENABLE_LOCK:
             if self.transactions is None:
@@ -186,7 +184,6 @@ class TransactionalMixin:
                     versions,
                     self._apply_base,
                     gc_interval=snapshot_gc_interval,
-                    gc_period_s=gc_period_s,
                     validate_fn=self._validate_updates,
                 )
             return self.transactions
@@ -265,8 +262,7 @@ class KVSystem(TransactionalMixin):
     non-key filter runs as an index probe + ``multi_get`` instead of a
     scan; ``create_index``/``drop_index`` manage them online.
 
-    ``vectorized=None`` defers to ``REPRO_VECTORIZED`` (default off);
-    True evaluates expressions as compiled closures / columnar kernels
+    ``vectorized=True`` runs the KBA operators as columnar kernels
     (PR 10) — same results and counters, less interpreter time.
     """
 
@@ -283,7 +279,7 @@ class KVSystem(TransactionalMixin):
         durability: Optional[str] = None,
         fsync_policy: str = "group",
         indexes: Sequence = (),
-        vectorized: Optional[bool] = None,
+        vectorized: bool = False,
     ) -> None:
         self.profile: BackendProfile = get_profile(backend)
         self.workers = workers
@@ -414,8 +410,6 @@ class KVSystem(TransactionalMixin):
 
     def close(self) -> None:
         """Shut the cluster down (reaps node processes; idempotent)."""
-        if self.transactions is not None:
-            self.transactions.close()
         self.cluster.close()
 
     def __enter__(self: _S) -> _S:

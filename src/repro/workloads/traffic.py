@@ -661,107 +661,3 @@ def airca_delay_writer(
         return "DELAY", [row], []
 
     return UpdateStream(make_update, think_ms=think_ms), inserted
-
-
-# --------------------------------------------------------------------------
-# KV-level wall-clock traffic (the multiprocess scaling benchmark)
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class KVTrafficReport:
-    """Wall-clock results of a closed-loop KV workload.
-
-    Latencies are per *round* (one closed-loop iteration of one
-    client), in milliseconds; ``read_ops`` counts the logical read
-    operations the rounds reported, so ``read_qps`` is comparable
-    across cluster sizes running the identical workload.
-    """
-
-    clients: int = 0
-    duration_s: float = 0.0
-    rounds: int = 0
-    read_ops: int = 0
-    rounds_per_s: float = 0.0
-    read_qps: float = 0.0
-    p50_ms: float = 0.0
-    p95_ms: float = 0.0
-    p99_ms: float = 0.0
-
-    def __str__(self) -> str:
-        return (
-            f"{self.clients} clients x {self.duration_s:.1f}s: "
-            f"{self.read_qps:.0f} read ops/s "
-            f"(p50 {self.p50_ms:.2f}ms, p95 {self.p95_ms:.2f}ms)"
-        )
-
-
-def run_kv_traffic(
-    cluster,
-    round_fn: Callable[[object, random.Random], int],
-    clients: int = 4,
-    duration_s: float = 2.0,
-    seed: int = 0,
-    warmup_rounds: int = 1,
-) -> KVTrafficReport:
-    """Drive a cluster with N closed-loop client threads, wall-clock.
-
-    Each client thread repeatedly calls ``round_fn(cluster, rng)`` — one
-    closed-loop iteration issuing real cluster operations and returning
-    how many logical *read* ops it performed — until the deadline.
-    Unlike :meth:`TrafficDriver.run`, nothing here is simulated: this
-    is the measurement harness of the multiprocess benchmark, where the
-    socket transport's node processes do their storage work outside the
-    client interpreter, so wall-clock throughput reflects the
-    shared-nothing architecture, not a virtual clock.
-    """
-    if clients <= 0:
-        raise ValueError("need a positive client count")
-    for i in range(warmup_rounds):
-        round_fn(cluster, random.Random((seed << 8) ^ 0xACE ^ i))
-    latencies: List[List[float]] = [[] for _ in range(clients)]
-    reads: List[int] = [0] * clients
-    start_gate = threading.Barrier(clients + 1)
-    deadline_holder = [0.0]
-
-    def client(index: int) -> None:
-        rng = random.Random((seed << 16) | index)
-        mine = latencies[index]
-        start_gate.wait()
-        deadline = deadline_holder[0]
-        while True:
-            t0 = time.perf_counter()
-            if t0 >= deadline:
-                return
-            reads[index] += round_fn(cluster, rng)
-            mine.append((time.perf_counter() - t0) * 1e3)
-
-    threads = [
-        threading.Thread(target=client, args=(index,), daemon=True)
-        for index in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    # publish the deadline BEFORE releasing the barrier — clients read
-    # it immediately after their own barrier wait returns
-    t_start = time.perf_counter()
-    deadline_holder[0] = t_start + duration_s
-    start_gate.wait()  # all clients ready: start the clock together
-    for thread in threads:
-        thread.join()
-    elapsed = max(time.perf_counter() - t_start, 1e-9)
-
-    all_lat = sorted(value for per in latencies for value in per)
-    total_rounds = len(all_lat)
-    total_reads = sum(reads)
-    return KVTrafficReport(
-        clients=clients,
-        duration_s=elapsed,
-        rounds=total_rounds,
-        read_ops=total_reads,
-        rounds_per_s=total_rounds / elapsed,
-        read_qps=total_reads / elapsed,
-        p50_ms=percentile(all_lat, 0.50),
-        p95_ms=percentile(all_lat, 0.95),
-        p99_ms=percentile(all_lat, 0.99),
-    )

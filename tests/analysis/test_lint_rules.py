@@ -11,6 +11,8 @@ from __future__ import annotations
 import textwrap
 from typing import Dict, List, Optional, Set
 
+import pytest
+
 from repro.analysis.cli import all_checkers
 from repro.analysis.core import Finding, run_analysis
 
@@ -223,28 +225,61 @@ def test_socket_io_under_lock_triggers(tmp_path):
 # -- counter-accounting ------------------------------------------------------
 
 _STATS = """
-    from dataclasses import dataclass
+    from repro.tally import ShardSet, Tally, tally
 
-    @dataclass
-    class NodeCounters:
+    @tally
+    class NodeCounters(Tally):
         gets: int = 0
 
-        def add(self, other):
-            self.gets += other.gets
+    class Owner:
+        def __init__(self):
+            self._shards = ShardSet(NodeCounters)
+"""
+
+_BAD_INCREMENT = """
+    class Node:
+        def bad(self):
+            self.stats.gets += 1
 """
 
 
 def test_counter_increment_on_shared_instance_triggers(tmp_path):
     findings = lint(tmp_path, {
         "stats.py": _STATS,
-        "mod.py": """
-            class Node:
-                def bad(self):
-                    self.stats.gets += 1
-        """,
+        "mod.py": _BAD_INCREMENT,
     }, rules={"counter-accounting"})
     assert rules_of(findings) == ["counter-accounting"]
     assert "gets" in findings[0].message
+
+
+@pytest.mark.parametrize("stats", [
+    pytest.param("""
+        from dataclasses import dataclass
+
+        @dataclass
+        class NodeCounters:
+            gets: int = 0
+
+            def add(self, other):
+                self.gets += other.gets
+    """, id="plain-dataclass-with-add"),
+    pytest.param("""
+        from repro.tally import Tally, tally
+
+        @tally
+        class NodeCounters(Tally):
+            gets: int = 0
+    """, id="tally-no-shardset-shards"),
+])
+def test_counter_set_is_a_sharded_tally_class_only(tmp_path, stats):
+    """A plain ``@dataclass`` with an ``add`` method is no longer a
+    counter set, and neither is a ``@tally`` class with one owner (an
+    engine's stats under its node's mutex)."""
+    findings = lint(tmp_path, {
+        "stats.py": stats,
+        "mod.py": _BAD_INCREMENT,
+    }, rules={"counter-accounting"})
+    assert findings == []
 
 
 def test_counter_increment_through_shard_is_fine(tmp_path):
@@ -277,6 +312,11 @@ def test_counter_fresh_private_instance_is_fine(tmp_path):
                 for shard in shards:
                     total.gets += shard.gets
                 return total
+
+            def top_up(node):
+                mine = node._shards.thread()
+                mine.gets += 1
+                node._shards.total().gets += 1
         """,
     }, rules={"counter-accounting"})
     assert findings == []

@@ -407,7 +407,6 @@ class TestSelectedStepsAreWhatRuns:
             "and F.flight_id = 7 and A.minutes = F.dep_delay",
         )
         assert "A.minutes" in plan.root.describe()
-        assert "CopyK" not in plan.root.describe()
 
     def test_secondary_fetch_needs_the_primary_key_fetched(self, db):
         """(e) A first fetch that does not hold the primary key cannot be

@@ -139,9 +139,9 @@ class TestOrderedIndex:
         )
         index = manager.create(rel, "s", "ordered")
         assert index.num_buckets > 10
-        before = manager.stats.probes
+        before = manager.stats.total().probes
         manager.lookup_range("R", "s", lo=100.0, hi=110.0)
-        probed = manager.stats.probes - before
+        probed = manager.stats.total().probes - before
         assert probed <= 3  # ~11 values / 32-per-bucket → 1-2 buckets
 
     def test_equality_via_ordered(self, rel, manager):
@@ -214,12 +214,12 @@ class TestManager:
 
     def test_stats_meter_probes_and_maintenance(self, rel, manager):
         manager.create(rel, "c", "hash")
-        built = manager.stats.maintenance_puts
+        built = manager.stats.total().maintenance_puts
         assert built == 5  # one posting list per distinct value
-        assert manager.stats.maintenance_bytes > 0
+        assert manager.stats.total().maintenance_bytes > 0
         manager.lookup_eq("R", "c", [0, 1])
-        assert manager.stats.probes == 2
-        assert manager.stats.postings == 40
+        assert manager.stats.total().probes == 2
+        assert manager.stats.total().postings == 40
 
     def test_hash_probe_matches_across_numeric_types(self, manager):
         # SQL (and the scan path's ==) treat 10 and 10.0 as equal; a

@@ -12,10 +12,8 @@ from repro.kba import (
     ProjectK,
     SelectK,
     execute,
-    resolve_vectorized,
 )
 from repro.kba.compile import compile_mask, compile_plan, compile_row
-from repro.kba.executor import VECTORIZED_ENV
 from repro.sql import ast
 
 
@@ -82,16 +80,20 @@ class TestCompiledEqualsEval:
         expected = [expr.eval(dict(zip(ATTRS, row))) for row in ROWS]
         assert out == expected, str(expr)
 
-    def test_unbound_column_raises_compile_error(self):
-        with pytest.raises(CompileError):
-            compile_row(col("missing"), ATTRS)
+    def test_unbound_column_raises_when_called(self):
+        """The row closure raises where ``Expr.eval`` does — per call,
+        not at compile time; the columnar kernel refuses to compile."""
+        fn = compile_row(col("missing"), ATTRS)
+        with pytest.raises(ExecutionError, match="unbound column 'missing'"):
+            fn(ROWS[0])
         with pytest.raises(CompileError):
             compile_mask(col("missing"), ATTRS)
 
-    def test_aggregate_call_raises_compile_error(self):
+    def test_aggregate_call_reads_its_output_column(self):
         agg = ast.AggCall("SUM", col("a"))
-        with pytest.raises(CompileError):
-            compile_row(agg, ATTRS)
+        assert compile_row(agg, ("g", str(agg)))((1, 42)) == 42
+        with pytest.raises(ExecutionError, match="outside GROUP BY"):
+            compile_row(agg, ATTRS)(ROWS[0])
 
 
 @given(
@@ -149,29 +151,9 @@ class TestPlanCompilation:
 
 
 class TestKnobs:
-    def test_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(VECTORIZED_ENV, "1")
-        assert resolve_vectorized(False) is False
-        monkeypatch.setenv(VECTORIZED_ENV, "0")
-        assert resolve_vectorized(True) is True
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(VECTORIZED_ENV, "1")
-        assert resolve_vectorized(None) is True
-        monkeypatch.setenv(VECTORIZED_ENV, "0")
-        assert resolve_vectorized(None) is False
-        monkeypatch.setenv(VECTORIZED_ENV, "")
-        assert resolve_vectorized(None) is False
-
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv(VECTORIZED_ENV, raising=False)
-        assert resolve_vectorized(None) is False
+    def test_default_is_off(self):
         assert ExecContext(None).vectorized is False
-
-    def test_context_resolves_flag(self, monkeypatch):
-        monkeypatch.setenv(VECTORIZED_ENV, "1")
-        assert ExecContext(None).vectorized is True
-        assert ExecContext(None, vectorized=False).vectorized is False
+        assert ExecContext(None, vectorized=True).vectorized is True
 
     def test_batch_partitions_below_one_rejected(self):
         with pytest.raises(ExecutionError):

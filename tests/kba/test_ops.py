@@ -5,7 +5,6 @@ import pytest
 from repro.baav import BaaVSchema, BaaVStore, kv_schema
 from repro.kba import (
     Constant,
-    CopyK,
     DifferenceK,
     ExecContext,
     Extend,
@@ -182,16 +181,6 @@ class TestSelectProjectCopy:
         )
         rows = dict(out.iter_full())
         assert rows[(2,)] == 2 and rows[(1,)] == 1
-
-    def test_copy(self, example2):
-        ctx, _ = example2
-        out = execute(
-            CopyK(ScanKV("R1", "r1"), (("r1.B", "alias.B"),)), ctx
-        )
-        assert "alias.B" in out.attrs
-        b = out.position("r1.B")
-        b2 = out.position("alias.B")
-        assert all(r[b] == r[b2] for r in out.expand())
 
 
 class TestGroupUnionDifference:

@@ -2,10 +2,10 @@
 
 ``SelectK``, the join residual and the group-by aggregate arguments
 compile their expression once per operator call
-(:func:`repro.kba.compile.row_evaluator`) and apply the positional
-closure per row. The references below are the loops those handlers used
-to be — an ``attr -> value`` dict per row, ``Expr.eval`` on it — and the
-handlers must agree with them on every input: answers, entry order,
+(:func:`repro.kba.compile.compile_row`, total over ``Expr``) and apply
+the positional closure per row. The references below are the loops
+those handlers used to be — an ``attr -> value`` dict per row,
+``Expr.eval`` on it — and the handlers must agree with them on every input: answers, entry order,
 NULL collapses, and *which* error is raised when (an unbound column
 raises ``ExecutionError`` on the first row that reaches it, and not at
 all on empty input).
@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 from repro.errors import ExecutionError
 from repro.kba import BlockSet, ExecContext, SelectK
 from repro.kba import plan as kp
+from repro.kba.compile import compile_row
 from repro.kba.executor import execute_node, group_blockset, join_blocksets
 from repro.sql import ast
 from repro.sql.aggregates import make_accumulator
 from repro.sql.algebra import AggSpec
+from repro.sql.executor import eval_row
 
 # -- references: the env-dict loops ------------------------------------------
 
@@ -111,15 +113,16 @@ def blockset(rows, attrs=ATTRS):
     return BlockSet.from_rows(attrs[:1], attrs[1:], rows)
 
 
-def exprs(names=ATTRS):
+def exprs(names=ATTRS, extra_numbers=()):
     """Expressions over a row laid out as ``names`` (int, int, int, str)
-    reaching every ``Expr`` node. Mostly well-typed; ``anything`` also
-    mixes types, so some examples raise ``TypeError`` — in the handler
-    exactly when the reference does."""
+    reaching every ``Expr`` node (``extra_numbers`` adds leaves — the
+    aggregate call and the raising ones). Mostly well-typed; ``anything``
+    also mixes types, so some examples raise ``TypeError`` — in the
+    handler exactly when the reference does."""
     k, a, b, s = (ast.Column(name) for name in names)
     number = st.recursive(
         st.one_of(
-            st.sampled_from([k, a, b]),
+            st.sampled_from([k, a, b, *extra_numbers]),
             st.integers(-3, 3).map(ast.Lit),
             st.just(ast.Lit(None)),
         ),
@@ -141,6 +144,7 @@ def exprs(names=ATTRS):
             ),
             st.builds(ast.Between, number, number, number),
             st.builds(ast.Like, text, st.sampled_from(["a%", "_b", "%", "ab"])),
+            st.builds(ast.IsNull, st.one_of(number, text)),
             st.booleans().map(ast.Lit),
         ),
         lambda inner: st.one_of(
@@ -213,15 +217,87 @@ def test_group_equals_reference(rows, keys, aggs):
     ) == outcome(lambda: reference_group(child, keys, aggs))
 
 
-# -- the corners the fallback exists for -------------------------------------
+# -- compile_row ≡ Expr.eval, row by row, over every node type ---------------
+
+_SUM_A = ast.AggCall("SUM", ast.Column("a"))
+#: ⟨k, a, b, s⟩, then ``a`` again and the output column of ``SUM(a)``
+LAYOUT = ATTRS + ("a", str(_SUM_A))
+#: leaves ``Expr.eval`` raises on: a column and an aggregate the layout
+#: does not hold, an operator ``Arith`` does not know
+RAISING = (
+    ast.Column("nowhere"),
+    ast.AggCall("MAX", ast.Column("b")),
+    ast.Arith("%", ast.Column("a"), ast.Column("b")),
+)
+_EVERY_NODE = exprs(extra_numbers=(_SUM_A, *RAISING))[2]
+
+
+def row_outcome(fn, row):
+    """The value, or which error with which message."""
+    try:
+        return fn(row)
+    except (ExecutionError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2), _ints, _ints, _strs, _ints, _ints),
+             max_size=6),
+    _EVERY_NODE,
+)
+def test_compile_row_equals_eval_on_every_row(rows, expr):
+    """Same value or same error on each row — so the same first failing
+    row — and never an error at compile time; a short-circuited
+    conjunct raises in neither."""
+    compiled, reference = compile_row(expr, LAYOUT), eval_row(expr, LAYOUT)
+    for row in rows:
+        assert row_outcome(compiled, row) == row_outcome(reference, row)
+
+
+def test_every_expr_node_type_compiles():
+    """One expression per ``Expr`` subclass, NULL operands included: a
+    node type added to ``sql.ast`` without a ``compile_row`` case fails
+    here, not as a silent slow path."""
+    a, null = ast.Column("a"), ast.Lit(None)
+    examples = [
+        ast.Cmp("=", ast.Arith("+", a, null), ast.Neg(null)),
+        ast.And([ast.Or([ast.Not(ast.IsNull(a)), ast.IsNull(null)])]),
+        ast.InList(null, [1]),
+        ast.Between(a, null, ast.Lit(3)),
+        ast.Like(null, "a%"),
+        _SUM_A,
+    ]
+    reached = {type(node) for expr in examples for node in ast.walk(expr)}
+    assert reached == set(ast.Expr.__subclasses__())
+    for expr in examples:
+        for row in [(0, 1, 2, "ab", None, 7), (0, None, None, None, 3, None)]:
+            assert compile_row(expr, LAYOUT)(row) == expr.eval(
+                dict(zip(LAYOUT, row))
+            )
+
+
+# -- what Expr.eval refuses: raised per row, never at compile time -----------
 
 ROWS = [((1, 1, None, "ab"), 1), ((1, 2, 5, None), 2), ((2, 3, 0, "ba"), 1)]
 UNBOUND = ast.Cmp(">", ast.Column("nowhere"), ast.Lit(0))
 
 
 class TestUnboundColumn:
-    """Not compilable, so evaluated by reference: the error is
-    ``Expr.eval``'s, raised by the first row — no row, no error."""
+    """The error is ``Expr.eval``'s, raised by the first row that
+    reaches the column — no row, no error."""
+
+    def test_select_unknown_operator_fails_on_the_reference_s_row(self):
+        """``a % b`` is NULL-propagating before it is unknown: the row
+        with ``b`` NULL passes through, the next one raises."""
+        predicate = ast.Cmp(">", RAISING[2], ast.Lit(0))
+        for rows in (ROWS[:1], ROWS):
+            child = blockset(rows)
+            assert outcome(lambda: run_select(child, predicate)) == outcome(
+                lambda: reference_select(child, predicate)
+            )
+        assert run_select(blockset(ROWS[:1]), predicate) == {}
+        with pytest.raises(ExecutionError, match="unknown arithmetic operator"):
+            run_select(blockset(ROWS), predicate)
 
     def test_select(self):
         assert run_select(blockset([]), UNBOUND) == {}

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.errors import TransactionError
@@ -158,26 +156,3 @@ class TestGCPacing:
     def test_gc_interval_must_be_positive(self):
         with pytest.raises(ValueError):
             make_manager([], gc_interval=0)
-
-    def test_background_gc_thread_sweeps_and_stops(self):
-        versions = VersionStore()
-        manager = TransactionManager(
-            EpochManager(), versions, lambda r, i, d: None,
-            gc_period_s=0.01,
-        )
-        try:
-            versions.record_write("A", b"k", 1, b"old")
-            manager.epochs.publish(1)
-            deadline = time.time() + 5.0
-            while versions.tracked_versions() and time.time() < deadline:
-                time.sleep(0.005)
-            assert versions.tracked_versions() == 0
-        finally:
-            manager.close()
-        assert manager._gc_thread is None
-        manager.close()  # idempotent
-
-    def test_start_gc_thread_validates_period(self):
-        manager = make_manager([])
-        with pytest.raises(ValueError):
-            manager.start_gc_thread(0.0)

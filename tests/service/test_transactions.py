@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.errors import ExecutionError, TransactionError, UnknownRelationError
-from repro.service import MVCC_ENV, QueryService
+from repro.service import QueryService
 from repro.systems import SQLOverNoSQL, ZidianSystem
 
 COUNT_SQL = "select count(*) as n from PARTSUPP PS"
@@ -45,15 +45,6 @@ class TestKnobs:
                 )
                 count = session.execute(COUNT_SQL).rows[0][0]
             assert count == len(paper_db.relation("PARTSUPP").rows) + 1
-
-    def test_mvcc_off_via_environment(
-        self, paper_db, paper_baav_schema, monkeypatch
-    ):
-        monkeypatch.setenv(MVCC_ENV, "0")
-        system = ZidianSystem("hbase", workers=2, storage_nodes=2)
-        system.load(paper_db.copy(), paper_baav_schema)
-        with QueryService(system) as svc:
-            assert svc.mvcc is False
 
     def test_mvcc_requires_capable_system(self):
         class Bare:

@@ -66,6 +66,39 @@ class TestZidianSystem:
         assert m_z.comm_bytes < m_base.comm_bytes
         assert m_z.sim_time_ms < m_base.sim_time_ms
 
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize(
+        "test, expected",
+        [("is null", [(200, 4)]), ("is not null", [(100, 7), (100, 9)])],
+    )
+    def test_is_null_through_a_kba_plan(
+        self, paper_db, paper_baav_schema, test, expected, vectorized
+    ):
+        """``IS [NOT] NULL`` reaches ``SelectK`` over the ∝ chain (the
+        parser and the reference executor were its only coverage)."""
+        system = ZidianSystem(
+            "hbase", workers=2, storage_nodes=2, vectorized=vectorized
+        )
+        system.load(paper_db.copy(), paper_baav_schema)
+        system.apply_updates(
+            "PARTSUPP",
+            inserts=[(200, 1, None, 4), (200, 2, None, 1)],
+            deletes=[(200, 1, 2.0, 4)],
+        )
+        sql = (
+            "select PS.partkey, PS.availqty from PARTSUPP PS, SUPPLIER S "
+            "where PS.suppkey = S.suppkey and S.nationkey = 10 "
+            f"and PS.supplycost {test} and PS.availqty > 1"
+        )
+        result = system.execute(sql)
+        assert result.decision.is_scan_free
+        assert any(
+            "SelectK(" in line and "IS NULL" in line
+            for line in system.explain(sql).splitlines()
+        )
+        assert sorted(result.rows) == expected
+        assert bag_equal(result.relation, reference(system.database, sql))
+
     def test_t2b_route(self, paper_db, q1_sql):
         system = ZidianSystem("kudu", workers=4, storage_nodes=2)
         system.load(paper_db, workload=[q1_sql])

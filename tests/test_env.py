@@ -9,16 +9,7 @@ import pytest
 
 from repro import lockdep
 from repro.env import env_choice, env_flag
-from repro.kba.executor import VECTORIZED_ENV, resolve_vectorized
 from repro.kv.cluster import DURABILITY_ENV, TRANSPORT_ENV, KVCluster
-from repro.service import MVCC_ENV, QueryService
-
-
-class _TransactionalStub:
-    workers = 1
-
-    def enable_transactions(self, snapshot_gc_interval=None):
-        pass
 
 
 def _cluster_attr(attr):
@@ -32,19 +23,9 @@ def _cluster_attr(attr):
     return resolve
 
 
-def _service_mvcc(arg):
-    service = QueryService(_TransactionalStub(), mvcc=arg)
-    try:
-        return service.mvcc
-    finally:
-        service.close()
-
-
 #: (variable, resolve(argument) through the owning module, default);
 #: choices add a second allowed value
 FLAGS = [
-    (MVCC_ENV, _service_mvcc, True),
-    (VECTORIZED_ENV, resolve_vectorized, False),
     ("REPRO_LOCKDEP", lambda arg: lockdep.enabled(), False),
 ]
 CHOICES = [
@@ -64,13 +45,6 @@ def test_flag_knobs(monkeypatch, name, resolve, default):
         monkeypatch.setenv(name, text)
         with pytest.raises(ValueError, match=name):
             resolve(None)
-
-
-@pytest.mark.parametrize("name, resolve, default", FLAGS[:2])
-def test_flag_argument_beats_environment(monkeypatch, name, resolve, default):
-    for text, arg in [("1", False), ("0", True), ("nonsense", default)]:
-        monkeypatch.setenv(name, text)
-        assert resolve(arg) is arg
 
 
 @pytest.mark.parametrize("name, resolve, default, other", CHOICES)
