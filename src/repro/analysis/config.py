@@ -135,7 +135,12 @@ GUARDED_FIELDS: Dict[str, Dict[Optional[str], Tuple[GuardSpec, ...]]] = {
     },
     "repro/index/manager.py": {
         "IndexManager": (
-            _guard("_lock", MUTEX, "_indexes"),
+            _guard("_lock", MUTEX, "_indexes", "generation"),
+        ),
+    },
+    "repro/core/middleware.py": {
+        "Zidian": (
+            _guard("_shapes_lock", MUTEX, "_shapes", "_shapes_generation"),
         ),
     },
     "repro/tally.py": {

@@ -9,23 +9,53 @@ Workflow for a query Q over relational schema R, given BaaV schema R̃:
 
 Parallelization (M3) lives in :mod:`repro.parallel`; schema design (M4) in
 :mod:`repro.core.t2b`.
+
+:meth:`Zidian.planned` is what a system executes through: it plans a
+statement's *shape* once and binds each statement's literals into the
+result (``docs/ARCHITECTURE.md``, "Statement shapes and plan reuse").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.baav.schema import BaaVSchema
 from repro.baav.store import BaaVStore
 from repro.core import preservation, scanfree
 from repro.core.candidates import CandidateTable
 from repro.core.plangen import PlanGenerator, ZidianPlan
+from repro.kba import plan as kp
+from repro.locks import make_lock
 from repro.relational.schema import DatabaseSchema
+from repro.sql import ast
+from repro.sql.lexer import literal_value, shape
 from repro.sql.minimize import minimize
 from repro.sql.parser import parse
 from repro.sql.planner import BoundQuery, bind
 from repro.sql.spc import SPCAnalysis, analyze
+from repro.tally import ShardSet, tally
+
+#: entries the shape map keeps, least recently used first out: one per
+#: shape (which of its literals are parameters) and one per template. A
+#: template over AIRCA's 100-attribute FLIGHT measures ≈ 42 KB
+#: (tracemalloc, 12 templates; its scan-free report's closures), so the
+#: map is ≈ 5.4 MB full at worst; the e2e benchmark's four workloads use
+#: 19, 12, 12 and 8 entries (``docs/PERFORMANCE.md``, "ISSUE 24")
+SHAPE_CACHE_SIZE = 256
+
+
+@tally
+class ShapeCounters:
+    """What the shape map of one :class:`Zidian` did."""
+
+    #: statements bound from a stored template / planned afresh
+    hits: int = 0
+    misses: int = 0
+    #: entries dropped for room / for an index catalog or BaaV schema change
+    evictions: int = 0
+    invalidations: int = 0
 
 
 @dataclass
@@ -100,6 +130,12 @@ class Zidian:
             use_stats=use_stats,
             index_catalog=index_catalog,
         )
+        #: shape -> its parameter positions; shape key -> its template
+        #: (:meth:`planned`), as of ``_shapes_generation``
+        self._shapes: "OrderedDict[object, object]" = OrderedDict()
+        self._shapes_generation = (0, 0)
+        self._shapes_lock = make_lock("Zidian._shapes_lock")
+        self.shape_stats: ShardSet[ShapeCounters] = ShardSet(ShapeCounters)
 
     # -- M1 ------------------------------------------------------------------
 
@@ -130,22 +166,27 @@ class Zidian:
             index_catalog=self.index_catalog,
             table=table if len(minimized.atoms) == len(analysis.atoms) else None,
         )
-        bounded = None
-        if self.store is not None:
-            bounded = scanfree.is_bounded(
-                analysis,
-                self.store,
-                degree_bound=self.degree_bound,
-                scan_free_report=sf_report,
-            )
         return QueryDecision(
             bound=bound,
             analysis=analysis,
             minimized=minimized,
             preservation=pres,
             scan_free=sf_report,
-            bounded=bounded,
+            bounded=self._bounded(analysis, sf_report),
             candidates=table,
+        )
+
+    def _bounded(
+        self, analysis: SPCAnalysis, report: scanfree.ScanFreeReport
+    ) -> Optional[scanfree.BoundedReport]:
+        """The degree check over the store as it is now."""
+        if self.store is None:
+            return None
+        return scanfree.is_bounded(
+            analysis,
+            self.store,
+            degree_bound=self.degree_bound,
+            scan_free_report=report,
         )
 
     # -- M2 ------------------------------------------------------------------
@@ -159,6 +200,116 @@ class Zidian:
             decision.bound, decision.analysis, decision.candidates
         )
         return plan, decision
+
+    # -- shapes ----------------------------------------------------------------
+
+    def planned(self, sql: str):
+        """What a system executes for ``sql``: per SELECT of the
+        statement an executable ``(plan, decision)`` — a compound
+        statement's nested as :class:`ast.CompoundSelect` nests its
+        sides — equal to what :meth:`plan` returns for it now.
+
+        The statement's *shape* is planned once (a miss: today's parse →
+        bind → :meth:`plan`, over parameters that remember their slot),
+        kept as a template nothing may mutate, and each statement's
+        literals are bound into a copy; M1's degree check is made live
+        on every statement."""
+        skeleton, literals = shape(sql)
+        counters = self.shape_stats.local()
+        template = key = None
+        values: Sequence[object] = ()
+        with self._shapes_lock:
+            generation = self._sync_shapes(counters)
+            slots = self._shapes.get(skeleton) if literals is not None else None
+            if slots is not None:
+                values, key = _shape_key(skeleton, literals, slots)
+                template = self._shapes.get(key)
+                if template is not None:
+                    self._shapes.move_to_end(skeleton)
+                    self._shapes.move_to_end(key)
+        if template is not None:
+            counters.hits += 1
+        else:
+            counters.misses += 1
+            # a comment would shift the literals' positions: plan such a
+            # text as it stands and keep nothing
+            found: Optional[List[int]] = None if literals is None else []
+            template = _each_select(parse(sql, found), self._template)
+            if found is not None:
+                if key is None:  # the shape itself is new
+                    values, key = _shape_key(skeleton, literals, found)
+                self._keep(generation, {skeleton: tuple(found), key: template})
+        binder = ast.Binder(values)
+        return _each_select(template, lambda each: self._bind(each, binder))
+
+    def _sync_shapes(self, counters: ShapeCounters) -> Tuple[int, int]:
+        """Drop every template planned over another index catalog or
+        BaaV schema (which only grows: its size is its generation);
+        the generation of the two now."""
+        # repro-lint: holds=_shapes_lock -- every caller takes it first
+        catalog = self.index_catalog
+        generation = (
+            0 if catalog is None else catalog.generation,
+            len(self.baav_schema),
+        )
+        if generation != self._shapes_generation:
+            counters.invalidations += len(self._shapes)
+            self._shapes.clear()
+            self._shapes_generation = generation
+        return generation
+
+    def _keep(self, generation: Tuple[int, int], entries: dict) -> None:
+        counters = self.shape_stats.local()
+        with self._shapes_lock:
+            # planned across a catalog change: fit for this statement
+            # (it raced the DDL either way), not for the next
+            if self._sync_shapes(counters) == generation:
+                for key in entries:
+                    self._shapes.pop(key, None)  # so that it lands last
+                self._shapes.update(entries)
+                while len(self._shapes) > SHAPE_CACHE_SIZE:
+                    self._shapes.popitem(last=False)
+                    counters.evictions += 1
+
+    def clear_shapes(self) -> None:
+        """Forget every shape (profiling the miss path; tests)."""
+        with self._shapes_lock:
+            self._shapes.clear()
+
+    def _template(self, stmt: ast.SelectStmt) -> "Tuple[ZidianPlan, QueryDecision]":
+        plan, decision = self.plan(bind(stmt, self.schema))
+        # a template is kept: not with the table M2 has finished with,
+        # and with the summary every plan bound from it will show
+        decision.candidates = None
+        _ = plan.access_summary
+        return plan, decision
+
+    def _bind(self, template, binder: ast.Binder):
+        plan, decision = template
+        stmt = plan.bound.stmt
+        if stmt.where is not None:
+            stmt = ast.altered(stmt, where=binder.expr(stmt.where))
+        bound = BoundQuery(stmt, plan.bound.schema, plan.bound.aliases)
+        analysis = decision.analysis.bind(bound, binder)
+        minimized = analysis  # min(Q) is Q itself, or a clone with fewer atoms
+        if decision.minimized is not decision.analysis:
+            minimized = decision.minimized.bind(bound, binder)
+        scan_free = decision.scan_free
+        if scan_free.index_covered:
+            covered = scan_free.index_covered.items()
+            covered = {alias: choice.bind(binder) for alias, choice in covered}
+            scan_free = replace(scan_free, index_covered=covered)
+        plan = ast.altered(
+            plan, root=kp.bind(plan.root, binder), bound=bound, access=dict(plan.access)
+        )
+        return plan, QueryDecision(
+            bound,
+            analysis,
+            minimized,
+            decision.preservation,
+            scan_free,
+            self._bounded(analysis, scan_free),
+        )
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -199,10 +350,10 @@ class Zidian:
                 lines.append(f"  {alias}: clo({entry.schema.name})")
         if decision.scan_free.index_covered:
             lines.append("indexes  :")
-            for alias, desc in sorted(
+            for alias, choice in sorted(
                 decision.scan_free.index_covered.items()
             ):
-                lines.append(f"  {alias}: {desc}")
+                lines.append(f"  {alias}: {choice.describe()}")
         if decision.scan_free.missing:
             lines.append("uncovered:")
             for alias in sorted(decision.scan_free.missing):
@@ -226,3 +377,31 @@ class Zidian:
         for line in plan.root.describe().splitlines():
             lines.append("  " + line)
         return "\n".join(lines)
+
+
+def _each_select(stmt, fn: Callable):
+    """``fn`` of ``stmt``, or of each side of a compound statement in
+    its nesting."""
+    if isinstance(stmt, ast.CompoundSelect):
+        return ast.CompoundSelect(stmt.op, _each_select(stmt.left, fn), fn(stmt.right))
+    return fn(stmt)
+
+
+def _shape_key(
+    skeleton: Tuple[str, ...], literals: Sequence[str], slots: Sequence[int]
+) -> "Tuple[List[object], tuple]":
+    """The parameter values of a statement, and everything planning its
+    shape may have read: the text without its literals, each literal
+    that is not a parameter, each parameter's type, and how the
+    parameters are ordered among themselves (ties included) — planning
+    compares literals with each other and with nothing else."""
+    marks: List[object] = list(literals)
+    values = []
+    for position in slots:
+        value = literal_value(literals[position])
+        values.append(value)
+        marks[position] = type(value)
+    # strings after numbers: the two never compare
+    ordered = sorted(set(values), key=lambda v: (isinstance(v, str), v))
+    ranks = {value: rank for rank, value in enumerate(ordered)}
+    return values, (skeleton, tuple(marks), tuple([ranks[v] for v in values]))

@@ -37,6 +37,7 @@ from __future__ import annotations
 import copy
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -79,6 +80,37 @@ class ZidianPlan:
             f"scan_free={self.scan_free} access={self.access}",
             self.root.describe(),
         ]
+        return "\n".join(lines)
+
+    @cached_property
+    def access_summary(self) -> str:
+        """The access path per alias (EXPLAIN summary). It names no
+        literal, so a plan bound from a template inherits its
+        template's (``ast.altered`` copies the cached value)."""
+        scans: dict = {}
+        probes: dict = {}
+        for node in kp.walk(self.root):
+            if isinstance(node, kp.ScanKV):
+                scans[node.alias] = f"kv scan ({node.kv_name})"
+            elif isinstance(node, kp.StatsGroup):
+                scans[node.alias] = f"stats scan ({node.kv_name})"
+            elif isinstance(node, kp.IndexProbe):
+                probes[node.alias] = (
+                    f"index probe ({node.kind} on {node.attr}) -> multi_get"
+                )
+        lines = []
+        for alias in sorted(self.access):
+            mode = self.access[alias]
+            relation = self.bound.aliases[alias].name
+            if mode == "chain":
+                desc = "key fetch (scan-free ∝ chain)"
+            elif mode == "index":
+                desc = probes.get(alias, "index probe -> multi_get")
+            elif mode == "scan_kv":
+                desc = scans.get(alias, "kv scan")
+            else:
+                desc = "taav scan (fetch-all)"
+            lines.append(f"{alias} -> {relation}: {desc}")
         return "\n".join(lines)
 
 
@@ -258,17 +290,7 @@ class PlanGenerator:
         )
         if choice is None:
             return None
-        plan = kp.IndexProbe(
-            relation,
-            alias,
-            choice.attr,
-            choice.kind,
-            eq_values=choice.eq_values,
-            lo=choice.lo,
-            hi=choice.hi,
-            lo_strict=choice.lo_strict,
-            hi_strict=choice.hi_strict,
-        )
+        plan = kp.IndexProbe(**vars(choice))  # the same fields, by design
         attrs = {
             f"{alias}.{a}"
             for a in analysis.bound.aliases[alias].attribute_names

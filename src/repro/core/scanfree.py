@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.baav.schema import BaaVSchema, KVSchema, attribute_closure
 from repro.baav.store import BaaVStore
 from repro.core.candidates import CandidateTable
-from repro.index.selection import choose_for_alias
+from repro.index.selection import IndexChoice, choose_for_alias
 from repro.sql.minimize import minimize
 from repro.sql.spc import SPCAnalysis
 
@@ -157,9 +157,9 @@ class ScanFreeReport:
     #: reaches; empty when GET holds all of ``X`` but no single verifiable
     #: combination does
     unreachable: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-    #: alias -> index access-path description, for aliases the BaaV
-    #: schema leaves uncovered but a secondary index makes bounded
-    index_covered: Dict[str, str] = field(default_factory=dict)
+    #: alias -> index access path, for aliases the BaaV schema leaves
+    #: uncovered but a secondary index makes bounded
+    index_covered: Dict[str, IndexChoice] = field(default_factory=dict)
     get: Optional[GetResult] = None
     vc: List[VCEntry] = field(default_factory=list)
     minimal_aliases: FrozenSet[str] = frozenset()
@@ -220,7 +220,7 @@ def is_scan_free(
             else None
         )
         if choice is not None:
-            report.index_covered[alias] = choice.describe()
+            report.index_covered[alias] = choice
         else:
             report.scan_free = False
             report.missing.append(alias)

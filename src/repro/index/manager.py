@@ -49,6 +49,9 @@ class IndexManager:
         self.cache = cache
         self.stats: ShardSet[IndexCounters] = ShardSet(IndexCounters)
         self._indexes: Dict[Tuple[str, str, str], SecondaryIndex] = {}
+        #: bumped by every catalog change: a plan kept from one
+        #: generation says nothing about the next
+        self.generation = 0
         # guards the catalog dict: DDL (create/drop/forget) is rare but
         # must not mutate it under a concurrent planner/executor read;
         # reentrant so a drop cascade can re-enter through the cluster
@@ -80,6 +83,7 @@ class IndexManager:
             )
             index.build(relation.rows)
             self._indexes[key] = index
+            self.generation += 1
             return index
 
     def drop(
@@ -98,6 +102,7 @@ class IndexManager:
             ]
             for key in doomed:
                 self._indexes.pop(key).drop()
+            self.generation += 1
             return len(doomed)
 
     def forget(self, relation: str) -> int:
@@ -107,6 +112,7 @@ class IndexManager:
             doomed = [key for key in self._indexes if key[0] == relation]
             for key in doomed:
                 del self._indexes[key]
+            self.generation += 1
             return len(doomed)
 
     # -- catalog (what the planners consult) --------------------------------

@@ -17,30 +17,24 @@ walk a run of buckets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.sql import ast
 
 
-def describe_predicate(
-    attr: str,
-    eq_values: Tuple[object, ...] = (),
-    lo: object = None,
-    hi: object = None,
-    lo_strict: bool = False,
-    hi_strict: bool = False,
-) -> str:
-    """Render an index predicate — the one formatter every EXPLAIN
-    surface (plan labels, choice descriptions) shares."""
-    if eq_values:
-        preview = ", ".join(repr(v) for v in eq_values[:3])
-        if len(eq_values) > 3:
+def describe_predicate(probe) -> str:
+    """Render an index predicate (an :class:`IndexChoice` or a KBA
+    ``IndexProbe``) — the one formatter every EXPLAIN surface shares."""
+    if probe.eq_values:
+        preview = ", ".join(repr(v) for v in probe.eq_values[:3])
+        if len(probe.eq_values) > 3:
             preview += ", ..."
-        return f"{attr} = [{preview}]"
-    low = "" if lo is None else f"{lo!r} {'<' if lo_strict else '<='} "
-    high = "" if hi is None else f" {'<' if hi_strict else '<='} {hi!r}"
-    return f"{low}{attr}{high}"
+        return f"{probe.attr} = [{preview}]"
+    lo, hi = probe.lo, probe.hi
+    low = "" if lo is None else f"{lo!r} {'<' if probe.lo_strict else '<='} "
+    high = "" if hi is None else f" {'<' if probe.hi_strict else '<='} {hi!r}"
+    return f"{low}{probe.attr}{high}"
 
 
 @dataclass(frozen=True)
@@ -57,15 +51,13 @@ class IndexChoice:
     lo_strict: bool = False
     hi_strict: bool = False
 
+    def bind(self, binder: ast.Binder) -> "IndexChoice":
+        """This path over ``binder``'s parameter values."""
+        values, value = binder.row(self.eq_values), binder.value
+        return replace(self, eq_values=values, lo=value(self.lo), hi=value(self.hi))
+
     def describe(self) -> str:
-        return f"{self.kind} on " + describe_predicate(
-            self.attr,
-            self.eq_values,
-            self.lo,
-            self.hi,
-            self.lo_strict,
-            self.hi_strict,
-        )
+        return f"{self.kind} on {describe_predicate(self)}"
 
 
 @dataclass
@@ -194,38 +186,33 @@ def choose_from_conjuncts(
         for attr in sorted(eq_attrs):
             values = equalities.get(attr)
             if values:
-                kind = (
-                    "hash"
-                    if _has_hash(catalog, relation, attr)
-                    else "ordered"
-                )
+                kind = _equality_kind(catalog, relation, attr)
                 return IndexChoice(
                     relation, alias, attr, kind, eq_values=values
                 )
+    return _range_choice(conjuncts, relation, alias, catalog)
+
+
+def _range_choice(
+    conjuncts: Sequence[ast.Expr], relation: str, alias: str, catalog
+) -> Optional[IndexChoice]:
+    """The first ordered index one of ``conjuncts``' range windows fits."""
     range_attrs = catalog.range_attrs(relation)
     if range_attrs:
         bounds = range_bounds_from_conjuncts(conjuncts, alias)
         for attr in sorted(range_attrs):
             window = bounds.get(attr)
             if window is not None:
-                return IndexChoice(
-                    relation,
-                    alias,
-                    attr,
-                    "ordered",
-                    lo=window.lo,
-                    hi=window.hi,
-                    lo_strict=window.lo_strict,
-                    hi_strict=window.hi_strict,
-                )
+                return IndexChoice(relation, alias, attr, "ordered", **vars(window))
     return None
 
 
-def _has_hash(catalog, relation: str, attr: str) -> bool:
+def _equality_kind(catalog, relation: str, attr: str) -> str:
+    """The kind of index an equality probe on ``attr`` goes through."""
     index_for = getattr(catalog, "index_for", None)
-    if index_for is None:
-        return True
-    return index_for(relation, attr, "hash") is not None
+    if index_for is None or index_for(relation, attr, "hash") is not None:
+        return "hash"
+    return "ordered"
 
 
 def choose_for_alias(analysis, alias: str, relation: str, catalog):
@@ -250,24 +237,6 @@ def choose_for_alias(analysis, alias: str, relation: str, catalog):
         values = tuple(v for v in values if v is not None)
         if not values:
             continue
-        kind = (
-            "hash" if _has_hash(catalog, relation, attr) else "ordered"
-        )
+        kind = _equality_kind(catalog, relation, attr)
         return IndexChoice(relation, alias, attr, kind, eq_values=values)
-    range_attrs = catalog.range_attrs(relation)
-    if range_attrs:
-        bounds = range_bounds_from_conjuncts(analysis.residuals, alias)
-        for attr in sorted(range_attrs):
-            window = bounds.get(attr)
-            if window is not None:
-                return IndexChoice(
-                    relation,
-                    alias,
-                    attr,
-                    "ordered",
-                    lo=window.lo,
-                    hi=window.hi,
-                    lo_strict=window.lo_strict,
-                    hi_strict=window.hi_strict,
-                )
-    return None
+    return _range_choice(analysis.residuals, relation, alias, catalog)

@@ -15,7 +15,7 @@ a :class:`ScanKV` or :class:`TaaVScan` leaf makes a plan non-scan-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.relational.types import Row
 from repro.sql import ast
@@ -99,17 +99,9 @@ class IndexProbe(KBANode):
     def _label(self) -> str:
         from repro.index.selection import describe_predicate
 
-        pred = describe_predicate(
-            self.attr,
-            self.eq_values,
-            self.lo,
-            self.hi,
-            self.lo_strict,
-            self.hi_strict,
-        )
         return (
             f"IndexProbe({self.relation} AS {self.alias} "
-            f"via {self.kind} {pred})"
+            f"via {self.kind} {describe_predicate(self)})"
         )
 
 
@@ -254,6 +246,34 @@ class StatsGroup(KBANode):
     def _label(self) -> str:
         aggs = ", ".join(str(a) for a in self.aggs)
         return f"StatsGroup({self.kv_name} AS {self.alias}; {aggs})"
+
+
+def bind(node: KBANode, binder: ast.Binder) -> KBANode:
+    """The plan ``node`` is a template of, over ``binder``'s values.
+
+    Four node kinds hold literals — :class:`Constant`,
+    :class:`IndexProbe`, :class:`SelectK`, :class:`JoinK` — and are
+    built again, as is every node above one; the rest is shared.
+    """
+    changes: dict[str, Any] = {}
+    fields = node.__dict__
+    for name in ("child", "left", "right"):
+        child = fields.get(name)
+        if child is not None:
+            bound = bind(child, binder)
+            if bound is not child:
+                changes[name] = bound
+    if isinstance(node, Constant):
+        changes["keys"] = tuple([binder.row(key) for key in node.keys])
+    elif isinstance(node, IndexProbe):
+        changes["eq_values"] = binder.row(node.eq_values)
+        changes["lo"] = binder.value(node.lo)
+        changes["hi"] = binder.value(node.hi)
+    elif isinstance(node, SelectK):
+        changes["predicate"] = binder.expr(node.predicate)
+    elif isinstance(node, JoinK) and node.residual is not None:
+        changes["residual"] = binder.expr(node.residual)
+    return ast.altered(node, **changes) if changes else node
 
 
 def walk(node: KBANode):

@@ -73,6 +73,7 @@ from repro.errors import (
     ServiceOverloadedError,
     TransactionError,
 )
+from repro.core.middleware import ShapeCounters
 from repro.locks import RWLock, make_condition, make_lock
 from repro.mvcc import DEFAULT_GC_INTERVAL
 
@@ -142,6 +143,9 @@ class ServiceStats:
     peak_queued: int = 0
     sessions_opened: int = 0
     sessions_closed: int = 0
+    #: plan reuse of the system's middleware (``None`` for a system
+    #: without one), summed after the admission lock is released
+    shapes: Optional[ShapeCounters] = None
 
     def __str__(self) -> str:
         out = (
@@ -156,6 +160,8 @@ class ServiceStats:
                 f" txn={self.transactions_committed}c/"
                 f"{self.transactions_aborted}a"
             )
+        if self.shapes is not None:
+            out += f" shapes={self.shapes.hits}h/{self.shapes.misses}m"
         return out
 
 
@@ -664,9 +670,14 @@ class QueryService:
     # -- introspection ----------------------------------------------------
 
     def stats(self) -> ServiceStats:
-        """A consistent snapshot of the admission counters."""
+        """A consistent snapshot of the admission counters, with the
+        middleware's plan-reuse counters beside it."""
         with self._gate:
-            return replace(self._stats)
+            snapshot = replace(self._stats)
+        middleware = getattr(self.system, "middleware", None)
+        if middleware is not None:
+            snapshot.shapes = middleware.shape_stats.total()
+        return snapshot
 
     # -- lifecycle --------------------------------------------------------
 

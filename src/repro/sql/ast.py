@@ -13,12 +13,42 @@ the planner *binds* them, rewriting every reference to its qualified
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field, fields
+from functools import cache
+from operator import is_
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Union
 
 from repro.errors import ExecutionError, SQLAnalysisError
 
 Env = dict  # qualified attribute name -> value
+_T = TypeVar("_T")
+
+
+def _param_type(base: type) -> type:
+    """A ``base`` that knows which parameter of its statement it is.
+
+    A statement planned as a *shape* (``docs/ARCHITECTURE.md``,
+    "Statement shapes and plan reuse") carries its WHERE/ON literals as
+    these: equal, ordered, hashed and printed as the plain value, so
+    the planner handles them as it handles any constant, while
+    :class:`Binder` can find each one in whatever the planner built and
+    put another statement's value in its place. The type goes by
+    ``base``'s name: a ``TypeError`` over two literals that do not
+    compare reads as it did.
+    """
+    return type(base.__name__, (base,), {"__module__": __name__, "slot": -1})
+
+
+_PARAM_TYPE = {base: _param_type(base) for base in (int, float, str)}
+_PARAM_TYPES = frozenset(_PARAM_TYPE.values())
+
+
+def param(value: object, slot: int) -> object:
+    """``value`` as parameter ``slot`` of its statement."""
+    tagged = _PARAM_TYPE[type(value)](value)
+    tagged.slot = slot
+    return tagged
 
 
 class Expr:
@@ -297,7 +327,9 @@ class Like(Expr):
 
     operand: Expr
     pattern: str
-    _regex: Optional[re.Pattern] = field(default=None, repr=False, compare=False)
+    _regex: Optional[re.Pattern] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def _compiled(self) -> re.Pattern:
         if self._regex is None:
@@ -474,6 +506,76 @@ class CompoundSelect:
     def __str__(self) -> str:
         keyword = "UNION ALL" if self.op == "union" else "EXCEPT ALL"
         return f"{self.left} {keyword} {self.right}"
+
+
+def altered(node: _T, **changes: object) -> _T:
+    """A shallow copy of ``node`` with some attributes changed:
+    ``dataclasses.replace`` for a node whose ``__init__`` derives
+    nothing from them, at a fraction of its cost."""
+    clone = object.__new__(type(node))
+    clone.__dict__.update(node.__dict__)
+    clone.__dict__.update(changes)
+    return clone
+
+
+class Binder:
+    """Puts one statement's parameter values into what was planned for
+    another statement of its shape.
+
+    Nothing is changed in place: a node that holds a parameter, or has
+    a descendant that does, is built again and everything else is
+    shared — so what a template holds must never be mutated. A node
+    met twice (a residual sits in the statement, its analysis and its
+    plan) is rebuilt once.
+    """
+
+    def __init__(self, values: Sequence[object]) -> None:
+        self.values = values
+        self._done: Dict[int, Expr] = {}
+
+    def value(self, value: object) -> object:
+        if type(value) in _PARAM_TYPES:
+            return self.values[value.slot]  # type: ignore[attr-defined]
+        return value
+
+    def row(self, row: Sequence[object]) -> tuple:
+        return tuple([self.value(v) for v in row])
+
+    def expr(self, expr: Expr) -> Expr:
+        if type(expr) is Column:
+            return expr
+        if type(expr) is Lit:
+            value = self.value(expr.value)
+            return expr if value is expr.value else Lit(value)
+        bound = self._done.get(id(expr))
+        if bound is None:
+            bound = self._done[id(expr)] = self._rebuilt(expr)
+        return bound
+
+    def _rebuilt(self, expr: Expr) -> Expr:
+        args = []
+        same = True
+        for name in _init_fields(type(expr)):
+            old = getattr(expr, name)
+            if isinstance(old, Expr):
+                new: object = self.expr(old)
+            elif type(old) is list:
+                new = [
+                    self.expr(v) if isinstance(v, Expr) else self.value(v)
+                    for v in old
+                ]
+                if all(map(is_, new, old)):
+                    new = old
+            else:
+                new = self.value(old)
+            same = same and new is old
+            args.append(new)
+        return expr if same else type(expr)(*args)
+
+
+@cache
+def _init_fields(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.init)
 
 
 def conjuncts(expr: Optional[Expr]) -> List[Expr]:

@@ -1,10 +1,18 @@
-"""Tokenizer for the SQL subset."""
+"""Tokenizer for the SQL subset, and the *shape* of a statement's text.
+
+Both are one compiled pattern each and share the literal sub-patterns
+(:data:`_STRING`, :data:`_NUMBER`) and :func:`literal_value`, so they
+cannot disagree on what a literal is: the *n*-th literal
+:func:`shape` cuts out of a text is the *n*-th NUMBER/STRING token
+:func:`tokenize` produces for it (``tests/sql/test_lexer.py`` holds the
+two to that, and :func:`tokenize` to the character loop it replaced).
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import SQLSyntaxError
 
@@ -16,12 +24,6 @@ KEYWORDS = {
     "COUNT", "SUM", "AVG", "MIN", "MAX",
 }
 
-PUNCT = {
-    "<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "*", "+", "-",
-    "/", ".",
-}
-
-
 class TokenType(enum.Enum):
     KEYWORD = "keyword"
     IDENT = "ident"
@@ -31,10 +33,10 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: object
+    #: offset of the token's first character
     position: int
 
     def is_keyword(self, *names: str) -> bool:
@@ -47,83 +49,88 @@ class Token:
         return f"{self.value}"
 
 
+#: a quoted string; ``''`` inside it is one quote
+_STRING = r"'(?:[^']|'')*'"
+#: digits with at most one dot; a dot no digit follows is punctuation
+_NUMBER = r"\d+(?:\.\d+)?|\.\d+"
+_COMMENT = r"--[^\n]*"
+
+#: blanks and comments, then one token; ``junk`` is an identifier
+#: run glued to a number (``1e5``) and ``bad`` anything else, so
+#: consecutive matches cover the text up to ``end``
+_TOKEN = re.compile(
+    rf"\s*(?:{_COMMENT}\s*)*(?:"
+    r"(?P<word>[^\W\d]\w*)"
+    r"|(?P<punct><=|>=|<>|!=|[-=<>(),*+/]|\.(?!\d))"
+    rf"|(?P<number>{_NUMBER})(?P<junk>[^\W\d]\w*)?"
+    rf"|(?P<string>{_STRING})"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
+_WORD, _PUNCT, _NUM, _JUNK, _STR, _END, _BAD = map(
+    _TOKEN.groupindex.__getitem__,
+    ("word", "punct", "number", "junk", "string", "end", "bad"),
+)
+
+#: every literal of a text, and the comments a quote or digit may sit in.
+#: A digit glued to a word character is part of an identifier (``q1``,
+#: ``F.a2``); :func:`tokenize` gets there by eating the identifier whole.
+#: The lookahead names the characters an alternative can start with: one
+#: test, not four, at every other character (9.6 -> 5.5 us a statement)
+_LITERAL = re.compile(rf"(?=[-'.\d])(?:{_COMMENT}|({_STRING}|(?<!\w){_NUMBER}))")
+
+
+def literal_value(text: str) -> object:
+    """The value a NUMBER or STRING literal's text denotes."""
+    if text[0] == "'":
+        return text[1:-1].replace("''", "'")
+    return float(text) if "." in text else int(text)
+
+
 def tokenize(text: str) -> List[Token]:
     """Tokenize SQL text; raises :class:`SQLSyntaxError` on bad input."""
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text[i:i + 2] == "--":
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if ch == "'":
-            value, i = _read_string(text, i)
-            tokens.append(Token(TokenType.STRING, value, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            value, i = _read_number(text, i)
-            tokens.append(Token(TokenType.NUMBER, value, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        position = match.start(kind)
+        if kind == _WORD:
+            word = match[_WORD]
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, start))
+                append(Token(TokenType.KEYWORD, upper, position))
             else:
-                tokens.append(Token(TokenType.IDENT, word, start))
-            continue
-        two = text[i:i + 2]
-        if two in PUNCT:
-            symbol = "<>" if two == "!=" else two
-            tokens.append(Token(TokenType.PUNCT, symbol, i))
-            i += 2
-            continue
-        if ch in PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise SQLSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, None, n))
+                append(Token(TokenType.IDENT, word, position))
+        elif kind == _PUNCT:
+            symbol = match[_PUNCT]
+            append(Token(TokenType.PUNCT, "<>" if symbol == "!=" else symbol, position))
+        elif kind == _NUM or kind == _STR:
+            literal = TokenType.NUMBER if kind == _NUM else TokenType.STRING
+            append(Token(literal, literal_value(match[kind]), position))
+        elif kind == _END:
+            break
+        elif kind == _JUNK:
+            raise SQLSyntaxError(
+                f"malformed number {match[_NUM] + match[_JUNK]!r}",
+                match.start(_NUM),
+            )
+        elif match[_BAD] == "'":
+            raise SQLSyntaxError("unterminated string literal", len(text))
+        else:
+            raise SQLSyntaxError(f"unexpected character {match[_BAD]!r}", position)
+    append(Token(TokenType.EOF, None, len(text)))
     return tokens
 
 
-def _read_string(text: str, i: int) -> tuple:
-    # i points at the opening quote
-    out: List[str] = []
-    i += 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                out.append("'")
-                i += 2
-                continue
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise SQLSyntaxError("unterminated string literal", i)
+def shape(text: str) -> Tuple[Tuple[str, ...], Optional[List[str]]]:
+    """``text`` cut at its literals: the pieces between them, and the
+    literals' texts in order — ``None`` when the text holds a comment
+    (a comment's place would read as a literal's).
 
-
-def _read_number(text: str, i: int) -> tuple:
-    start = i
-    n = len(text)
-    seen_dot = False
-    while i < n and (text[i].isdigit() or (text[i] == "." and not seen_dot)):
-        if text[i] == ".":
-            # a trailing dot followed by non-digit belongs to punctuation
-            if i + 1 >= n or not text[i + 1].isdigit():
-                break
-            seen_dot = True
-        i += 1
-    raw = text[start:i]
-    value = float(raw) if "." in raw else int(raw)
-    return value, i
+    Two texts with the same pieces differ in their literals only, so
+    they tokenize to the same stream but for NUMBER/STRING values.
+    """
+    parts = _LITERAL.split(text)
+    literals = parts[1::2]
+    return tuple(parts[::2]), None if None in literals else literals

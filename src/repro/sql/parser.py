@@ -26,36 +26,45 @@ WHERE conjuncts, so downstream analysis sees one canonical form.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import SQLSyntaxError
 from repro.sql import ast
 from repro.sql.lexer import Token, TokenType, tokenize
 
+_LITERALS = (TokenType.NUMBER, TokenType.STRING)
+_KEYWORD_VALUES = {"TRUE": True, "FALSE": False, "NULL": None}
 
-def parse(text: str):
+
+def parse(text: str, params: Optional[List[int]] = None):
     """Parse a SELECT statement, possibly compound (UNION/EXCEPT ALL).
 
     Returns :class:`ast.SelectStmt` or :class:`ast.CompoundSelect`.
+
+    Given a list, ``params``, the statement is parsed as a *shape*:
+    every NUMBER or STRING literal inside a WHERE or ON condition
+    becomes a parameter — its value an :func:`ast.param` whose slot is
+    its index in ``params``, which receives the literal's position among
+    all the statement's literals (:func:`repro.sql.lexer.shape` lists
+    them in the same order). A literal anywhere else names an output
+    column or shapes the RA top, and a ``-`` folded into an IN-list
+    member would lose the slot: those stay plain values.
     """
-    parser = _Parser(tokenize(text))
+    parser = _Parser(tokenize(text), params)
     stmt = parser.parse_compound()
     parser.expect_eof()
     return stmt
 
 
-def parse_select(text: str) -> ast.SelectStmt:
-    """Parse a single (non-compound) SELECT statement."""
-    parser = _Parser(tokenize(text))
-    stmt = parser.parse_select()
-    parser.expect_eof()
-    return stmt
-
-
 class _Parser:
-    def __init__(self, tokens: List[Token]) -> None:
+    def __init__(self, tokens: List[Token], params: Optional[List[int]] = None) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._params = params
+        #: literal tokens consumed so far
+        self._literals = 0
+        #: inside a WHERE or ON condition
+        self._in_condition = False
 
     # -- token helpers -----------------------------------------------------
 
@@ -94,6 +103,23 @@ class _Parser:
             return self._advance()
         return None
 
+    def _literal(self, plain: bool = False) -> Any:
+        """Consume a literal token; its value, as a parameter when the
+        statement is parsed as a shape and this is a condition's."""
+        value = self._advance().value
+        position = self._literals
+        self._literals += 1
+        if plain or self._params is None or not self._in_condition:
+            return value
+        self._params.append(position)
+        return ast.param(value, len(self._params) - 1)
+
+    def _parse_condition(self) -> ast.Expr:
+        self._in_condition = True
+        expr = self._parse_expr()
+        self._in_condition = False
+        return expr
+
     def _expect_ident(self) -> str:
         token = self._peek()
         if token.type is not TokenType.IDENT:
@@ -120,7 +146,7 @@ class _Parser:
             stmt = ast.CompoundSelect(op, stmt, right)
         return stmt
 
-    def parse_select(self, top_level: bool = False) -> ast.SelectStmt:
+    def parse_select(self) -> ast.SelectStmt:
         self._expect_keyword("SELECT")
         distinct = self._accept_keyword("DISTINCT") is not None
 
@@ -138,7 +164,7 @@ class _Parser:
 
         where: Optional[ast.Expr] = None
         if self._accept_keyword("WHERE"):
-            where = self._parse_expr()
+            where = self._parse_condition()
         if join_conds:
             where = ast.make_and(join_conds + ([where] if where else []))
 
@@ -165,8 +191,7 @@ class _Parser:
             token = self._peek()
             if token.type is not TokenType.NUMBER or not isinstance(token.value, int):
                 raise self._error("expected integer after LIMIT")
-            self._advance()
-            limit = int(token.value)
+            limit = self._literal()
 
         return ast.SelectStmt(
             items=items,
@@ -180,14 +205,14 @@ class _Parser:
             star=star,
         )
 
+    def _parse_alias(self) -> Optional[str]:
+        """``[AS] ident``, when there is one."""
+        if self._accept_keyword("AS") or self._peek().type is TokenType.IDENT:
+            return self._expect_ident()
+        return None
+
     def _parse_select_item(self) -> ast.SelectItem:
-        expr = self._parse_expr()
-        alias: Optional[str] = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_ident()
-        elif self._peek().type is TokenType.IDENT:
-            alias = self._expect_ident()
-        return ast.SelectItem(expr, alias)
+        return ast.SelectItem(self._parse_expr(), self._parse_alias())
 
     def _parse_from(self):
         tables = [self._parse_table_ref()]
@@ -201,19 +226,14 @@ class _Parser:
                 self._expect_keyword("JOIN")
                 tables.append(self._parse_table_ref())
                 self._expect_keyword("ON")
-                join_conds.append(self._parse_expr())
+                join_conds.append(self._parse_condition())
                 continue
             break
         return tables, join_conds
 
     def _parse_table_ref(self) -> ast.TableRef:
         relation = self._expect_ident()
-        alias = relation
-        if self._accept_keyword("AS"):
-            alias = self._expect_ident()
-        elif self._peek().type is TokenType.IDENT:
-            alias = self._expect_ident()
-        return ast.TableRef(relation, alias)
+        return ast.TableRef(relation, self._parse_alias() or relation)
 
     def _parse_order_item(self) -> ast.OrderItem:
         expr = self._parse_expr()
@@ -254,33 +274,13 @@ class _Parser:
             self._advance()
             right = self._parse_additive()
             return ast.Cmp(str(token.value), left, right)
-        if token.is_keyword("BETWEEN"):
+        if token.is_keyword("NOT") and self._tokens[self._pos + 1].is_keyword(
+            "BETWEEN", "IN", "LIKE"
+        ):
             self._advance()
-            low = self._parse_additive()
-            self._expect_keyword("AND")
-            high = self._parse_additive()
-            return ast.Between(left, low, high)
-        if token.is_keyword("IN"):
-            self._advance()
-            self._expect_punct("(")
-            values = [self._parse_literal_value()]
-            while self._accept_punct(","):
-                values.append(self._parse_literal_value())
-            self._expect_punct(")")
-            return ast.InList(left, values)
-        if token.is_keyword("LIKE"):
-            self._advance()
-            pattern = self._peek()
-            if pattern.type is not TokenType.STRING:
-                raise self._error("expected string pattern after LIKE")
-            self._advance()
-            return ast.Like(left, str(pattern.value))
-        if token.is_keyword("NOT"):
-            # NOT BETWEEN / NOT IN / NOT LIKE
-            next_token = self._tokens[self._pos + 1]
-            if next_token.is_keyword("BETWEEN", "IN", "LIKE"):
-                self._advance()  # consume NOT
-                return ast.Not(self._parse_predicate_tail(left))
+            return ast.Not(self._parse_predicate_tail(left))
+        if token.is_keyword("BETWEEN", "IN", "LIKE"):
+            return self._parse_predicate_tail(left)
         if token.is_keyword("IS"):
             self._advance()
             negated = self._accept_keyword("NOT") is not None
@@ -290,51 +290,35 @@ class _Parser:
         return left
 
     def _parse_predicate_tail(self, left: ast.Expr) -> ast.Expr:
-        token = self._peek()
-        if token.is_keyword("BETWEEN"):
-            self._advance()
+        """``BETWEEN .. AND ..``, ``IN (..)`` or ``LIKE ..`` after ``left``."""
+        if self._accept_keyword("BETWEEN"):
             low = self._parse_additive()
             self._expect_keyword("AND")
             high = self._parse_additive()
             return ast.Between(left, low, high)
-        if token.is_keyword("IN"):
-            self._advance()
+        if self._accept_keyword("IN"):
             self._expect_punct("(")
             values = [self._parse_literal_value()]
             while self._accept_punct(","):
                 values.append(self._parse_literal_value())
             self._expect_punct(")")
             return ast.InList(left, values)
-        if token.is_keyword("LIKE"):
-            self._advance()
-            pattern = self._peek()
-            if pattern.type is not TokenType.STRING:
-                raise self._error("expected string pattern after LIKE")
-            self._advance()
-            return ast.Like(left, str(pattern.value))
-        raise self._error("expected BETWEEN, IN or LIKE after NOT")
+        self._expect_keyword("LIKE")
+        if self._peek().type is not TokenType.STRING:
+            raise self._error("expected string pattern after LIKE")
+        return ast.Like(left, self._literal())
 
     def _parse_literal_value(self) -> object:
         token = self._peek()
-        if token.type in (TokenType.NUMBER, TokenType.STRING):
-            self._advance()
-            return token.value
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return True
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return False
-        if token.is_keyword("NULL"):
-            self._advance()
-            return None
+        if token.type in _LITERALS:
+            return self._literal()
+        if token.is_keyword(*_KEYWORD_VALUES):
+            return _KEYWORD_VALUES[self._advance().value]
         if token.is_punct("-"):
             self._advance()
-            number = self._peek()
-            if number.type is not TokenType.NUMBER:
+            if self._peek().type is not TokenType.NUMBER:
                 raise self._error("expected number after '-'")
-            self._advance()
-            return -number.value
+            return -self._literal(plain=True)
         raise self._error("expected literal")
 
     def _parse_additive(self) -> ast.Expr:
@@ -362,18 +346,10 @@ class _Parser:
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
-        if token.type is TokenType.NUMBER or token.type is TokenType.STRING:
-            self._advance()
-            return ast.Lit(token.value)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return ast.Lit(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return ast.Lit(False)
-        if token.is_keyword("NULL"):
-            self._advance()
-            return ast.Lit(None)
+        if token.type in _LITERALS:
+            return ast.Lit(self._literal())
+        if token.is_keyword(*_KEYWORD_VALUES):
+            return ast.Lit(_KEYWORD_VALUES[self._advance().value])
         if token.is_keyword(*ast.AGG_FUNCS):
             return self._parse_aggregate()
         if token.is_punct("("):

@@ -49,6 +49,14 @@ class Term:
         return f"Term({sorted(self.attrs)}{const})"
 
 
+def _bound_term(term: Term, binder: ast.Binder) -> Term:
+    constant = binder.value(term.constant)
+    in_values = term.in_values and binder.row(term.in_values)
+    if constant is term.constant and in_values is term.in_values:
+        return term
+    return Term(term.term_id, term.attrs, constant, in_values)
+
+
 class SPCAnalysis:
     """SPC structure of a bound query."""
 
@@ -162,6 +170,17 @@ class SPCAnalysis:
             if "." in attr:
                 self._term(attr)
                 self.residual_attrs.add(attr)
+
+    def bind(self, bound: BoundQuery, binder: ast.Binder) -> "SPCAnalysis":
+        """This analysis as ``bound``'s — the analysed statement over
+        ``binder``'s parameter values. Only terms and residuals hold
+        literals; the rest is shared with ``self``."""
+        return ast.altered(
+            self,
+            bound=bound,
+            terms=[_bound_term(term, binder) for term in self.terms],
+            residuals=[binder.expr(r) for r in self.residuals],
+        )
 
     # -- accessors ----------------------------------------------------------
 

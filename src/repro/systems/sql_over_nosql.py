@@ -20,7 +20,6 @@ from repro.core.qcs import extract_workload_qcs
 from repro.core.t2b import design_schema
 from repro.errors import ExecutionError
 from repro.index.manager import IndexManager
-from repro.kba import plan as kp
 from repro.kv.backends import BackendProfile, profile as get_profile
 from repro.kv.cache import CacheStats, make_cache
 from repro.kv.cluster import KVCluster
@@ -86,35 +85,6 @@ def _parse_index_spec(spec) -> Tuple[str, str, str]:
     raise ExecutionError(
         f"bad index spec {spec!r} (expected (rel, attr[, kind]))"
     )
-
-
-def _zidian_plan_summary(plan) -> str:
-    """Render a KBA plan's access path per alias (EXPLAIN summary)."""
-    scans: dict = {}
-    probes: dict = {}
-    for node in kp.walk(plan.root):
-        if isinstance(node, kp.ScanKV):
-            scans[node.alias] = f"kv scan ({node.kv_name})"
-        elif isinstance(node, kp.StatsGroup):
-            scans[node.alias] = f"stats scan ({node.kv_name})"
-        elif isinstance(node, kp.IndexProbe):
-            probes[node.alias] = (
-                f"index probe ({node.kind} on {node.attr}) -> multi_get"
-            )
-    lines = []
-    for alias in sorted(plan.access):
-        mode = plan.access[alias]
-        relation = plan.bound.aliases[alias].name
-        if mode == "chain":
-            desc = "key fetch (scan-free ∝ chain)"
-        elif mode == "index":
-            desc = probes.get(alias, "index probe -> multi_get")
-        elif mode == "scan_kv":
-            desc = scans.get(alias, "kv scan")
-        else:
-            desc = "taav scan (fetch-all)"
-        lines.append(f"{alias} -> {relation}: {desc}")
-    return "\n".join(lines)
 
 
 def _access_summary(access: Dict[str, str]) -> str:
@@ -558,11 +528,9 @@ class ZidianSystem(KVSystem):
             raise ExecutionError("load() a database first")
         # the snapshot pin wraps the whole statement, so both sides of
         # a compound query read the same epoch
-        return self._snapshot_execute(lambda: self._run(parse(sql)))
+        return self._snapshot_execute(lambda: self._run(self.middleware.planned(sql)))
 
-    def _execute_stmt(self, stmt) -> QueryResult:
-        bound = bind(stmt, self.database.schema)
-        plan, decision = self.middleware.plan(bound)
+    def _execute_plan(self, plan, decision: QueryDecision) -> QueryResult:
         # per-thread reset: concurrent queries on other service threads
         # keep their own shards (single-threaded behavior is unchanged)
         self.cluster.reset_counters(thread_only=True)
@@ -572,7 +540,7 @@ class ZidianSystem(KVSystem):
             to_relation(table),
             metrics,
             decision,
-            plan_summary=_zidian_plan_summary(plan),
+            plan_summary=plan.access_summary,
         )
 
     def explain(self, sql: str) -> str:
@@ -592,13 +560,13 @@ class ZidianSystem(KVSystem):
         return self.middleware.explain(bind(stmt, self.database.schema))
 
     def _run(self, stmt) -> QueryResult:
-        """Evaluate a statement; UNION ALL / EXCEPT ALL evaluate each side
-        over the BaaV store and combine with KBA's bag ∪ / − semantics
-        (§4.2)."""
+        """Evaluate a planned statement (:meth:`Zidian.planned`); UNION
+        ALL / EXCEPT ALL evaluate each side over the BaaV store and
+        combine with KBA's bag ∪ / − semantics (§4.2)."""
         if not isinstance(stmt, ast.CompoundSelect):
-            return self._execute_stmt(stmt)
+            return self._execute_plan(*stmt)
         left = self._run(stmt.left)
-        right = self._execute_stmt(stmt.right)
+        right = self._execute_plan(*stmt.right)
         if len(left.relation.schema.attributes) != len(
             right.relation.schema.attributes
         ):

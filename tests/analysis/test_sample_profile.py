@@ -1,7 +1,8 @@
 """``tools/sample_profile.py`` (PR 21): the sampler attributes samples to
 ``repro`` functions, and its ``--smoke`` mode runs a real workload —
 all of it, or the ops ``--match`` keeps, with ``--gc`` logging the
-collector per pass."""
+collector per pass, plan reuse printed per pass and ``--cold`` turning
+it off."""
 
 import gc
 import re
@@ -37,7 +38,19 @@ def test_smoke_mode_profiles_a_workload(capsys):
     assert sample_profile.main(["--smoke", "--top", "5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("# analytic_local seed 12:")
-    assert len(out) >= 3 and all("%" in line for line in out[2:])
+    # the answer check planned every shape: the pass binds
+    assert re.fullmatch(
+        r"# shapes pass 0: [1-9]\d* bound, 0 planned \(100\.0% reused\)", out[1]
+    ), out[1]
+    assert len(out) >= 4 and all("%" in line for line in out[3:])
+
+
+def test_cold_mode_plans_every_statement(capsys):
+    assert sample_profile.main(["--smoke", "--top", "5", "--cold"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(
+        r"# shapes pass 0: 0 bound, [1-9]\d* planned \(0\.0% reused\)", out[1]
+    ), out[1]
 
 
 def test_smoke_mode_with_match_and_gc(capsys):
@@ -53,6 +66,7 @@ def test_smoke_mode_with_match_and_gc(capsys):
         r"\d+\.\d ms in the collector, \d+ objects collected",
         out[1],
     ), out[1]
-    assert out[2].split() == ["self", "cum", "function"]
+    assert out[2].startswith("# shapes pass 0: ")
+    assert out[3].split() == ["self", "cum", "function"]
     with pytest.raises(SystemExit, match="no op of analytic_local contains"):
         sample_profile.main(["--smoke", "--match", "no such text"])

@@ -9,6 +9,10 @@ regenerated it for three scan-extension records and one new shape; plan
 text is all it pins — ``tests/properties/test_prop_planner.py`` checks
 that plans run and are right.)
 
+The same pass replays the file through plan reuse (ISSUE 24): every
+statement with a parameter is bound from a template planned for *another
+draw* of its shape and must render the golden record all the same.
+
 Regenerate (only when a plan change is intended and reviewed)::
 
     PYTHONPATH=src python tests/core/test_plan_golden.py
@@ -24,6 +28,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import pytest
 
 from repro.baav import BaaVSchema, KVSchema
+from repro.sql.lexer import literal_value, shape
+from repro.sql.parser import parse
 from repro.systems import ZidianSystem
 from repro.workloads import airca, mot
 from repro.workloads.generator import airca_generator, mot_generator
@@ -146,8 +152,8 @@ def _suites() -> Iterator[Suite]:
     yield "tpch", db, tpch_queries.tpch_baav_schema(), (), _tpch_queries(db)
 
 
-def _record(system: ZidianSystem, sql: str) -> Dict[str, object]:
-    plan, decision = system.middleware.plan(sql)
+def _record(system: ZidianSystem, sql: str, planned=None) -> Dict[str, object]:
+    plan, decision = planned or system.middleware.plan(sql)
     return {
         "sql": " ".join(sql.split()),
         "root": plan.root.describe().splitlines(),
@@ -160,19 +166,60 @@ def _record(system: ZidianSystem, sql: str) -> Dict[str, object]:
     }
 
 
-def render() -> str:
-    """Every suite's records as the golden file's text."""
-    out: Dict[str, Dict[str, object]] = {}
+def _another_draw(sql: str) -> str:
+    """``sql`` with every parameter moved by a map that keeps types and
+    the order (ties included) among them — another statement of the same
+    shape key; ``sql`` itself when it has no parameter."""
+    skeleton, literals = shape(sql)
+    params: List[int] = []
+    parse(sql, params)
+    for position in params:
+        value = literal_value(literals[position])
+        if isinstance(value, str):
+            literals[position] = "'~" + literals[position][1:]
+        else:
+            literals[position] = repr(value + type(value)(1000))
+    return "".join(piece + literal for piece, literal in zip(skeleton, literals + [""]))
+
+
+def _replayed(system: ZidianSystem, sql: str) -> Dict[str, object]:
+    """The record of ``sql`` bound from another draw's template."""
+    other = _another_draw(sql)
+    if other == sql:
+        return {}
+    counters = system.middleware.shape_stats
+    system.middleware.clear_shapes()
+    system.middleware.planned(other)
+    hits = counters.total().hits
+    planned = system.middleware.planned(sql)
+    assert counters.total().hits == hits + 1, sql
+    return _record(system, sql, planned)
+
+
+def _render_all() -> Tuple[Dict[str, Dict[str, object]], ...]:
+    fresh: Dict[str, Dict[str, object]] = {}
+    replayed: Dict[str, Dict[str, object]] = {}
     for name, db, baav, indexes, queries in _suites():
         with ZidianSystem(workers=2, storage_nodes=2, indexes=indexes) as system:
             system.load(db, baav)
-            out[name] = {label: _record(system, sql) for label, sql in queries}
-    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+            fresh[name] = {label: _record(system, sql) for label, sql in queries}
+            replayed[name] = {label: _replayed(system, sql) for label, sql in queries}
+    return fresh, replayed
+
+
+def render() -> str:
+    """Every suite's records as the golden file's text."""
+    return json.dumps(_render_all()[0], indent=1, sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="module")
-def rendered() -> Dict[str, Dict[str, object]]:
-    return json.loads(render())
+def both() -> Tuple[Dict[str, Dict[str, object]], ...]:
+    return json.loads(json.dumps(_render_all()))
+
+
+@pytest.fixture(scope="module")
+def rendered(both) -> Dict[str, Dict[str, object]]:
+    return both[0]
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +235,21 @@ def test_plans_match_golden(suite, rendered, golden):
     assert sorted(rendered[suite]) == sorted(golden[suite])
     for label, record in golden[suite].items():
         assert rendered[suite][label] == record, f"{suite}/{label}"
+
+
+def test_bound_plans_match_golden(both, golden):
+    """A template planned for one draw of a shape, bound to the golden
+    statement, is the golden plan — for every statement that has a
+    parameter (nearly all of them)."""
+    replayed = both[1]
+    bound = 0
+    for suite, records in golden.items():
+        for label, record in records.items():
+            if replayed[suite][label]:
+                bound += 1
+                assert replayed[suite][label] == record, f"{suite}/{label}"
+    total = sum(len(records) for records in golden.values())
+    assert bound > 0.85 * total, (bound, total)
 
 
 def test_golden_file_is_byte_identical(rendered):

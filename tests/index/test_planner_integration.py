@@ -293,6 +293,43 @@ class TestZidianIndexPath:
         with pytest.raises(ExecutionError):
             system.create_index("FLIGHT", "distance", "ordered")
 
+    def test_a_planned_shape_sees_the_catalog_change(self, airca):
+        """Statements of one shape around DDL: "indexes created or
+        dropped after construction are seen immediately" holds for a
+        shape that is already planned."""
+        system = self.make_zidian(airca)
+        counters = system.middleware.shape_stats
+        manager = system.indexes
+
+        def run(distance):
+            result = system.execute(
+                f"select F.flight_id from FLIGHT F where F.distance > {distance}"
+            )
+            return result.plan_summary, result.decision.is_scan_free, result.rows
+
+        first = run(3900)
+        assert "scan" in first[0] and not first[1]
+        assert run(3800)[:2] == first[:2]
+        assert (counters.total().hits, counters.total().misses) == (1, 1)
+        assert manager.generation == 0
+
+        system.create_index("FLIGHT", "distance", "ordered")
+        assert manager.generation == 1
+        probed = run(3900)
+        assert "index probe (ordered on distance)" in probed[0] and probed[1]
+        assert sorted(probed[2]) == sorted(first[2])
+        assert counters.total().invalidations == 2  # the shape, its template
+        assert run(3850)[:2] == probed[:2]
+        assert counters.total().hits == 2
+
+        assert system.drop_index("FLIGHT", "distance") == 1
+        assert manager.generation == 2
+        assert run(3900) == first
+        assert counters.total().invalidations == 4
+        # a drop cascade that only forgets the catalog entry counts too
+        manager.forget("FLIGHT")
+        assert manager.generation == 3
+
     def test_updates_flow_to_index_and_taav(self, airca):
         sql = (
             "select F.flight_id from FLIGHT F where F.distance = 9876"

@@ -25,6 +25,12 @@ They were generated from the commit *before* the version store learnt
 to answer "nothing is newer than your pin" in O(1) and the key listing
 stopped reading payloads.
 
+Every case is rendered twice (ISSUE 24): *cold* — the plan-template map
+is emptied before each statement, so each is planned — and *warm* — every
+statement's shape was planned before the first one ran, so each is bound
+from a template. Both must be the file: what a statement is charged does
+not depend on where its plan came from.
+
 Regenerate (only when a metering change is intended and reviewed)::
 
     PYTHONPATH=src python tests/parallel/test_meter_golden.py
@@ -90,8 +96,10 @@ def _num(value) -> object:
 
 
 def _record(
-    system: ZidianSystem, session, sql: str, overlay: bool = False
+    system: ZidianSystem, session, sql: str, overlay: bool = False, cold: bool = False
 ) -> Dict[str, object]:
+    if cold:
+        system.middleware.clear_shapes()
     result = session.execute(sql)
     metrics = result.metrics
     nodes = system.cluster.nodes
@@ -193,8 +201,9 @@ def _overlay_records(system: ZidianSystem, session, db) -> Dict[str, object]:
     return out
 
 
-def render() -> str:
-    """Every case's records as the golden file's text."""
+def render(cold: bool = True) -> str:
+    """Every case's records as the golden file's text, each statement
+    planned (``cold``) or bound from a template planned beforehand."""
     db = airca.generate_airca(scale=0.3, seed=31)
     queries = _queries(db)
     out: Dict[str, Dict[str, object]] = {}
@@ -211,16 +220,23 @@ def render() -> str:
                     if case in OVERLAY_CASES:
                         out[case] = _overlay_records(system, session, db)
                         continue
+                    counters = system.middleware.shape_stats
+                    if not cold:
+                        for _, sql in queries:  # plans; reads no storage
+                            system.middleware.planned(sql)
+                    planned = counters.total().misses
                     out[case] = {
-                        label: _record(system, session, sql)
+                        label: _record(system, session, sql, cold=cold)
                         for label, sql in queries
                     }
+                    total = counters.total()
+                    assert total.misses - planned == (len(queries) if cold else 0)
     return json.dumps(out, indent=1, sort_keys=True) + "\n"
 
 
-@pytest.fixture(scope="module")
-def rendered() -> Dict[str, Dict[str, object]]:
-    return json.loads(render())
+@pytest.fixture(scope="module", params=["cold", "warm"])
+def rendered(request) -> Dict[str, Dict[str, object]]:
+    return json.loads(render(cold=request.param == "cold"))
 
 
 @pytest.fixture(scope="module")

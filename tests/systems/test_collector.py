@@ -5,6 +5,9 @@
   reference count. (Two self-recursive local closures in the plan
   generator used to keep all of that alive until the next collection:
   27 unreachable objects a statement.)
+* That holds whether the statement was planned or bound from a plan
+  template (ISSUE 24), and a template keeps nothing of the statement it
+  was planned for but the plan: no table, no rows, no candidate table.
 * That is what lets a `QueryService` — and nothing else — size the
   collector's young generation for a query's rows while it is open, and
   it puts back what it found.
@@ -66,12 +69,18 @@ def test_a_statement_leaves_nothing_for_the_collector(system):
         statements = _statements(system)
         for sql in statements:  # first runs fill caches that outlive them
             session.execute(sql)
+        counters = system.middleware.shape_stats
+        planned = counters.total().misses
         enabled, flags = gc.isenabled(), gc.get_debug()
         gc.collect()
         gc.disable()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            for sql in statements:
+            for sql in statements:  # each bound from its template
+                session.execute(sql)
+            assert counters.total().misses == planned
+            system.middleware.clear_shapes()
+            for sql in statements:  # each planned, its template stored
                 session.execute(sql)
             session.apply_updates("DELAY", inserts=[(10**6, *delay[1:])])
             session.execute(statements[2])  # past the overlay's new version
@@ -95,6 +104,39 @@ def test_a_statement_leaves_nothing_for_the_collector(system):
             if enabled:
                 gc.enable()
         assert found == 0, kinds.most_common(8)
+
+
+def _held_by(root) -> list:
+    """Every ``repro`` object and builtin container reachable from
+    ``root`` through instance attributes and container items."""
+    seen, stack = {}, [root]
+    while stack:
+        each = stack.pop()
+        module = type(each).__module__
+        if id(each) in seen or not (
+            module.startswith("repro.")
+            or type(each) in (dict, list, tuple, set, frozenset)
+            or isinstance(each, dict)
+        ):
+            continue
+        seen[id(each)] = each
+        stack.extend(gc.get_referents(each))
+    return list(seen.values())
+
+
+def test_a_template_keeps_the_plan_and_nothing_else(system):
+    system.middleware.clear_shapes()
+    for sql in _statements(system):
+        assert system.execute(sql).rows is not None
+    shapes = system.middleware._shapes
+    assert len(shapes) >= 10
+    held = Counter(type(each).__name__ for each in _held_by(shapes))
+    assert held["ZidianPlan"] >= 10 and held["QueryDecision"] >= 10
+    for kind in ("Table", "Relation", "BlockSet", "Block", "CandidateTable",
+                 "Candidate", "Database", "QueryResult", "ExecutionMetrics"):
+        assert held[kind] == 0, (kind, held[kind])
+    # the whole map is small: this is what SHAPE_CACHE_SIZE multiplies
+    assert sum(held.values()) / len(shapes) < 400
 
 
 def test_the_service_sizes_the_young_generation_and_puts_it_back(system):

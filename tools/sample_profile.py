@@ -23,6 +23,7 @@ the pass loop are the benchmark's own.
 
     python tools/sample_profile.py --workload analytic_local --passes 8
     python tools/sample_profile.py --match "D.cause" --gc
+    python tools/sample_profile.py --workload scanfree_local --cold
     python tools/sample_profile.py --smoke
 
 ``--match SUBSTR`` keeps only the ops whose SQL contains the string (one
@@ -30,7 +31,10 @@ template's profile); ``--gc`` also prints, per pass, what the cyclic
 collector did: collections per generation, milliseconds inside it and
 objects it freed (``gc.callbacks``, installed around the sampled passes
 only — each pass starts with the benchmark's own ``gc.collect()``,
-which is one of the generation-2 collections).
+which is one of the generation-2 collections). Every pass also prints
+how many of its statements were bound from a stored plan template and
+how many were planned (``Zidian.shape_stats``); ``--cold`` forgets the
+templates before every statement, so the profile is the miss path's.
 """
 
 from __future__ import annotations
@@ -166,10 +170,13 @@ def profile(
     smoke: bool,
     match: str = "",
     collector: Optional[CollectorLog] = None,
-) -> Sampler:
+    cold: bool = False,
+) -> Tuple[Sampler, List[str]]:
     """Sample ``passes`` replays of ``workload``'s op list — of its ops
     whose SQL contains ``match`` — after the benchmark's own answer
-    check, which is also the warm-up. ``collector`` logs each pass."""
+    check, which is also the warm-up. ``collector`` logs each pass;
+    ``cold`` forgets every plan template before each statement. Returns
+    the sampler and one plan-reuse line per pass."""
     for path in (str(REPO), _SRC):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -177,7 +184,18 @@ def profile(
     from benchmarks.e2e.workloads import WORKLOADS, Deployment
 
     sampler = Sampler()
+    reuse: List[str] = []
     with Deployment(WORKLOADS[workload], smoke) as deployment:
+        system = deployment.system
+        shapes = system.middleware.shape_stats
+        if cold:
+            execute = system.execute
+
+            def cold_execute(sql: str):
+                system.middleware.clear_shapes()
+                return execute(sql)
+
+            system.execute = cold_execute
         runner = Runner(deployment, seed, smoke)
         runner.ops = [sql for sql in runner.ops if match in sql]
         if not runner.ops:
@@ -190,9 +208,17 @@ def profile(
             for _ in range(passes):
                 if collector is not None:
                     collector.next_pass()
+                before = shapes.total()
                 if runner.run_pass().failed:
                     raise SystemExit(f"failed ops on {workload}")
-    return sampler
+                after = shapes.total()
+                hits = after.hits - before.hits
+                misses = after.misses - before.misses
+                reuse.append(
+                    f"# shapes pass {len(reuse)}: {hits} bound, {misses} "
+                    f"planned ({hits / max(1, hits + misses):.1%} reused)"
+                )
+    return sampler, reuse
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -217,11 +243,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="also print, per pass, what the cyclic collector did",
     )
+    parser.add_argument(
+        "--cold",
+        action="store_true",
+        help="forget every plan template before each statement",
+    )
     args = parser.parse_args(argv)
     passes = 1 if args.smoke else args.passes
     collector = CollectorLog() if args.gc else None
-    sampler = profile(
-        args.workload, args.seed, passes, args.smoke, args.match, collector
+    sampler, reuse = profile(
+        args.workload, args.seed, passes, args.smoke, args.match, collector, args.cold
     )
     print(
         f"# {args.workload} seed {args.seed}: {sampler.total} samples "
@@ -229,6 +260,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if collector is not None:
         print("\n".join(collector.lines()))
+    print("\n".join(reuse))
     print(f"{'self':>7} {'cum':>7}  function")
     for name, self_share, cum_share in sampler.rows(args.top):
         print(f"{self_share:7.1%} {cum_share:7.1%}  {name}")
