@@ -2,8 +2,8 @@
 
 AST-based checkers enforcing the concurrency and protocol invariants
 that used to live only in docstrings and review comments: lock
-discipline, sharded-counter accounting, wire-protocol totality and the
-error taxonomy. Run as ``python -m repro.analysis src/`` (a blocking
+discipline, sharded-counter accounting, the error taxonomy and closure
+cycles. Run as ``python -m repro.analysis src/`` (a blocking
 CI gate); see ``docs/ARCHITECTURE.md`` § "Checked invariants".
 """
 

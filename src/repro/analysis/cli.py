@@ -22,7 +22,6 @@ from repro.analysis.core import Checker, Finding, render_findings, run_analysis
 from repro.analysis.counter_accounting import CounterAccountingChecker
 from repro.analysis.error_taxonomy import ErrorTaxonomyChecker
 from repro.analysis.lock_discipline import LockDisciplineChecker
-from repro.analysis.wire_protocol import WireProtocolChecker
 
 
 def all_checkers() -> List[Checker]:
@@ -30,7 +29,6 @@ def all_checkers() -> List[Checker]:
     return [
         LockDisciplineChecker(),
         CounterAccountingChecker(),
-        WireProtocolChecker(),
         ErrorTaxonomyChecker(),
         ClosureCycleChecker(),
     ]
@@ -52,8 +50,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "repro-lint: project-specific concurrency/protocol static "
-            "analysis (lock discipline, counter accounting, wire-protocol "
-            "totality, error taxonomy, closure cycles)"
+            "analysis (lock discipline, counter accounting, error "
+            "taxonomy, closure cycles)"
         ),
     )
     parser.add_argument(

@@ -208,19 +208,3 @@ FORBIDDEN_RAISES: FrozenSet[str] = frozenset({
     "Exception", "BaseException", "RuntimeError", "StandardError",
     "SystemError", "EnvironmentError", "IOError", "OSError",
 })
-
-#: wire-codec helpers exempt from the ``encode_<T>``/``decode_<T>``
-#: pairing rule, with their asymmetric counterparts documented
-WIRE_PAIR_EXCEPTIONS: Dict[str, str] = {
-    "encode_frame": "recv_frame reads frames off a socket",
-    "encode_ok": "decode_response splits status from body for all statuses",
-    "encode_error": "decode_error_message decodes both error statuses",
-    "decode_response": "encode_ok/encode_error build the two status shapes",
-    "decode_error_message": "paired with encode_error",
-}
-
-#: opcode constants that are handled outside the server's ``_run_op``
-#: dispatch (connection-lifecycle opcodes), mapped to where
-WIRE_LIFECYCLE_OPS: Dict[str, str] = {
-    "OP_SHUTDOWN": "_handle_request acks then exits the process",
-}

@@ -1,20 +1,18 @@
 """The repro-lint core: parsed modules, findings, suppressions, runner.
 
 ``repro-lint`` is the project's own static-analysis layer: the
-concurrency and protocol invariants PR 5/PR 6 introduced (lock-guarded
-fields, thread-sharded counters, opcode/handler totality, the error
-taxonomy) are enforced here by machine instead of by code review. The
-framework is deliberately small:
+concurrency invariants PR 5/PR 6 introduced (lock-guarded fields,
+thread-sharded counters, the error taxonomy) are enforced here by
+machine instead of by code review. The framework is deliberately small:
 
 * :class:`ParsedModule` — one source file: its AST, raw lines, and the
   ``# repro-lint: disable=<rule>`` suppression map extracted from the
   token stream (the AST drops comments, so suppressions are collected
   with :mod:`tokenize`).
-* :class:`Project` — every parsed module of one run, so cross-file
-  checkers (wire-protocol totality) can see both sides of a contract.
+* :class:`Project` — every parsed module of one run, so a checker can
+  consult declarations made in other files.
 * :class:`Checker` — the plugin API: a checker declares the rule names
-  it can emit and yields :class:`Finding` objects for one module (or
-  for the whole project via :meth:`Checker.check_project`).
+  it can emit and yields :class:`Finding` objects for one module.
 * :func:`run_analysis` — parse, run every checker, filter suppressed
   findings, return the survivors sorted by location.
 
@@ -189,18 +187,10 @@ class ParsedModule:
 
 @dataclass
 class Project:
-    """Every module of one analysis run (cross-file checkers need both
-    sides of a contract in view at once)."""
+    """Every module of one analysis run (a checker may need declarations
+    made in other files in view)."""
 
     modules: List[ParsedModule]
-
-    def find(self, suffix: str) -> Optional[ParsedModule]:
-        """The module whose relpath ends with ``suffix`` (e.g.
-        ``kv/wire.py``), or ``None`` when it is outside this run."""
-        for module in self.modules:
-            if module.relpath.endswith(suffix):
-                return module
-        return None
 
 
 class Checker:
@@ -208,7 +198,7 @@ class Checker:
 
     Subclasses set :attr:`name` (the checker id), :attr:`rules` (every
     rule name they may emit — the suppression keys), and override
-    :meth:`check_module` and/or :meth:`check_project`.
+    :meth:`check_module`.
     """
 
     name: str = ""
@@ -218,9 +208,6 @@ class Checker:
     def check_module(
         self, module: ParsedModule, project: Project
     ) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
         return iter(())
 
 
@@ -278,7 +265,6 @@ def run_analysis(
         raw: List[Finding] = []
         for module in project.modules:
             raw.extend(checker.check_module(module, project))
-        raw.extend(checker.check_project(project))
         for finding in raw:
             if rules is not None and finding.rule not in rules:
                 continue

@@ -43,7 +43,8 @@ class Engine:
     * **The single-key names**: ``put`` / ``delete`` are (and log) a
       batch of one.
     * **Ordered iteration** over the engine's sorted live keys
-      (:meth:`_live_keys`): ``keys`` / ``next_key`` / prefix ranges.
+      (:meth:`_live_keys`): ``keys`` / ``next_key`` / ``has_prefix`` /
+      prefix ranges.
     """
 
     __slots__ = ("_wal",)
@@ -130,6 +131,12 @@ class Engine:
         keys = self._live_keys()
         index = 0 if after is None else bisect_right(keys, after)
         return keys[index] if index < len(keys) else None
+
+    def has_prefix(self, prefix: bytes = b"") -> bool:
+        """Does any live key carry ``prefix``? (one binary search)"""
+        keys = self._live_keys()
+        index = bisect_left(keys, prefix)
+        return index < len(keys) and keys[index].startswith(prefix)
 
     def _prefix_range(self, prefix: bytes) -> Tuple[int, int]:
         """``[lo, hi)`` slice of the sorted live keys carrying ``prefix``

@@ -23,7 +23,7 @@ so a node must stay correct under concurrent callers:
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.kv.checkpoint import NodeDurability, RecoveryReport
 from repro.kv.lsm import LSMStore
@@ -350,10 +350,6 @@ class StorageNode:
         with self._op_lock:
             return self.store.get(key)
 
-    def scan(self, prefix: bytes = b"") -> Iterator[Tuple[bytes, bytes]]:
-        """Uncounted raw iteration; cluster-level scans do the counting."""
-        return self.store.scan(prefix)
-
     def snapshot_scan(self, prefix: bytes = b"") -> List[Tuple[bytes, bytes]]:
         """Materialized, mutex-guarded scan — safe vs concurrent writers.
 
@@ -374,9 +370,7 @@ class StorageNode:
     def has_prefix(self, prefix: bytes = b"") -> bool:
         """Does any stored key carry ``prefix``? (mutex-guarded probe)"""
         with self._op_lock:
-            for _ in self.store.scan(prefix):
-                return True
-            return False
+            return self.store.has_prefix(prefix)
 
     def size_bytes(self) -> int:
         """Stored payload bytes (mutex-guarded vs concurrent writers)."""

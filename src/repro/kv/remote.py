@@ -32,7 +32,7 @@ import os
 import signal
 import socket
 import weakref
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import NodePeerError, RemoteOpError, WireProtocolError
 from repro.kv import wal as walmod
@@ -226,7 +226,12 @@ class NodeClient:
         if response is None:
             wire.close_quietly(sock)
             raise NodePeerError(self.node_id, "peer closed without answering")
-        status, body = wire.decode_response(response)
+        try:
+            status, body = wire.decode_response(response)
+        except WireProtocolError:
+            # an undecodable answer leaves the stream state unknown
+            wire.close_quietly(sock)
+            raise
         # error frames leave the connection reusable too
         self._checkin(sock)
         if status == wire.STATUS_OK:
@@ -237,6 +242,11 @@ class NodeClient:
         if status == wire.STATUS_PROTOCOL:
             raise WireProtocolError(message)
         raise WireProtocolError(f"unknown response status {status:#x}")
+
+    def call(self, op: int, *args: object) -> Any:
+        """One request → its OK body, decoded by the opcode's response
+        codec (:data:`repro.kv.wire.OPS`)."""
+        return wire.OPS[op].response.decode(self.request(op, *args))
 
     def ping(self) -> bool:
         self.request(wire.OP_PING)
@@ -261,55 +271,45 @@ class RemoteStore:
         return self.multi_get([key])[0]
 
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        if not keys:
-            return []  # an empty batch ships no frame
-        return wire.decode_values(
-            self.client.request(wire.OP_MULTI_GET, list(keys))
-        )
+        # an empty batch ships no frame (here and in every batch op)
+        return self.client.call(wire.OP_MULTI_GET, list(keys)) if keys else []
 
     def put(self, key: bytes, value: bytes) -> None:
         self.multi_put([(key, value)])
 
     def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> None:
         if items:
-            self.client.request(wire.OP_MULTI_PUT, list(items))
+            self.client.call(wire.OP_MULTI_PUT, list(items))
 
     def delete(self, key: bytes) -> bool:
         return self.multi_delete([key]) == 1
 
     def multi_delete(self, keys: Sequence[bytes]) -> int:
-        if not keys:
-            return 0
-        return wire.decode_u64(
-            self.client.request(wire.OP_MULTI_DELETE, list(keys))
-        )
+        return self.client.call(wire.OP_MULTI_DELETE, list(keys)) if keys else 0
 
     def scan(self, prefix: bytes = b"") -> Iterator[Tuple[bytes, bytes]]:
-        return iter(
-            wire.decode_pairs(self.client.request(wire.OP_SCAN, prefix))
-        )
+        return iter(self.client.call(wire.OP_SCAN, prefix))
 
     def keys(self, prefix: bytes = b"") -> List[bytes]:
-        return wire.decode_keys(self.client.request(wire.OP_KEYS, prefix))
+        return self.client.call(wire.OP_KEYS, prefix)
 
     def next_key(self, after: Optional[bytes] = None) -> Optional[bytes]:
-        return wire.decode_opt_key(
-            self.client.request(wire.OP_NEXT_KEY, after)
-        )
+        return self.client.call(wire.OP_NEXT_KEY, after)
+
+    def has_prefix(self, prefix: bytes = b"") -> bool:
+        return self.client.call(wire.OP_HAS_PREFIX, prefix)
 
     def drop_prefix(self, prefix: bytes = b"") -> List[bytes]:
-        return wire.decode_keys(
-            self.client.request(wire.OP_DROP_PREFIX, prefix)
-        )
+        return self.client.call(wire.OP_DROP_PREFIX, prefix)
 
     def size_bytes(self) -> int:
-        return wire.decode_u64(self.client.request(wire.OP_SIZE_BYTES))
+        return self.client.call(wire.OP_SIZE_BYTES)
 
     def clear(self) -> None:
-        self.client.request(wire.OP_CLEAR)
+        self.client.call(wire.OP_CLEAR)
 
     def __len__(self) -> int:
-        return wire.decode_u64(self.client.request(wire.OP_COUNT))
+        return self.client.call(wire.OP_COUNT)
 
     def __contains__(self, key: bytes) -> bool:
         return self.multi_get([key])[0] is not None
@@ -390,15 +390,9 @@ class RemoteNode(StorageNode):
 
     # -- transport-specific surface ------------------------------------------
 
-    def has_prefix(self, prefix: bytes = b"") -> bool:
-        """Server-side probe (one tiny frame, not a shipped scan)."""
-        return wire.decode_bool(
-            self.client.request(wire.OP_HAS_PREFIX, prefix)
-        )
-
     def server_stats(self) -> Dict[str, int]:
         """The server process's own request/error/connection counters."""
-        return wire.decode_stats(self.client.request(wire.OP_GET_STATS))
+        return self.client.call(wire.OP_GET_STATS)
 
     def shutdown(self) -> None:
         """Graceful stop: SHUTDOWN frame, then reap the process."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+from collections.abc import Iterator
 from typing import Dict, Optional
 
 from repro.errors import WireProtocolError
@@ -69,43 +70,32 @@ class NodeServer:
     # -- request dispatch ---------------------------------------------------
 
     def _run_op(self, op: int, args: tuple) -> bytes:
-        """Run one decoded request against the store; returns the OK body."""
-        # repro-lint: holds=_store_lock -- _handle_request serializes every
-        # store-touching opcode under the mutex (GET_STATS skips it and
-        # touches only _stats, under _stats_lock)
-        store = self.store
-        if op == wire.OP_PING:
-            return b""
-        if op == wire.OP_MULTI_GET:
-            return wire.encode_values(store.multi_get(args[0]))
-        if op in wire.MUTATING_OPS:
-            # the one dispatch over the mutation vocabulary — the same
-            # call recovery replays a logged record through
-            return wire.apply_mutation(store, op, args)
-        if op == wire.OP_SCAN:
-            return wire.encode_pairs(list(store.scan(args[0])))
-        if op == wire.OP_KEYS:
-            return wire.encode_keys(store.keys(args[0]))
-        if op == wire.OP_NEXT_KEY:
-            return wire.encode_opt_key(store.next_key(args[0]))
-        if op == wire.OP_HAS_PREFIX:
-            prefix = args[0]
-            if not prefix:
-                return wire.encode_bool(len(store) > 0)
-            for _ in store.scan(prefix):
-                return wire.encode_bool(True)
-            return wire.encode_bool(False)
-        if op == wire.OP_SIZE_BYTES:
-            return wire.encode_u64(store.size_bytes())
-        if op == wire.OP_COUNT:
-            return wire.encode_u64(len(store))
-        if op == wire.OP_GET_STATS:
+        """Run one decoded request; returns the OK response payload."""
+        row = wire.OPS[op]
+        if row.method is None:  # PING / GET_STATS: answered right here
+            if op == wire.OP_PING:
+                return wire.encode_ok()
             stats = self._durability.wal_stats() if self._durability else {}
             stats = {f"wal_{key}": value for key, value in stats.items()}
             with self._stats_lock:
                 stats.update(self._stats)
-                return wire.encode_stats(stats)
-        raise AssertionError(f"unhandled opcode {op:#x}")
+            return wire.encode_ok(row.response, stats)
+        with self._store_lock:
+            if row.mutating:
+                # the one dispatch over the mutation vocabulary — the
+                # same call recovery replays a logged record through
+                result = wire.apply_mutation(self.store, op, args)
+                # ...after which the durability manager gets a chance
+                # to checkpoint/truncate the WAL
+                if self._durability is not None:
+                    self._durability.maybe_checkpoint(self.store)
+            else:
+                result = getattr(self.store, row.method)(*args)
+                if isinstance(result, Iterator):
+                    result = list(result)  # a lazy scan(): drain it here
+            # encoded under the lock as well: nothing the store handed
+            # back is read once another connection may mutate it
+            return wire.encode_ok(row.response, result)
 
     def _handle_request(self, payload: bytes) -> Optional[bytes]:
         """One request payload → one response payload (``None`` after a
@@ -115,18 +105,7 @@ class NodeServer:
             op, args = wire.decode_request(payload)
             if op == wire.OP_SHUTDOWN:
                 return None
-            if op == wire.OP_GET_STATS:
-                body = self._run_op(op, args)
-            else:
-                with self._store_lock:
-                    body = self._run_op(op, args)
-                    # after a mutation the durability manager gets a
-                    # chance to checkpoint/truncate the WAL
-                    if (
-                        self._durability is not None
-                        and op in wire.MUTATING_OPS
-                    ):
-                        self._durability.maybe_checkpoint(self.store)
+            return self._run_op(op, args)
         except WireProtocolError as exc:
             self._bump("protocol_errors")
             return wire.encode_error(wire.STATUS_PROTOCOL, str(exc))
@@ -137,7 +116,6 @@ class NodeServer:
             return wire.encode_error(
                 wire.STATUS_ERROR, f"{type(exc).__name__}: {exc}"
             )
-        return wire.encode_ok(body)
 
     # -- connection / accept loops ------------------------------------------
 

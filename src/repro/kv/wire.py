@@ -8,12 +8,17 @@ store surface already has — ``multi_get`` / ``multi_put`` / ``scan`` /
 the two transports stay op-for-op equivalent. A single-key ``get`` / ``put``
 / ``delete`` is a batch of one: it has no opcode of its own.
 
-The store-mutating opcodes (:data:`MUTATING_OPS`) are the node's whole
-**mutation vocabulary**, declared once here: the request codec ships
-them, :func:`apply_mutation` is the server's dispatch for them, the
-write-ahead log (:mod:`repro.kv.wal`) stores the same request payload as
-its record payload, and recovery replays a log through the same
-:func:`apply_mutation`.
+**One row per opcode.** :data:`OPS` maps each opcode byte to an
+:class:`Op` row: its name, its request :class:`Codec`, its OK-response
+codec, the raw-store method that serves it (``None`` for the opcodes the
+server answers itself) and whether it mutates the store. Everything else
+reads that table: :func:`encode_request` / :func:`decode_request`, the
+server's dispatch, the client's :meth:`~repro.kv.remote.NodeClient.call`
+and :data:`MUTATING_OPS`. The mutating rows are the node's whole
+**mutation vocabulary**: :func:`apply_mutation` is the one dispatch for
+them, the write-ahead log (:mod:`repro.kv.wal`) stores the request
+payload as its record payload, and recovery replays a log through the
+same :func:`apply_mutation`.
 
 Frame layout (both directions)::
 
@@ -21,18 +26,22 @@ Frame layout (both directions)::
     | u32 length (BE)| payload (length bytes)    |
     +----------------+---------------------------+
 
-Request payload:  ``u8 opcode`` + opcode-specific body.
-Response payload: ``u8 status`` + body (``STATUS_OK``) or a
-length-prefixed UTF-8 message (``STATUS_ERROR`` for application errors,
-``STATUS_PROTOCOL`` for malformed requests).
+Request payload:  ``u8 opcode`` + the row's request body.
+Response payload: ``u8 status`` + the row's response body
+(``STATUS_OK``) or a length-prefixed UTF-8 message (``STATUS_ERROR``
+for application errors, ``STATUS_PROTOCOL`` for malformed requests).
 
-Body primitives (all lengths/counts are u32 big-endian):
+Body shapes (all lengths/counts are u32 big-endian):
 
-* ``bytes``      — u32 length + raw bytes
-* ``opt bytes``  — u8 flag (0 = absent) + bytes when present
-* ``list``       — u32 count + items
-* ``pair``       — bytes + bytes
-* ``str``        — UTF-8 as ``bytes``
+* ``NOTHING``    — empty
+* ``BYTES``      — u32 length + raw bytes
+* ``OPT_BYTES``  — u8 flag (0 = absent) + bytes when present
+* ``KEYS``       — u32 count + bytes each
+* ``PAIRS``      — u32 count + (bytes, bytes) each
+* ``VALUES``     — u32 count + opt bytes each
+* ``U64``        — u64 big-endian
+* ``BOOL``       — u8 0 or 1
+* ``STATS``      — u32 count + (UTF-8 name as bytes, u64) each, by name
 
 Every decoder is strict: truncated input, a declared length past the end
 of the frame, an unknown opcode, or trailing garbage raise
@@ -47,7 +56,8 @@ from __future__ import annotations
 
 import socket
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WireProtocolError
 
@@ -58,7 +68,7 @@ _U64 = struct.Struct(">Q")
 #: malformed or hostile frame, refused before any allocation
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-# -- opcodes (request payload byte 0) ---------------------------------------
+# -- opcodes (request payload byte 0); each is described by its OPS row ----
 
 OP_PING = 0x01
 OP_MULTI_GET = 0x02
@@ -74,34 +84,6 @@ OP_DROP_PREFIX = 0x0C
 OP_CLEAR = 0x0D
 OP_GET_STATS = 0x0E
 OP_SHUTDOWN = 0x0F
-
-OP_NAMES: Dict[int, str] = {
-    OP_PING: "PING",
-    OP_MULTI_GET: "MULTI_GET",
-    OP_MULTI_PUT: "MULTI_PUT",
-    OP_MULTI_DELETE: "MULTI_DELETE",
-    OP_SCAN: "SCAN",
-    OP_KEYS: "KEYS",
-    OP_NEXT_KEY: "NEXT_KEY",
-    OP_HAS_PREFIX: "HAS_PREFIX",
-    OP_SIZE_BYTES: "SIZE_BYTES",
-    OP_COUNT: "COUNT",
-    OP_DROP_PREFIX: "DROP_PREFIX",
-    OP_CLEAR: "CLEAR",
-    OP_GET_STATS: "GET_STATS",
-    OP_SHUTDOWN: "SHUTDOWN",
-}
-
-#: ops whose body is a single ``bytes`` prefix
-_PREFIX_OPS = (OP_SCAN, OP_KEYS, OP_HAS_PREFIX, OP_DROP_PREFIX)
-#: ops with an empty body
-_NULLARY_OPS = (
-    OP_PING, OP_SIZE_BYTES, OP_COUNT, OP_CLEAR, OP_GET_STATS, OP_SHUTDOWN,
-)
-#: ops that change the store: what a WAL record may carry, what recovery
-#: replays, and after which the server offers the durability manager a
-#: checkpoint — each has exactly one branch in :func:`apply_mutation`
-MUTATING_OPS = (OP_MULTI_PUT, OP_MULTI_DELETE, OP_DROP_PREFIX, OP_CLEAR)
 
 # -- response status (response payload byte 0) -------------------------------
 
@@ -221,6 +203,12 @@ class Reader:
             raise WireProtocolError(f"bad optional flag {flag:#x}")
         return self.bytes_()
 
+    def bool_(self) -> bool:
+        flag = self.u8()
+        if flag > 1:
+            raise WireProtocolError(f"bad bool {flag:#x}")
+        return flag == 1
+
     def str_(self) -> str:
         raw = self.bytes_()
         try:
@@ -252,6 +240,124 @@ def _put_str(out: bytearray, text: str) -> None:
     _put_bytes(out, text.encode("utf-8"))
 
 
+def _put_nothing(out: bytearray, value: None) -> None:
+    pass
+
+
+def _put_keys(out: bytearray, keys: List[bytes]) -> None:
+    pack = _U32.pack
+    out += pack(len(keys))
+    for key in keys:
+        out += pack(len(key))
+        out += key
+
+
+def _put_pairs(out: bytearray, pairs: List[Tuple[bytes, bytes]]) -> None:
+    pack = _U32.pack
+    out += pack(len(pairs))
+    for key, value in pairs:
+        out += pack(len(key))
+        out += key
+        out += pack(len(value))
+        out += value
+
+
+def _put_values(out: bytearray, values: List[Optional[bytes]]) -> None:
+    out += _U32.pack(len(values))
+    for value in values:
+        _put_opt_bytes(out, value)
+
+
+def _put_u64(out: bytearray, value: int) -> None:
+    out += _U64.pack(value)
+
+
+def _put_bool(out: bytearray, flag: bool) -> None:
+    out += b"\x01" if flag else b"\x00"
+
+
+def _put_stats(out: bytearray, stats: Dict[str, int]) -> None:
+    out += _U32.pack(len(stats))
+    for key in sorted(stats):
+        _put_str(out, key)
+        out += _U64.pack(stats[key])
+
+
+# --------------------------------------------------------------------------
+# the opcode table
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Codec:
+    """One body shape: ``write`` appends a value to a payload, ``read``
+    parses one off a :class:`Reader`. A request in any shape but
+    ``NOTHING`` carries exactly one argument."""
+
+    write: Callable[[bytearray, Any], None]
+    read: Callable[[Reader], Any]
+
+    def decode(self, body: bytes) -> Any:
+        """Parse a whole body holding exactly one value of this shape."""
+        reader = Reader(body)
+        value = self.read(reader)
+        reader.expect_end()
+        return value
+
+
+NOTHING = Codec(_put_nothing, lambda r: None)
+BYTES = Codec(_put_bytes, Reader.bytes_)
+OPT_BYTES = Codec(_put_opt_bytes, Reader.opt_bytes)
+KEYS = Codec(_put_keys, lambda r: [r.bytes_() for _ in range(r.u32())])
+PAIRS = Codec(
+    _put_pairs, lambda r: [(r.bytes_(), r.bytes_()) for _ in range(r.u32())]
+)
+VALUES = Codec(_put_values, lambda r: [r.opt_bytes() for _ in range(r.u32())])
+U64 = Codec(_put_u64, Reader.u64)
+BOOL = Codec(_put_bool, Reader.bool_)
+STATS = Codec(_put_stats, lambda r: {r.str_(): r.u64() for _ in range(r.u32())})
+
+
+@dataclass(frozen=True, slots=True)
+class Op:
+    """One opcode: everything any module needs to know about it."""
+
+    op: int
+    name: str
+    request: Codec
+    response: Codec
+    #: the raw-store method serving it (``None``: the server answers)
+    method: Optional[str] = None
+    mutating: bool = False
+
+
+OPS: Dict[int, Op] = {row.op: row for row in (
+    Op(OP_PING, "PING", NOTHING, NOTHING),
+    Op(OP_MULTI_GET, "MULTI_GET", KEYS, VALUES, "multi_get"),
+    Op(OP_MULTI_PUT, "MULTI_PUT", PAIRS, NOTHING, "multi_put", True),
+    Op(OP_MULTI_DELETE, "MULTI_DELETE", KEYS, U64, "multi_delete", True),
+    Op(OP_SCAN, "SCAN", BYTES, PAIRS, "scan"),
+    Op(OP_KEYS, "KEYS", BYTES, KEYS, "keys"),
+    Op(OP_NEXT_KEY, "NEXT_KEY", OPT_BYTES, OPT_BYTES, "next_key"),
+    Op(OP_HAS_PREFIX, "HAS_PREFIX", BYTES, BOOL, "has_prefix"),
+    Op(OP_SIZE_BYTES, "SIZE_BYTES", NOTHING, U64, "size_bytes"),
+    Op(OP_COUNT, "COUNT", NOTHING, U64, "__len__"),
+    Op(OP_DROP_PREFIX, "DROP_PREFIX", BYTES, KEYS, "drop_prefix", True),
+    Op(OP_CLEAR, "CLEAR", NOTHING, NOTHING, "clear", True),
+    Op(OP_GET_STATS, "GET_STATS", NOTHING, STATS),
+    Op(OP_SHUTDOWN, "SHUTDOWN", NOTHING, NOTHING),
+)}
+
+#: ops that change the store: what a WAL record may carry, what recovery
+#: replays, and after which the server offers the durability manager a
+#: checkpoint
+MUTATING_OPS = tuple(op for op, row in OPS.items() if row.mutating)
+
+
+def _unknown(op: int) -> WireProtocolError:
+    return WireProtocolError(f"unknown opcode {op:#x}")
+
+
 # --------------------------------------------------------------------------
 # requests
 # --------------------------------------------------------------------------
@@ -259,24 +365,19 @@ def _put_str(out: bytearray, text: str) -> None:
 
 def encode_request(op: int, *args: Any) -> bytes:
     """Encode one request payload (the inverse of :func:`decode_request`)."""
+    try:
+        row = OPS[op]
+    except KeyError:
+        raise _unknown(op) from None
+    codec = row.request
     out = bytearray((op,))
-    if op == OP_MULTI_GET or op == OP_MULTI_DELETE:
-        (keys,) = args
-        out += encode_keys(keys)
-    elif op == OP_MULTI_PUT:
-        (items,) = args
-        out += encode_pairs(items)
-    elif op == OP_NEXT_KEY:
-        (after,) = args
-        _put_opt_bytes(out, after)
-    elif op in _PREFIX_OPS:
-        (prefix,) = args
-        _put_bytes(out, prefix)
-    elif op in _NULLARY_OPS:
-        if args:
-            raise WireProtocolError(f"{OP_NAMES[op]} takes no arguments")
-    else:
-        raise WireProtocolError(f"unknown opcode {op:#x}")
+    if len(args) == 1 and codec is not NOTHING:
+        codec.write(out, args[0])
+    elif args or codec is not NOTHING:
+        arity = 0 if codec is NOTHING else 1
+        raise WireProtocolError(
+            f"{row.name} takes {arity} argument(s), got {len(args)}"
+        )
     return bytes(out)
 
 
@@ -284,53 +385,34 @@ def decode_request(payload: bytes) -> Tuple[int, Tuple[Any, ...]]:
     """Decode a request payload to ``(opcode, args)``, strictly."""
     if not payload:
         raise WireProtocolError("empty request payload")
+    op = payload[0]
+    try:
+        codec = OPS[op].request
+    except KeyError:
+        raise _unknown(op) from None
     reader = Reader(payload)
-    op = reader.u8()
-    args: Tuple[Any, ...]
-    if op == OP_MULTI_GET or op == OP_MULTI_DELETE:
-        args = ([reader.bytes_() for _ in range(reader.u32())],)
-    elif op == OP_MULTI_PUT:
-        args = (
-            [
-                (reader.bytes_(), reader.bytes_())
-                for _ in range(reader.u32())
-            ],
-        )
-    elif op == OP_NEXT_KEY:
-        args = (reader.opt_bytes(),)
-    elif op in _PREFIX_OPS:
-        args = (reader.bytes_(),)
-    elif op in _NULLARY_OPS:
-        args = ()
-    else:
-        raise WireProtocolError(f"unknown opcode {op:#x}")
+    reader.pos = 1  # past the opcode
+    args: Tuple[Any, ...] = () if codec is NOTHING else (codec.read(reader),)
     reader.expect_end()
     return op, args
 
 
-def apply_mutation(store: Any, op: int, args: Tuple[Any, ...]) -> bytes:
+def apply_mutation(store: Any, op: int, args: Tuple[Any, ...]) -> Any:
     """Run one decoded :data:`MUTATING_OPS` request against a raw store;
-    returns the OK response body.
+    returns the store method's result.
 
     The one dispatch over the mutation vocabulary: the server answers
     mutating requests with it and recovery replays WAL records through
-    it (ignoring the body), so a logged operation re-executes exactly
+    it (ignoring the result), so a logged operation re-executes exactly
     as it was served. Anything outside the vocabulary is refused — a
     log can never make replay read, scan or shut down.
     """
-    if op == OP_MULTI_PUT:
-        store.multi_put(args[0])
-        return b""
-    if op == OP_MULTI_DELETE:
-        return encode_u64(store.multi_delete(args[0]))
-    if op == OP_DROP_PREFIX:
-        return encode_keys(store.drop_prefix(args[0]))
-    if op == OP_CLEAR:
-        store.clear()
-        return b""
-    raise WireProtocolError(
-        f"{OP_NAMES.get(op, hex(op))} is not a store mutation"
-    )
+    row = OPS.get(op)
+    method = row.method if row is not None and row.mutating else None
+    if method is None:
+        name = hex(op) if row is None else row.name
+        raise WireProtocolError(f"{name} is not a store mutation")
+    return getattr(store, method)(*args)
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +420,11 @@ def apply_mutation(store: Any, op: int, args: Tuple[Any, ...]) -> bytes:
 # --------------------------------------------------------------------------
 
 
-def encode_ok(body: bytes = b"") -> bytes:
-    return bytes((STATUS_OK,)) + body
+def encode_ok(codec: Codec = NOTHING, value: Any = None) -> bytes:
+    """An OK response carrying ``value`` in ``codec``'s shape."""
+    out = bytearray((STATUS_OK,))
+    codec.write(out, value)
+    return bytes(out)
 
 
 def encode_error(status: int, message: str) -> bytes:
@@ -361,101 +446,3 @@ def decode_error_message(body: bytes) -> str:
     message = reader.str_()
     reader.expect_end()
     return message
-
-
-# -- typed result bodies -----------------------------------------------------
-
-
-def encode_values(values: List[Optional[bytes]]) -> bytes:
-    out = bytearray(_U32.pack(len(values)))
-    for value in values:
-        _put_opt_bytes(out, value)
-    return bytes(out)
-
-
-def decode_values(body: bytes) -> List[Optional[bytes]]:
-    reader = Reader(body)
-    values = [reader.opt_bytes() for _ in range(reader.u32())]
-    reader.expect_end()
-    return values
-
-
-def encode_pairs(pairs: List[Tuple[bytes, bytes]]) -> bytes:
-    out = bytearray(_U32.pack(len(pairs)))
-    for key, value in pairs:
-        _put_bytes(out, key)
-        _put_bytes(out, value)
-    return bytes(out)
-
-
-def decode_pairs(body: bytes) -> List[Tuple[bytes, bytes]]:
-    reader = Reader(body)
-    pairs = [
-        (reader.bytes_(), reader.bytes_()) for _ in range(reader.u32())
-    ]
-    reader.expect_end()
-    return pairs
-
-
-def encode_keys(keys: List[bytes]) -> bytes:
-    out = bytearray(_U32.pack(len(keys)))
-    for key in keys:
-        _put_bytes(out, key)
-    return bytes(out)
-
-
-def decode_keys(body: bytes) -> List[bytes]:
-    reader = Reader(body)
-    keys = [reader.bytes_() for _ in range(reader.u32())]
-    reader.expect_end()
-    return keys
-
-
-def encode_opt_key(key: Optional[bytes]) -> bytes:
-    out = bytearray()
-    _put_opt_bytes(out, key)
-    return bytes(out)
-
-
-def decode_opt_key(body: bytes) -> Optional[bytes]:
-    reader = Reader(body)
-    key = reader.opt_bytes()
-    reader.expect_end()
-    return key
-
-
-def encode_bool(flag: bool) -> bytes:
-    return b"\x01" if flag else b"\x00"
-
-
-def decode_bool(body: bytes) -> bool:
-    if body == b"\x01":
-        return True
-    if body == b"\x00":
-        return False
-    raise WireProtocolError(f"bad bool body {body!r}")
-
-
-def encode_u64(value: int) -> bytes:
-    return _U64.pack(value)
-
-
-def decode_u64(body: bytes) -> int:
-    if len(body) != _U64.size:
-        raise WireProtocolError(f"bad u64 body of {len(body)} bytes")
-    return int(_U64.unpack(body)[0])
-
-
-def encode_stats(stats: Dict[str, int]) -> bytes:
-    out = bytearray(_U32.pack(len(stats)))
-    for key in sorted(stats):
-        _put_str(out, key)
-        out += _U64.pack(stats[key])
-    return bytes(out)
-
-
-def decode_stats(body: bytes) -> Dict[str, int]:
-    reader = Reader(body)
-    stats = {reader.str_(): reader.u64() for _ in range(reader.u32())}
-    reader.expect_end()
-    return stats

@@ -243,7 +243,7 @@ def _build_join_tree(
 
     remaining = sorted(aliases, key=score, reverse=True)
     first = remaining.pop(0)
-    plan = _leaf(bound, first, per_alias)
+    plan = _leaf(bound, first, per_alias, classes)
     joined = {first}
     covered_attrs = set(plan.output)
 
@@ -256,7 +256,7 @@ def _build_join_tree(
         if chosen is None:
             chosen = remaining[0]
         remaining.remove(chosen)
-        right = _leaf(bound, chosen, per_alias)
+        right = _leaf(bound, chosen, per_alias, classes)
         equi = _equi_pairs(covered_attrs, set(right.output), attr_class)
         if equi:
             plan = algebra.JoinNode(plan, right, equi)
@@ -280,11 +280,22 @@ def _leaf(
     bound: BoundQuery,
     alias: str,
     per_alias: Dict[str, List[ast.Expr]],
+    classes: Dict[str, Set[str]],
 ) -> algebra.PlanNode:
+    """Scan ``alias`` under its own predicates, plus the equalities its
+    equivalence classes imply between two of its attributes — a join
+    then equates one member per class, so every member ends up equal."""
     rel = bound.aliases[alias]
     scan = algebra.ScanNode(rel.name, alias)
     scan.output = tuple(f"{alias}.{a}" for a in rel.attribute_names)
-    predicate = ast.make_and(per_alias.get(alias, []))
+    predicates = list(per_alias.get(alias, []))
+    for members in classes.values():
+        own = sorted(m for m in members if m.split(".", 1)[0] == alias)
+        predicates += [
+            ast.Cmp("=", ast.Column(own[0]), ast.Column(other))
+            for other in own[1:]
+        ]
+    predicate = ast.make_and(predicates)
     if predicate is None:
         return scan
     return algebra.SelectNode(scan, predicate)

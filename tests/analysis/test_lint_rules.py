@@ -390,198 +390,6 @@ def test_foreign_raise_triggers_and_taxonomy_raise_does_not(tmp_path):
     assert "RuntimeError" in findings[0].message
 
 
-# -- wire-protocol (cross-file) ----------------------------------------------
-
-_WIRE_OK = """
-    OP_GET = 0x01
-    OP_PUT = 0x02
-
-    OP_NAMES = {OP_GET: "GET", OP_PUT: "PUT"}
-
-    def encode_request(op, args):
-        assert op in (OP_GET, OP_PUT)
-        return b""
-
-    def decode_request(payload):
-        op = payload[0]
-        assert op in (OP_GET, OP_PUT)
-        return op, ()
-"""
-
-_SERVER_OK = """
-    from repro.kv import wire
-
-    class Server:
-        def _run_op(self, op, args):
-            if op == wire.OP_GET:
-                return b"get"
-            if op == wire.OP_PUT:
-                return b"put"
-"""
-
-_REMOTE_OK = """
-    from repro.kv import wire
-
-    class Client:
-        def get(self):
-            return self.request(wire.OP_GET)
-
-        def put(self):
-            return self.request(wire.OP_PUT)
-"""
-
-
-def test_wire_complete_contract_is_clean(tmp_path):
-    findings = lint(tmp_path, {
-        "repro/kv/wire.py": _WIRE_OK,
-        "repro/kv/server.py": _SERVER_OK,
-        "repro/kv/remote.py": _REMOTE_OK,
-    }, rules={"wire-protocol"})
-    assert findings == []
-
-
-def test_wire_missing_server_handler_triggers(tmp_path):
-    findings = lint(tmp_path, {
-        "repro/kv/wire.py": _WIRE_OK,
-        "repro/kv/server.py": """
-            from repro.kv import wire
-
-            class Server:
-                def _run_op(self, op, args):
-                    if op == wire.OP_GET:
-                        return b"get"
-        """,
-        "repro/kv/remote.py": _REMOTE_OK,
-    }, rules={"wire-protocol"})
-    assert rules_of(findings) == ["wire-protocol"]
-    assert "OP_PUT" in findings[0].message
-    assert "handler" in findings[0].message
-
-
-def test_wire_opcode_outside_op_names_and_codec_triggers(tmp_path):
-    findings = lint(tmp_path, {
-        "repro/kv/wire.py": """
-            OP_GET = 0x01
-            OP_EXTRA = 0x7F
-
-            OP_NAMES = {OP_GET: "GET"}
-
-            def encode_request(op, args):
-                assert op == OP_GET
-                return b""
-
-            def decode_request(payload):
-                return OP_GET, ()
-        """,
-    }, rules={"wire-protocol"})
-    messages = " | ".join(finding.message for finding in findings)
-    assert "OP_EXTRA is missing from OP_NAMES" in messages
-    assert "not handled by encode_request" in messages
-    assert "not handled by decode_request" in messages
-
-
-def test_wire_double_dispatch_in_one_function_triggers(tmp_path):
-    findings = lint(tmp_path, {
-        "repro/kv/wire.py": _WIRE_OK,
-        "repro/kv/server.py": """
-            from repro.kv import wire
-
-            class Server:
-                def _run_op(self, op, args):
-                    if op == wire.OP_GET:
-                        return b"one"
-                    if op == wire.OP_GET:
-                        return b"two"
-                    if op == wire.OP_PUT:
-                        return b"put"
-        """,
-        "repro/kv/remote.py": _REMOTE_OK,
-    }, rules={"wire-protocol"})
-    assert rules_of(findings) == ["wire-protocol"]
-    assert "dispatched 2 times" in findings[0].message
-
-
-def test_wire_unpaired_codec_helper_triggers(tmp_path):
-    findings = lint(tmp_path, {
-        "repro/kv/wire.py": (
-            _WIRE_OK + '\n    def encode_widget(value):\n        return b""\n'
-        ),
-    }, rules={"wire-protocol"})
-    assert rules_of(findings) == ["wire-protocol"]
-    assert "decode_widget" in findings[0].message
-
-
-_WIRE_MUTATIONS = _WIRE_OK + """
-    MUTATING_OPS = (OP_PUT,)
-
-    def apply_mutation(store, op, args):
-        if op == OP_PUT:
-            store.multi_put(args[0])
-            return b""
-        raise ValueError(op)
-"""
-
-_WIRE_BAD_MUTATIONS = _WIRE_OK + """
-    MUTATING_OPS = (OP_PUT,)
-
-    def apply_mutation(store, op, args):
-        if op == OP_GET:
-            store.clear()
-"""
-
-_SERVER_MUTATIONS = """
-    from repro.kv import wire
-
-    class Server:
-        def _run_op(self, op, args):
-            if op == wire.OP_GET:
-                return b"get"
-            if op in wire.MUTATING_OPS:
-                return wire.apply_mutation(self.store, op, args)
-"""
-
-
-def test_wire_one_mutation_vocabulary_is_clean(tmp_path):
-    findings = lint(tmp_path, {
-        "repro/kv/wire.py": _WIRE_MUTATIONS,
-        "repro/kv/server.py": _SERVER_MUTATIONS,  # group ref = its members
-        "repro/kv/remote.py": _REMOTE_OK,
-        "repro/kv/wal.py": """
-            from repro.kv import wire
-
-            MAX_RECORD_BYTES = 64
-
-            def append(op, args):
-                return wire.encode_request(op, args)
-        """,
-    }, rules={"wire-protocol"})
-    assert findings == []
-
-
-def test_wire_second_mutation_vocabulary_triggers(tmp_path):
-    findings = lint(tmp_path, {
-        "repro/kv/wire.py": _WIRE_BAD_MUTATIONS,
-        "repro/kv/wal.py": """
-            WAL_PUT = 0x01
-        """,
-    }, rules={"wire-protocol"})
-    messages = " | ".join(finding.message for finding in findings)
-    assert len(findings) == 3
-    assert "OP_PUT has 0 branches in apply_mutation()" in messages
-    assert "OP_GET is dispatched by apply_mutation()" in messages
-    assert "kv/wal.py declares opcode constant WAL_PUT" in messages
-
-
-def test_wire_checker_is_silent_without_wire_module(tmp_path):
-    findings = lint(tmp_path, {
-        "mod.py": """
-            def anything():
-                return 1
-        """,
-    }, rules={"wire-protocol"})
-    assert findings == []
-
-
 # -- recursive-closure ---------------------------------------------------------
 
 

@@ -206,6 +206,16 @@ class TestStoreContract:
             want = b"v2" if i % 2 == 0 else b"v1"
             assert store.get(f"k{i:02d}".encode()) == want
 
+    def test_has_prefix(self, store):
+        assert not store.has_prefix() and not store.has_prefix(b"a")
+        store.multi_put([(b"ns1:a", b"1"), (b"\xff\x01", b"2")])
+        assert store.has_prefix() and store.has_prefix(b"")
+        assert store.has_prefix(b"ns1:") and store.has_prefix(b"ns1:a")
+        assert not store.has_prefix(b"ns1:b") and not store.has_prefix(b"ns2")
+        assert store.has_prefix(b"\xff") and not store.has_prefix(b"\xff\xff")
+        store.delete(b"ns1:a")
+        assert not store.has_prefix(b"ns1:")
+
     def test_size_bytes(self, store):
         store.put(b"ab", b"xyz")
         assert store.size_bytes() == 5
@@ -280,7 +290,8 @@ class TestNodeContract:
         node.put(b"k", b"v")
         node.counters.reset()
         assert node.peek(b"k") == b"v"
-        assert list(node.scan()) == [(b"k", b"v")]
+        assert node.snapshot_scan() == [(b"k", b"v")]
+        assert node.has_prefix(b"k") and not node.has_prefix(b"x")
         counters = node.counters
         assert counters.gets == 0
         assert counters.round_trips == 0

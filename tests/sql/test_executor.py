@@ -1,3 +1,5 @@
+import sqlite3
+
 import pytest
 
 from repro.errors import SQLAnalysisError
@@ -104,6 +106,51 @@ class TestJoins:
             db, "select R.a, S.x from R, S where R.a < S.x"
         )
         assert sorted(out.rows) == [(1, 3), (2, 3)]
+
+
+#: flights whose origin and destination sometimes coincide, so an
+#: equivalence class with two members in one alias has work to do
+_FLIGHTS = [
+    (1, "AMS", "AMS"), (2, "AMS", "BER"), (3, "BER", "AMS"),
+    (4, "BER", "BER"), (5, "CDG", "AMS"), (6, "AMS", "CDG"),
+    (7, "CDG", "CDG"), (8, None, "AMS"), (9, "AMS", None),
+]
+
+
+@pytest.mark.parametrize("where", [
+    # two members of one class in A (A.dest = A.origin is implied)
+    "A.origin = B.origin and A.dest = B.origin",
+    # ... and in B (B.origin = B.dest is implied)
+    "A.origin = B.origin and A.origin = B.dest",
+    # three aliases, one class spanning four attributes
+    "A.origin = B.dest and B.dest = C.origin and C.dest = A.origin",
+    # single-alias control: an explicit same-alias equality
+    "A.origin = A.dest and A.flight_id = B.flight_id",
+])
+def test_implied_equalities_match_sqlite(where):
+    """Every member of an equality class is equal in the output, as
+    in any SQL engine (stdlib sqlite3 is the oracle here)."""
+    flight = RelationSchema.of(
+        "F",
+        {"flight_id": AttrType.INT, "origin": AttrType.STR,
+         "dest": AttrType.STR},
+        ["flight_id"],
+    )
+    database = Database.from_dict([flight], {"F": _FLIGHTS})
+    aliases = sorted({part.split(".")[0] for part in where.split()
+                      if "." in part})
+    sql = (
+        "select " + ", ".join(f"{a}.flight_id" for a in aliases)
+        + " from " + ", ".join(f"F {a}" for a in aliases)
+        + " where " + where
+    )
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("create table F (flight_id int, origin text, dest text)")
+    oracle.executemany("insert into F values (?, ?, ?)", _FLIGHTS)
+    expected = sorted(oracle.execute(sql).fetchall())
+    oracle.close()
+    assert expected  # the oracle answer is not vacuous
+    assert sorted(run(database, sql).rows) == expected
 
 
 class TestAggregates:
