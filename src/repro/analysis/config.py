@@ -58,8 +58,7 @@ GUARDED_FIELDS: Dict[str, Dict[Optional[str], Tuple[GuardSpec, ...]]] = {
         "KVCluster": (
             _guard(
                 "_lock", RWLOCK,
-                "nodes", "_down", "_tombstone_keys",
-                "_tombstone_prefixes", "_caches", "_closed",
+                "nodes", "_down", "_tombstones", "_caches", "_closed",
                 "_versions", "_placement_generation",
             ),
             _guard("_meta_lock", MUTEX, "_namespaces"),

@@ -4,112 +4,69 @@ This is the storage layer of Fig. 1: keys are placed on nodes by
 consistent hashing; clients issue ``get``/``put``/``delete`` and drive
 scans with ``next()``-style iteration. Every operation is counted on the
 serving node so the evaluation can report #get, #data and bytes moved.
-
 Namespaces isolate key spaces of different relations / KV instances: the
 stored key is ``encode_value(namespace) + key_bytes``.
 
-Replication (PR 3)
-------------------
-
 With ``replication_factor=R`` every key lives on the first R distinct
-**live** nodes of its ring walk (its *preference list*, Dynamo-style):
+**live** nodes of its ring walk (its *preference list*). After every
+membership event — ``add_node`` / ``remove_node`` / ``fail_node`` /
+``recover_node``, or a dead node process detected — one rebalance sweep
+restores the invariant **every live owner of a key holds its current
+value, and no live non-owner holds it**, charging what it moved to the
+receiving nodes' ``rebalance_*`` counters and summarizing it in
+:attr:`KVCluster.last_rebalance`. ``recover_node`` first replays the
+namespace drops and deletes the node missed (its tombstones), so no
+stale entry resurrects.
 
-* **writes** fan out to all R live owners (``multi_put`` batches once
-  per owning node), so write counters honestly show the R× cost;
-* **reads** are served by the least-loaded live owner, spreading the
-  per-node read load the parallel cost model maxes over;
-* **failover**: ``fail_node`` marks a node down (its disk survives but
-  is unreachable) and eagerly re-replicates every key range that lost a
-  copy from the surviving replicas, so any single-node crash loses no
-  data while fewer than R owners of a key are down;
-* **recovery**: ``recover_node`` first applies the deletes that were
-  logged while the node was down (no stale resurrection), then
-  re-syncs every key range the node owns again from the replicas that
-  kept serving, and drops the ranges failover had parked elsewhere;
-* **elasticity**: ``add_node`` / ``remove_node`` migrate exactly the
-  key ranges whose preference lists changed.
+One fan-out
+-----------
 
-Every migration — failover, recovery, scale-out, decommission — charges
-``rebalance_keys_moved`` / ``rebalance_bytes_moved`` and one bulk
-round trip per synced peer to the receiving node's
-:class:`~repro.kv.node.NodeCounters`, and the latest event is summarized
-in :attr:`KVCluster.last_rebalance` so Exp-4 can plot elasticity cost.
+Every operation that talks to the nodes is one placement by the router
+(:meth:`KVCluster._route`) and one :meth:`KVCluster._fan_out` — a
+``{node id: batch}`` and a per-node call. The placements:
 
-The invariant maintained after every membership event is: **every live
-owner of a key holds its current value, and no live non-owner holds
-it**. Reads may therefore hit any live owner, and blind scans visit each
-logical pair exactly once by yielding it only from its primary (first
-live) owner.
+* **reads** (``get`` / ``multi_get`` / ``peek``): one live owner per key
+  — the least-loaded one, or, with one copy per key and every node up,
+  the ring's owner (or the node a current :class:`KeyListing` names);
+* **writes** (``put`` / ``multi_put`` / ``delete``): all R live owners,
+  so write counters honestly show the R× cost;
+* **every live node**, for ``scan`` / ``list_keys`` (each key kept only
+  from its primary, first live, owner, so a pair is counted once),
+  ``namespaces``, ``drop_namespace``, the rebalance sweep and the
+  ``wal_stats`` / ``server_stats`` folds; the counter folds and
+  ``size_bytes`` ask down nodes too.
 
-Concurrency (PR 5)
-------------------
+A dead node process (socket transport) surfaces as
+:class:`~repro.errors.NodePeerError` out of the fan-out. The
+:meth:`KVCluster._peer_failover` wrapping every operation turns it into
+a failover — the peer is failed as ``fail_node(kill=True)`` would, its
+ranges re-replicate from the survivors, and the operation reruns, routed
+afresh — and raises :class:`~repro.errors.ClusterUnavailableError` only
+when no replica is left. Maintenance writes (namespace drops, rebalance
+flushes, tombstone replay) are uncounted :meth:`StorageNode.mutate`
+calls: the node process's own mutation path, checkpoint included, on
+both transports.
 
-The cluster is safe to share between the query service's worker threads.
-A writer-preferring :class:`~repro.locks.RWLock` splits operations in
-two classes:
+Concurrency
+-----------
 
-* **shared** (read lock): ``get`` / ``multi_get`` / ``peek`` / ``scan``
-  / ``list_keys`` / ``namespaces`` / counters — and also ``put`` /
-  ``multi_put`` / ``delete``, whose per-key effects are serialized by
-  each :class:`StorageNode`'s own mutex. Many queries (and the ordinary
-  write stream) proceed concurrently.
-* **exclusive** (write lock): membership churn (``add_node`` /
-  ``remove_node`` / ``fail_node`` / ``recover_node`` and the rebalance
-  sweeps they trigger), ``drop_namespace`` and ``register_cache`` —
-  anything that rewires placement or sweeps multiple nodes atomically.
+The cluster is safe to share between the query service's worker
+threads. A writer-preferring :class:`~repro.locks.RWLock` is held
+**shared** by reads, scans, counters and the ordinary write stream
+(``put`` / ``multi_put`` / ``delete`` are serialized per key by each
+:class:`StorageNode`'s own mutex), and **exclusive** by membership
+churn, ``drop_namespace`` and ``register_cache``. Scans materialize
+their pairs per node and *then* stream them, so no cluster lock is held
+across a ``yield``; counters are thread-sharded (:mod:`repro.kv.node`),
+so metering is lock-free and :meth:`KVCluster.get_stats` snapshots hold
+their invariants (``hits <= gets``).
 
-Shared-path scans materialize their pairs per node under the node mutex
-and *then* stream them to the caller, so no cluster lock is ever held
-across a ``yield``. Counters are thread-sharded (see
-:mod:`repro.kv.node`), so shared-path metering is lock-free and
-lost-update-free, and :meth:`KVCluster.get_stats` can hand out a
-snapshot whose invariants (``hits <= gets``) always hold.
-
-Transport (PR 6)
-----------------
-
-``transport="local"`` (the default) keeps nodes as in-process objects —
-the paper's cost model, exactly as before. ``transport="socket"`` makes
-the cluster **shared-nothing**: each node is its own OS process
-(:class:`~repro.kv.remote.RemoteNode` → forked :mod:`repro.kv.server`)
-reached over length-prefixed binary frames (:mod:`repro.kv.wire`). The
-``REPRO_KV_TRANSPORT`` environment variable overrides the default so an
-unmodified test suite runs over real processes.
-
-Counters stay **client-side** (a remote node inherits every counting
-method from :class:`StorageNode`), so accounting is identical across
-transports. A dead node process surfaces as
-:class:`~repro.errors.NodePeerError` inside an operation; the cluster
-treats that as a crash detection — mark the peer down, re-replicate its
-ranges from the survivors, retry the operation — and raises
-:class:`~repro.errors.ClusterUnavailableError` only when no replica is
-left. ``fail_node`` keeps **partition** semantics on both transports
-(the process survives, so recovery restores its store);
-``fail_node(kill=True)`` or an external ``SIGKILL`` models a real
-crash: the node's volatile store dies *on both transports* (PR 8 fixed
-the local transport silently keeping partition semantics here), and
-recovery restarts the node — empty + full re-sync when volatile,
-replayed from its WAL when durable. Clusters holding processes should
-be ``close()``d (or used as context managers); a garbage-collected
-cluster reaps its children via a finalizer either way.
-
-Durability (PR 8)
------------------
-
-``durability="wal"`` (or a non-``None`` ``data_dir``, or the
-``REPRO_KV_DURABILITY`` environment variable) makes every node
-crash-consistent: each gets its own subdirectory ``node-<id>`` under
-the cluster's ``data_dir`` (an owned temporary directory, removed at
-close, unless the caller supplies one) holding a checkpoint + WAL
-generation (:mod:`repro.kv.wal` / :mod:`repro.kv.checkpoint`).
-``fsync_policy`` tunes the group-commit window and
-``checkpoint_interval`` the replay bound. A killed durable node
-recovers by **replay + delta catch-up**: restart replays its own
-checkpoint and log tail, then the recovery sweep applies only the
-tombstoned deletes and changed values it missed — strictly fewer bytes
-than the empty-respawn full re-sync a volatile node needs. A cluster
-constructed on an existing ``data_dir`` (same topology) recovers every
-node's acked writes by replay.
+``transport="socket"`` (or ``REPRO_KV_TRANSPORT``) runs each node as its
+own OS process behind :mod:`repro.kv.wire`; counters stay client-side,
+so accounting is identical across transports. ``durability="wal"`` (or
+a ``data_dir``, or ``REPRO_KV_DURABILITY``) write-ahead-logs every node
+under ``data_dir/node-<id>``; a killed durable node recovers by replay
+plus a delta catch-up. ``docs/ARCHITECTURE.md`` has the full models.
 """
 
 from __future__ import annotations
@@ -120,6 +77,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -129,11 +87,14 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
+    cast,
 )
 
 from repro.env import env_choice
 from repro.errors import ClusterUnavailableError, NodePeerError
 from repro.kv import wal as walmod
+from repro.kv import wire
 from repro.kv.codec import encode_value
 from repro.kv.hashring import HashRing
 from repro.kv.node import NodeCounters, StorageNode
@@ -153,6 +114,8 @@ TRANSPORTS = ("local", "socket")
 DURABILITY_ENV = "REPRO_KV_DURABILITY"
 DURABILITY_MODES = ("off", "wal")
 
+_R = TypeVar("_R")
+
 
 def _close_nodes(nodes: Dict[int, StorageNode],
                  owned_dir: Optional[str] = None) -> None:
@@ -160,14 +123,12 @@ def _close_nodes(nodes: Dict[int, StorageNode],
     when a cluster is dropped without :meth:`KVCluster.close`, and
     remove the cluster-owned scratch data directory (if any)."""
     for node in nodes.values():
-        close = getattr(node, "close", None)
-        if close is not None:
-            try:
-                close()
-            # repro-lint: disable=broad-except -- GC/exit teardown safety
-            # net: a dying node process must not abort the sweep
-            except Exception:
-                pass
+        try:
+            node.close()
+        # repro-lint: disable=broad-except -- GC/exit teardown safety
+        # net: a dying node process must not abort the sweep
+        except Exception:
+            pass
     if owned_dir is not None:
         shutil.rmtree(owned_dir, ignore_errors=True)
 
@@ -316,10 +277,10 @@ class KVCluster:
         #: :meth:`_rebalance`): the owners a :class:`KeyListing` carries
         #: are only believed while this still reads what the listing saw
         self._placement_generation = 0
-        #: per-down-node log of deletes it missed (full keys / prefixes),
-        #: applied on recovery so stale entries cannot resurrect
-        self._tombstone_keys: Dict[int, Set[bytes]] = {}
-        self._tombstone_prefixes: Dict[int, List[bytes]] = {}
+        #: per-down-node log of the deletes it missed (namespace prefixes,
+        #: full keys), applied on recovery so stale entries cannot
+        #: resurrect
+        self._tombstones: Dict[int, Tuple[List[bytes], Set[bytes]]] = {}
         #: client-side block caches subscribed to write invalidations
         self._caches: List = []
         #: MVCC version overlay (attached by a transaction-enabled
@@ -363,9 +324,7 @@ class KVCluster:
         needs no invalidations — the bus stays write-driven. Idempotent.
         """
         with self._lock.write():
-            if cache is not None and all(
-                c is not cache for c in self._caches
-            ):
+            if cache is not None and all(c is not cache for c in self._caches):
                 self._caches.append(cache)
 
     def _invalidate(self, namespace: str, key_bytes: bytes) -> None:
@@ -382,9 +341,7 @@ class KVCluster:
             if self._versions is versions:
                 return
             if self._versions is not None:
-                raise ValueError(
-                    "a version store is already attached"
-                )
+                raise ValueError("a version store is already attached")
             self._versions = versions
 
     @property
@@ -392,14 +349,44 @@ class KVCluster:
         """The attached MVCC overlay (None = versioning off)."""
         return self._versions
 
-    def _read_overlay_epoch(self) -> Tuple[Optional[VersionStore],
-                                           Optional[int]]:
-        """The overlay + the calling thread's pinned epoch (None, None
-        when versioning is off or the thread reads latest state)."""
+    def _as_of_snapshot(
+        self,
+        namespace: str,
+        keys: Sequence[bytes],
+        fetch: Callable[[Sequence[int]], List[Optional[bytes]]],
+    ) -> List[Optional[bytes]]:
+        """``keys``' values as the calling thread's pinned snapshot sees
+        them, ``fetch(positions)`` reading base values from the nodes.
+        The version chains answer before the fetch — what they hold
+        reaches no node: zero #get, like a cache hit — and again after
+        it, as a commit racing the fetch records the superseded value
+        before overwriting it: no too-new value leaks into the snapshot.
+        """
+        # repro-lint: holds=_lock -- callers hold the read lock
+        results: List[Optional[bytes]] = [None] * len(keys)
         versions = self._versions
-        if versions is None:
-            return None, None
-        return versions, versions.read_epoch()
+        epoch = None if versions is None else versions.read_epoch()
+
+        def from_overlay(positions: Sequence[int]) -> Sequence[int]:
+            """Answer the positions the chains hold; return the rest."""
+            if epoch is None or versions is None or versions.nothing_newer(
+                epoch
+            ):
+                return positions
+            visible = versions.read_visible_many(
+                namespace, [keys[i] for i in positions], epoch
+            )
+            for index, (handled, value) in zip(positions, visible):
+                if handled:
+                    results[index] = value
+            return [i for i, (seen, _) in zip(positions, visible) if not seen]
+
+        pending = from_overlay(range(len(keys)))
+        if pending:
+            for index, value in zip(pending, fetch(pending)):
+                results[index] = value
+            from_overlay(pending)
+        return results
 
     def _record_overwrite(
         self, namespace: str, key_bytes: bytes, full: bytes
@@ -419,7 +406,7 @@ class KVCluster:
             return
         if not versions.version_needed(namespace, key_bytes, epoch):
             return
-        old_value = self._owners(full)[0].peek(full)
+        old_value = self.nodes[self._live_owner_ids(full)[0]].peek(full)
         versions.record_write(namespace, key_bytes, epoch, old_value)
 
     # -- topology --------------------------------------------------------
@@ -471,8 +458,11 @@ class KVCluster:
 
     # -- peer failure handling ---------------------------------------------
 
-    def _peer_failover(self, fn: Callable):
-        """Run ``fn``, absorbing dead-peer errors by failing over.
+    def _peer_failover(
+        self, fn: Callable[[], _R], exclusive: bool = False
+    ) -> _R:
+        """Run ``fn`` under the cluster lock (its write side when
+        ``exclusive``), absorbing dead-peer errors by failing over.
 
         A :class:`NodePeerError` (socket transport only: the node
         process died or its port vanished) marks the peer down,
@@ -484,28 +474,19 @@ class KVCluster:
         """
         while True:
             try:
-                return fn()
+                with self._lock.write() if exclusive else self._lock.read():
+                    return fn()
             except NodePeerError as exc:
                 self._note_peer_down(exc.node_id)
 
     def _note_peer_down(self, node_id: int) -> None:
-        """Crash-detect ``node_id``: mark it down exactly like
-        :meth:`fail_node` would, reap its process, and restore the
-        replication invariant. Cascading deaths discovered while
+        """Crash-detect ``node_id``: fail it like ``fail_node(kill=True)``
+        (reaping its process). Cascading deaths discovered while
         re-replicating are absorbed in the same sweep."""
         with self._lock.write():
-            while True:
-                node = self.nodes.get(node_id)
-                if node is None or node_id in self._down:
-                    return
-                self._down.add(node_id)
-                self._tombstone_keys[node_id] = set()
-                self._tombstone_prefixes[node_id] = []
-                if isinstance(node, RemoteNode):
-                    node.close()
+            while node_id in self.nodes and node_id not in self._down:
                 try:
-                    self.last_rebalance = self._rebalance()
-                    return
+                    self.fail_node(node_id, kill=True)
                 except NodePeerError as exc:
                     node_id = exc.node_id
 
@@ -556,17 +537,13 @@ class KVCluster:
             if node_id in self._down:
                 # crashed node replaced: its disk never comes back
                 self._down.discard(node_id)
-                self._tombstone_keys.pop(node_id, None)
-                self._tombstone_prefixes.pop(node_id, None)
-                node = self.nodes.pop(node_id)
-                node.close()
-                self.last_rebalance = self._rebalance()
-                return
-            # live decommission: the leaving node is a valid source; the
-            # sweep copies its ranges to the new owners, then empties it
+                self._tombstones.pop(node_id, None)
+                self.nodes.pop(node_id).close()
+            # a live leaving node is one more source: the sweep copies
+            # its ranges to the new owners, then empties it
             self.last_rebalance = self._rebalance()
-            node = self.nodes.pop(node_id)
-            node.close()
+            if node_id in self.nodes:
+                self.nodes.pop(node_id).close()
 
     def fail_node(self, node_id: int, kill: bool = False) -> None:
         """Crash a node: unreachable, but its disk survives for recovery.
@@ -582,13 +559,12 @@ class KVCluster:
         failover/recovery behave — and count — identically.
         ``kill=True`` models a real crash instead: the node's volatile
         store is destroyed on *both* transports (a socket node's
-        process is terminated, a local node drops its store object —
-        before PR 8 the local transport silently kept partition
-        semantics here). Recovery then restarts the node: by WAL replay
-        + delta catch-up when the cluster is durable, empty + full
-        re-sync otherwise. A node that cannot honor crash semantics
-        (an injected store) warns ``RuntimeWarning`` and keeps
-        partition semantics.
+        process is terminated, a local node drops its store object).
+        Recovery then restarts the node: by WAL replay + delta
+        catch-up when the cluster is durable, empty + full re-sync
+        otherwise. A node that cannot honor crash semantics (an
+        injected store) warns ``RuntimeWarning`` and keeps partition
+        semantics.
         """
         with self._lock.write():
             if node_id not in self.nodes:
@@ -596,8 +572,7 @@ class KVCluster:
             if node_id in self._down:
                 raise ValueError(f"node {node_id} is already down")
             self._down.add(node_id)
-            self._tombstone_keys[node_id] = set()
-            self._tombstone_prefixes[node_id] = []
+            self._tombstones[node_id] = ([], set())
             if kill:
                 self.nodes[node_id].crash()
             self.last_rebalance = self._rebalance()
@@ -627,32 +602,24 @@ class KVCluster:
             crashed = node.is_crashed
             if crashed:
                 node.restart()
-            if crashed and not node.durable:
-                # empty respawn: nothing to tombstone, the stale-range
-                # sweep re-syncs everything the node owns
-                self._tombstone_prefixes.pop(node_id, None)
-                self._tombstone_keys.pop(node_id, None)
-            else:
-                store = node.store
-                prefixes = self._tombstone_prefixes.pop(node_id, [])
-                if prefixes:
-                    store.multi_delete(
-                        [
-                            key
-                            for prefix in prefixes
-                            for key, _ in store.scan(prefix)
-                        ]
-                    )
-                keys = self._tombstone_keys.pop(node_id, set())
+            prefixes, keys = self._tombstones.pop(node_id, ([], set()))
+
+            def replay(node: StorageNode, _: None) -> None:
+                """The namespace drops and deletes the node missed."""
+                for prefix in prefixes:
+                    node.mutate(wire.OP_DROP_PREFIX, prefix)
                 if keys:
-                    store.multi_delete(sorted(keys))
+                    node.mutate(wire.OP_MULTI_DELETE, sorted(keys))
+            if node.durable or not crashed:
+                self._fan_out(replay, {node_id: None})
             self._down.discard(node_id)
             self.last_rebalance = self._rebalance(stale_id=node_id)
 
-    # -- placement --------------------------------------------------------
+    # -- placement: the router and the fan-out -----------------------------
 
     def _live_owner_ids(self, full_key: bytes) -> List[int]:
-        """The key's preference list: first R distinct LIVE ring nodes."""
+        """The key's preference list: first R distinct LIVE ring nodes
+        (refused when every owner is down)."""
         if self.replication_factor == 1 and not self._down:
             return [self.ring.node_for(full_key)]
         owners: List[int] = []
@@ -661,66 +628,97 @@ class KVCluster:
                 owners.append(node_id)
                 if len(owners) == self.replication_factor:
                     break
-        return owners
-
-    def _owner_ids(self, full_key: bytes) -> List[int]:
-        """The preference list, refusing a key whose owners are all down."""
-        owners = self._live_owner_ids(full_key)
         if not owners:
             raise ClusterUnavailableError(
                 "no live replica for key (all owners are down)"
             )
         return owners
 
-    def _owners(self, full_key: bytes) -> List[StorageNode]:
-        return [self.nodes[node_id] for node_id in self._owner_ids(full_key)]
-
-    def _is_primary(self, full_key: bytes, node_id: int) -> bool:
-        """Is ``node_id`` the first live owner of ``full_key``?"""
-        for candidate in self.ring.iter_nodes(full_key):
-            if candidate not in self._down:
-                return candidate == node_id
-        return False
-
     @staticmethod
     def full_key(namespace: str, key_bytes: bytes) -> bytes:
         return encode_value(namespace) + key_bytes
 
-    def _live_nodes(self) -> List[StorageNode]:
-        return [
-            node
-            for node_id, node in self.nodes.items()
-            if node_id not in self._down
-        ]
+    def _route(
+        self,
+        fulls: Sequence[bytes],
+        read: bool = False,
+        listed_on: Optional[ListedOn] = None,
+    ) -> Dict[int, List[int]]:
+        """The router: node id -> the positions of ``fulls`` it serves.
 
-    def _primary_pairs(
-        self, prefix: bytes
-    ) -> Iterator[Tuple[StorageNode, bytes, bytes]]:
-        """Every logical pair under ``prefix`` exactly once, with the
-        live node serving it (under replication: its primary live
-        owner). Per-node scans take the node mutex, so concurrent puts
-        cannot mutate a store mid-iteration."""
+        A write goes to every live owner. A read goes to one: with one
+        copy per key and every node up, its owner (the node a
+        still-current ``listed_on`` names, else the ring's); otherwise
+        the least-loaded live owner — read load over every serving
+        thread, the batch balancing itself greedily, ties to the lowest
+        id. The third policy, every live node, is the fan-out's default.
+        """
         # repro-lint: holds=_lock -- callers hold the read lock
-        dedup = self.replication_factor > 1
-        for node in self._live_nodes():
-            for key, value in node.snapshot_scan(prefix):
-                if not dedup or self._is_primary(key, node.node_id):
-                    yield node, key, value
+        balance = read and (self.replication_factor > 1 or bool(self._down))
+        if balance:
+            loads = self._fan_out(lambda node, _: float(node.read_load))
+        elif listed_on and listed_on[0] != self._placement_generation:
+            listed_on = None
+        by_node: Dict[int, List[int]] = {}
+        for index, full in enumerate(fulls):
+            if balance:
+                node_id = min(
+                    self._live_owner_ids(full),
+                    key=lambda nid: (loads[nid], nid),
+                )
+                loads[node_id] += 1.0
+            elif listed_on is not None:
+                node_id = listed_on[1][index]
+            elif read:  # one copy per key, every node up
+                node_id = self.ring.node_for(full)
+            else:
+                for node_id in self._live_owner_ids(full):
+                    by_node.setdefault(node_id, []).append(index)
+                continue
+            group = by_node.get(node_id)
+            if group is None:
+                by_node[node_id] = [index]
+            else:
+                group.append(index)
+        return by_node
 
-    def _primary_keys(
-        self, prefix: bytes
-    ) -> Iterator[Tuple[int, List[bytes]]]:
-        """The keys of :meth:`_primary_pairs`, in its order, as one
-        ``(node id, its keys)`` per live node, listed without reading
-        (or, from a node process, shipping) a value."""
+    def _fan_out(
+        self,
+        call: Callable[[StorageNode, Any], _R],
+        batches: Optional[Dict[int, Any]] = None,
+    ) -> Dict[int, _R]:
+        """THE per-node fan-out: ``call(node, batch)`` on each node of
+        ``batches`` in order (default: every live node, batch ``None``;
+        ``self.nodes``: every node, down ones too, with itself as its
+        batch); the answers by node id. A dead peer's :class:`NodePeerError`
+        goes to the :meth:`_peer_failover` wrapping the operation, which
+        reruns it — routed afresh over the repaired membership."""
+        # repro-lint: holds=_lock -- callers hold the lock
+        nodes = self.nodes
+        if batches is None:
+            batches = {nid: None for nid in nodes if nid not in self._down}
+        answers: Dict[int, _R] = {}
+        for node_id, batch in batches.items():
+            answers[node_id] = call(nodes[node_id], batch)
+        return answers
+
+    def _primary_walk(self, prefix: bytes, pairs: bool) -> Dict[int, list]:
+        """Every live node's keys under ``prefix`` (``pairs``: with their
+        values), each logical key once — under replication, from its
+        primary (first live) owner only. The per-node reads take the
+        node mutex: concurrent puts cannot mutate a store mid-read."""
         # repro-lint: holds=_lock -- callers hold the read lock
-        dedup = self.replication_factor > 1
-        for node in self._live_nodes():
-            node_id = node.node_id
-            keys = node.snapshot_keys(prefix)
-            if dedup:
-                keys = [key for key in keys if self._is_primary(key, node_id)]
-            yield node_id, keys
+        def listed(node: StorageNode, _: None) -> list:
+            found: list = (
+                node.snapshot_scan(prefix) if pairs
+                else node.snapshot_keys(prefix)
+            )
+            return found if self.replication_factor == 1 else [
+                item for item in found
+                if self._live_owner_ids(item[0] if pairs else item)[0]
+                == node.node_id
+            ]
+        return self._fan_out(listed)
 
     # -- KV API ------------------------------------------------------------
 
@@ -747,100 +745,41 @@ class KVCluster:
         Results are positional — ``out[i]`` answers ``keys[i]`` — so
         callers keep their ordering guarantees regardless of placement.
 
-        ``listed_on`` is where a :class:`KeyListing` found these keys.
-        While placement stands as the listing saw it — one copy per
-        key, every node up, the same generation — the node a key was
-        listed on is the one the ring would name, so the batch is
-        grouped by those; otherwise the ring is asked, as without it.
+        ``listed_on`` is where a :class:`KeyListing` found these keys:
+        while placement stands as the listing saw it, the batch is
+        grouped by those nodes instead of asking the ring.
         """
-        def op() -> List[Optional[bytes]]:
-            with self._lock.read():
-                results: List[Optional[bytes]] = [None] * len(keys)
-                versions, epoch = self._read_overlay_epoch()
+        prefix = encode_value(namespace)
 
-                def from_overlay(indexes: Sequence[int]) -> Sequence[int]:
-                    """Answer the positions the version chains hold at
-                    the pinned epoch; returns the ones they do not."""
-                    if (
-                        versions is None
-                        or epoch is None
-                        or versions.nothing_newer(epoch)
-                    ):
-                        return indexes
-                    visible = versions.read_visible_many(
-                        namespace, [keys[i] for i in indexes], epoch
-                    )
-                    rest: List[int] = []
-                    for index, (handled, value) in zip(indexes, visible):
-                        if handled:
-                            results[index] = value
-                        else:
-                            rest.append(index)
-                    return rest
+        def fetch(positions: Sequence[int]) -> List[Optional[bytes]]:
+            fulls = [prefix + keys[i] for i in positions]
+            listed = listed_on if len(positions) == len(keys) else listed_on and (
+                listed_on[0], [listed_on[1][i] for i in positions]
+            )
+            routed = self._route(fulls, read=True, listed_on=listed)
 
-                # overlay pre-pass: keys answered from the version
-                # chains never reach a node (zero #get, like a cache
-                # hit — metered in VersionStats)
-                pending = from_overlay(range(len(keys)))
-                if not pending:
-                    return results
-                #: serving node -> (full keys, their positions in ``keys``)
-                by_node: Dict[int, Tuple[List[bytes], List[int]]] = {}
-                replicated = (
-                    self.replication_factor > 1 or bool(self._down)
-                )
-                loads: Dict[int, float] = {}
-                if replicated:
-                    # the cheapest live owner serves: least cumulative
-                    # read load across every serving thread, ties to
-                    # the lowest id
-                    loads = {
-                        node.node_id: float(node.read_load)
-                        for node in self._live_nodes()
-                    }
-                owners: Optional[Sequence[int]] = None
-                if (
-                    listed_on is not None
-                    and not replicated
-                    and listed_on[0] == self._placement_generation
-                ):
-                    owners = listed_on[1]
-                prefix = encode_value(namespace)
-                for index in pending:
-                    full = prefix + keys[index]
-                    if replicated:
-                        node_id = min(
-                            self._owner_ids(full),
-                            key=lambda nid: (loads[nid], nid),
-                        )
-                        loads[node_id] += 1.0
-                    elif owners is not None:
-                        node_id = owners[index]
-                    else:
-                        node_id = self.ring.node_for(full)
-                    group = by_node.get(node_id)
-                    if group is None:
-                        group = by_node[node_id] = ([], [])
-                    group[0].append(full)
-                    group[1].append(index)
-                for node_id, (node_keys, positions) in by_node.items():
-                    # a key asked for twice is fetched once per serving
-                    # node and fanned back out
-                    distinct = list(dict.fromkeys(node_keys))
-                    values = self.nodes[node_id].multi_get(
-                        distinct, n_values_each=n_values_each
-                    )
-                    if len(distinct) < len(node_keys):
-                        value_of = dict(zip(distinct, values))
-                        values = [value_of[full] for full in node_keys]
-                    for index, value in zip(positions, values):
-                        results[index] = value
-                # commits racing the node fetches recorded the
-                # superseded values before overwriting; re-check so no
-                # too-new value leaks into the snapshot
-                from_overlay(pending)
-                return results
-        return self._peer_failover(op)
+            def serve(
+                node: StorageNode, group: List[int]
+            ) -> List[Optional[bytes]]:
+                # a key asked for twice is fetched once per serving
+                # node and fanned back out
+                wanted = [fulls[i] for i in group]
+                distinct = list(dict.fromkeys(wanted))
+                values = node.multi_get(distinct, n_values_each)
+                if len(distinct) < len(wanted):
+                    value_of = dict(zip(distinct, values))
+                    values = [value_of[full] for full in wanted]
+                return values
+
+            values: List[Optional[bytes]] = [None] * len(fulls)
+            for node_id, served in self._fan_out(serve, routed).items():
+                for index, value in zip(routed[node_id], served):
+                    values[index] = value
+            return values
+
+        return self._peer_failover(
+            lambda: self._as_of_snapshot(namespace, keys, fetch)
+        )
 
     def put(self, namespace: str, key_bytes: bytes, value: bytes,
             n_values: int = 1) -> None:
@@ -862,60 +801,53 @@ class KVCluster:
         (membership events are exclusive) and the per-node mutex
         serializes same-node store mutations.
         """
+        prefix = encode_value(namespace)
+        fulls = [prefix + key_bytes for key_bytes, _ in items]
+
         def op() -> None:
-            with self._lock.read():
-                if items:
-                    with self._meta_lock:
-                        self._namespaces.add(namespace)
-                by_node: Dict[int, List[Tuple[bytes, bytes]]] = {}
-                prefix = encode_value(namespace)
-                for key_bytes, value in items:
-                    full = prefix + key_bytes
-                    # overlay BEFORE base write: a snapshot reader either
-                    # sees the old base value or finds it in the overlay —
-                    # never a torn in-between
-                    self._record_overwrite(namespace, key_bytes, full)
-                    self._invalidate(namespace, key_bytes)
-                    for node_id in self._owner_ids(full):
-                        by_node.setdefault(node_id, []).append(
-                            (full, value)
-                        )
-                for node_id, node_items in by_node.items():
-                    self.nodes[node_id].multi_put(
-                        node_items, n_values_each=n_values_each
-                    )
+            if items:
+                with self._meta_lock:
+                    self._namespaces.add(namespace)
+            for (key_bytes, _), full in zip(items, fulls):
+                # overlay BEFORE base write: a snapshot reader either
+                # sees the old base value or finds it in the overlay —
+                # never a torn in-between
+                self._record_overwrite(namespace, key_bytes, full)
+                self._invalidate(namespace, key_bytes)
+            self._fan_out(
+                lambda node, group: node.multi_put(
+                    [(fulls[i], items[i][1]) for i in group], n_values_each
+                ),
+                self._route(fulls),
+            )
         self._peer_failover(op)
 
     def delete(self, namespace: str, key_bytes: bytes) -> bool:
         """Replicated delete; logged as a tombstone for every down node."""
-        def op() -> bool:
-            with self._lock.read():
-                full = self.full_key(namespace, key_bytes)
-                self._record_overwrite(namespace, key_bytes, full)
-                self._invalidate(namespace, key_bytes)
-                removed = False
-                for node in self._owners(full):
-                    removed = node.delete(full) or removed
-                for log in self._tombstone_keys.values():
-                    log.add(full)
-                return removed
-        return self._peer_failover(op)
+        full = self.full_key(namespace, key_bytes)
+        #: every owner's answer, across attempts: one that failed over
+        #: midway may have removed the key, leaving the retry nothing
+        removed: List[bool] = []
+
+        def op() -> None:
+            self._record_overwrite(namespace, key_bytes, full)
+            self._invalidate(namespace, key_bytes)
+            self._fan_out(
+                lambda node, _: removed.append(node.delete(full)),
+                self._route([full]),
+            )
+            for _, keys in self._tombstones.values():
+                keys.add(full)
+        self._peer_failover(op)
+        return any(removed)
 
     def peek(self, namespace: str, key_bytes: bytes) -> Optional[bytes]:
         """Uncounted read (maintenance bookkeeping)."""
-        def op() -> Optional[bytes]:
-            with self._lock.read():
-                versions, epoch = self._read_overlay_epoch()
-                full = self.full_key(namespace, key_bytes)
-                value = self._owners(full)[0].peek(full)
-                if versions is not None and epoch is not None:
-                    handled, overlaid = versions.read_visible(
-                        namespace, key_bytes, epoch
-                    )
-                    if handled:
-                        return overlaid
-                return value
-        return self._peer_failover(op)
+        full = self.full_key(namespace, key_bytes)
+        return self._peer_failover(lambda: self._as_of_snapshot(
+            namespace, [key_bytes],
+            lambda _: [self.nodes[self._live_owner_ids(full)[0]].peek(full)],
+        )[0])
 
     def scan(
         self,
@@ -936,8 +868,7 @@ class KVCluster:
         value count, so decode-aware callers charge ``values_read``
         exactly like :meth:`StorageNode.get` would (a TaaV pair is
         ``arity`` values, a stats sidecar ``4 × attrs``); without it
-        every pair counts as one value — never zero, which silently
-        undercounted the blind-scan #data.
+        every pair counts as one value.
         """
         prefix = encode_value(namespace)
         plen = len(prefix)
@@ -945,11 +876,11 @@ class KVCluster:
         # materialize the snapshot under the read lock, then stream it
         # without holding any lock
         def take_snapshot() -> List[Tuple[StorageNode, bytes, bytes]]:
-            with self._lock.read():
-                return [
-                    (node, key[plen:], value)
-                    for node, key, value in self._primary_pairs(prefix)
-                ]
+            walked = self._primary_walk(prefix, True)
+            return [
+                (self.nodes[node_id], key[plen:], value)
+                for node_id, pairs in walked.items() for key, value in pairs
+            ]
 
         snapshot = self._peer_failover(take_snapshot)
         versions = self._versions
@@ -960,9 +891,7 @@ class KVCluster:
                 # replace too-new ones, keys inserted after the epoch
                 # drop out, and keys deleted after it come back as
                 # node-less extras (uncounted — no node served them)
-                snapshot = versions.adjust_scan(
-                    namespace, snapshot, epoch
-                )
+                snapshot = versions.adjust_scan(namespace, snapshot, epoch)
         for node, stripped, value in snapshot:
             if count_as_gets and node is not None:
                 # the blind scan issues one full get (and thus one
@@ -984,49 +913,43 @@ class KVCluster:
         plen = len(prefix)
 
         def op() -> KeyListing:
-            with self._lock.read():
-                keys: List[bytes] = []
-                owners: List[int] = []
-                for node_id, node_keys in self._primary_keys(prefix):
-                    keys += [key[plen:] for key in node_keys]
-                    owners += [node_id] * len(node_keys)
-                generation = self._placement_generation
-                versions, epoch = self._read_overlay_epoch()
-                if (
-                    versions is not None
-                    and epoch is not None
-                    and not versions.nothing_newer(epoch)
-                ):
-                    return KeyListing(
-                        versions.adjust_keys(namespace, keys, epoch),
-                        None,
-                        generation,
-                    )
+            keys: List[bytes] = []
+            owners: List[int] = []
+            listed = self._primary_walk(prefix, False)
+            for node_id, node_keys in listed.items():
+                keys += [key[plen:] for key in node_keys]
+                owners += [node_id] * len(node_keys)
+            generation = self._placement_generation
+            versions = self._versions
+            epoch = None if versions is None else versions.read_epoch()
+            if epoch is None or versions is None or versions.nothing_newer(
+                epoch
+            ):
                 return KeyListing(keys, owners, generation)
+            return KeyListing(
+                versions.adjust_keys(namespace, keys, epoch), None, generation
+            )
         return self._peer_failover(op)
 
     def namespaces(self) -> List[str]:
         """All namespaces with at least one pair on a live node.
 
         The write-touched registry narrows the candidates (every write
-        flows through this client), and each candidate is confirmed
-        with a prefix probe that stops at its first pair — no
-        whole-cluster scan. Used by the drop cascade to enumerate
-        dependent ``__idx__`` namespaces.
+        flows through this client), and each live node confirms the
+        ones it holds with prefix probes that stop at their first pair
+        — no whole-cluster scan, and none for a namespace an earlier
+        node confirmed.
         """
         def op() -> List[str]:
             with self._meta_lock:
                 candidates = sorted(self._namespaces)
-            with self._lock.read():
-                out: List[str] = []
-                for namespace in candidates:
-                    prefix = encode_value(namespace)
-                    if any(
-                        node.has_prefix(prefix)
-                        for node in self._live_nodes()
-                    ):
-                        out.append(namespace)
-                return out
+            held: Set[str] = set()
+            self._fan_out(lambda node, _: held.update([
+                namespace for namespace in candidates
+                if namespace not in held
+                and node.has_prefix(encode_value(namespace))
+            ]))
+            return sorted(held)
         return self._peer_failover(op)
 
     def drop_namespace(self, namespace: str) -> int:
@@ -1038,33 +961,34 @@ class KVCluster:
         the dropped data, so leaving them behind would orphan the index.
         The cascaded drops are not counted in the return value.
         """
-        def op() -> int:
-            with self._lock.write():
-                for cache in self._caches:
-                    cache.invalidate_namespace(namespace)
-                prefix = encode_value(namespace)
-                dropped: Set[bytes] = set()
-                for node in self._live_nodes():
-                    # one bulk RPC per node on the socket transport
-                    dropped.update(node.store.drop_prefix(prefix))
-                for log in self._tombstone_prefixes.values():
-                    log.append(prefix)
-                if self._versions is not None:
-                    # DDL is exclusive: no pinned reader is mid-query on
-                    # the namespace, so its version state goes with it
-                    self._versions.forget_namespace(namespace)
-                with self._meta_lock:
-                    self._namespaces.discard(namespace)
-                    remaining = sorted(self._namespaces)
-                if namespace.startswith("taav:"):
-                    dependent_prefix = (
-                        f"__idx__/{namespace[len('taav:'):]}/"
-                    )
-                    for dependent in remaining:
-                        if dependent.startswith(dependent_prefix):
-                            self.drop_namespace(dependent)
-                return len(dropped)
-        return self._peer_failover(op)
+        prefix = encode_value(namespace)
+        #: keys dropped, across attempts: one that failed over midway
+        #: dropped some, which the retry no longer finds
+        dropped: Set[bytes] = set()
+
+        def op() -> None:
+            for cache in self._caches:
+                cache.invalidate_namespace(namespace)
+            # one bulk RPC per node on the socket transport
+            self._fan_out(lambda node, _: dropped.update(
+                node.mutate(wire.OP_DROP_PREFIX, prefix)
+            ))
+            for prefixes, _ in self._tombstones.values():
+                prefixes.append(prefix)
+            if self._versions is not None:
+                # DDL is exclusive: no pinned reader is mid-query on
+                # the namespace, so its version state goes with it
+                self._versions.forget_namespace(namespace)
+            with self._meta_lock:
+                self._namespaces.discard(namespace)
+                remaining = sorted(self._namespaces)
+            if namespace.startswith("taav:"):
+                dependent_prefix = f"__idx__/{namespace[len('taav:'):]}/"
+                for dependent in remaining:
+                    if dependent.startswith(dependent_prefix):
+                        self.drop_namespace(dependent)
+        self._peer_failover(op, exclusive=True)
+        return len(dropped)
 
     # -- rebalancing -------------------------------------------------------
 
@@ -1091,9 +1015,9 @@ class KVCluster:
         #: sweep so staleness checks need no per-key store reads (on
         #: the socket transport each would be a round trip)
         stale_contents: Dict[bytes, bytes] = {}
-        for node in self._live_nodes():
-            node_id = node.node_id
-            for key, value in node.store.scan():
+        scans = self._fan_out(lambda node, _: node.snapshot_scan())
+        for node_id, pairs in scans.items():
+            for key, value in pairs:
                 holders.setdefault(key, []).append(node_id)
                 if node_id == stale_id:
                     stale_contents[key] = value
@@ -1119,9 +1043,7 @@ class KVCluster:
                     owner_id == stale_id
                     and stale_contents.get(key) != value
                 ):
-                    pending_puts.setdefault(owner_id, []).append(
-                        (key, value)
-                    )
+                    pending_puts.setdefault(owner_id, []).append((key, value))
                     moved = len(key) + len(value)
                     node.counters.rebalance_keys_moved += 1
                     node.counters.rebalance_bytes_moved += moved
@@ -1133,10 +1055,11 @@ class KVCluster:
                 if holder_id not in owner_set:
                     pending_deletes.setdefault(holder_id, []).append(key)
                     report.keys_dropped += 1
-        for node_id, items in pending_puts.items():
-            self.nodes[node_id].store.multi_put(items)
-        for node_id, doomed in pending_deletes.items():
-            self.nodes[node_id].store.multi_delete(doomed)
+        for op, batches in (
+            (wire.OP_MULTI_PUT, pending_puts),
+            (wire.OP_MULTI_DELETE, pending_deletes),
+        ):
+            self._fan_out(lambda node, batch: node.mutate(op, batch), batches)
         for receiver_id, _ in transfers:
             self.nodes[receiver_id].counters.rebalance_round_trips += 1
         report.round_trips = len(transfers)
@@ -1168,25 +1091,30 @@ class KVCluster:
         extras = [extra for extra in extras if extra > 0]
         if not extras:
             return
+
+        def charge(node: StorageNode, values: int) -> None:
+            node.counters.values_read += values
+            node.add_read_load(values)
+
         with self._lock.read():
-            nodes = (
-                self._live_nodes() if live_only
-                else list(self.nodes.values())
-            )
+            node_ids = [
+                nid for nid in self.nodes
+                if not (live_only and nid in self._down)
+            ]
             share = 0
             #: with_remainder[r] = charges whose remainder is r
-            with_remainder = [0] * len(nodes)
+            with_remainder = [0] * len(node_ids)
             for extra in extras:
-                quotient, remainder = divmod(extra, len(nodes))
+                quotient, remainder = divmod(extra, len(node_ids))
                 share += quotient
                 with_remainder[remainder] += 1
             # charges whose remainder exceeds the node's position
             one_more = len(extras)
-            for index, node in enumerate(nodes):
+            charges: Dict[int, int] = {}
+            for index, node_id in enumerate(node_ids):
                 one_more -= with_remainder[index]
-                charge = share + one_more
-                node.counters.values_read += charge
-                node.add_read_load(charge)
+                charges[node_id] = share + one_more
+            self._fan_out(charge, charges)
 
     def reset_counters(self, thread_only: bool = False) -> None:
         """Zero the node counters.
@@ -1196,16 +1124,11 @@ class KVCluster:
         concurrent queries on other threads keep their counts.
         """
         with self._lock.read():
-            for node in self.nodes.values():
-                node.reset_counters(thread_only=thread_only)
+            self._fan_out(lambda node, _: node.reset_counters(thread_only), self.nodes)
 
     def total_counters(self) -> NodeCounters:
         """Aggregate counters over all nodes and all serving threads."""
-        with self._lock.read():
-            total = NodeCounters()
-            for node in self.nodes.values():
-                total.add(node.counters_total())
-            return total
+        return self.get_stats().totals
 
     def thread_counters(self) -> NodeCounters:
         """Aggregate counters of the CALLING THREAD only.
@@ -1216,18 +1139,11 @@ class KVCluster:
         """
         with self._lock.read():
             total = NodeCounters()
-            for node in self.nodes.values():
-                shard = node.thread_counters()
+            shards = self._fan_out(lambda node, _: node.thread_counters(), self.nodes)
+            for shard in shards.values():
                 if shard is not None:
                     total.add(shard)
             return total
-
-    def counters_per_node(self) -> Dict[int, NodeCounters]:
-        with self._lock.read():
-            return {
-                node_id: node.counters_total()
-                for node_id, node in self.nodes.items()
-            }
 
     def get_stats(self) -> ClusterStats:
         """A snapshot-consistent view of the cluster's accounting.
@@ -1235,14 +1151,10 @@ class KVCluster:
         Taken under the cluster lock: membership cannot change
         mid-snapshot and every per-node aggregate is a copy, so the
         cross-counter invariants hold (``hits <= gets``, cache
-        ``hits + misses == lookups``) — the live-counter read this
-        replaces could tear them.
+        ``hits + misses == lookups``).
         """
         with self._lock.read():
-            per_node = {
-                node_id: node.counters_total()
-                for node_id, node in self.nodes.items()
-            }
+            per_node = self._fan_out(lambda node, _: node.counters_total(), self.nodes)
             totals = NodeCounters()
             for counters in per_node.values():
                 totals.add(counters)
@@ -1268,55 +1180,42 @@ class KVCluster:
         volatile cluster). ``fsyncs`` is what the cost model prices;
         ``records``/``bytes`` meter the logging overhead itself."""
         def op() -> Dict[str, int]:
-            with self._lock.read():
-                total = {"records": 0, "bytes": 0, "fsyncs": 0, "rolls": 0}
-                for node_id, node in self.nodes.items():
-                    if node_id in self._down:
-                        continue
-                    for key, value in node.wal_stats().items():
-                        total[key] = total.get(key, 0) + value
-                return total
+            total = {"records": 0, "bytes": 0, "fsyncs": 0, "rolls": 0}
+            for stats in self._fan_out(
+                lambda node, _: node.wal_stats()
+            ).values():
+                for key, value in stats.items():
+                    total[key] = total.get(key, 0) + value
+            return total
         return self._peer_failover(op)
 
     def server_stats(self) -> Dict[int, Dict[str, int]]:
         """Per-node server-process counters (socket transport only;
         empty for local clusters). Down nodes are skipped."""
-        with self._lock.read():
-            out: Dict[int, Dict[str, int]] = {}
-            for node_id, node in self.nodes.items():
-                if node_id in self._down or not isinstance(
-                    node, RemoteNode
-                ):
-                    continue
-                out[node_id] = node.server_stats()
-            return out
+        if self.transport != "socket":
+            return {}
+        return self._peer_failover(lambda: self._fan_out(
+            lambda node, _: cast(RemoteNode, node).server_stats()
+        ))
 
     def size_bytes(self) -> int:
         """Physical bytes across all nodes (replicas counted R times).
 
         Down nodes count too when their store survives (a partitioned
         node's disk, any local node): that matches the local-transport
-        semantics. A *killed* node process has no bytes left to count.
+        semantics. A *killed* node process has no bytes left to count —
+        once detected; one that died unnoticed is asked, and fails over.
         """
-        def op() -> int:
-            with self._lock.read():
-                return sum(
-                    node.size_bytes()
-                    for node in self.nodes.values()
-                    if not node.is_crashed
-                )
-        return self._peer_failover(op)
+        def size(node: StorageNode, _: None) -> int:
+            if node.node_id in self._down and node.is_crashed:
+                return 0
+            return node.size_bytes()
+        return self._peer_failover(lambda: sum(
+            self._fan_out(size, self.nodes).values()
+        ))
 
     def __repr__(self) -> str:
         down = f", down={sorted(self._down)}" if self._down else ""
-        factor = (
-            f", R={self.replication_factor}"
-            if self.replication_factor > 1
-            else ""
-        )
-        wire_ = (
-            f", transport={self.transport}"
-            if self.transport != "local"
-            else ""
-        )
+        factor = f", R={self.replication_factor}" if self.replication_factor > 1 else ""
+        wire_ = f", transport={self.transport}" if self.transport != "local" else ""
         return f"KVCluster(nodes={self.num_nodes}{factor}{wire_}{down})"

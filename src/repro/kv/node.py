@@ -25,6 +25,7 @@ from __future__ import annotations
 import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.kv import wire
 from repro.kv.checkpoint import NodeDurability, RecoveryReport
 from repro.kv.lsm import LSMStore
 from repro.kv.memstore import MemStore
@@ -313,18 +314,26 @@ class StorageNode:
     def put(self, key: bytes, value: bytes, n_values: int = 1) -> None:
         self.multi_put([(key, value)], n_values_each=n_values)
 
+    def mutate(self, op: int, *args: Any) -> Any:
+        """Apply one :data:`repro.kv.wire.MUTATING_OPS` request,
+        uncounted, as a node process serves it: under the op mutex, then
+        a checkpoint if one is due (cluster maintenance writes)."""
+        with self._op_lock:
+            result = wire.apply_mutation(self.store, op, args)
+            if self._durability is not None:
+                self._durability.maybe_checkpoint(self.store)
+        return result
+
     def multi_put(
         self, items: Sequence[Tuple[bytes, bytes]], n_values_each: int = 1
     ) -> None:
         """Apply a coalesced batch of puts in ONE round trip."""
-        with self._op_lock:
-            self.store.multi_put(items)
-            if self._durability is not None:
-                self._durability.maybe_checkpoint(self.store)
+        if not items:
+            return
+        self.mutate(wire.OP_MULTI_PUT, list(items))
         counters = self.counters
         counters.puts += len(items)
-        if items:
-            counters.round_trips += 1
+        counters.round_trips += 1
         for _, value in items:
             counters.values_written += n_values_each
             counters.bytes_in += len(value)
@@ -336,10 +345,7 @@ class StorageNode:
         count misses too) and every delete is one client↔node round trip
         — a miss still crosses the network.
         """
-        with self._op_lock:
-            removed = self.store.delete(key)
-            if self._durability is not None:
-                self._durability.maybe_checkpoint(self.store)
+        removed = self.mutate(wire.OP_MULTI_DELETE, [key]) == 1
         counters = self.counters
         counters.deletes += 1
         counters.round_trips += 1

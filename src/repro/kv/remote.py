@@ -388,6 +388,10 @@ class RemoteNode(StorageNode):
         self.process.sigkill()
         return True
 
+    def mutate(self, op: int, *args: Any) -> Any:
+        """The node process applies (and checkpoints) it itself."""
+        return self.client.call(op, *args)
+
     # -- transport-specific surface ------------------------------------------
 
     def server_stats(self) -> Dict[str, int]:

@@ -139,6 +139,31 @@ def _seeded_workload(cluster, inject_at, inject, steps=300, seed=0xFA17):
     return oracle
 
 
+_FANOUT_KEYS = [codec.encode_key((i,)) for i in range(40)]
+
+#: one case per cluster op that fans out to the nodes: cluster -> an
+#: answer both transports must give alike
+_FANOUT_OPS = {
+    "multi_get": lambda c: c.multi_get("wl", _FANOUT_KEYS),
+    "multi_put": lambda c: c.multi_put(
+        "wl", [(key, b"new") for key in _FANOUT_KEYS]
+    ),
+    "delete": lambda c: [c.delete("wl", key) for key in _FANOUT_KEYS],
+    "scan": lambda c: sorted(c.scan("wl")),
+    "list_keys": lambda c: sorted(c.list_keys("wl").keys),
+    "namespaces": lambda c: c.namespaces(),
+    "drop_namespace": lambda c: c.drop_namespace("wl"),
+    "wal_stats": lambda c: c.wal_stats(),
+    # a local node has no server process: the socket cluster must
+    # answer for exactly the survivors
+    "server_stats": lambda c: (
+        sorted(c.server_stats()) if c.transport == "socket"
+        else c.live_node_ids
+    ),
+    "size_bytes": lambda c: c.size_bytes(),
+}
+
+
 class TestProcessCrash:
     """SIGKILL real node processes mid-workload (socket transport).
 
@@ -151,6 +176,37 @@ class TestProcessCrash:
     """
 
     DOOMED = 1
+
+    @pytest.mark.parametrize("op", sorted(_FANOUT_OPS))
+    def test_fan_out_op_fails_over_a_killed_node(self, op):
+        """A node process SIGKILLed just before the op: the op succeeds,
+        the dead peer is marked down, and the answer (and the data left
+        behind) equals an in-process cluster whose node was killed at
+        the same point. Durable, so ``wal_stats`` asks every node."""
+        def run(transport, kill):
+            with KVCluster(
+                3, replication_factor=2, transport=transport,
+                durability="wal",
+            ) as cluster:
+                cluster.multi_put(
+                    "wl", [(key, key * 3) for key in _FANOUT_KEYS]
+                )
+                cluster.put("other", b"k", b"keep")
+                # a registered namespace no node holds: namespaces()
+                # must ask every live node about it
+                cluster.put("gone", b"k", b"v")
+                cluster.delete("gone", b"k")
+                kill(cluster)
+                answer = _FANOUT_OPS[op](cluster)
+                assert cluster.down_node_ids == [self.DOOMED]
+                left = sorted(cluster.scan("wl", count_as_gets=False))
+                return answer, left
+
+        local = run("local", lambda c: c.fail_node(self.DOOMED, kill=True))
+        socket_ = run(
+            "socket", lambda c: c.nodes[self.DOOMED].process.sigkill()
+        )
+        assert socket_ == local
 
     def test_sigkill_mid_workload_loses_nothing(self):
         from repro.kv import KVCluster

@@ -82,7 +82,7 @@ class TestClusterMultiGet:
         }
         assert len(owners) > 1  # genuinely mixed placement
         cluster.multi_get("ns", keys)
-        per_node = cluster.counters_per_node()
+        per_node = cluster.get_stats().per_node
         for node_id, counters in per_node.items():
             expected = 1 if node_id in owners else 0
             assert counters.round_trips == expected

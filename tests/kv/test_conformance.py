@@ -419,7 +419,7 @@ def _cluster_state(cluster):
     return (
         {
             node_id: dataclasses.asdict(counters)
-            for node_id, counters in cluster.counters_per_node().items()
+            for node_id, counters in cluster.get_stats().per_node.items()
         },
         {node_id: node.read_load for node_id, node in cluster.nodes.items()},
         cluster.wal_stats(),

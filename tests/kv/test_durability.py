@@ -184,6 +184,28 @@ class TestClusterKnobs:
             "records": 0, "bytes": 0, "fsyncs": 0, "rolls": 0}
         cluster.close()
 
+    @pytest.mark.parametrize("transport", ["local", "socket"])
+    def test_maintenance_writes_checkpoint_like_any_write(self, transport):
+        """Namespace drops and a rebalance's flush log and checkpoint the
+        way a node process serves them, on either transport: the same
+        records, and a roll wherever ``checkpoint_interval`` falls."""
+        def logged(cluster):
+            stats = cluster.wal_stats()
+            return stats["records"], stats["rolls"]
+
+        with KVCluster(
+            1, transport=transport, durability="wal", checkpoint_interval=4
+        ) as cluster:
+            for i in range(3):
+                cluster.put(f"ns{i}", b"k", b"v")
+            for i in range(3):
+                cluster.drop_namespace(f"ns{i}")
+            assert logged(cluster) == (6, 1)
+            for i in range(6):
+                cluster.put("keep", bytes([i]), b"v")
+            cluster.add_node()
+            assert logged(cluster) == (12, 3)
+
     def test_wal_stats_aggregate(self, tmp_path):
         cluster = KVCluster(
             3, data_dir=str(tmp_path / "c"), fsync_policy="always")

@@ -94,7 +94,7 @@ class Deployment:
             answer = type(exc).__name__
         counters = {
             node_id: (c.gets, c.values_read, c.round_trips)
-            for node_id, c in self.cluster.counters_per_node().items()
+            for node_id, c in self.cluster.get_stats().per_node.items()
         }
         load = {
             node_id: node.read_load - load_before.get(node_id, 0)

@@ -142,7 +142,7 @@ def _record(
         "per_node": {
             str(node_id): [counters.gets, counters.values_read]
             for node_id, counters in sorted(
-                system.cluster.counters_per_node().items()
+                system.cluster.get_stats().per_node.items()
             )
         },
         "read_load": [nodes[node_id].read_load for node_id in sorted(nodes)],
