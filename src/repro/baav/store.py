@@ -24,8 +24,8 @@ from repro.baav.block import Block, BlockStats, split_block
 from repro.baav.schema import BaaVSchema, KVSchema
 from repro.errors import BaaVError, CodecError
 from repro.kv import codec
-from repro.kv.cache import read_through_many
-from repro.kv.cluster import KeyListing, KVCluster, ListedOn
+from repro.kv.cache import passes_through, read_through_many
+from repro.kv.cluster import InFlight, KeyListing, KVCluster, ListedOn
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -170,14 +170,17 @@ class KVInstance:
         self,
         encoded_keys: Sequence[bytes],
         listed_on: Optional[ListedOn] = None,
+        ahead: Optional[InFlight] = None,
     ) -> List[Tuple[Optional[bytes], bool]]:
-        """Positional batched segment fetch; hits never reach the cluster."""
+        """Positional batched segment fetch; hits never reach the cluster
+        (``ahead``: the batch as ``send_multi_get`` shipped it)."""
         return read_through_many(
             self.cache,
             self.cluster,
             self.namespace,
             encoded_keys,
             listed_on=listed_on,
+            ahead=ahead,
         )
 
     def get(self, key: Row) -> Optional[Block]:
@@ -331,6 +334,12 @@ class KVInstance:
 
         Segments of one key may be served by different nodes; we merge them
         by buffering partial blocks.
+
+        Over node processes, while waves go to the cluster whole (no
+        cache, nothing the MVCC overlay answers), the next wave of
+        segment 0s is shipped before this one is decoded: the nodes
+        serve it while the client decodes. A scan abandoned midway drops
+        the wave it shipped.
         """
         if batch_size > 1:
             # the segment-0 key bytes go to the fetch as the cluster
@@ -338,51 +347,25 @@ class KVInstance:
             # the node each was listed on, not hashed onto the ring again
             listing = self._list_segments()
             keys, firsts = listing.keys, listing.firsts
-            decode_value_row = self._decode_value_row
-            width = len(self.schema.value)
-            for start in range(0, len(keys), batch_size):
-                stop = start + batch_size
-                # one loop per batch: each segment 0 becomes a block
-                # where it was fetched, and the wave's value charges
-                # (``num_values() - 1`` a segment) are gathered on the way
-                blocks: List[Tuple[Row, Block]] = []
-                charges: List[int] = []
-                pending: List[Tuple[Row, int, Block]] = []
-                decode_entries = codec.decode_entries
-                for key, (data, fetched) in zip(
-                    keys[start:stop],
-                    self._cached_multi_get(
-                        firsts.keys[start:stop], firsts.listed_on(start, stop)
-                    ),
-                ):
-                    if data is None:
-                        continue  # deleted since the listing
-                    try:
-                        n_segments, pos = data[0], 1
-                    except IndexError:
-                        raise CodecError("truncated segment") from None
-                    if n_segments > 0x7F:
-                        n_segments, pos = codec._read_varint(data, 0)
-                    # this segment's own list: two service threads
-                    # decode at once
-                    deviants: List[int] = []
-                    entries, _ = decode_entries(
-                        data, pos, decode_value_row, deviants
+            ahead: Optional[InFlight] = None
+            try:
+                for start in range(0, len(keys), batch_size):
+                    stop = start + batch_size
+                    wave = self._cached_multi_get(
+                        firsts.keys[start:stop], firsts.listed_on(start, stop),
+                        ahead,
                     )
-                    block = Block(entries, not deviants)
-                    if fetched:
-                        charges.append(len(entries) * width - 1)
-                    if n_segments > 1:
-                        pending.extend(
-                            (key, index, block) for index in range(1, n_segments)
+                    ahead = None  # read, or closed unread
+                    if stop < len(keys) and passes_through(self.cache, self.cluster):
+                        ahead = self.cluster.send_multi_get(
+                            self.namespace,
+                            firsts.keys[stop:stop + batch_size],
+                            firsts.listed_on(stop, stop + batch_size),
                         )
-                    blocks.append((key, block))
-                # charged before any tail segment is appended: a block
-                # counts its own segment's values here
-                self.cluster.charge_values_read_many(charges, live_only=False)
-                if pending:
-                    self._fetch_tails(pending, listing)
-                yield from blocks
+                    yield from self._decode_wave(keys[start:stop], wave, listing)
+            finally:
+                if ahead is not None:
+                    ahead.close()
             return
         partial: Dict[Row, List[Tuple[int, Block]]] = defaultdict(list)
         for key_bytes, payload in self.cluster.scan(
@@ -401,6 +384,49 @@ class KVInstance:
             for _, segment in segments:
                 block.entries.extend(segment.entries)
             yield key, block
+
+    def _decode_wave(
+        self,
+        keys: Sequence[Row],
+        wave: Sequence[Tuple[Optional[bytes], bool]],
+        listing: _SegmentListing,
+    ) -> List[Tuple[Row, Block]]:
+        """One batched-scan wave: ``keys``' segment-0 payloads as blocks,
+        their tail segments fetched and appended.
+
+        One loop: each segment 0 becomes a block where it was fetched,
+        and the wave's value charges (``num_values() - 1`` a segment)
+        are gathered on the way."""
+        decode_value_row = self._decode_value_row
+        decode_entries = codec.decode_entries
+        width = len(self.schema.value)
+        blocks: List[Tuple[Row, Block]] = []
+        charges: List[int] = []
+        pending: List[Tuple[Row, int, Block]] = []
+        for key, (data, fetched) in zip(keys, wave):
+            if data is None:
+                continue  # deleted since the listing
+            try:
+                n_segments, pos = data[0], 1
+            except IndexError:
+                raise CodecError("truncated segment") from None
+            if n_segments > 0x7F:
+                n_segments, pos = codec._read_varint(data, 0)
+            # this segment's own list: two service threads decode at once
+            deviants: List[int] = []
+            entries, _ = decode_entries(data, pos, decode_value_row, deviants)
+            block = Block(entries, not deviants)
+            if fetched:
+                charges.append(len(entries) * width - 1)
+            if n_segments > 1:
+                pending.extend((key, index, block) for index in range(1, n_segments))
+            blocks.append((key, block))
+        # charged before any tail segment is appended: a block counts its
+        # own segment's values here
+        self.cluster.charge_values_read_many(charges, live_only=False)
+        if pending:
+            self._fetch_tails(pending, listing)
+        return blocks
 
     def keys(self) -> List[Row]:
         """All logical keys (uncounted; planner metadata)."""

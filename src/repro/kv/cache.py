@@ -61,7 +61,7 @@ from repro.tally import ShardSet, Tally, tally
 
 if TYPE_CHECKING:  # import cycle guard: cluster imports this module's
     # siblings; the cluster is only ever *passed in* here
-    from repro.kv.cluster import KVCluster, ListedOn
+    from repro.kv.cluster import InFlight, KVCluster, ListedOn
 
 
 @tally
@@ -405,6 +405,17 @@ def make_cache(
     return PartitionedBlockCache(capacity_bytes, partitions)
 
 
+def passes_through(cache: Optional[AnyBlockCache], cluster: "KVCluster") -> bool:
+    """Does :func:`read_through_many` hand a whole batch to the cluster
+    as things stand — no cache, and nothing the MVCC overlay answers at
+    the calling thread's pin? (What a batch may be shipped ahead on.)"""
+    if cache is not None:
+        return False
+    versions = cluster.versions
+    epoch = None if versions is None else versions.read_epoch()
+    return versions is None or epoch is None or versions.nothing_newer(epoch)
+
+
 def read_through_many(
     cache: Optional[AnyBlockCache],
     cluster: "KVCluster",
@@ -412,11 +423,14 @@ def read_through_many(
     keys: Sequence[bytes],
     n_values_each: int = 1,
     listed_on: Optional["ListedOn"] = None,
+    ahead: Optional["InFlight"] = None,
 ) -> List[Tuple[Optional[bytes], bool]]:
     """Serve payloads through ``cache``: positional ``(payload,
     reached_cluster)`` per key; only the cache-missing keys reach
     ``cluster.multi_get`` (which counts ``n_values_each`` per hit, and
-    is told where a listing found them when ``listed_on`` says).
+    is told where a listing found them when ``listed_on`` says). A batch
+    that :func:`passes_through` reads the wave ``ahead`` already shipped
+    for ``keys``; any other closes it unread.
 
     A hit is served locally (no storage traffic); a miss is fetched and
     fills the cache with its non-``None`` result. This is THE
@@ -430,6 +444,17 @@ def read_through_many(
     epoch, and a payload the overlay answered must never be filled into
     the cache (it would poison readers of the current state).
     """
+    if passes_through(cache, cluster):
+        # nothing is served locally: the batch goes straight through (the
+        # cluster's own overlay pass covers a commit racing this check)
+        return [
+            (data, True)
+            for data in cluster.multi_get(
+                namespace, keys, n_values_each, listed_on, ahead
+            )
+        ]
+    if ahead is not None:  # not the whole batch to the cluster
+        ahead.close()
     versions = cluster.versions
     snapshot_epoch = (
         versions.read_epoch() if versions is not None else None
@@ -451,17 +476,7 @@ def read_through_many(
         or snapshot_epoch is None
         or versions.nothing_newer(snapshot_epoch)
     ):
-        # the overlay answers no key at this reader's pin; without a
-        # cache either, nothing is served locally and the batch goes
-        # straight through (the cluster's own overlay pass covers a
-        # commit racing this check)
-        if cache is None:
-            return [
-                (data, True)
-                for data in cluster.multi_get(
-                    namespace, keys, n_values_each, listed_on
-                )
-            ]
+        # the overlay answers no key at this reader's pin
         pending = list(enumerate(keys))
     else:
         visible = versions.read_visible_many(
@@ -472,8 +487,8 @@ def read_through_many(
                 out[index] = (data, False)
             else:
                 pending.append((index, keys[index]))
-        if not pending:
-            return out
+    if not pending:
+        return out
     if cache is None:
         for (index, _), data in zip(pending, fetch(pending)):
             out[index] = (data, True)

@@ -36,6 +36,12 @@ Every operation that talks to the nodes is one placement by the router
   ``wal_stats`` / ``server_stats`` folds; the counter folds and
   ``size_bytes`` ask down nodes too.
 
+Over node processes a read fan-out ships every node's request frame
+before it reads the first answer, and :meth:`KVCluster.send_multi_get`
+ships a whole wave for a later ``multi_get(..., ahead=)`` to read: the
+nodes serve while the client decodes (``docs/ARCHITECTURE.md``, "A
+request in two halves").
+
 A dead node process (socket transport) surfaces as
 :class:`~repro.errors.NodePeerError` out of the fan-out. The
 :meth:`KVCluster._peer_failover` wrapping every operation turns it into
@@ -76,6 +82,7 @@ import shutil
 import tempfile
 import weakref
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -115,6 +122,12 @@ DURABILITY_ENV = "REPRO_KV_DURABILITY"
 DURABILITY_MODES = ("off", "wal")
 
 _R = TypeVar("_R")
+
+
+def _close_all(sent: Dict[int, Any]) -> None:
+    """Close every request handle of ``sent`` whose answer is unread."""
+    for handle in sent.values():
+        handle.close()
 
 
 def _close_nodes(nodes: Dict[int, StorageNode],
@@ -202,6 +215,34 @@ class KeyListing(NamedTuple):
         if self.owners is None:
             return None
         return self.generation, self.owners[start:stop]
+
+
+class InFlight(NamedTuple):
+    """A multi-get wave :meth:`KVCluster.send_multi_get` shipped and
+    nobody has read yet: hand it to ``multi_get(..., ahead=)`` for the
+    same keys, or :meth:`close` it."""
+
+    #: :attr:`KVCluster._placement_generation` when it was routed
+    generation: int
+    #: the full keys asked for, positional
+    fulls: List[bytes]
+    #: node id -> positions of ``fulls``, as the router placed them
+    routed: Dict[int, List[int]]
+    #: node id -> the request handle holding its unread answer
+    sent: Dict[int, Any]
+
+    def close(self) -> None:
+        """Drop every unread answer (idempotent)."""
+        _close_all(self.sent)
+
+
+def _send_get(fulls: List[bytes]) -> Callable[[StorageNode, List[int]], Any]:
+    """The ``send`` of a multi-get fan-out over ``fulls``: a node's
+    group as :meth:`KVCluster.multi_get` asks for it, one ``MULTI_GET``
+    of its distinct keys."""
+    return lambda node, group: node.send(
+        wire.OP_MULTI_GET, list(dict.fromkeys([fulls[i] for i in group]))
+    )
 
 
 class KVCluster:
@@ -684,23 +725,58 @@ class KVCluster:
 
     def _fan_out(
         self,
-        call: Callable[[StorageNode, Any], _R],
+        call: Callable[..., _R],
         batches: Optional[Dict[int, Any]] = None,
+        send: Optional[Callable[[StorageNode, Any], Any]] = None,
     ) -> Dict[int, _R]:
         """THE per-node fan-out: ``call(node, batch)`` on each node of
         ``batches`` in order (default: every live node, batch ``None``;
         ``self.nodes``: every node, down ones too, with itself as its
         batch); the answers by node id. A dead peer's :class:`NodePeerError`
         goes to the :meth:`_peer_failover` wrapping the operation, which
-        reruns it — routed afresh over the repaired membership."""
+        reruns it — routed afresh over the repaired membership.
+
+        ``send(node, batch)`` ships the frame of a call that is one read
+        RPC: across node processes, every node's frame but the first is
+        then sent before the first node's call, and ``call(node, batch,
+        sent)`` reads each answer — the nodes serve while the client
+        waits on, and decodes, the ones before. One node, or in-process
+        nodes, run the plain loop."""
         # repro-lint: holds=_lock -- callers hold the lock
         nodes = self.nodes
         if batches is None:
             batches = {nid: None for nid in nodes if nid not in self._down}
-        answers: Dict[int, _R] = {}
-        for node_id, batch in batches.items():
-            answers[node_id] = call(nodes[node_id], batch)
-        return answers
+        if send is None or len(batches) < 2 or self.transport == "local":
+            answers: Dict[int, _R] = {}
+            for node_id, batch in batches.items():
+                answers[node_id] = call(nodes[node_id], batch)
+            return answers
+        sent: Dict[int, Any] = {}
+        try:
+            for node_id, batch in islice(batches.items(), 1, None):
+                sent[node_id] = send(nodes[node_id], batch)
+            return self._receive(call, batches, sent)
+        finally:
+            _close_all(sent)
+
+    def _receive(
+        self,
+        call: Callable[..., _R],
+        batches: Dict[int, Any],
+        sent: Dict[int, Any],
+    ) -> Dict[int, _R]:
+        """Finish a fan-out whose frames ``sent`` holds by node id:
+        ``call(node, batch, sent)`` on each node of ``batches``, in order.
+        However it ends, no answer is left unread on a connection."""
+        # repro-lint: holds=_lock -- callers hold the lock
+        nodes = self.nodes
+        try:
+            return {
+                node_id: call(nodes[node_id], batch, sent.get(node_id))
+                for node_id, batch in batches.items()
+            }
+        finally:
+            _close_all(sent)
 
     def _primary_walk(self, prefix: bytes, pairs: bool) -> Dict[int, list]:
         """Every live node's keys under ``prefix`` (``pairs``: with their
@@ -708,17 +784,19 @@ class KVCluster:
         primary (first live) owner only. The per-node reads take the
         node mutex: concurrent puts cannot mutate a store mid-read."""
         # repro-lint: holds=_lock -- callers hold the read lock
-        def listed(node: StorageNode, _: None) -> list:
+        op = wire.OP_SCAN if pairs else wire.OP_KEYS
+
+        def listed(node: StorageNode, _: None, sent: Any = None) -> list:
             found: list = (
-                node.snapshot_scan(prefix) if pairs
-                else node.snapshot_keys(prefix)
+                node.snapshot_scan(prefix, sent) if pairs
+                else node.snapshot_keys(prefix, sent)
             )
             return found if self.replication_factor == 1 else [
                 item for item in found
                 if self._live_owner_ids(item[0] if pairs else item)[0]
                 == node.node_id
             ]
-        return self._fan_out(listed)
+        return self._fan_out(listed, send=lambda node, _: node.send(op, prefix))
 
     # -- KV API ------------------------------------------------------------
 
@@ -734,6 +812,7 @@ class KVCluster:
         keys: Sequence[bytes],
         n_values_each: int = 1,
         listed_on: Optional[ListedOn] = None,
+        ahead: Optional["InFlight"] = None,
     ) -> List[Optional[bytes]]:
         """Batched get: ONE round trip per serving node for the whole batch.
 
@@ -748,38 +827,103 @@ class KVCluster:
         ``listed_on`` is where a :class:`KeyListing` found these keys:
         while placement stands as the listing saw it, the batch is
         grouped by those nodes instead of asking the ring.
+
+        ``ahead`` is this batch as :meth:`send_multi_get` already
+        shipped it: its answers are read instead of asked for, while
+        placement stands as it was routed and the MVCC overlay leaves
+        the whole batch to the nodes. Otherwise it is closed unread and
+        the batch routed afresh.
         """
         prefix = encode_value(namespace)
 
         def fetch(positions: Sequence[int]) -> List[Optional[bytes]]:
+            nonlocal ahead
             fulls = [prefix + keys[i] for i in positions]
-            listed = listed_on if len(positions) == len(keys) else listed_on and (
-                listed_on[0], [listed_on[1][i] for i in positions]
-            )
-            routed = self._route(fulls, read=True, listed_on=listed)
+            wave, ahead = ahead, None
+            if (
+                wave is not None
+                and wave.generation == self._placement_generation
+                and wave.fulls == fulls
+            ):
+                routed, sent = wave.routed, wave.sent
+            else:
+                if wave is not None:  # placement moved, or the overlay took keys
+                    wave.close()
+                sent = None
+                listed = listed_on if len(positions) == len(keys) else (
+                    listed_on and (listed_on[0], [listed_on[1][i] for i in positions])
+                )
+                routed = self._route(fulls, read=True, listed_on=listed)
 
             def serve(
-                node: StorageNode, group: List[int]
+                node: StorageNode, group: List[int], handle: Any = None
             ) -> List[Optional[bytes]]:
                 # a key asked for twice is fetched once per serving
                 # node and fanned back out
                 wanted = [fulls[i] for i in group]
                 distinct = list(dict.fromkeys(wanted))
-                values = node.multi_get(distinct, n_values_each)
+                values = node.multi_get(distinct, n_values_each, handle)
                 if len(distinct) < len(wanted):
                     value_of = dict(zip(distinct, values))
                     values = [value_of[full] for full in wanted]
                 return values
 
+            if sent is not None:
+                answers = self._receive(serve, routed, sent)
+            elif len(routed) > 1:
+                answers = self._fan_out(serve, routed, _send_get(fulls))
+            else:
+                # one node serves the whole batch, in order
+                return self._fan_out(serve, routed).popitem()[1]
             values: List[Optional[bytes]] = [None] * len(fulls)
-            for node_id, served in self._fan_out(serve, routed).items():
+            for node_id, served in answers.items():
                 for index, value in zip(routed[node_id], served):
                     values[index] = value
             return values
 
-        return self._peer_failover(
+        values = self._peer_failover(
             lambda: self._as_of_snapshot(namespace, keys, fetch)
         )
+        if ahead is not None:  # the overlay answered every key
+            ahead.close()
+        return values
+
+    def send_multi_get(
+        self,
+        namespace: str,
+        keys: Sequence[bytes],
+        listed_on: Optional[ListedOn] = None,
+    ) -> Optional["InFlight"]:
+        """Ship a :meth:`multi_get` of ``keys`` to the node processes now
+        and read the answers later, through ``multi_get(..., ahead=)``:
+        the nodes serve it while the caller works. Routed under the read
+        lock, with the placement generation it was routed under.
+
+        ``None`` when there is nothing to send ahead: in-process nodes,
+        an empty batch, or a peer found dead — the receive then routes
+        afresh and fails over as any read does — and with more than one
+        copy per key: the read load then picks each key's node, and
+        routed before the work ahead of it is counted, a wave would go
+        elsewhere, and count differently, than routed when it is read.
+        The caller closes a wave it will not read.
+        """
+        if self.transport == "local" or not keys:
+            return None
+        prefix = encode_value(namespace)
+        fulls = [prefix + key for key in keys]
+        send = _send_get(fulls)
+        with self._lock.read():
+            if self.replication_factor > 1:
+                return None
+            sent: Dict[int, Any] = {}
+            try:
+                routed = self._route(fulls, read=True, listed_on=listed_on)
+                for node_id, group in routed.items():
+                    sent[node_id] = send(self.nodes[node_id], group)
+            except (NodePeerError, ClusterUnavailableError):
+                _close_all(sent)
+                return None
+            return InFlight(self._placement_generation, fulls, routed, sent)
 
     def put(self, namespace: str, key_bytes: bytes, value: bytes,
             n_values: int = 1) -> None:

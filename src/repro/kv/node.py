@@ -289,17 +289,24 @@ class StorageNode:
         """
         return self.multi_get([key], n_values_each=n_values)[0]
 
+    def send(self, op: int, *args: Any) -> Any:
+        """Ship one read request's frame ahead of reading its answer —
+        the handle a ``sent=`` argument below finishes. An in-process
+        node has nothing to send ahead: ``None``."""
+        return None
+
     def multi_get(
-        self, keys: Sequence[bytes], n_values_each: int = 1
+        self, keys: Sequence[bytes], n_values_each: int = 1, sent: Any = None
     ) -> List[Optional[bytes]]:
         """Serve a coalesced batch of gets in ONE round trip.
 
         Counts ``len(keys)`` gets (the paper's invocation unit) but a
         single round trip — the amortization the batched pipeline buys.
-        Results are positional: ``out[i]`` answers ``keys[i]``.
+        Results are positional: ``out[i]`` answers ``keys[i]``. ``sent``
+        is this batch's ``MULTI_GET`` already shipped by :meth:`send`.
         """
         with self._op_lock:
-            values = self.store.multi_get(keys)
+            values = self.store.multi_get(keys) if sent is None else sent.receive()
         counters = self.counters
         counters.gets += len(keys)
         if keys:
@@ -356,22 +363,25 @@ class StorageNode:
         with self._op_lock:
             return self.store.get(key)
 
-    def snapshot_scan(self, prefix: bytes = b"") -> List[Tuple[bytes, bytes]]:
+    def snapshot_scan(
+        self, prefix: bytes = b"", sent: Any = None
+    ) -> List[Tuple[bytes, bytes]]:
         """Materialized, mutex-guarded scan — safe vs concurrent writers.
 
         The cluster's shared-path scans use this so a concurrent put on
         the same node cannot mutate the store (or its sorted-key cache)
-        mid-iteration; counting stays with the caller.
+        mid-iteration; counting stays with the caller. ``sent``: the
+        ``SCAN`` already shipped by :meth:`send`.
         """
         with self._op_lock:
-            return list(self.store.scan(prefix))
+            return list(self.store.scan(prefix)) if sent is None else sent.receive()
 
-    def snapshot_keys(self, prefix: bytes = b"") -> List[bytes]:
+    def snapshot_keys(self, prefix: bytes = b"", sent: Any = None) -> List[bytes]:
         """The keys of :meth:`snapshot_scan`, in its order and under the
         same mutex — a listing reads no value (and a node process ships
-        none)."""
+        none). ``sent``: the ``KEYS`` already shipped by :meth:`send`."""
         with self._op_lock:
-            return self.store.keys(prefix)
+            return self.store.keys(prefix) if sent is None else sent.receive()
 
     def has_prefix(self, prefix: bytes = b"") -> bool:
         """Does any stored key carry ``prefix``? (mutex-guarded probe)"""

@@ -13,6 +13,11 @@ Three layers, composed bottom-up:
   :class:`~repro.errors.NodePeerError` (the cluster's failover signal),
   a ``STATUS_ERROR`` frame to :class:`~repro.errors.RemoteOpError`, and
   a ``STATUS_PROTOCOL`` frame to :class:`~repro.errors.WireProtocolError`.
+  A request has two halves: :meth:`NodeClient.send` ships the frame and
+  returns a :class:`Sent` handle holding the connection, and
+  :meth:`NodeClient.request` reads the answer — so a caller can ship
+  every node's frame before it waits on the first answer. A connection
+  holding an unread answer is closed, never pooled.
 * :class:`RemoteStore` — duck-types the raw-store surface
   (:class:`~repro.kv.memstore.MemStore` et al.) over the client, so
   :class:`RemoteNode` can *inherit* every counting method body from
@@ -209,12 +214,29 @@ class NodeClient:
 
     # -- the RPC ------------------------------------------------------------
 
-    def request(self, op: int, *args: object) -> bytes:
-        """One request → the OK body, or a mapped exception."""
+    def send(self, op: int, *args: object) -> "Sent":
+        """The first half of a request: ship its frame on a checked-out
+        connection and return the handle :meth:`request` reads the
+        answer from (or that is closed unread)."""
         payload = wire.encode_request(op, *args)
         sock = self._checkout()
         try:
             wire.send_frame(sock, payload)
+        except OSError as exc:
+            wire.close_quietly(sock)
+            raise NodePeerError(self.node_id, f"i/o failed: {exc}")
+        return Sent(self, op, sock)
+
+    def request(self, op: int, *args: object) -> bytes:
+        """One request → the OK body, or a mapped exception.
+
+        ``request(op, sent)`` — a :class:`Sent` handle in place of the
+        arguments — only reads the answer of a frame :meth:`send`
+        already shipped. Either way the RPC ends here, so one call of
+        this method is one round trip."""
+        sent = args[0] if args and type(args[0]) is Sent else self.send(op, *args)
+        sock = sent.take()
+        try:
             response = wire.recv_frame(sock)
         except WireProtocolError as exc:
             # stream died mid-frame: unreachable peer, not a codec bug
@@ -251,6 +273,41 @@ class NodeClient:
     def ping(self) -> bool:
         self.request(wire.OP_PING)
         return True
+
+
+class Sent:
+    """A request whose frame is on the wire and whose answer is unread.
+
+    Holds the checked-out connection until :meth:`NodeClient.request`
+    reads the answer (and pools the connection) or :meth:`close` drops
+    it: a connection with an unread answer never goes back to a pool,
+    or the next request on it would read this one's answer.
+    """
+
+    __slots__ = ("client", "op", "sock")
+
+    def __init__(self, client: NodeClient, op: int, sock: socket.socket) -> None:
+        self.client = client
+        self.op = op
+        self.sock: Optional[socket.socket] = sock
+
+    def take(self) -> socket.socket:
+        """Hand the connection to the receiving half (once)."""
+        sock, self.sock = self.sock, None
+        if sock is None:
+            raise ValueError("request answer already read or abandoned")
+        return sock
+
+    def receive(self) -> Any:
+        """The answer, decoded by the opcode's response codec."""
+        return self.client.call(self.op, self)
+
+    def close(self) -> None:
+        """Abandon the answer: close the connection (idempotent; a no-op
+        once the answer was read)."""
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            wire.close_quietly(sock)
 
 
 class RemoteStore:
@@ -391,6 +448,10 @@ class RemoteNode(StorageNode):
     def mutate(self, op: int, *args: Any) -> Any:
         """The node process applies (and checkpoints) it itself."""
         return self.client.call(op, *args)
+
+    def send(self, op: int, *args: Any) -> Sent:
+        """Ship the frame now; the ``sent=`` argument reads the answer."""
+        return self.client.send(op, *args)
 
     # -- transport-specific surface ------------------------------------------
 

@@ -163,6 +163,17 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
 # --------------------------------------------------------------------------
 
 
+def _truncated(n: int, pos: int, data: bytes) -> WireProtocolError:
+    return WireProtocolError(
+        f"truncated payload: wanted {n} bytes at offset {pos}, "
+        f"frame has {len(data)}"
+    )
+
+
+def _bad_flag(flag: int) -> WireProtocolError:
+    return WireProtocolError(f"bad optional flag {flag:#x}")
+
+
 class Reader:
     """A strict cursor over one frame payload (bounds-checked reads)."""
 
@@ -175,10 +186,7 @@ class Reader:
     def _take(self, n: int) -> bytes:
         end = self.pos + n
         if end > len(self.data):
-            raise WireProtocolError(
-                f"truncated payload: wanted {n} bytes at offset "
-                f"{self.pos}, frame has {len(self.data)}"
-            )
+            raise _truncated(n, self.pos, self.data)
         out = self.data[self.pos:end]
         self.pos = end
         return out
@@ -200,7 +208,7 @@ class Reader:
         if flag == 0:
             return None
         if flag != 1:
-            raise WireProtocolError(f"bad optional flag {flag:#x}")
+            raise _bad_flag(flag)
         return self.bytes_()
 
     def bool_(self) -> bool:
@@ -283,6 +291,94 @@ def _put_stats(out: bytearray, stats: Dict[str, int]) -> None:
         out += _U64.pack(stats[key])
 
 
+# The three batch bodies — every multi-get's keys and values, every
+# listing and scan — are read by one loop each straight off the frame:
+# the same checks the Reader methods make, in the same order, raising
+# the same WireProtocolError, without a method call per field.
+
+
+def _read_count(data: bytes, pos: int) -> int:
+    if pos + 4 > len(data):
+        raise _truncated(4, pos, data)
+    return int(_U32.unpack_from(data, pos)[0])
+
+
+def _read_keys(reader: Reader) -> List[bytes]:
+    data, pos = reader.data, reader.pos
+    size = len(data)
+    unpack = _U32.unpack_from
+    count = _read_count(data, pos)
+    pos += 4
+    keys: List[bytes] = []
+    append = keys.append
+    for _ in range(count):
+        start = pos + 4
+        if start > size:
+            raise _truncated(4, pos, data)
+        pos = start + unpack(data, pos)[0]
+        if pos > size:
+            raise _truncated(pos - start, start, data)
+        append(data[start:pos])
+    reader.pos = pos
+    return keys
+
+
+def _read_pairs(reader: Reader) -> List[Tuple[bytes, bytes]]:
+    data, pos = reader.data, reader.pos
+    size = len(data)
+    unpack = _U32.unpack_from
+    count = _read_count(data, pos)
+    pos += 4
+    pairs: List[Tuple[bytes, bytes]] = []
+    append = pairs.append
+    for _ in range(count):
+        start = pos + 4
+        if start > size:
+            raise _truncated(4, pos, data)
+        pos = start + unpack(data, pos)[0]
+        if pos > size:
+            raise _truncated(pos - start, start, data)
+        key = data[start:pos]
+        start = pos + 4
+        if start > size:
+            raise _truncated(4, pos, data)
+        pos = start + unpack(data, pos)[0]
+        if pos > size:
+            raise _truncated(pos - start, start, data)
+        append((key, data[start:pos]))
+    reader.pos = pos
+    return pairs
+
+
+def _read_values(reader: Reader) -> List[Optional[bytes]]:
+    data, pos = reader.data, reader.pos
+    size = len(data)
+    unpack = _U32.unpack_from
+    count = _read_count(data, pos)
+    pos += 4
+    values: List[Optional[bytes]] = []
+    append = values.append
+    for _ in range(count):
+        if pos >= size:
+            raise _truncated(1, pos, data)
+        flag = data[pos]
+        if flag == 0:
+            append(None)
+            pos += 1
+            continue
+        if flag != 1:
+            raise _bad_flag(flag)
+        start = pos + 5
+        if start > size:
+            raise _truncated(4, pos + 1, data)
+        pos = start + unpack(data, pos + 1)[0]
+        if pos > size:
+            raise _truncated(pos - start, start, data)
+        append(data[start:pos])
+    reader.pos = pos
+    return values
+
+
 # --------------------------------------------------------------------------
 # the opcode table
 # --------------------------------------------------------------------------
@@ -308,11 +404,9 @@ class Codec:
 NOTHING = Codec(_put_nothing, lambda r: None)
 BYTES = Codec(_put_bytes, Reader.bytes_)
 OPT_BYTES = Codec(_put_opt_bytes, Reader.opt_bytes)
-KEYS = Codec(_put_keys, lambda r: [r.bytes_() for _ in range(r.u32())])
-PAIRS = Codec(
-    _put_pairs, lambda r: [(r.bytes_(), r.bytes_()) for _ in range(r.u32())]
-)
-VALUES = Codec(_put_values, lambda r: [r.opt_bytes() for _ in range(r.u32())])
+KEYS = Codec(_put_keys, _read_keys)
+PAIRS = Codec(_put_pairs, _read_pairs)
+VALUES = Codec(_put_values, _read_values)
 U64 = Codec(_put_u64, Reader.u64)
 BOOL = Codec(_put_bool, Reader.bool_)
 STATS = Codec(_put_stats, lambda r: {r.str_(): r.u64() for _ in range(r.u32())})

@@ -1,11 +1,14 @@
 """Failure injection: node crashes, corrupted storage, missing segments,
 bad plans — including REAL process crashes on the socket transport."""
 
+import os
 import random
+import signal
 
 import pytest
 
-from repro.baav import BaaVStore
+from repro.baav import BaaVStore, KVInstance
+from repro.baav.schema import kv_schema
 from repro.errors import (
     BaaVError,
     CodecError,
@@ -15,7 +18,8 @@ from repro.errors import (
 )
 from repro.kba import Constant, ExecContext, Extend, ScanKV, TaaVScan, execute
 from repro.kv import KVCluster, codec
-from repro.relational import Database
+from repro.kv.remote import NodeClient
+from repro.relational import AttrType, Database, Relation, RelationSchema
 
 
 @pytest.fixture()
@@ -164,6 +168,14 @@ _FANOUT_OPS = {
 }
 
 
+_CRASH_REL = RelationSchema.of(
+    "C", {"k": AttrType.INT, "g": AttrType.INT}, ["k"]
+)
+#: 20 blocks of 3 tuples: a batched scan of 4 keys a wave takes 5 waves
+_CRASH_ROWS = [(k, k % 20) for k in range(60)]
+_CRASH_BY_G = kv_schema("c_by_g", _CRASH_REL, ["g"])
+
+
 class TestProcessCrash:
     """SIGKILL real node processes mid-workload (socket transport).
 
@@ -207,6 +219,82 @@ class TestProcessCrash:
             "socket", lambda c: c.nodes[self.DOOMED].process.sigkill()
         )
         assert socket_ == local
+
+    @pytest.mark.parametrize("replication", [1, 2])
+    @pytest.mark.parametrize("where", ["fan-out", "scan-ahead"])
+    def test_sigkill_between_send_and_receive(self, where, replication, monkeypatch):
+        """A node process SIGKILLed after a request frame is sent to it
+        and before its answer is read: in a multi-node ``multi_get``
+        (every node's frame but the first goes out before the first
+        call), and in the wave a batched scan ships ahead of decoding
+        the one before (with two copies per key no wave is shipped
+        ahead: the kill comes where it would be). The op fails over,
+        and the answer and the data left behind equal an in-process
+        cluster that ran ``fail_node(kill=True)`` at the same point."""
+        send = NodeClient.send
+
+        def run(transport, victim=None):
+            with KVCluster(
+                4, replication_factor=replication, transport=transport
+            ) as cluster:
+                instance = KVInstance(_CRASH_BY_G, cluster)
+                instance.build_from(Relation(_CRASH_REL, _CRASH_ROWS))
+                armed, killed = [], []
+
+                def send_then_die(client, op, *args):
+                    """The first frame sent once armed: its node stops
+                    before the frame goes out and dies before it is
+                    read, so the frame is never served."""
+                    if not armed or killed:
+                        return send(client, op, *args)
+                    process = cluster.nodes[client.node_id].process
+                    os.kill(process.pid, signal.SIGSTOP)
+                    try:
+                        return send(client, op, *args)
+                    finally:
+                        killed.append(client.node_id)
+                        process.sigkill()
+
+                def arm():
+                    armed.append(True)
+                    if transport == "local":
+                        killed.append(victim)
+                        cluster.fail_node(victim, kill=True)
+
+                monkeypatch.setattr(NodeClient, "send", send_then_die)
+                if where == "fan-out":
+                    keys = cluster.list_keys(instance.namespace).keys
+                    arm()
+                    answer = cluster.multi_get(instance.namespace, keys)
+                else:
+                    send_ahead = cluster.send_multi_get
+
+                    def arm_then_send(*args):
+                        first = not armed
+                        if first:
+                            arm()
+                        wave = send_ahead(*args)
+                        if first and transport == "socket":
+                            assert (wave is None) == (replication > 1)
+                            if wave is None:
+                                killed.append(self.DOOMED)
+                                cluster.nodes[self.DOOMED].process.sigkill()
+                        return wave
+
+                    cluster.send_multi_get = arm_then_send
+                    answer = sorted(
+                        (key, sorted(block.entries))
+                        for key, block in instance.scan(batch_size=4)
+                    )
+                assert killed and cluster.down_node_ids == killed
+                left = sorted(cluster.scan(instance.namespace, count_as_gets=False))
+                return killed[0], answer, left
+
+        victim, *socket_ = run("socket")
+        _, *local = run("local", victim)
+        assert socket_ == local
+        if replication == 2:  # no copy was lost
+            assert len(socket_[1]) == len(_CRASH_ROWS) // 3
 
     def test_sigkill_mid_workload_loses_nothing(self):
         from repro.kv import KVCluster

@@ -14,6 +14,8 @@ quiet cluster gains is asserted separately — no ring lookup at all.
 
 from __future__ import annotations
 
+import socket
+import sys
 import threading
 
 import pytest
@@ -24,6 +26,7 @@ from repro.baav.schema import kv_schema
 from repro.errors import BaaVError
 from repro.kv import KVCluster, TaaVRelation, codec
 from repro.kv.hashring import HashRing
+from repro.kv.remote import Sent
 from repro.mvcc.versions import VersionStore
 from repro.relational import AttrType, Relation, RelationSchema
 
@@ -260,3 +263,167 @@ def test_point_reads_and_stale_listings_still_ask_the_ring(ring_lookups):
     assert scan_blocks(deployment) == RIGHT["baav-scan"]
     # the generation moved under the listing: every segment hashed again
     assert len(ring_lookups) >= 36
+
+
+# -- the wave a batched scan ships ahead ------------------------------------
+
+
+def unread_answers(cluster) -> int:
+    """Pooled connections holding bytes nobody has read."""
+    stale = 0
+    for node in cluster.nodes.values():
+        for sock in node.client._pool:
+            timeout = sock.gettimeout()
+            sock.setblocking(False)
+            try:
+                stale += bool(sock.recv(1, socket.MSG_PEEK))
+            except BlockingIOError:
+                pass
+            finally:
+                sock.settimeout(timeout)
+    return stale
+
+
+def between_send_and_receive(
+    deployment: Deployment, event, ahead: bool = True
+) -> list:
+    """Run ``event(deployment)`` once, right after the scan ships its
+    first wave ahead (``ahead=False``: where it would ship it, shipping
+    none); returns the waves shipped."""
+    send_ahead = deployment.cluster.send_multi_get
+    waves = []
+
+    def send_then_fire(*args):
+        wave = send_ahead(*args) if ahead else None
+        if not waves:
+            event(deployment)
+        waves.append(wave)
+        return wave
+
+    deployment.cluster.send_multi_get = send_then_fire
+    return waves
+
+
+def test_scan_closed_after_its_first_wave():
+    """The wave shipped ahead of an abandoned scan is dropped with its
+    connection: every node's next multi-get reads its own answer."""
+    deployment = Deployment("socket", 1, withhold=False)
+    with deployment.cluster as cluster:
+        waves = between_send_and_receive(deployment, nothing)
+        scan = deployment.instance.scan(batch_size=4)
+        next(scan)
+        assert waves and waves[0] is not None
+        scan.close()
+        assert unread_answers(cluster) == 0
+        namespace = deployment.instance.namespace
+        listing = cluster.list_keys(namespace)
+        stored = dict(cluster.scan(namespace, count_as_gets=False))
+        for node_id, node in cluster.nodes.items():
+            mine = [
+                key for key, owner in zip(listing.keys, listing.owners)
+                if owner == node_id
+            ][:2]
+            fulls = [cluster.full_key(namespace, key) for key in mine]
+            # more asks than pooled connections: each one is reused
+            for _ in range(node.client._pool_size + 1):
+                assert node.multi_get(fulls) == [stored[key] for key in mine]
+
+
+#: membership changes fired between a wave's send and its receive
+BETWEEN = {
+    "add_node": (nothing, lambda d: d.cluster.add_node()),
+    "recover_node": (
+        lambda d: d.cluster.fail_node(1),
+        lambda d: d.cluster.recover_node(1),
+    ),
+    "remove_node": (nothing, lambda d: d.cluster.remove_node(0)),
+    "partition": (nothing, lambda d: d.cluster.fail_node(1)),
+}
+
+
+@pytest.mark.parametrize("event", sorted(BETWEEN))
+def test_membership_change_between_send_and_receive(event, monkeypatch):
+    """A wave shipped under an older placement is closed unread and
+    routed afresh: the answer, the work each node counted and the
+    membership left behind equal a scan that shipped nothing ahead and
+    saw the same change at the same point — a closed wave marks no node
+    down."""
+    received = []
+    take = Sent.take
+    monkeypatch.setattr(Sent, "take", lambda sent: received.append(sent) or take(sent))
+    before, between = BETWEEN[event]
+    observed = []
+    for ahead in (True, False):
+        deployment = Deployment("socket", 1, withhold=False)
+        with deployment.cluster as cluster:
+            before(deployment)
+            waves = between_send_and_receive(deployment, between, ahead)
+            observed.append(deployment.observe(scan_blocks))
+            if ahead:  # shipped under the old placement: closed, never read
+                assert not [h for h in waves[0].sent.values() if h in received]
+            else:
+                assert waves[0] is None
+            assert unread_answers(cluster) == 0
+            observed.append(cluster.down_node_ids)
+    assert observed[:2] == observed[2:]
+    assert observed[1] == ([1] if event == "partition" else [])
+    if event in ("add_node", "remove_node"):
+        assert observed[0][0] == RIGHT["baav-scan"]
+
+
+def test_replicated_scan_ships_nothing_ahead():
+    """With two copies a key's node is picked by read load, which the
+    waves before it move: a wave is routed when it is read, never
+    shipped early."""
+    deployment = Deployment("socket", 2, withhold=False)
+    with deployment.cluster:
+        waves = between_send_and_receive(deployment, nothing)
+        assert scan_blocks(deployment) == RIGHT["baav-scan"]
+        assert waves and not any(waves)
+
+
+def test_commit_racing_a_wave_shipped_ahead():
+    """A pinned reader's scan ships a wave; epoch 1 then overwrites,
+    deletes and inserts blocks before the wave is read. The scan still
+    returns epoch 0's rows."""
+    deployment = Deployment("socket", 1, withhold=False)
+    with deployment.cluster as cluster:
+        waves = between_send_and_receive(
+            deployment, lambda d: d.commit(1, overwrite_delete_insert)
+        )
+        with deployment.versions.reading(0):
+            assert scan_blocks(deployment) == RIGHT["baav-scan"]
+        assert waves[0] is not None
+        assert unread_answers(cluster) == 0
+
+
+@pytest.mark.stress
+def test_concurrent_scans_read_their_own_waves():
+    """Four threads scan at once over node processes, each shipping
+    waves ahead on the same connection pools: every scan reads its own
+    answers, and no pooled connection is left holding one."""
+    deployment = Deployment("socket", 1, withhold=False)
+    with deployment.cluster as cluster:
+        answers, errors = [], []
+
+        def scan_five_times():
+            try:
+                for _ in range(5):
+                    answers.append(scan_blocks(deployment))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=scan_five_times) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert answers == [RIGHT["baav-scan"]] * 20
+        assert unread_answers(cluster) == 0

@@ -149,17 +149,50 @@ def test_wrong_argument_count_refused(row):
                 wire.encode_request(row.op, *([b""] * count))
 
 
+#: every body shape a response is decoded with, by name
+RESPONSE_CODECS = {
+    name: codec for name, codec in vars(wire).items()
+    if isinstance(codec, wire.Codec) and any(row.response is codec for row in ROWS)
+}
+
+
 @given(st.binary(max_size=2048))
 @settings(max_examples=120, deadline=None)
 def test_decoder_total_on_garbage(payload):
-    """The request decoder never hangs, loops, or raises anything but
-    WireProtocolError on arbitrary payloads — and when it does accept
-    one, re-encoding its parse reproduces the payload exactly."""
+    """The request decoder and every response decoder never hang, loop,
+    or raise anything but WireProtocolError on arbitrary payloads — and
+    when one accepts a payload, re-encoding its parse reproduces the
+    payload exactly (``STATS``, which encodes its names sorted and once
+    each: reproduces the parse)."""
     try:
         op, args = wire.decode_request(payload)
     except WireProtocolError:
-        return
-    assert wire.encode_request(op, *args) == payload
+        pass
+    else:
+        assert wire.encode_request(op, *args) == payload
+    for name, codec in RESPONSE_CODECS.items():
+        try:
+            value = codec.decode(payload)
+        except WireProtocolError:
+            continue
+        body = wire.encode_ok(codec, value)[1:]
+        if codec is wire.STATS:
+            assert codec.decode(body) == value
+        else:
+            assert body == payload, name
+
+
+@pytest.mark.parametrize("name", ["KEYS", "PAIRS", "VALUES"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_truncation_of_a_batch_body_is_refused(name, data):
+    """Cut a valid batch body anywhere short of its end: the decoder
+    raises WireProtocolError — never IndexError or struct.error."""
+    codec = getattr(wire, name)
+    body = wire.encode_ok(codec, data.draw(SHAPES[codec]))[1:]
+    for cut in range(len(body)):
+        with pytest.raises(WireProtocolError):
+            codec.decode(body[:cut])
 
 
 # --------------------------------------------------------------------------
