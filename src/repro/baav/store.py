@@ -17,6 +17,7 @@ the paper's ``D̃``, with its degree ``deg(D̃)``.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import closing
 from itertools import repeat
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -24,8 +25,8 @@ from repro.baav.block import Block, BlockStats, split_block
 from repro.baav.schema import BaaVSchema, KVSchema
 from repro.errors import BaaVError, CodecError
 from repro.kv import codec
-from repro.kv.cache import passes_through, read_through_many
-from repro.kv.cluster import InFlight, KeyListing, KVCluster, ListedOn
+from repro.kv.cache import read_through_many, read_waves
+from repro.kv.cluster import KeyListing, KVCluster, ListedOn
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
@@ -170,17 +171,14 @@ class KVInstance:
         self,
         encoded_keys: Sequence[bytes],
         listed_on: Optional[ListedOn] = None,
-        ahead: Optional[InFlight] = None,
     ) -> List[Tuple[Optional[bytes], bool]]:
-        """Positional batched segment fetch; hits never reach the cluster
-        (``ahead``: the batch as ``send_multi_get`` shipped it)."""
+        """Positional batched segment fetch; hits never reach the cluster."""
         return read_through_many(
             self.cache,
             self.cluster,
             self.namespace,
             encoded_keys,
             listed_on=listed_on,
-            ahead=ahead,
         )
 
     def get(self, key: Row) -> Optional[Block]:
@@ -237,44 +235,17 @@ class KVInstance:
         missing ones are batched to the cluster.
         """
         unique: List[Row] = list(dict.fromkeys(tuple(k) for k in keys))
-        return self._fetch(
-            unique, [codec.encode_key(key + (0,)) for key in unique]
+        wave = self._cached_multi_get(
+            [codec.encode_key(key + (0,)) for key in unique]
         )
-
-    def _fetch(
-        self, keys: Sequence[Row], first_segments: Sequence[bytes]
-    ) -> Dict[Row, Optional[Block]]:
-        """The two fetch waves of :meth:`multi_get` over distinct
-        ``keys`` and their encoded segment-0 keys. Each wave's decoded
-        values are charged with one cluster call."""
-        blocks: Dict[Row, Optional[Block]] = {}
-        pending: List[Tuple[Row, int, Block]] = []
-        fetched_segments: List[Block] = []
-        for key, (data, fetched) in zip(
-            keys, self._cached_multi_get(first_segments)
-        ):
-            if data is None:
-                blocks[key] = None
-                continue
-            n_segments, block = self._decode_segment(data)
-            if fetched:
-                fetched_segments.append(block)
-            blocks[key] = block
-            for index in range(1, n_segments):
-                pending.append((key, index, block))
-        # charged before any tail segment is appended: a block counts
-        # its own segment's values here
-        self._charge_block_values(fetched_segments)
-        if pending:
-            self._fetch_tails(pending)
-        return blocks
+        return dict(zip(unique, self._decode_wave(unique, wave)))
 
     def _fetch_tails(
         self,
         pending: Sequence[Tuple[Row, int, Block]],
         listing: Optional[_SegmentListing] = None,
     ) -> None:
-        """The second fetch wave: append to each ``(key, index, block)``
+        """The tail-segment wave: append to each ``(key, index, block)``
         of ``pending`` its tail segment ``index``, charging the wave's
         decoded values with one cluster call. A scan says which
         ``listing`` found the segments."""
@@ -335,49 +306,42 @@ class KVInstance:
         Segments of one key may be served by different nodes; we merge them
         by buffering partial blocks.
 
-        Over node processes, while waves go to the cluster whole (no
-        cache, nothing the MVCC overlay answers), the next wave of
-        segment 0s is shipped before this one is decoded: the nodes
-        serve it while the client decodes. A scan abandoned midway drops
-        the wave it shipped.
+        The batched waves of segment 0s are :func:`repro.kv.cache.read_waves`
+        (shipped ahead over node processes); a scan abandoned midway
+        closes that stream, and with it the wave it shipped.
         """
         if batch_size > 1:
             # the segment-0 key bytes go to the fetch as the cluster
             # listed them, not re-encoded from the decoded key, and with
             # the node each was listed on, not hashed onto the ring again
             listing = self._list_segments()
-            keys, firsts = listing.keys, listing.firsts
-            ahead: Optional[InFlight] = None
-            try:
-                for start in range(0, len(keys), batch_size):
-                    stop = start + batch_size
-                    wave = self._cached_multi_get(
-                        firsts.keys[start:stop], firsts.listed_on(start, stop),
-                        ahead,
-                    )
-                    ahead = None  # read, or closed unread
-                    if stop < len(keys) and passes_through(self.cache, self.cluster):
-                        ahead = self.cluster.send_multi_get(
-                            self.namespace,
-                            firsts.keys[stop:stop + batch_size],
-                            firsts.listed_on(stop, stop + batch_size),
-                        )
-                    yield from self._decode_wave(keys[start:stop], wave, listing)
-            finally:
-                if ahead is not None:
-                    ahead.close()
+            keys = listing.keys
+            with closing(read_waves(
+                self.cache, self.cluster, self.namespace, listing.firsts,
+                batch_size,
+            )) as waves:
+                for start, wave in zip(range(0, len(keys), batch_size), waves):
+                    wave_keys = keys[start:start + batch_size]
+                    for key, block in zip(
+                        wave_keys, self._decode_wave(wave_keys, wave, listing)
+                    ):
+                        if block is not None:  # None: deleted since the listing
+                            yield key, block
             return
         partial: Dict[Row, List[Tuple[int, Block]]] = defaultdict(list)
+        segments_read: List[Block] = []
         for key_bytes, payload in self.cluster.scan(
             self.namespace, count_as_gets=True
         ):
             physical_key, _ = self._decode_physical_key(key_bytes, 0)
             key, segment_index = physical_key[:-1], physical_key[-1]
             _, segment = self._decode_segment(payload)
-            # cluster.scan charged 1 value on the owning node; top up the
-            # decoded remainder so per-key and batched paths charge alike
-            self._charge_block_values([segment])
+            segments_read.append(segment)
             partial[key].append((segment_index, segment))
+        # cluster.scan charged 1 value per segment on its owning node; top
+        # up the decoded remainders, all in one call, so per-key and
+        # batched paths charge alike
+        self._charge_block_values(segments_read)
         for key, segments in partial.items():
             segments.sort(key=lambda pair: pair[0])
             block = Block([])
@@ -389,10 +353,11 @@ class KVInstance:
         self,
         keys: Sequence[Row],
         wave: Sequence[Tuple[Optional[bytes], bool]],
-        listing: _SegmentListing,
-    ) -> List[Tuple[Row, Block]]:
-        """One batched-scan wave: ``keys``' segment-0 payloads as blocks,
-        their tail segments fetched and appended.
+        listing: Optional[_SegmentListing] = None,
+    ) -> List[Optional[Block]]:
+        """A wave of ``keys``' segment-0 payloads as blocks (``None``
+        where a key has none), their tail segments fetched and appended;
+        a scan says which ``listing`` found the segments.
 
         One loop: each segment 0 becomes a block where it was fetched,
         and the wave's value charges (``num_values() - 1`` a segment)
@@ -400,12 +365,13 @@ class KVInstance:
         decode_value_row = self._decode_value_row
         decode_entries = codec.decode_entries
         width = len(self.schema.value)
-        blocks: List[Tuple[Row, Block]] = []
+        blocks: List[Optional[Block]] = []
         charges: List[int] = []
         pending: List[Tuple[Row, int, Block]] = []
         for key, (data, fetched) in zip(keys, wave):
             if data is None:
-                continue  # deleted since the listing
+                blocks.append(None)
+                continue
             try:
                 n_segments, pos = data[0], 1
             except IndexError:
@@ -420,7 +386,7 @@ class KVInstance:
                 charges.append(len(entries) * width - 1)
             if n_segments > 1:
                 pending.extend((key, index, block) for index in range(1, n_segments))
-            blocks.append((key, block))
+            blocks.append(block)
         # charged before any tail segment is appended: a block counts its
         # own segment's values here
         self.cluster.charge_values_read_many(charges, live_only=False)

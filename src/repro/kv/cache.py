@@ -49,6 +49,7 @@ from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -61,7 +62,7 @@ from repro.tally import ShardSet, Tally, tally
 
 if TYPE_CHECKING:  # import cycle guard: cluster imports this module's
     # siblings; the cluster is only ever *passed in* here
-    from repro.kv.cluster import InFlight, KVCluster, ListedOn
+    from repro.kv.cluster import InFlight, KeyListing, KVCluster, ListedOn
 
 
 @tally
@@ -408,7 +409,8 @@ def make_cache(
 def passes_through(cache: Optional[AnyBlockCache], cluster: "KVCluster") -> bool:
     """Does :func:`read_through_many` hand a whole batch to the cluster
     as things stand — no cache, and nothing the MVCC overlay answers at
-    the calling thread's pin? (What a batch may be shipped ahead on.)"""
+    the calling thread's pin? (What :func:`read_waves` ships a wave
+    ahead on.)"""
     if cache is not None:
         return False
     versions = cluster.versions
@@ -521,3 +523,41 @@ def read_through_many(
                 # guarded fill: a write that raced the fetch wins
                 cache.put_if_fresh(namespace, key_bytes, data, epoch)
     return out
+
+
+def read_waves(
+    cache: Optional[AnyBlockCache],
+    cluster: "KVCluster",
+    namespace: str,
+    listing: "KeyListing",
+    batch_size: int,
+    n_values_each: int = 1,
+) -> Iterator[List[Tuple[Optional[bytes], bool]]]:
+    """The keys of ``listing``, ``batch_size`` at a time, each wave read
+    by :func:`read_through_many` (routed by where the listing found
+    them): a batched scan's fetch loop.
+
+    While a wave goes to the cluster whole (:func:`passes_through`),
+    the next one is shipped (``cluster.send_multi_get``) before this one
+    is yielded: the node processes serve it while the caller decodes.
+    A stream closed midway closes the wave it shipped.
+    """
+    keys = listing.keys
+    ahead: Optional["InFlight"] = None
+    try:
+        for start in range(0, len(keys), batch_size):
+            stop = start + batch_size
+            wave = read_through_many(
+                cache, cluster, namespace, keys[start:stop], n_values_each,
+                listing.listed_on(start, stop), ahead,
+            )
+            ahead = None  # read, or closed unread
+            if stop < len(keys) and passes_through(cache, cluster):
+                ahead = cluster.send_multi_get(
+                    namespace, keys[stop:stop + batch_size],
+                    listing.listed_on(stop, stop + batch_size),
+                )
+            yield wave
+    finally:
+        if ahead is not None:
+            ahead.close()

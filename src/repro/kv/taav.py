@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.kv import codec
-from repro.kv.cache import read_through_many
-from repro.kv.cluster import KVCluster, ListedOn
+from repro.kv.cache import read_through_many, read_waves
+from repro.kv.cluster import KVCluster
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
@@ -48,7 +48,6 @@ class TaaVRelation:
         self._decode_tuple = codec.row_decoder(
             [attribute.type for attribute in schema.attributes]
         )
-        self._row_count = 0
         self._next_rowid = 0
 
     def _key_for(self, row: Row) -> Row:
@@ -69,16 +68,12 @@ class TaaVRelation:
                 codec.encode_row(row),
                 n_values=arity,
             )
-            self._row_count += 1
 
     def insert(self, row: Row) -> None:
         self.load([row])
 
     def delete_by_key(self, key: Row) -> bool:
-        removed = self.cluster.delete(self.namespace, codec.encode_key(key))
-        if removed:
-            self._row_count -= 1
-        return removed
+        return self.cluster.delete(self.namespace, codec.encode_key(key))
 
     def delete_row(self, row: Row) -> bool:
         """Delete a full tuple (one occurrence) from the store.
@@ -96,10 +91,7 @@ class TaaVRelation:
         encoded = codec.encode_row(tuple(row))
         for key_bytes in self.cluster.list_keys(self.namespace).keys:
             if self.cluster.peek(self.namespace, key_bytes) == encoded:
-                removed = self.cluster.delete(self.namespace, key_bytes)
-                if removed:
-                    self._row_count -= 1
-                return removed
+                return self.cluster.delete(self.namespace, key_bytes)
         return False
 
     def get(self, key: Row) -> Optional[Row]:
@@ -113,29 +105,15 @@ class TaaVRelation:
         With a cache attached, only the cache-missing keys reach the
         cluster — the batch the nodes see shrinks with the hit rate.
         """
-        encoded = [codec.encode_key(tuple(key)) for key in keys]
-        payloads = self._cached_multi_get(encoded, self.schema.arity)
-        decode = self._decode_tuple
-        return [
-            None if data is None else decode(data, 0)[0] for data in payloads
-        ]
-
-    def _cached_multi_get(
-        self,
-        encoded_keys: Sequence[bytes],
-        n_values_each: int,
-        listed_on: Optional[ListedOn] = None,
-    ) -> List[Optional[bytes]]:
-        """Positional payload fetch serving hits locally, misses batched."""
         pairs = read_through_many(
             self.cache,
             self.cluster,
             self.namespace,
-            encoded_keys,
-            n_values_each,
-            listed_on,
+            [codec.encode_key(tuple(key)) for key in keys],
+            self.schema.arity,
         )
-        return [data for data, _ in pairs]
+        decode = self._decode_tuple
+        return [None if data is None else decode(data, 0)[0] for data, _ in pairs]
 
     def scan(self) -> Iterator[Row]:
         """Full scan: one counted get per tuple (the TaaV scan cost).
@@ -157,28 +135,26 @@ class TaaVRelation:
         ``batch_size=1`` is the conventional stack: one get invocation
         (and round trip) per tuple, driven by ``next()``. A larger batch
         models a client that extracts keys first and coalesces its gets —
-        same #get, far fewer round trips.
+        same #get, far fewer round trips; over node processes the next
+        batch is already shipped (:func:`repro.kv.cache.read_waves`).
         """
-        if batch_size > 1:
-            return self._fetch_all_batched(batch_size)
-        return Relation(self.schema, list(self.scan()))
-
-    def _fetch_all_batched(self, batch_size: int) -> Relation:
-        listing = self.cluster.list_keys(self.namespace)
-        arity = self.schema.arity
-        rows: List[Row] = []
-        for start in range(0, len(listing.keys), batch_size):
-            stop = start + batch_size
-            payloads = self._cached_multi_get(
-                listing.keys[start:stop], arity, listing.listed_on(start, stop)
-            )
-            for data in payloads:
-                if data is not None:
-                    rows.append(self._decode_tuple(data, 0)[0])
-        return Relation(self.schema, rows)
+        if batch_size <= 1:
+            return Relation(self.schema, list(self.scan()))
+        decode = self._decode_tuple
+        waves = read_waves(
+            self.cache, self.cluster, self.namespace,
+            self.cluster.list_keys(self.namespace), batch_size,
+            self.schema.arity,
+        )
+        return Relation(self.schema, [
+            decode(data, 0)[0]
+            for wave in waves for data, _ in wave if data is not None
+        ])
 
     def __len__(self) -> int:
-        return self._row_count
+        """Tuples stored (as the calling thread's pinned snapshot sees
+        them, when it has one)."""
+        return len(self.cluster.list_keys(self.namespace).keys)
 
 
 class TaaVStore:

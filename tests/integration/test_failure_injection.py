@@ -4,6 +4,7 @@ bad plans — including REAL process crashes on the socket transport."""
 import os
 import random
 import signal
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.kba import Constant, ExecContext, Extend, ScanKV, TaaVScan, execute
-from repro.kv import KVCluster, codec
+from repro.kv import KVCluster, TaaVRelation, codec
 from repro.kv.remote import NodeClient
 from repro.relational import AttrType, Database, Relation, RelationSchema
 
@@ -176,6 +177,31 @@ _CRASH_ROWS = [(k, k % 20) for k in range(60)]
 _CRASH_BY_G = kv_schema("c_by_g", _CRASH_REL, ["g"])
 
 
+def _stop_every_thread(pid: int) -> None:
+    """SIGSTOP ``pid`` and wait until every thread of it has stopped.
+
+    A stop signal wakes one thread of a process, which then stops the
+    others: until it has, a server thread blocked in ``recv`` can still
+    take a frame and answer it."""
+    os.kill(pid, signal.SIGSTOP)
+    tasks = f"/proc/{pid}/task"
+    if not os.path.isdir(tasks):  # no procfs: the signal alone
+        return
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline:
+        states = []
+        for tid in os.listdir(tasks):
+            try:
+                with open(f"{tasks}/{tid}/stat") as stat:
+                    states.append(stat.read().rsplit(")", 1)[1].split()[0])
+            except OSError:  # the thread exited meanwhile
+                pass
+        if all(state in "Tt" for state in states):
+            return
+        time.sleep(0.0005)
+    raise AssertionError(f"process {pid} did not stop")
+
+
 class TestProcessCrash:
     """SIGKILL real node processes mid-workload (socket transport).
 
@@ -221,24 +247,38 @@ class TestProcessCrash:
         assert socket_ == local
 
     @pytest.mark.parametrize("replication", [1, 2])
-    @pytest.mark.parametrize("where", ["fan-out", "scan-ahead"])
+    @pytest.mark.parametrize("where", ["fan-out", "scan-ahead", "taav-ahead"])
     def test_sigkill_between_send_and_receive(self, where, replication, monkeypatch):
         """A node process SIGKILLed after a request frame is sent to it
         and before its answer is read: in a multi-node ``multi_get``
         (every node's frame but the first goes out before the first
-        call), and in the wave a batched scan ships ahead of decoding
-        the one before (with two copies per key no wave is shipped
-        ahead: the kill comes where it would be). The op fails over,
-        and the answer and the data left behind equal an in-process
-        cluster that ran ``fail_node(kill=True)`` at the same point."""
+        call), and in the wave a batched BaaV scan or TaaV ``fetch_all``
+        ships ahead of decoding the one before (with two copies per key
+        no wave is shipped ahead: the kill comes where it would be). The
+        op fails over, and the answer and the data left behind equal an
+        in-process cluster that ran ``fail_node(kill=True)`` at the same
+        point."""
         send = NodeClient.send
 
         def run(transport, victim=None):
             with KVCluster(
                 4, replication_factor=replication, transport=transport
             ) as cluster:
-                instance = KVInstance(_CRASH_BY_G, cluster)
-                instance.build_from(Relation(_CRASH_REL, _CRASH_ROWS))
+                if where == "taav-ahead":
+                    store = TaaVRelation(_CRASH_REL, cluster)
+                    store.load(_CRASH_ROWS)
+
+                    def read():
+                        return sorted(store.fetch_all(batch_size=4).rows)
+                else:
+                    store = KVInstance(_CRASH_BY_G, cluster)
+                    store.build_from(Relation(_CRASH_REL, _CRASH_ROWS))
+
+                    def read():
+                        return sorted(
+                            (key, sorted(block.entries))
+                            for key, block in store.scan(batch_size=4)
+                        )
                 armed, killed = [], []
 
                 def send_then_die(client, op, *args):
@@ -248,7 +288,7 @@ class TestProcessCrash:
                     if not armed or killed:
                         return send(client, op, *args)
                     process = cluster.nodes[client.node_id].process
-                    os.kill(process.pid, signal.SIGSTOP)
+                    _stop_every_thread(process.pid)
                     try:
                         return send(client, op, *args)
                     finally:
@@ -263,9 +303,9 @@ class TestProcessCrash:
 
                 monkeypatch.setattr(NodeClient, "send", send_then_die)
                 if where == "fan-out":
-                    keys = cluster.list_keys(instance.namespace).keys
+                    keys = cluster.list_keys(store.namespace).keys
                     arm()
-                    answer = cluster.multi_get(instance.namespace, keys)
+                    answer = cluster.multi_get(store.namespace, keys)
                 else:
                     send_ahead = cluster.send_multi_get
 
@@ -282,19 +322,17 @@ class TestProcessCrash:
                         return wave
 
                     cluster.send_multi_get = arm_then_send
-                    answer = sorted(
-                        (key, sorted(block.entries))
-                        for key, block in instance.scan(batch_size=4)
-                    )
+                    answer = read()
                 assert killed and cluster.down_node_ids == killed
-                left = sorted(cluster.scan(instance.namespace, count_as_gets=False))
+                left = sorted(cluster.scan(store.namespace, count_as_gets=False))
                 return killed[0], answer, left
 
         victim, *socket_ = run("socket")
         _, *local = run("local", victim)
         assert socket_ == local
-        if replication == 2:  # no copy was lost
-            assert len(socket_[1]) == len(_CRASH_ROWS) // 3
+        if replication == 2:  # no copy was lost: a tuple, or a block of 3
+            per_answer = 1 if where == "taav-ahead" else 3
+            assert len(socket_[1]) == len(_CRASH_ROWS) // per_answer
 
     def test_sigkill_mid_workload_loses_nothing(self):
         from repro.kv import KVCluster

@@ -341,8 +341,9 @@ BETWEEN = {
 }
 
 
+@pytest.mark.parametrize("read", sorted(READS))
 @pytest.mark.parametrize("event", sorted(BETWEEN))
-def test_membership_change_between_send_and_receive(event, monkeypatch):
+def test_membership_change_between_send_and_receive(event, read, monkeypatch):
     """A wave shipped under an older placement is closed unread and
     routed afresh: the answer, the work each node counted and the
     membership left behind equal a scan that shipped nothing ahead and
@@ -358,7 +359,7 @@ def test_membership_change_between_send_and_receive(event, monkeypatch):
         with deployment.cluster as cluster:
             before(deployment)
             waves = between_send_and_receive(deployment, between, ahead)
-            observed.append(deployment.observe(scan_blocks))
+            observed.append(deployment.observe(READS[read]))
             if ahead:  # shipped under the old placement: closed, never read
                 assert not [h for h in waves[0].sent.values() if h in received]
             else:
@@ -368,48 +369,52 @@ def test_membership_change_between_send_and_receive(event, monkeypatch):
     assert observed[:2] == observed[2:]
     assert observed[1] == ([1] if event == "partition" else [])
     if event in ("add_node", "remove_node"):
-        assert observed[0][0] == RIGHT["baav-scan"]
+        assert observed[0][0] == RIGHT[read]
 
 
-def test_replicated_scan_ships_nothing_ahead():
+@pytest.mark.parametrize("read", sorted(READS))
+def test_replicated_scan_ships_nothing_ahead(read):
     """With two copies a key's node is picked by read load, which the
     waves before it move: a wave is routed when it is read, never
     shipped early."""
     deployment = Deployment("socket", 2, withhold=False)
     with deployment.cluster:
         waves = between_send_and_receive(deployment, nothing)
-        assert scan_blocks(deployment) == RIGHT["baav-scan"]
+        assert READS[read](deployment) == RIGHT[read]
         assert waves and not any(waves)
 
 
-def test_commit_racing_a_wave_shipped_ahead():
+@pytest.mark.parametrize("read", sorted(READS))
+def test_commit_racing_a_wave_shipped_ahead(read):
     """A pinned reader's scan ships a wave; epoch 1 then overwrites,
-    deletes and inserts blocks before the wave is read. The scan still
-    returns epoch 0's rows."""
+    deletes and inserts blocks and tuples before the wave is read. The
+    scan still returns epoch 0's rows."""
     deployment = Deployment("socket", 1, withhold=False)
     with deployment.cluster as cluster:
         waves = between_send_and_receive(
             deployment, lambda d: d.commit(1, overwrite_delete_insert)
         )
         with deployment.versions.reading(0):
-            assert scan_blocks(deployment) == RIGHT["baav-scan"]
+            assert READS[read](deployment) == RIGHT[read]
         assert waves[0] is not None
         assert unread_answers(cluster) == 0
 
 
 @pytest.mark.stress
-def test_concurrent_scans_read_their_own_waves():
+@pytest.mark.parametrize("read", sorted(READS))
+def test_concurrent_scans_read_their_own_waves(read):
     """Four threads scan at once over node processes, each shipping
     waves ahead on the same connection pools: every scan reads its own
     answers, and no pooled connection is left holding one."""
     deployment = Deployment("socket", 1, withhold=False)
     with deployment.cluster as cluster:
+        waves = between_send_and_receive(deployment, nothing)
         answers, errors = [], []
 
         def scan_five_times():
             try:
                 for _ in range(5):
-                    answers.append(scan_blocks(deployment))
+                    answers.append(READS[read](deployment))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -425,5 +430,6 @@ def test_concurrent_scans_read_their_own_waves():
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        assert answers == [RIGHT["baav-scan"]] * 20
+        assert answers == [RIGHT[read]] * 20
+        assert waves and all(waves)
         assert unread_answers(cluster) == 0

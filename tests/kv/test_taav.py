@@ -57,6 +57,14 @@ class TestTaaVRelation:
         assert taav.get((1,)) is None
         assert len(taav) == 2
 
+    def test_len_counts_an_overwritten_key_once(self, rel):
+        """Regression: loading a tuple whose key is already stored
+        replaces it, and ``len`` used to count it a second time."""
+        taav = TaaVRelation(rel.schema, KVCluster(2))
+        taav.load([(1, "a"), (2, "b")])
+        taav.insert((1, "c"))
+        assert len(taav) == len(taav.fetch_all()) == 2
+
     def test_no_pk_uses_rowids(self):
         schema = RelationSchema.of("R", {"a": AttrType.INT})
         cluster = KVCluster(2)

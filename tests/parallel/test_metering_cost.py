@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import repro.parallel.engine as engine
 import repro.parallel.partitioner as partitioner
-from repro.baav.store import KVInstance
 from repro.kba.blockset import BlockSet
 from repro.kv import KVCluster, codec
 from repro.systems import ZidianSystem
@@ -142,7 +141,7 @@ def test_value_charges_per_fetch_wave_not_per_block(
         monkeypatch.setattr(owner, attr, wrapper)
 
     counting(KVCluster, "charge_values_read_many", "charges")
-    counting(KVInstance, "_cached_multi_get", "waves")
+    counting(KVCluster, "multi_get", "waves")
     metrics = system.execute(_instance(system, template)).metrics
     assert 0 < count["charges"] <= count["waves"]
     # a wave is a batch of gets: the charges do not scale with the blocks
