@@ -69,7 +69,7 @@ toy_baav = BaaVSchema([
 toy_store = BaaVStore.map_database(toy, toy_baav, KVCluster(2))
 ctx = ExecContext(toy_store)
 
-r4 = Extend(ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),))
+r4 = Extend(ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),), ("r2.C",))
 print("R1 ∝ R2 (schema <AB, C>):", sorted(execute(r4, ctx).iter_full()))
 r5 = Shift(r4, ("r1.A",))
 print("(R1 ∝ R2) ↑ A (schema <A, BC>):",

@@ -150,7 +150,7 @@ GUARDED_FIELDS: Dict[str, Dict[Optional[str], Tuple[GuardSpec, ...]]] = {
     "repro/locks.py": {
         "RWLock": (
             _guard(
-                "_cond", MUTEX,
+                "_mutex", MUTEX,
                 "_readers", "_writers_waiting", "_write_owner",
                 "_write_depth",
             ),

@@ -608,15 +608,16 @@ class _ChainState:
             if qualified not in avail and qualified in self.needed:
                 expose.append((key_attr, qualified))
 
-        rename: List[Tuple[str, str]] = []
+        value_attrs: List[str] = []
         dup_checks: List[Tuple[str, str]] = []  # (original, temp)
         new_attrs = [name for _, name in expose]
-        for value_attr, qualified in zip(schema.value, cand.values):
+        for qualified in cand.values:
             if qualified in avail:
                 temp = f"{qualified}#dup"
-                rename.append((value_attr, temp))
+                value_attrs.append(temp)
                 dup_checks.append((qualified, temp))
             else:
+                value_attrs.append(qualified)
                 new_attrs.append(qualified)
 
         node: kp.KBANode = kp.Extend(
@@ -624,10 +625,10 @@ class _ChainState:
             schema.name,
             cand.alias,
             tuple(on),
+            tuple(value_attrs),
             tuple(expose),
-            tuple(rename),
         )
-        avail = set(avail) | set(new_attrs) | {t for _, t in rename}
+        avail = set(avail) | set(new_attrs) | set(value_attrs)
 
         # duplicate-fetch verification, then drop the temporaries
         preds: List[ast.Expr] = [

@@ -15,8 +15,9 @@ over that system's cluster. It is three things at once:
 All indexes share one ``ShardSet`` of
 :class:`~repro.index.indexes.IndexCounters` (:attr:`IndexManager.stats`
 — written through ``.local()``, read through ``.total()`` /
-``.thread()``), so the engines diff a single counter set to attribute
-index round-trips and posting reads to plan stages.
+``.thread()``), so the engines read a single counter set (the calling
+thread's live ``.local()`` shard) to attribute index round-trips and
+posting reads to plan stages.
 """
 
 from __future__ import annotations

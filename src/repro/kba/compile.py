@@ -740,13 +740,17 @@ def _vec_extend(node: kp.Extend, ctx, inputs: List[BlockSet]) -> BlockSet:
     child = inputs[0]
     instance = ctx.instance(node.kv_name)
     schema = instance.schema
-    alias = node.alias
 
     probe_of: Dict[str, str] = {kv: c for c, kv in node.on}
     if set(probe_of) != set(schema.key):
         raise PlanError(
             f"extend on {schema.name}: probe attrs {sorted(probe_of)} "
             f"must cover key {schema.key}"
+        )
+    if len(node.value_attrs) != len(schema.value):
+        raise PlanError(
+            f"extend on {schema.name}: value names {node.value_attrs} "
+            f"must match value {schema.value}"
         )
     child_attrs = child.attrs
     probe_positions = [
@@ -756,10 +760,6 @@ def _vec_extend(node: kp.Extend, ctx, inputs: List[BlockSet]) -> BlockSet:
     exposed_positions = [
         schema.key.index(kv_attr) for kv_attr, _ in node.expose_key
     ]
-    rename = dict(node.value_rename)
-    value_attrs = tuple(
-        rename.get(a, f"{alias}.{a}") for a in schema.value
-    )
 
     frame = BlockSetFrame(child)
     probe_cols = [frame.values(p) for p in probe_positions]
@@ -794,7 +794,7 @@ def _vec_extend(node: kp.Extend, ctx, inputs: List[BlockSet]) -> BlockSet:
             data[out_key] = bucket = []
         for row, block_count in block.entries:
             bucket.append((row, block_count * count))
-    return BlockSet(child_attrs + exposed_names, value_attrs, data)
+    return BlockSet(child_attrs + exposed_names, node.value_attrs, data)
 
 
 #: vectorized replacements; node types not listed here fall back to the

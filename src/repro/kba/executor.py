@@ -184,7 +184,6 @@ def _run_extend(node: kp.Extend, ctx: ExecContext, inputs: List[BlockSet]) -> Bl
     child = inputs[0]
     instance = ctx.instance(node.kv_name)
     schema = instance.schema
-    alias = node.alias
 
     # order the probe positions by the KV schema's key order
     probe_of: Dict[str, str] = {kv_attr: c_attr for c_attr, kv_attr in node.on}
@@ -192,6 +191,11 @@ def _run_extend(node: kp.Extend, ctx: ExecContext, inputs: List[BlockSet]) -> Bl
         raise PlanError(
             f"extend on {schema.name}: probe attrs {sorted(probe_of)} "
             f"must cover key {schema.key}"
+        )
+    if len(node.value_attrs) != len(schema.value):
+        raise PlanError(
+            f"extend on {schema.name}: value names {node.value_attrs} "
+            f"must match value {schema.value}"
         )
     child_attrs = child.attrs
     pick_probe = row_picker(
@@ -201,10 +205,6 @@ def _run_extend(node: kp.Extend, ctx: ExecContext, inputs: List[BlockSet]) -> Bl
     exposed_names = tuple(name for _, name in node.expose_key)
     pick_exposed = row_picker(
         [schema.key.index(kv_attr) for kv_attr, _ in node.expose_key]
-    )
-    rename = dict(node.value_rename)
-    value_attrs = tuple(
-        rename.get(a, f"{alias}.{a}") for a in schema.value
     )
 
     # Pass 1 — collect the distinct probe keys of every entry. This is
@@ -243,7 +243,7 @@ def _run_extend(node: kp.Extend, ctx: ExecContext, inputs: List[BlockSet]) -> Bl
             data[out_key] = bucket
         for row, block_count in block.entries:
             bucket.append((row, block_count * count))
-    return BlockSet(child_attrs + exposed_names, value_attrs, data)
+    return BlockSet(child_attrs + exposed_names, node.value_attrs, data)
 
 
 def _probe_batches(

@@ -110,20 +110,20 @@ class Extend(KBANode):
     """``child ∝ R̃``: extend child rows by fetching blocks of ``kv_name``.
 
     ``on`` maps child attributes onto the KV schema's key attributes (in
-    key order); fetched value attributes are exposed as ``alias.attr``.
+    key order). ``value_attrs`` names the fetched value attributes in
+    the output, one per value attribute of the KV schema, in its order:
+    ``alias.attr``, or a temporary where that name would collide with an
+    attribute already materialized (secondary fetches of one alias).
     """
 
     child: KBANode
     kv_name: str
     alias: str
     on: Tuple[Tuple[str, str], ...]  # (child attr, kv key attr)
+    value_attrs: Tuple[str, ...]
     expose_key: Tuple[Tuple[str, str], ...] = ()
     # (kv key attr, exposed qualified name) for key attrs of the alias that
     # downstream operators reference; their values come from the probe.
-    value_rename: Tuple[Tuple[str, str], ...] = ()
-    # (kv value attr, output qualified name) overrides for fetched value
-    # attributes whose default name ``alias.attr`` would collide with an
-    # attribute already materialized (secondary fetches of one alias).
 
     def children(self) -> Tuple[KBANode, ...]:
         return (self.child,)

@@ -39,7 +39,7 @@ concurrent ``move_to_end``). Its statistics are thread-sharded
 :attr:`BlockCache.stats`, summed under it, is a snapshot whose
 invariants always hold (``hits + misses == lookups``, ``hit_rate <= 1``
 — the bug class the PR-5 regression tests pin down); a query's probe
-reads :meth:`thread_stats`, its own thread's shard.
+reads :meth:`thread_shards`, its own thread's live shards.
 """
 
 from __future__ import annotations
@@ -146,8 +146,13 @@ class BlockCache:
             return self._shards.total()
 
     def thread_stats(self) -> CacheStats:
-        """A copy of the CALLING THREAD's shard (per-query attribution)."""
+        """A copy of the CALLING THREAD's shard."""
         return self._shards.thread()
+
+    def thread_shards(self) -> List[CacheStats]:
+        """The CALLING THREAD's live shard (registered on first use) —
+        what a query's probe reads; only this thread mutates it."""
+        return [self._shards.local()]
 
     # -- read path --------------------------------------------------------
 
@@ -370,12 +375,11 @@ class PartitionedBlockCache:
             total.add(cache.stats)
         return total
 
-    def thread_stats(self) -> CacheStats:
-        """The calling thread's shards summed over partitions."""
-        total = CacheStats()
-        for cache in self.partitions:
-            total.add(cache.thread_stats())
-        return total
+    def thread_shards(self) -> List[CacheStats]:
+        """The calling thread's live shard of every partition."""
+        return [
+            shard for cache in self.partitions for shard in cache.thread_shards()
+        ]
 
     def __len__(self) -> int:
         return sum(len(cache) for cache in self.partitions)

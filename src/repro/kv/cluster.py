@@ -1235,30 +1235,27 @@ class KVCluster:
         extras = [extra for extra in extras if extra > 0]
         if not extras:
             return
-
-        def charge(node: StorageNode, values: int) -> None:
-            node.counters.values_read += values
-            node.add_read_load(values)
-
         with self._lock.read():
-            node_ids = [
-                nid for nid in self.nodes
+            nodes = [
+                node for nid, node in self.nodes.items()
                 if not (live_only and nid in self._down)
             ]
             share = 0
             #: with_remainder[r] = charges whose remainder is r
-            with_remainder = [0] * len(node_ids)
+            with_remainder = [0] * len(nodes)
             for extra in extras:
-                quotient, remainder = divmod(extra, len(node_ids))
+                quotient, remainder = divmod(extra, len(nodes))
                 share += quotient
                 with_remainder[remainder] += 1
-            # charges whose remainder exceeds the node's position
+            # charges whose remainder exceeds the node's position; the
+            # counters are client-side on either transport, so this is
+            # a plain loop, not a fan-out
             one_more = len(extras)
-            charges: Dict[int, int] = {}
-            for index, node_id in enumerate(node_ids):
+            for index, node in enumerate(nodes):
                 one_more -= with_remainder[index]
-                charges[node_id] = share + one_more
-            self._fan_out(charge, charges)
+                values = share + one_more
+                node.counters.values_read += values
+                node.add_read_load(values)
 
     def reset_counters(self, thread_only: bool = False) -> None:
         """Zero the node counters.
@@ -1274,13 +1271,39 @@ class KVCluster:
         """Aggregate counters over all nodes and all serving threads."""
         return self.get_stats().totals
 
-    def thread_counters(self) -> NodeCounters:
-        """Aggregate counters of the CALLING THREAD only.
+    @property
+    def placement_generation(self) -> int:
+        """Bumped by every membership change (see :meth:`thread_shards`)."""
+        return self._placement_generation
 
-        This is what per-query metric probes diff: a query executes on
-        one thread, so its own shards meter exactly its I/O even while
-        other queries hammer the same nodes.
+    def thread_shards(
+        self, reset: bool = False
+    ) -> Tuple[int, List[NodeCounters]]:
+        """The CALLING THREAD's live counter shard on every node, down
+        ones included (each registered on first use), and the placement
+        generation they were gathered at — what a query's probe reads
+        its I/O off, under one read-lock acquisition per query.
+
+        ``reset=True`` zeroes the shards in the same pass, taking what
+        they held off each node's read load — a query's prologue, so
+        concurrent queries on other threads keep their counts. Only the
+        calling thread mutates what this returns, so reading it later
+        takes no lock; a membership change since (a new
+        :attr:`placement_generation`) means a node the list lacks.
         """
+        with self._lock.read():
+            shards: List[NodeCounters] = []
+            for node in self.nodes.values():
+                shard = node.counters
+                if reset:
+                    node.add_read_load(-(shard.gets + shard.values_read))
+                    shard.reset()
+                shards.append(shard)
+            return self._placement_generation, shards
+
+    def thread_counters(self) -> NodeCounters:
+        """Aggregate counters of the CALLING THREAD only, as a private
+        copy (a query's probe reads :meth:`thread_shards` instead)."""
         with self._lock.read():
             total = NodeCounters()
             shards = self._fan_out(lambda node, _: node.thread_counters(), self.nodes)

@@ -16,8 +16,9 @@ so a node must stay correct under concurrent callers:
   contend, operations on the same node are serialized;
 * **counters** are *thread-sharded* (:mod:`repro.tally`): increments
   go through :attr:`counters`, the calling thread's private
-  :class:`NodeCounters` shard; :meth:`counters_total` sums the shards
-  and :meth:`thread_counters` is what a query's probe diffs.
+  :class:`NodeCounters` shard; :meth:`counters_total` sums the shards,
+  and a query's probe reads its own live shard through :attr:`counters`
+  (``KVCluster.thread_shards``).
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ layers share (the thread-sharded counters live in :mod:`repro.tally`):
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 from repro import lockdep
 from repro.errors import LockError
@@ -74,10 +73,19 @@ class RWLock:
     Readers must not nest read acquisitions around blocking calls that
     themselves take the read side — the layers below keep their read
     critical sections flat (snapshot, release, then post-process).
+
+    ``release_read`` with no read side held, and ``release_write`` by a
+    thread that does not own the write side, raise
+    :class:`~repro.errors.LockError` (a stray ``release_read`` would
+    otherwise leave the reader count below zero, and every later writer
+    waiting for it to reach zero forever).
     """
 
     def __init__(self, name: str = "RWLock") -> None:
-        self._cond = threading.Condition()
+        #: a plain mutex under the condition: nothing re-enters it, and
+        #: ``with self._mutex`` is a C-level enter on the read path
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers = 0
         self._writers_waiting = 0
         self._write_owner: int | None = None
@@ -93,7 +101,7 @@ class RWLock:
     def acquire_read(self) -> None:
         if self._write_owner == threading.get_ident():
             return  # write holder may read (no-op reentry)
-        with self._cond:
+        with self._mutex:
             while self._write_owner is not None or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
@@ -103,26 +111,25 @@ class RWLock:
     def release_read(self) -> None:
         if self._write_owner == threading.get_ident():
             return
-        with self._cond:
+        with self._mutex:
+            if not self._readers:
+                raise LockError("release_read without a held read side")
             self._readers -= 1
-            if self._readers == 0:
+            # only a writer waits for the reader count to reach zero
+            if not self._readers and self._writers_waiting:
                 self._cond.notify_all()
         if self._dep_name is not None:
             lockdep.global_registry.note_release(self._dep_name)
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+    def read(self) -> _ReadSide:
+        """``with lock.read():`` — the shared side for the block."""
+        return _ReadSide(self)
 
     # -- write side -------------------------------------------------------
 
     def acquire_write(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._mutex:
             if self._write_owner == me:
                 self._write_depth += 1
                 if self._dep_name is not None:
@@ -140,7 +147,7 @@ class RWLock:
             lockdep.global_registry.note_acquire(self._dep_name)
 
     def release_write(self) -> None:
-        with self._cond:
+        with self._mutex:
             if self._write_owner != threading.get_ident():
                 raise LockError("release_write by a non-owner thread")
             self._write_depth -= 1
@@ -150,10 +157,41 @@ class RWLock:
         if self._dep_name is not None:
             lockdep.global_registry.note_release(self._dep_name)
 
-    @contextmanager
-    def write(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+    def write(self) -> _WriteSide:
+        """``with lock.write():`` — the exclusive side for the block."""
+        return _WriteSide(self)
+
+
+class _Side:
+    """What ``with lock.read():`` / ``with lock.write():`` enters — one
+    side of an :class:`RWLock`, taken on entry and given back on exit.
+    A slotted object, not a ``@contextmanager`` generator: the cluster
+    takes its read side several times per query."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: RWLock) -> None:
+        self._lock = lock
+
+
+class _ReadSide(_Side):
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        # repro-lint: disable=raw-acquire -- this IS the with-statement
+        # shape: __exit__ below releases however the block ends
+        self._lock.acquire_read()
+
+    def __exit__(self, *exc: object) -> None:
+        self._lock.release_read()  # repro-lint: disable=raw-acquire -- see __enter__
+
+
+class _WriteSide(_Side):
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        # repro-lint: disable=raw-acquire -- as _ReadSide.__enter__
+        self._lock.acquire_write()
+
+    def __exit__(self, *exc: object) -> None:
+        self._lock.release_write()  # repro-lint: disable=raw-acquire -- see __enter__

@@ -401,8 +401,13 @@ class VersionStore:
             return self._shards.total()
 
     def thread_stats(self) -> VersionStats:
-        """A copy of the CALLING THREAD's shard (per-query attribution)."""
+        """A copy of the CALLING THREAD's shard."""
         return self._shards.thread()
+
+    def thread_shard(self) -> VersionStats:
+        """The CALLING THREAD's live shard (registered on first use) —
+        what a query's probe reads; only this thread mutates it."""
+        return self._shards.local()
 
     def __repr__(self) -> str:
         with self._lock:

@@ -60,47 +60,59 @@ def _table_values(table: Table) -> int:
 
 
 class _IOProbe:
-    """Snapshot/diff of the CALLING THREAD's I/O counters.
+    """The CALLING THREAD's I/O counters, read stage by stage.
 
     A query executes on one thread, and the node counters, the
     block-cache hit/miss stats, the index probe/posting stats and the
-    MVCC overlay stats are all thread-sharded, so diffing the thread's
-    own shards attributes exactly this query's I/O to its stages — even
+    MVCC overlay stats are all thread-sharded, so the thread's own
+    shards attribute exactly this query's I/O to its stages — even
     while the query service runs other queries on other threads against
-    the same nodes. A missing cache, index manager or overlay reads as
-    zeros.
+    the same nodes. The probe gathers those live shards once per query
+    (zeroing the node shards: the query's prologue) and each stage reads
+    them directly: only this thread mutates them, so a read takes no
+    lock and copies nothing. A membership change mid-query (a new
+    placement generation) gathers the node shards again. A missing
+    cache, index manager or overlay reads as zeros.
     """
+
+    __slots__ = (
+        "started", "cluster", "versions", "_generation", "_nodes",
+        "_cache", "_index", "_overlay_stats", "_last", "_overlay",
+    )
 
     def __init__(self, cluster: KVCluster, cache, indexes) -> None:
         self.started = time.perf_counter()
         self.cluster = cluster
-        self.cache = cache
-        self.indexes = indexes
+        self._generation, self._nodes = cluster.thread_shards(reset=True)
+        self._cache = () if cache is None else cache.thread_shards()
+        self._index = None if indexes is None else indexes.stats.local()
         self.versions = cluster.versions
+        self._overlay_stats = (
+            None if self.versions is None else self.versions.thread_shard()
+        )
         self._last = self._snapshot()
         self._overlay = self._overlay_snapshot()
 
     def _snapshot(self) -> Tuple[int, ...]:
         """The thread's totals so far, in the positional order of
         ``CostModel.fetch_stage``."""
-        counters = self.cluster.thread_counters()
+        cluster = self.cluster
+        if cluster.placement_generation != self._generation:
+            self._generation, self._nodes = cluster.thread_shards()
+        gets = values = out = trips = 0
+        for shard in self._nodes:
+            gets += shard.gets
+            values += shard.values_read
+            out += shard.bytes_out
+            trips += shard.round_trips
         hits = misses = probes = postings = 0
-        if self.cache is not None:
-            stats = self.cache.thread_stats()
-            hits, misses = stats.hits, stats.misses
-        if self.indexes is not None:
-            index = self.indexes.stats.thread()
+        for stats in self._cache:
+            hits += stats.hits
+            misses += stats.misses
+        index = self._index
+        if index is not None:
             probes, postings = index.probes, index.postings
-        return (
-            counters.gets,
-            counters.values_read,
-            counters.bytes_out,
-            counters.round_trips,
-            hits,
-            misses,
-            probes,
-            postings,
-        )
+        return gets, values, out, trips, hits, misses, probes, postings
 
     def delta(self) -> Tuple[int, ...]:
         """The I/O since the previous call (runs once per plan node)."""
@@ -109,9 +121,9 @@ class _IOProbe:
         return tuple(map(operator.sub, now, last))
 
     def _overlay_snapshot(self) -> Tuple[int, int]:
-        if self.versions is None:
+        stats = self._overlay_stats
+        if stats is None:
             return 0, 0
-        stats = self.versions.thread_stats()
         return stats.overlay_reads, stats.versions_skipped
 
     def finish(self, metrics: ExecutionMetrics) -> ExecutionMetrics:

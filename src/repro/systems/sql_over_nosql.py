@@ -191,14 +191,13 @@ class TransactionalMixin:
         manager = self.transactions
         if manager is None or manager.versions.read_epoch() is not None:
             return run()
-        reclaimed = manager.versions.thread_stats().gc_reclaimed
+        stats = manager.versions.thread_shard()
+        reclaimed = stats.gc_reclaimed
         with manager.snapshot():
             result = run()
         # repro-lint: disable=counter-accounting -- metrics is this
         # query's private result object, not a shared stats instance
-        result.metrics.gc_reclaimed += (
-            manager.versions.thread_stats().gc_reclaimed - reclaimed
-        )
+        result.metrics.gc_reclaimed += stats.gc_reclaimed - reclaimed
         return result
 
 
@@ -419,9 +418,6 @@ class SQLOverNoSQL(KVSystem):
 
     def _execute(self, sql: str) -> QueryResult:
         ra_plan = self._plan(sql)
-        # per-thread reset: concurrent queries on other service threads
-        # keep their own shards (single-threaded behavior is unchanged)
-        self.cluster.reset_counters(thread_only=True)
         engine = self._engine(BaselineEngine)
         table, metrics = engine.execute(ra_plan)
         summary = _access_summary(engine.access)
@@ -531,9 +527,6 @@ class ZidianSystem(KVSystem):
         return self._snapshot_execute(lambda: self._run(self.middleware.planned(sql)))
 
     def _execute_plan(self, plan, decision: QueryDecision) -> QueryResult:
-        # per-thread reset: concurrent queries on other service threads
-        # keep their own shards (single-threaded behavior is unchanged)
-        self.cluster.reset_counters(thread_only=True)
         engine = self._engine(ZidianEngine, self.store)
         table, metrics = engine.execute(plan)
         return QueryResult(

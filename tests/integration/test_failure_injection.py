@@ -617,13 +617,14 @@ class TestBadPlans:
             "ps_by_sup",
             "PS",
             on=(),  # key not covered
+            value_attrs=(),
         )
         with pytest.raises(PlanError):
             execute(plan, ExecContext(store))
 
     def test_extend_unknown_instance(self, store):
         plan = Extend(
-            Constant(("x",), ((1,),)), "nope", "PS", (("x", "suppkey"),)
+            Constant(("x",), ((1,),)), "nope", "PS", (("x", "suppkey"),), ()
         )
         with pytest.raises(ReproError):
             execute(plan, ExecContext(store))

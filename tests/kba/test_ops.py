@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baav import BaaVSchema, BaaVStore, kv_schema
+from repro.errors import PlanError
 from repro.kba import (
     Constant,
     DifferenceK,
@@ -56,7 +57,7 @@ class TestExtend:
         """R1 ∝ R2 = mapping of R1 ⋈_B R2 on <AB, C>."""
         ctx, _ = example2
         plan = Extend(
-            ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),)
+            ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),), ("r2.C",)
         )
         out = execute(plan, ctx)
         assert out.key_attrs == ("r1.A", "r1.B")
@@ -73,14 +74,14 @@ class TestExtend:
         ctx, cluster = example2
         base = Constant(("r1.B",), ((2,),))
         cluster.reset_counters()
-        execute(Extend(base, "R2", "r2", (("r1.B", "B"),)), ctx)
+        execute(Extend(base, "R2", "r2", (("r1.B", "B"),), ("r2.C",)), ctx)
         # exactly one probe for key 2; key 1 of R2 untouched
         assert cluster.total_counters().gets == 1
 
     def test_extend_missing_key_drops_row(self, example2):
         ctx, _ = example2
         base = Constant(("r1.B",), ((99,),))
-        out = execute(Extend(base, "R2", "r2", (("r1.B", "B"),)), ctx)
+        out = execute(Extend(base, "R2", "r2", (("r1.B", "B"),), ("r2.C",)), ctx)
         assert out.num_tuples() == 0
 
     def test_extend_dedupes_probes(self, example2):
@@ -88,13 +89,13 @@ class TestExtend:
         base = Constant(("x",), ((2,),))
         doubled = UnionK(base, Constant(("x",), ((2,),)))
         cluster.reset_counters()
-        execute(Extend(doubled, "R2", "r2", (("x", "B"),)), ctx)
+        execute(Extend(doubled, "R2", "r2", (("x", "B"),), ("r2.C",)), ctx)
         assert cluster.total_counters().gets == 1
 
     def test_extend_multiplicities(self, example2):
         ctx, _ = example2
         base = Constant(("x",), ((2,),))
-        chained = Extend(base, "R2", "r2", (("x", "B"),))
+        chained = Extend(base, "R2", "r2", (("x", "B"),), ("r2.C",))
         out = execute(chained, ctx)
         # key 2 has two C values
         assert out.num_tuples() == 2
@@ -103,27 +104,33 @@ class TestExtend:
         ctx, _ = example2
         base = Constant(("x",), ((2,),))
         plan = Extend(
-            base, "R2", "r2", (("x", "B"),), expose_key=(("B", "r2.B"),)
+            base, "R2", "r2", (("x", "B"),), ("r2.C",),
+            expose_key=(("B", "r2.B"),),
         )
         out = execute(plan, ctx)
         assert "r2.B" in out.attrs
         assert all(row[out.position("r2.B")] == 2 for row in out.expand())
 
-    def test_value_rename(self, example2):
+    def test_value_attrs_name_the_output(self, example2):
         ctx, _ = example2
         base = Constant(("x",), ((2,),))
-        plan = Extend(
-            base, "R2", "r2", (("x", "B"),), value_rename=(("C", "tmp"),)
-        )
+        plan = Extend(base, "R2", "r2", (("x", "B"),), ("tmp",))
         out = execute(plan, ctx)
-        assert "tmp" in out.attrs
+        assert out.value_attrs == ("tmp",)
+
+    def test_value_attrs_must_match_the_schema(self, example2):
+        ctx, _ = example2
+        base = Constant(("x",), ((2,),))
+        plan = Extend(base, "R2", "r2", (("x", "B"),), ("r2.C", "r2.D"))
+        with pytest.raises(PlanError):
+            execute(plan, ctx)
 
 
 class TestJoinShift:
     def test_example2_shift_then_join(self, example2):
         """(R1 ∝ R2) ↑ A ⋈_{A,C} R3 = {(1,{(1,1)}), (2,{(3,3)})} keys."""
         ctx, _ = example2
-        r4 = Extend(ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),))
+        r4 = Extend(ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),), ("r2.C",))
         r5 = Shift(r4, ("r1.A",))
         joined = JoinK(
             r5,

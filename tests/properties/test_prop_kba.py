@@ -40,7 +40,7 @@ def build(rows1, rows2):
 def test_extension_is_keyed_natural_join(rows1, rows2):
     """D̃1 ∝ D̃2 has the relational version of D1 ⋈_B D2 (§4.2)."""
     db, ctx = build(rows1, rows2)
-    plan = Extend(ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),))
+    plan = Extend(ScanKV("R1", "r1"), "R2", "r2", (("r1.B", "B"),), ("r2.C",))
     out = execute(plan, ctx)
     expected = Counter(
         (a, b, c)
@@ -107,7 +107,7 @@ def test_extend_from_constants_equals_filtered_join(rows1, probes):
     """('c' ∝ R̃): only rows whose key is among the probes survive."""
     db, ctx = build([], rows1)
     constant = Constant(("x",), tuple((p,) for p in probes))
-    out = execute(Extend(constant, "R2", "r2", (("x", "B"),)), ctx)
+    out = execute(Extend(constant, "R2", "r2", (("x", "B"),), ("r2.C",)), ctx)
     expected = Counter()
     for probe in set(probes):
         for b, c in rows1:

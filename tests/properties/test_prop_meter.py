@@ -205,7 +205,9 @@ def plans():
             (AggSpec("n", "COUNT", None), AggSpec("m", "MAX", col("R.d"))),
         ),
         "union": UnionK(scan_l, select_l),
-        "extend": Extend(scan_l, "r_by_n", "R", (("L.n", "n"),)),
+        "extend": Extend(
+            scan_l, "r_by_n", "R", (("L.n", "n"),), ("R.d", "R.g")
+        ),
     }
 
 
