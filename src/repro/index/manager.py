@@ -14,9 +14,9 @@ over that system's cluster. It is three things at once:
 
 All indexes share one ``ShardSet`` of
 :class:`~repro.index.indexes.IndexCounters` (:attr:`IndexManager.stats`
-— written through ``.local()``, read through ``.total()`` /
-``.thread()``), so the engines read a single counter set (the calling
-thread's live ``.local()`` shard) to attribute index round-trips and
+— written through ``.local()``, read through ``.total()``), so the
+engines read a single counter set (the calling thread's live shard,
+:meth:`IndexManager.thread_shard`) to attribute index round-trips and
 posting reads to plan stages.
 """
 
@@ -117,6 +117,11 @@ class IndexManager:
             return len(doomed)
 
     # -- catalog (what the planners consult) --------------------------------
+
+    def thread_shard(self) -> IndexCounters:
+        """The CALLING THREAD's live counter shard (registered on first
+        use) — what a query's probe reads; only this thread mutates it."""
+        return self.stats.local()
 
     def __len__(self) -> int:
         with self._lock:

@@ -145,10 +145,6 @@ class BlockCache:
         with self._lock:
             return self._shards.total()
 
-    def thread_stats(self) -> CacheStats:
-        """A copy of the CALLING THREAD's shard."""
-        return self._shards.thread()
-
     def thread_shards(self) -> List[CacheStats]:
         """The CALLING THREAD's live shard (registered on first use) —
         what a query's probe reads; only this thread mutates it."""

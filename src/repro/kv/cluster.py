@@ -1257,15 +1257,11 @@ class KVCluster:
                 node.counters.values_read += values
                 node.add_read_load(values)
 
-    def reset_counters(self, thread_only: bool = False) -> None:
-        """Zero the node counters.
-
-        ``thread_only=True`` resets just the calling thread's shards —
-        what a query execution does before metering itself, so
-        concurrent queries on other threads keep their counts.
-        """
+    def reset_counters(self) -> None:
+        """Zero the node counters of every thread (a query zeroes just
+        its own thread's through :meth:`thread_shards`)."""
         with self._lock.read():
-            self._fan_out(lambda node, _: node.reset_counters(thread_only), self.nodes)
+            self._fan_out(lambda node, _: node.reset_counters(), self.nodes)
 
     def total_counters(self) -> NodeCounters:
         """Aggregate counters over all nodes and all serving threads."""
@@ -1284,8 +1280,8 @@ class KVCluster:
         generation they were gathered at — what a query's probe reads
         its I/O off, under one read-lock acquisition per query.
 
-        ``reset=True`` zeroes the shards in the same pass, taking what
-        they held off each node's read load — a query's prologue, so
+        ``reset=True`` zeroes the shards in the same pass (each node's
+        ``reset_counters(thread_only=True)``) — a query's prologue, so
         concurrent queries on other threads keep their counts. Only the
         calling thread mutates what this returns, so reading it later
         takes no lock; a membership change since (a new
@@ -1294,23 +1290,10 @@ class KVCluster:
         with self._lock.read():
             shards: List[NodeCounters] = []
             for node in self.nodes.values():
-                shard = node.counters
                 if reset:
-                    node.add_read_load(-(shard.gets + shard.values_read))
-                    shard.reset()
-                shards.append(shard)
+                    node.reset_counters(thread_only=True)
+                shards.append(node.counters)
             return self._placement_generation, shards
-
-    def thread_counters(self) -> NodeCounters:
-        """Aggregate counters of the CALLING THREAD only, as a private
-        copy (a query's probe reads :meth:`thread_shards` instead)."""
-        with self._lock.read():
-            total = NodeCounters()
-            shards = self._fan_out(lambda node, _: node.thread_counters(), self.nodes)
-            for shard in shards.values():
-                if shard is not None:
-                    total.add(shard)
-            return total
 
     def get_stats(self) -> ClusterStats:
         """A snapshot-consistent view of the cluster's accounting.

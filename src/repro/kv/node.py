@@ -253,10 +253,6 @@ class StorageNode:
         """Sum of every thread's shard — the node's aggregate counters."""
         return self._shards.total()
 
-    def thread_counters(self) -> Optional[NodeCounters]:
-        """The calling thread's shard, or ``None`` if it never counted."""
-        return self._shards.peek()
-
     @property
     def read_load(self) -> int:
         """Cumulative read weight (gets + values_read) for balancing."""
@@ -268,7 +264,9 @@ class StorageNode:
         self._read_load += delta
 
     def reset_counters(self, thread_only: bool = False) -> None:
-        """Zero the counters (all shards, or just the calling thread's)."""
+        """Zero the counters: all shards, or (``thread_only``) just the
+        calling thread's, taking what it held off the read load — a
+        query's prologue, through ``KVCluster.thread_shards``."""
         if thread_only:
             shard = self._shards.peek()
             if shard is not None:

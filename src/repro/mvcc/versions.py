@@ -400,10 +400,6 @@ class VersionStore:
         with self._lock:
             return self._shards.total()
 
-    def thread_stats(self) -> VersionStats:
-        """A copy of the CALLING THREAD's shard."""
-        return self._shards.thread()
-
     def thread_shard(self) -> VersionStats:
         """The CALLING THREAD's live shard (registered on first use) —
         what a query's probe reads; only this thread mutates it."""

@@ -85,7 +85,7 @@ class _IOProbe:
         self.cluster = cluster
         self._generation, self._nodes = cluster.thread_shards(reset=True)
         self._cache = () if cache is None else cache.thread_shards()
-        self._index = None if indexes is None else indexes.stats.local()
+        self._index = None if indexes is None else indexes.thread_shard()
         self.versions = cluster.versions
         self._overlay_stats = (
             None if self.versions is None else self.versions.thread_shard()

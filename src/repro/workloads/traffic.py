@@ -229,6 +229,15 @@ class TrafficDriver:
             self.mix, weights=[c.weight for c in self.mix], k=1
         )[0]
 
+    @staticmethod
+    def _written(cluster) -> Tuple[int, int]:
+        """The calling thread's puts and values written, over every node."""
+        shards = cluster.thread_shards()[1]
+        return (
+            sum(shard.puts for shard in shards),
+            sum(shard.values_written for shard in shards),
+        )
+
     def _update_service_ms(self, apply: Callable[[], None]) -> float:
         """Apply a Δ and price it with the calibrated write cost."""
         system = self.service.system
@@ -237,11 +246,11 @@ class TrafficDriver:
         if cluster is None or profile is None:
             apply()
             return 0.1
-        before = cluster.thread_counters()
+        before = self._written(cluster)
         apply()
-        delta = cluster.thread_counters()
-        puts = delta.puts - before.puts
-        values = delta.values_written - before.values_written
+        after = self._written(cluster)
+        puts = after[0] - before[0]
+        values = after[1] - before[1]
         nodes = max(1, cluster.num_live_nodes)
         return profile.put_cost_ms(puts, values) / nodes
 

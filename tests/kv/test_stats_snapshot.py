@@ -78,9 +78,9 @@ class TestSnapshotSemantics:
         thread.start()
         assert done.wait(timeout=5.0)
         thread.join()
-        # this thread never issued the get: its shard shows none,
+        # this thread never issued the get: its shards show none,
         # while the cluster aggregate does
-        assert cluster.thread_counters().gets == 0
+        assert sum(shard.gets for shard in cluster.thread_shards()[1]) == 0
         assert cluster.total_counters().gets == 1
 
     def test_dead_thread_counts_survive_ident_reuse(self):
@@ -100,7 +100,7 @@ class TestSnapshotSemantics:
         # a query execution does
         for _ in range(8):
             successor = threading.Thread(
-                target=cluster.reset_counters, kwargs={"thread_only": True}
+                target=cluster.thread_shards, kwargs={"reset": True}
             )
             successor.start()
             successor.join()
@@ -120,9 +120,14 @@ class TestSnapshotSemantics:
         assert done.wait(timeout=5.0)
         thread.join()
         cluster.get("ns", b"k")
-        cluster.reset_counters(thread_only=True)
+        _, shards = cluster.thread_shards(reset=True)  # a query's reset
+        assert sum(shard.gets for shard in shards) == 0
         total = cluster.total_counters()
         assert total.gets == 1  # the other thread's count survives
+        # ... and so does its share of the read load, exactly
+        assert sum(node.read_load for node in cluster.nodes.values()) == (
+            total.gets + total.values_read
+        )
         cluster.reset_counters()
         assert cluster.total_counters().gets == 0
 

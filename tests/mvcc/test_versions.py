@@ -164,7 +164,7 @@ class TestGC:
         put(store, b"k", 1, b"v0")
         store.gc(horizon=1)
         assert store.stats().gc_reclaimed == 1
-        assert store.thread_stats().gc_reclaimed == 1
+        assert store.thread_shard().gc_reclaimed == 1
 
     def test_gc_noop_returns_zero(self):
         store = VersionStore()

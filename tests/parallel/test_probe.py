@@ -47,13 +47,13 @@ def test_a_membership_change_between_stages_is_gathered_again(monkeypatch):
         metrics = system.execute(_statement(system, "q10", 3)).metrics
 
         # the new node served this query's later stages ...
-        served = added[0].thread_counters()
-        assert served is not None and served.gets > 0
+        assert added[0].counters.gets > 0
         # ... and the stages still sum to the thread's own counters
-        counted = cluster.thread_counters()
-        assert sum(stage.gets for stage in metrics.stages) == counted.gets
-        assert metrics.n_get == counted.gets
-        assert metrics.n_round_trips == counted.round_trips
+        _, shards = cluster.thread_shards()
+        gets = sum(shard.gets for shard in shards)
+        assert sum(stage.gets for stage in metrics.stages) == gets
+        assert metrics.n_get == gets
+        assert metrics.n_round_trips == sum(shard.round_trips for shard in shards)
 
 
 def test_every_cache_partition_is_read(monkeypatch):
@@ -69,8 +69,10 @@ def test_every_cache_partition_is_read(monkeypatch):
 
         def counted():
             """Hits and misses of this thread, summed over partitions,
-            each partition read through its own ``thread_stats()``."""
-            stats = [cache.thread_stats() for cache in partitions]
+            each partition read through its own ``thread_shards()``."""
+            stats = [
+                shard for cache in partitions for shard in cache.thread_shards()
+            ]
             return (
                 sum(s.hits for s in stats), sum(s.misses for s in stats),
                 [s.hits + s.misses for s in stats],

@@ -154,9 +154,9 @@ def test_total_sums_live_and_retired_shards_and_thread_is_a_private_copy():
 
 
 def test_index_probes_are_attributed_to_the_thread_that_made_them(cluster):
-    """What a query's I/O probe relies on: ``stats.thread()`` on a
-    serving thread counts that thread's index traffic only, while
-    another thread probes the same manager."""
+    """What a query's I/O probe relies on: the shard of a serving
+    thread counts that thread's index traffic only, while another
+    thread probes the same manager."""
     schema = RelationSchema(
         "R", [Attribute("k", AttrType.INT), Attribute("c", AttrType.INT)], ["k"]
     )
