@@ -269,13 +269,12 @@ class KVInstance:
         ``cluster.get``/``multi_get``/``scan`` counted one value per
         segment on the serving node, which is only known inside the
         cluster; each segment's remainder is spread evenly over the
-        nodes, which keeps totals exact and per-node counts
+        live nodes, which keeps totals exact and per-node counts
         approximate, and per-key, batched and scan paths all charge
         identically.
         """
         self.cluster.charge_values_read_many(
-            [segment.num_values() - 1 for segment in segments],
-            live_only=False,
+            [segment.num_values() - 1 for segment in segments]
         )
 
     def get_stats(self, key: Row) -> Optional[Dict[str, BlockStats]]:
@@ -389,7 +388,7 @@ class KVInstance:
             blocks.append(block)
         # charged before any tail segment is appended: a block counts its
         # own segment's values here
-        self.cluster.charge_values_read_many(charges, live_only=False)
+        self.cluster.charge_values_read_many(charges)
         if pending:
             self._fetch_tails(pending, listing)
         return blocks

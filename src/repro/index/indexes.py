@@ -180,15 +180,10 @@ class SecondaryIndex:
                 # only sees bytes); top up the decoded remainder so
                 # values_read charges the posting-list size, exactly
                 # like the BaaV segment reads do
-                self._charge_posting_values(len(entries))
+                self.cluster.charge_values_read_many([len(entries) - 1])
             stats.postings += len(entries)
             out.append(entries)
         return out
-
-    def _charge_posting_values(self, entries: int) -> None:
-        # only live nodes served the batch — a crashed node must not
-        # accrue reads (it would bias least-loaded replica selection)
-        self.cluster.charge_values_read(entries - 1, live_only=True)
 
     # -- write-through maintenance ----------------------------------------
 

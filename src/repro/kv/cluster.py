@@ -26,8 +26,8 @@ Every operation that talks to the nodes is one placement by the router
 ``{node id: batch}`` and a per-node call. The placements:
 
 * **reads** (``get`` / ``multi_get`` / ``peek``): one live owner per key
-  — the least-loaded one, or, with one copy per key and every node up,
-  the ring's owner (or the node a current :class:`KeyListing` names);
+  — its first live owner, the node the scan walk lists it from (or the
+  node a current :class:`KeyListing` names), whatever R;
 * **writes** (``put`` / ``multi_put`` / ``delete``): all R live owners,
   so write counters honestly show the R× cost;
 * **every live node**, for ``scan`` / ``list_keys`` (each key kept only
@@ -195,8 +195,8 @@ class KeyListing(NamedTuple):
     """The keys of a namespace as one listing walk found them.
 
     The walk goes node by node, so it knows which node it read each key
-    from. With one copy per key and every node up that node *is* the
-    key's owner, for as long as membership stands: a fetch that hands
+    from: the key's first live owner, whatever R — the node a read of
+    the key goes to, for as long as membership stands. A fetch that hands
     the owners back (:meth:`KVCluster.multi_get`'s ``listed_on``) is
     routed by them instead of hashing every key onto the ring again.
     """
@@ -687,31 +687,26 @@ class KVCluster:
     ) -> Dict[int, List[int]]:
         """The router: node id -> the positions of ``fulls`` it serves.
 
-        A write goes to every live owner. A read goes to one: with one
-        copy per key and every node up, its owner (the node a
-        still-current ``listed_on`` names, else the ring's); otherwise
-        the least-loaded live owner — read load over every serving
-        thread, the batch balancing itself greedily, ties to the lowest
-        id. The third policy, every live node, is the fan-out's default.
+        A write goes to every live owner. A read goes to one, whatever
+        R: the node a still-current ``listed_on`` names, else the key's
+        first live owner — the node :meth:`_primary_walk` lists it from,
+        with one copy per key and every node up the ring's owner. The
+        third policy, every live node, is the fan-out's default.
         """
         # repro-lint: holds=_lock -- callers hold the read lock
-        balance = read and (self.replication_factor > 1 or bool(self._down))
-        if balance:
-            loads = self._fan_out(lambda node, _: float(node.read_load))
-        elif listed_on and listed_on[0] != self._placement_generation:
+        if listed_on and listed_on[0] != self._placement_generation:
             listed_on = None
+        first_owner = (
+            self.ring.node_for
+            if self.replication_factor == 1 and not self._down
+            else lambda full: self._live_owner_ids(full)[0]
+        )
         by_node: Dict[int, List[int]] = {}
         for index, full in enumerate(fulls):
-            if balance:
-                node_id = min(
-                    self._live_owner_ids(full),
-                    key=lambda nid: (loads[nid], nid),
-                )
-                loads[node_id] += 1.0
-            elif listed_on is not None:
+            if listed_on is not None:
                 node_id = listed_on[1][index]
-            elif read:  # one copy per key, every node up
-                node_id = self.ring.node_for(full)
+            elif read:
+                node_id = first_owner(full)
             else:
                 for node_id in self._live_owner_ids(full):
                     by_node.setdefault(node_id, []).append(index)
@@ -816,11 +811,10 @@ class KVCluster:
     ) -> List[Optional[bytes]]:
         """Batched get: ONE round trip per serving node for the whole batch.
 
-        Keys are grouped by the replica chosen to serve them — the
-        least-loaded live owner, with the batch's own assignments
-        balancing the load greedily — and each node serves its group
-        with a single :meth:`StorageNode.multi_get`. Duplicate keys
-        within the batch are fetched once per node and fanned back out.
+        Keys are grouped by the replica that serves them — each key's
+        first live owner — and each node serves its group with a single
+        :meth:`StorageNode.multi_get`. Duplicate keys within the batch
+        are fetched once per node and fanned back out.
         Results are positional — ``out[i]`` answers ``keys[i]`` — so
         callers keep their ordering guarantees regardless of placement.
 
@@ -901,11 +895,10 @@ class KVCluster:
 
         ``None`` when there is nothing to send ahead: in-process nodes,
         an empty batch, or a peer found dead — the receive then routes
-        afresh and fails over as any read does — and with more than one
-        copy per key: the read load then picks each key's node, and
-        routed before the work ahead of it is counted, a wave would go
-        elsewhere, and count differently, than routed when it is read.
-        The caller closes a wave it will not read.
+        afresh and fails over as any read does. A key's node is a
+        function of the key and the placement, so a wave goes where,
+        and counts as, the same batch routed when it is read. The
+        caller closes a wave it will not read.
         """
         if self.transport == "local" or not keys:
             return None
@@ -913,8 +906,6 @@ class KVCluster:
         fulls = [prefix + key for key in keys]
         send = _send_get(fulls)
         with self._lock.read():
-            if self.replication_factor > 1:
-                return None
             sent: Dict[int, Any] = {}
             try:
                 routed = self._route(fulls, read=True, listed_on=listed_on)
@@ -1047,7 +1038,6 @@ class KVCluster:
                 counters.bytes_out += len(value)
                 values = values_of(stripped, value) if values_of else 1
                 counters.values_read += values
-                node.add_read_load(1 + values)
             yield stripped, value
 
     def list_keys(self, namespace: str) -> KeyListing:
@@ -1211,16 +1201,10 @@ class KVCluster:
 
     # -- counters ----------------------------------------------------------
 
-    def charge_values_read(self, extra: int, live_only: bool = True) -> None:
-        """Spread ``extra`` logical values over the nodes' read counters
-        — a :meth:`charge_values_read_many` of one."""
-        self.charge_values_read_many([extra], live_only)
-
-    def charge_values_read_many(
-        self, extras: Sequence[int], live_only: bool = True
-    ) -> None:
-        """Spread each of ``extras`` logical values over the nodes' read
-        counters, in one pass over the nodes.
+    def charge_values_read_many(self, extras: Sequence[int]) -> None:
+        """Spread each of ``extras`` logical values over the live nodes'
+        read counters, in one pass over the nodes (a down node served
+        nothing).
 
         Decode-aware callers (BaaV block top-ups, index posting-list
         reads) know the logical value count only after decoding, when
@@ -1238,7 +1222,7 @@ class KVCluster:
         with self._lock.read():
             nodes = [
                 node for nid, node in self.nodes.items()
-                if not (live_only and nid in self._down)
+                if nid not in self._down
             ]
             share = 0
             #: with_remainder[r] = charges whose remainder is r
@@ -1253,9 +1237,7 @@ class KVCluster:
             one_more = len(extras)
             for index, node in enumerate(nodes):
                 one_more -= with_remainder[index]
-                values = share + one_more
-                node.counters.values_read += values
-                node.add_read_load(values)
+                node.counters.values_read += share + one_more
 
     def reset_counters(self) -> None:
         """Zero the node counters of every thread (a query zeroes just
@@ -1280,9 +1262,9 @@ class KVCluster:
         generation they were gathered at — what a query's probe reads
         its I/O off, under one read-lock acquisition per query.
 
-        ``reset=True`` zeroes the shards in the same pass (each node's
-        ``reset_counters(thread_only=True)``) — a query's prologue, so
-        concurrent queries on other threads keep their counts. Only the
+        ``reset=True`` zeroes the shards in the same pass — a query's
+        prologue, so concurrent queries on other threads keep their
+        counts. Only the
         calling thread mutates what this returns, so reading it later
         takes no lock; a membership change since (a new
         :attr:`placement_generation`) means a node the list lacks.
@@ -1290,9 +1272,10 @@ class KVCluster:
         with self._lock.read():
             shards: List[NodeCounters] = []
             for node in self.nodes.values():
+                shard = node.counters
                 if reset:
-                    node.reset_counters(thread_only=True)
-                shards.append(node.counters)
+                    shard.reset()
+                shards.append(shard)
             return self._placement_generation, shards
 
     def get_stats(self) -> ClusterStats:

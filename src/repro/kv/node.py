@@ -125,7 +125,7 @@ class StorageNode:
 
     __slots__ = (
         "node_id", "engine", "store", "_shards", "_op_lock",
-        "_read_load", "_durability", "_owns_store", "_crashed",
+        "_durability", "_owns_store", "_crashed",
     )
 
     def __init__(self, node_id: int, engine: str = "mem",
@@ -157,10 +157,6 @@ class StorageNode:
         self._shards: ShardSet[NodeCounters] = ShardSet(NodeCounters)
         #: serializes store access (engine internals are not reentrant)
         self._op_lock = make_lock("StorageNode._op_lock")
-        #: cached gets+values_read across all shards — the O(1) load
-        #: signal replica selection reads on every point get (benign
-        #: ``+=`` races only wobble a tie-break heuristic)
-        self._read_load = 0
 
     # -- durability / crash surface -----------------------------------------
 
@@ -253,29 +249,10 @@ class StorageNode:
         """Sum of every thread's shard — the node's aggregate counters."""
         return self._shards.total()
 
-    @property
-    def read_load(self) -> int:
-        """Cumulative read weight (gets + values_read) for balancing."""
-        return self._read_load
-
-    def add_read_load(self, delta: int) -> None:
-        """Keep the cached load in step with out-of-band read charges
-        (cluster-level scan counting, decode-aware value top-ups)."""
-        self._read_load += delta
-
-    def reset_counters(self, thread_only: bool = False) -> None:
-        """Zero the counters: all shards, or (``thread_only``) just the
-        calling thread's, taking what it held off the read load — a
-        query's prologue, through ``KVCluster.thread_shards``."""
-        if thread_only:
-            shard = self._shards.peek()
-            if shard is not None:
-                self._read_load -= shard.gets + shard.values_read
-                shard.reset()
-            return
+    def reset_counters(self) -> None:
+        """Zero every thread's counter shard."""
         for shard in self._shards.all():
             shard.reset()
-        self._read_load = 0
 
     # -- KV operations -----------------------------------------------------
 
@@ -314,7 +291,6 @@ class StorageNode:
         counters.hits += len(found)
         counters.values_read += len(found) * n_values_each
         counters.bytes_out += sum(map(len, found))
-        self._read_load += len(keys) + len(found) * n_values_each
         return values
 
     def put(self, key: bytes, value: bytes, n_values: int = 1) -> None:

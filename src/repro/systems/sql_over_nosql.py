@@ -212,7 +212,7 @@ class KVSystem(TransactionalMixin):
 
     ``replication_factor`` keeps every KV pair on that many storage
     nodes (1 = the paper's unreplicated cluster): writes fan out to all
-    replicas, reads pick the least-loaded live replica, and the cluster
+    replicas, a key is read from its first live owner, and the cluster
     keeps serving through ``fail_node``/``recover_node`` churn.
 
     ``transport=None`` defers to ``REPRO_KV_TRANSPORT`` (default

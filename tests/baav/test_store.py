@@ -79,9 +79,9 @@ class TestSplitting:
         calls = []
         charge = KVCluster.charge_values_read_many
 
-        def counting(cluster, extras, live_only=True):
+        def counting(cluster, extras):
             calls.append(len(extras))
-            return charge(cluster, extras, live_only)
+            return charge(cluster, extras)
 
         monkeypatch.setattr(KVCluster, "charge_values_read_many", counting)
         store.cluster.reset_counters()

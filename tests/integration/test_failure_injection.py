@@ -253,11 +253,10 @@ class TestProcessCrash:
         and before its answer is read: in a multi-node ``multi_get``
         (every node's frame but the first goes out before the first
         call), and in the wave a batched BaaV scan or TaaV ``fetch_all``
-        ships ahead of decoding the one before (with two copies per key
-        no wave is shipped ahead: the kill comes where it would be). The
-        op fails over, and the answer and the data left behind equal an
-        in-process cluster that ran ``fail_node(kill=True)`` at the same
-        point."""
+        ships ahead of decoding the one before, at either replication
+        factor. The op fails over, and the answer and the data left
+        behind equal an in-process cluster that ran
+        ``fail_node(kill=True)`` at the same point."""
         send = NodeClient.send
 
         def run(transport, victim=None):
@@ -315,10 +314,7 @@ class TestProcessCrash:
                             arm()
                         wave = send_ahead(*args)
                         if first and transport == "socket":
-                            assert (wave is None) == (replication > 1)
-                            if wave is None:
-                                killed.append(self.DOOMED)
-                                cluster.nodes[self.DOOMED].process.sigkill()
+                            assert wave is not None
                         return wave
 
                     cluster.send_multi_get = arm_then_send

@@ -1,5 +1,7 @@
 """Replication, failover and rebalancing of the KV cluster (PR 3)."""
 
+import threading
+
 import pytest
 
 from repro.errors import ClusterUnavailableError
@@ -98,18 +100,59 @@ class TestReplicatedWrites:
 
 
 class TestReplicatedReads:
-    def test_reads_spread_over_replicas(self):
-        """Repeated reads of one hot key hit more than one node."""
+    def test_reads_do_not_depend_on_other_threads_history(self):
+        """A key is read from its first live owner, whatever any thread
+        read before: the same batch counts the same per node before and
+        after another thread reads one key 30 times."""
+        cluster = KVCluster(4, replication_factor=2)
+        expected = load(cluster, 8)
+        keys = list(expected)
+
+        def gets_per_node():
+            _, shards = cluster.thread_shards(reset=True)
+            assert cluster.multi_get("ns", keys) == [expected[k] for k in keys]
+            return [shard.gets for shard in shards]
+
+        before = gets_per_node()
+        hot = threading.Thread(
+            target=lambda: [cluster.get("ns", keys[0]) for _ in range(30)]
+        )
+        hot.start()
+        hot.join(timeout=30)
+        assert not hot.is_alive()
+        assert gets_per_node() == before
+
+    def test_reads_fail_over_to_the_next_live_owner_and_back(self):
         cluster = KVCluster(4, replication_factor=3)
-        cluster.put("ns", b"hot", b"v")
-        cluster.reset_counters()
-        for _ in range(30):
-            assert cluster.get("ns", b"hot") == b"v"
-        serving = [
-            n for n in cluster.nodes.values() if n.counters.gets > 0
-        ]
-        assert len(serving) == 3
-        assert max(n.counters.gets for n in serving) <= 11
+        expected = load(cluster, 40)
+        owners = {
+            key: cluster._live_owner_ids(cluster.full_key("ns", key))
+            for key in expected
+        }
+
+        def served_by():
+            """key -> the node its get was counted on."""
+            serving = {}
+            for key, value in expected.items():
+                cluster.reset_counters()
+                assert cluster.get("ns", key) == value
+                (serving[key],) = [
+                    node_id
+                    for node_id, counters in cluster.get_stats().per_node.items()
+                    if counters.gets
+                ]
+            return serving
+
+        healthy = served_by()
+        assert healthy == {key: ids[0] for key, ids in owners.items()}
+        cluster.fail_node(0)
+        degraded = served_by()
+        assert degraded == {
+            key: ids[1] if ids[0] == 0 else ids[0] for key, ids in owners.items()
+        }
+        assert degraded != healthy
+        cluster.recover_node(0)
+        assert served_by() == healthy
 
     def test_multi_get_balances_batch(self):
         cluster = KVCluster(4, replication_factor=2)

@@ -8,8 +8,8 @@ differential: every scenario runs twice on identically built clusters,
 once as shipped and once with the owners **withheld** from the listing
 (the ring names every node, as before the listing carried them), with a
 membership event or a commit fired *between the listing and its first
-fetch*. Answers, per-node counters and read load must be equal; what a
-quiet cluster gains is asserted separately — no ring lookup at all.
+fetch*. Answers and per-node counters must be equal; what a quiet
+cluster gains is asserted separately — no ring lookup at all.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class Deployment:
         """``read(self)``'s answer (or the error it died of) plus what
         every node counted serving it."""
         self.cluster.reset_counters()
-        load_before = {
-            node_id: node.read_load for node_id, node in self.cluster.nodes.items()
-        }
         try:
             answer = read(self)
         except BaaVError as exc:  # a tail segment on a node that is gone
@@ -99,11 +96,7 @@ class Deployment:
             node_id: (c.gets, c.values_read, c.round_trips)
             for node_id, c in self.cluster.get_stats().per_node.items()
         }
-        load = {
-            node_id: node.read_load - load_before.get(node_id, 0)
-            for node_id, node in self.cluster.nodes.items()
-        }
-        return answer, counters, load
+        return answer, counters
 
 
 def scan_blocks(deployment: Deployment):
@@ -373,15 +366,25 @@ def test_membership_change_between_send_and_receive(event, read, monkeypatch):
 
 
 @pytest.mark.parametrize("read", sorted(READS))
-def test_replicated_scan_ships_nothing_ahead(read):
-    """With two copies a key's node is picked by read load, which the
-    waves before it move: a wave is routed when it is read, never
-    shipped early."""
-    deployment = Deployment("socket", 2, withhold=False)
-    with deployment.cluster:
-        waves = between_send_and_receive(deployment, nothing)
-        assert READS[read](deployment) == RIGHT[read]
-        assert waves and not any(waves)
+def test_replicated_scan_ships_waves_ahead(read):
+    """With two copies a key is still read from its first live owner, a
+    function of the key and the placement: over node processes the scan
+    ships every wave ahead, and it answers and counts, node by node,
+    as the in-process scan, which ships none."""
+    observed = []
+    for transport in ("socket", "local"):
+        deployment = Deployment(transport, 2, withhold=False)
+        with deployment.cluster as cluster:
+            waves = between_send_and_receive(deployment, nothing)
+            observed.append(deployment.observe(READS[read]))
+            assert waves
+            if transport == "socket":
+                assert all(waves)
+                assert unread_answers(cluster) == 0
+            else:
+                assert not any(waves)
+    assert observed[0] == observed[1]
+    assert observed[0][0] == RIGHT[read]
 
 
 @pytest.mark.parametrize("read", sorted(READS))

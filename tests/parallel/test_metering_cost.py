@@ -2,8 +2,8 @@
 guards (no clocks).
 
 * One batched value charge leaves every node where the same charges
-  made one by one leave it, for any node count, down set and
-  ``live_only``; the single charge is the batch of one.
+  made one by one leave it, for any node count and down set; a down
+  node is charged nothing.
 * During an analytic query the cluster is asked to charge values at most
   once per fetch wave (two waves per block fetch), the batched scan
   re-encodes no key it was handed as bytes, and no intermediate is
@@ -34,22 +34,21 @@ BENCH_INDEXES = ("FLIGHT.tail_id", "FLIGHT.arr_delay:ordered")
 # -- (i) the batched charge is the sequence of single charges ---------------
 
 
-def _per_node(cluster: KVCluster) -> Dict[int, Tuple[int, int]]:
+def _per_node(cluster: KVCluster) -> Dict[int, int]:
     return {
-        node_id: (node.counters_total().values_read, node.read_load)
+        node_id: node.counters_total().values_read
         for node_id, node in cluster.nodes.items()
     }
 
 
 def _charged_one_by_one(
-    cluster: KVCluster, extras: List[int], live_only: bool
-) -> Dict[int, Tuple[int, int]]:
-    """Where the per-block loop this replaced leaves the nodes: node
-    ``i`` of ``n`` takes ``extra // n``, plus one if ``i < extra % n``."""
+    cluster: KVCluster, extras: List[int]
+) -> Dict[int, int]:
+    """Where the per-block loop this replaced leaves the nodes: live
+    node ``i`` of ``n`` takes ``extra // n``, plus one if
+    ``i < extra % n``."""
     node_ids = [
-        node_id
-        for node_id in cluster.nodes
-        if not live_only or cluster.is_live(node_id)
+        node_id for node_id in cluster.nodes if cluster.is_live(node_id)
     ]
     charged = {node_id: 0 for node_id in cluster.nodes}
     for extra in extras:
@@ -58,7 +57,7 @@ def _charged_one_by_one(
         share, remainder = divmod(extra, len(node_ids))
         for index, node_id in enumerate(node_ids):
             charged[node_id] += share + (1 if index < remainder else 0)
-    return {node_id: (total, total) for node_id, total in charged.items()}
+    return charged
 
 
 @st.composite
@@ -72,13 +71,13 @@ def charge_cases(draw):
             st.one_of(st.integers(-3, 40), st.integers(0, 10**6)), max_size=30
         )
     )
-    return num_nodes, sorted(down), extras, draw(st.booleans())
+    return num_nodes, sorted(down), extras
 
 
 @given(charge_cases())
 @settings(max_examples=150, deadline=None)
 def test_batched_charge_equals_single_charges(case):
-    num_nodes, down, extras, live_only = case
+    num_nodes, down, extras = case
     batched, singly = (
         # R = n: any down set short of every node leaves each key an owner
         KVCluster(num_nodes, replication_factor=num_nodes, transport="local")
@@ -87,24 +86,11 @@ def test_batched_charge_equals_single_charges(case):
     for cluster in (batched, singly):
         for node_id in down:
             cluster.fail_node(node_id)
-    expected = _charged_one_by_one(batched, extras, live_only)
-    batched.charge_values_read_many(extras, live_only=live_only)
+    expected = _charged_one_by_one(batched, extras)
+    batched.charge_values_read_many(extras)
     for extra in extras:
-        singly.charge_values_read(extra, live_only=live_only)
+        singly.charge_values_read_many([extra])
     assert _per_node(batched) == _per_node(singly) == expected
-
-
-def test_single_charge_is_a_batch_of_one(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        KVCluster,
-        "charge_values_read_many",
-        lambda self, extras, live_only=True: calls.append((extras, live_only)),
-    )
-    cluster = KVCluster(3)
-    cluster.charge_values_read(7, live_only=False)
-    cluster.charge_values_read(5)
-    assert calls == [([7], False), ([5], True)]
 
 
 # -- (ii) the per-block work is gone ------------------------------------------
