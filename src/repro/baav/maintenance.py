@@ -82,9 +82,7 @@ class Maintainer:
         n_segments = max(1, n_segments)
         last_index = n_segments - 1
         last_key = codec.encode_key(key + (last_index,))
-        last_payload = cluster.get(
-            instance.namespace, last_key, n_values=1
-        )
+        last_payload = cluster.get(instance.namespace, last_key)
         if last_payload is None:
             raise BaaVError(f"missing last segment for key {key!r}")
         head, segment = instance._decode_segment(last_payload)

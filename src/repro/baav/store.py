@@ -158,51 +158,54 @@ class KVInstance:
 
     # -- point access -----------------------------------------------------------
 
-    def _cached_get(self, encoded: bytes) -> Tuple[Optional[bytes], bool]:
-        """Fetch one segment payload; returns (payload, reached_cluster).
-
-        Read-through: a cache hit serves the payload locally — no node
-        counters move, zero round trips — and only misses issue a
-        cluster get (which fills the cache).
-        """
-        return self._cached_multi_get([encoded])[0]
+    def _segment_values(self, payload: bytes) -> int:
+        """A stored segment's logical values (#data), read off its header
+        by the node that serves it: the entry count after the segment
+        count, × the value width — one at least, like any payload. Both
+        counts are one byte each below 128 (the node calls this once a
+        payload)."""
+        try:
+            count = payload[1]
+            if count > 0x7F or payload[0] > 0x7F:
+                count = codec.entry_count(payload, codec._read_varint(payload, 0)[1])
+        except IndexError:
+            raise CodecError("truncated segment") from None
+        return count * len(self.schema.value) or 1
 
     def _cached_multi_get(
         self,
         encoded_keys: Sequence[bytes],
         listed_on: Optional[ListedOn] = None,
-    ) -> List[Tuple[Optional[bytes], bool]]:
-        """Positional batched segment fetch; hits never reach the cluster."""
+    ) -> List[Optional[bytes]]:
+        """Positional batched segment fetch, read through the cache: a
+        hit serves the payload locally — no node counters move, zero
+        round trips — and only misses reach the cluster."""
         return read_through_many(
             self.cache,
             self.cluster,
             self.namespace,
             encoded_keys,
-            listed_on=listed_on,
+            self._segment_values,
+            listed_on,
         )
 
     def get(self, key: Row) -> Optional[Block]:
         """Fetch the whole logical block for ``key`` (1 get per segment)."""
-        first, fetched = self._cached_get(codec.encode_key(tuple(key) + (0,)))
+        (first,) = self._cached_multi_get([codec.encode_key(tuple(key) + (0,))])
         if first is None:
             return None
         n_segments, block = self._decode_segment(first)
-        if fetched:
-            self._charge_block_values([block])
         for index in range(1, n_segments):
-            data, fetched = self._cached_get(
-                codec.encode_key(tuple(key) + (index,))
+            (data,) = self._cached_multi_get(
+                [codec.encode_key(tuple(key) + (index,))]
             )
-            segment = self._append_segment(block, key, index, data)
-            if fetched:
-                self._charge_block_values([segment])
+            self._append_segment(block, key, index, data)
         return block
 
     def _append_segment(
         self, block: Block, key: Row, index: int, data: Optional[bytes]
-    ) -> Block:
-        """Extend ``block`` with tail segment ``index`` of ``key``;
-        returns the decoded segment."""
+    ) -> None:
+        """Extend ``block`` with tail segment ``index`` of ``key``."""
         if data is None:
             raise BaaVError(
                 f"missing segment {index} of key {key!r} in {self.schema.name}"
@@ -210,7 +213,6 @@ class KVInstance:
         _, segment = self._decode_segment(data)
         block.entries.extend(segment.entries)
         block.proven = block.proven and segment.proven
-        return segment
 
     def _decode_segment(self, data: bytes) -> Tuple[int, Block]:
         """A stored segment payload as ``(segment count, block)``; the
@@ -246,47 +248,27 @@ class KVInstance:
         listing: Optional[_SegmentListing] = None,
     ) -> None:
         """The tail-segment wave: append to each ``(key, index, block)``
-        of ``pending`` its tail segment ``index``, charging the wave's
-        decoded values with one cluster call. A scan says which
+        of ``pending`` its tail segment ``index``. A scan says which
         ``listing`` found the segments."""
         tails = [codec.encode_key(key + (index,)) for key, index, _ in pending]
         listed_on = None if listing is None else listing.tails_listed_on(tails)
-        fetched_segments: List[Block] = []
         # pending holds each key's tail segments in ascending index
         # order, so extending in zip order reassembles the block
-        for (key, index, block), (data, fetched) in zip(
+        for (key, index, block), data in zip(
             pending, self._cached_multi_get(tails, listed_on)
         ):
-            segment = self._append_segment(block, key, index, data)
-            if fetched:
-                fetched_segments.append(segment)
-        self._charge_block_values(fetched_segments)
-
-    def _charge_block_values(self, segments: Sequence[Block]) -> None:
-        """Account the logical values of segments fetched from the
-        cluster (one fetch wave's worth, or a single one).
-
-        ``cluster.get``/``multi_get``/``scan`` counted one value per
-        segment on the serving node, which is only known inside the
-        cluster; each segment's remainder is spread evenly over the
-        live nodes, which keeps totals exact and per-node counts
-        approximate, and per-key, batched and scan paths all charge
-        identically.
-        """
-        self.cluster.charge_values_read_many(
-            [segment.num_values() - 1 for segment in segments]
-        )
+            self._append_segment(block, key, index, data)
 
     def get_stats(self, key: Row) -> Optional[Dict[str, BlockStats]]:
         """Fetch only the per-block statistics (1 get, tiny payload)."""
         if not self.keep_stats:
             return None
-        ((data, _),) = read_through_many(
+        (data,) = read_through_many(
             self.cache,
             self.cluster,
             self.stats_namespace,
             [codec.encode_key(tuple(key))],
-            n_values_each=4,
+            _stats_values,
         )
         if data is None:
             return None
@@ -317,7 +299,7 @@ class KVInstance:
             keys = listing.keys
             with closing(read_waves(
                 self.cache, self.cluster, self.namespace, listing.firsts,
-                batch_size,
+                batch_size, self._segment_values,
             )) as waves:
                 for start, wave in zip(range(0, len(keys), batch_size), waves):
                     wave_keys = keys[start:start + batch_size]
@@ -328,19 +310,13 @@ class KVInstance:
                             yield key, block
             return
         partial: Dict[Row, List[Tuple[int, Block]]] = defaultdict(list)
-        segments_read: List[Block] = []
         for key_bytes, payload in self.cluster.scan(
-            self.namespace, count_as_gets=True
+            self.namespace, count_as_gets=True, values_of=self._segment_values
         ):
             physical_key, _ = self._decode_physical_key(key_bytes, 0)
             key, segment_index = physical_key[:-1], physical_key[-1]
             _, segment = self._decode_segment(payload)
-            segments_read.append(segment)
             partial[key].append((segment_index, segment))
-        # cluster.scan charged 1 value per segment on its owning node; top
-        # up the decoded remainders, all in one call, so per-key and
-        # batched paths charge alike
-        self._charge_block_values(segments_read)
         for key, segments in partial.items():
             segments.sort(key=lambda pair: pair[0])
             block = Block([])
@@ -351,23 +327,17 @@ class KVInstance:
     def _decode_wave(
         self,
         keys: Sequence[Row],
-        wave: Sequence[Tuple[Optional[bytes], bool]],
+        wave: Sequence[Optional[bytes]],
         listing: Optional[_SegmentListing] = None,
     ) -> List[Optional[Block]]:
         """A wave of ``keys``' segment-0 payloads as blocks (``None``
         where a key has none), their tail segments fetched and appended;
-        a scan says which ``listing`` found the segments.
-
-        One loop: each segment 0 becomes a block where it was fetched,
-        and the wave's value charges (``num_values() - 1`` a segment)
-        are gathered on the way."""
+        a scan says which ``listing`` found the segments."""
         decode_value_row = self._decode_value_row
         decode_entries = codec.decode_entries
-        width = len(self.schema.value)
         blocks: List[Optional[Block]] = []
-        charges: List[int] = []
         pending: List[Tuple[Row, int, Block]] = []
-        for key, (data, fetched) in zip(keys, wave):
+        for key, data in zip(keys, wave):
             if data is None:
                 blocks.append(None)
                 continue
@@ -381,14 +351,9 @@ class KVInstance:
             deviants: List[int] = []
             entries, _ = decode_entries(data, pos, decode_value_row, deviants)
             block = Block(entries, not deviants)
-            if fetched:
-                charges.append(len(entries) * width - 1)
             if n_segments > 1:
                 pending.extend((key, index, block) for index in range(1, n_segments))
             blocks.append(block)
-        # charged before any tail segment is appended: a block counts its
-        # own segment's values here
-        self.cluster.charge_values_read_many(charges)
         if pending:
             self._fetch_tails(pending, listing)
         return blocks
@@ -486,6 +451,12 @@ def _encode_stats(stats: Dict[str, BlockStats]) -> bytes:
     ]
     flat = [row[0] for row in rows]
     return codec.encode_entries([(row, 1) for row in flat])
+
+
+def _stats_values(data: bytes) -> int:
+    """A stats sidecar's logical values (#data), read off its header by
+    the node that serves it: four statistics an attribute entry."""
+    return 4 * codec.entry_count(data)
 
 
 def _decode_stats(data: bytes) -> Dict[str, BlockStats]:

@@ -105,6 +105,12 @@ def dependent_index_prefix(relation: str) -> str:
     return f"__idx__/{relation}/"
 
 
+def _posting_values(payload: bytes) -> int:
+    """A posting list's logical values (#data), read off its header by
+    the node that serves it: its entry count, one at least."""
+    return max(1, codec.entry_count(payload))
+
+
 class SecondaryIndex:
     """Shared machinery of both index kinds."""
 
@@ -163,24 +169,16 @@ class SecondaryIndex:
     def _fetch_entries(
         self, key_bytes_list: Sequence[bytes]
     ) -> List[List[Tuple[Row, int]]]:
-        """Read-through fetch of posting payloads; counted as probes."""
-        pairs = read_through_many(
-            self.cache, self.cluster, self.namespace, key_bytes_list
+        """Read-through fetch of posting payloads; counted as probes, and
+        each served payload as its entry count of values on its node."""
+        payloads = read_through_many(
+            self.cache, self.cluster, self.namespace, key_bytes_list, _posting_values
         )
         out: List[List[Tuple[Row, int]]] = []
         stats = self.stats.local()
         stats.probes += len(key_bytes_list)
-        for data, fetched in pairs:
-            if data is None:
-                out.append([])
-                continue
-            entries, _ = codec.decode_entries(data)
-            if fetched:
-                # the cluster counted n_values_each=1 (the serving node
-                # only sees bytes); top up the decoded remainder so
-                # values_read charges the posting-list size, exactly
-                # like the BaaV segment reads do
-                self.cluster.charge_values_read_many([len(entries) - 1])
+        for data in payloads:
+            entries = [] if data is None else codec.decode_entries(data)[0]
             stats.postings += len(entries)
             out.append(entries)
         return out

@@ -436,18 +436,8 @@ def _run_stats_group(node: kp.StatsGroup, ctx: ExecContext, inputs: List[BlockSe
     alias = node.alias
     key_attrs = tuple(f"{alias}.{a}" for a in instance.schema.key)
     data: Dict[Row, List[Entry]] = {}
-    from repro.baav.store import _decode_stats
+    from repro.baav.store import _decode_stats, _stats_values
     from repro.kv import codec
-
-    # values_of decodes each sidecar to charge 4 statistic values per
-    # attribute on the owning node; memoize so the loop body reuses the
-    # decode instead of decoding every payload twice
-    decoded: Dict[bytes, Dict[str, object]] = {}
-
-    def _stats_values(key_bytes: bytes, data: bytes) -> int:
-        stats = _decode_stats(data)
-        decoded[key_bytes] = stats
-        return 4 * len(stats)
 
     for key_bytes, payload in instance.cluster.scan(
         instance.stats_namespace,
@@ -455,9 +445,7 @@ def _run_stats_group(node: kp.StatsGroup, ctx: ExecContext, inputs: List[BlockSe
         values_of=_stats_values,
     ):
         key = codec.decode_key(key_bytes)
-        # the memo is only filled when the scan counts (values_of runs);
-        # fall back to a fresh decode so counting stays a metrics concern
-        stats = decoded.pop(key_bytes, None) or _decode_stats(payload)
+        stats = _decode_stats(payload)
         out: List[object] = []
         for spec in node.aggs:
             attr = _agg_attr(spec, alias)

@@ -46,9 +46,11 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -63,6 +65,7 @@ from repro.tally import ShardSet, Tally, tally
 if TYPE_CHECKING:  # import cycle guard: cluster imports this module's
     # siblings; the cluster is only ever *passed in* here
     from repro.kv.cluster import InFlight, KeyListing, KVCluster, ListedOn
+    from repro.kv.node import ValuesOf
 
 
 @tally
@@ -406,33 +409,22 @@ def make_cache(
     return PartitionedBlockCache(capacity_bytes, partitions)
 
 
-def passes_through(cache: Optional[AnyBlockCache], cluster: "KVCluster") -> bool:
-    """Does :func:`read_through_many` hand a whole batch to the cluster
-    as things stand — no cache, and nothing the MVCC overlay answers at
-    the calling thread's pin? (What :func:`read_waves` ships a wave
-    ahead on.)"""
-    if cache is not None:
-        return False
-    versions = cluster.versions
-    epoch = None if versions is None else versions.read_epoch()
-    return versions is None or epoch is None or versions.nothing_newer(epoch)
-
-
 def read_through_many(
     cache: Optional[AnyBlockCache],
     cluster: "KVCluster",
     namespace: str,
     keys: Sequence[bytes],
-    n_values_each: int = 1,
+    values_of: Optional["ValuesOf"] = None,
     listed_on: Optional["ListedOn"] = None,
     ahead: Optional["InFlight"] = None,
-) -> List[Tuple[Optional[bytes], bool]]:
-    """Serve payloads through ``cache``: positional ``(payload,
-    reached_cluster)`` per key; only the cache-missing keys reach
-    ``cluster.multi_get`` (which counts ``n_values_each`` per hit, and
-    is told where a listing found them when ``listed_on`` says). A batch
-    that :func:`passes_through` reads the wave ``ahead`` already shipped
-    for ``keys``; any other closes it unread.
+) -> List[Optional[bytes]]:
+    """Serve payloads through ``cache``, positionally; only the
+    cache-missing keys reach ``cluster.multi_get``, whose serving nodes
+    count ``values_of(payload)`` values a payload, and which is told
+    where a listing found them when ``listed_on`` says. Without a cache
+    the batch is ``cluster.multi_get`` itself, reading the wave
+    ``ahead`` already shipped for ``keys``; with one, ``ahead`` is
+    closed unread.
 
     A hit is served locally (no storage traffic); a miss is fetched and
     fills the cache with its non-``None`` result. This is THE
@@ -446,82 +438,50 @@ def read_through_many(
     epoch, and a payload the overlay answered must never be filled into
     the cache (it would poison readers of the current state).
     """
-    if passes_through(cache, cluster):
-        # nothing is served locally: the batch goes straight through (the
-        # cluster's own overlay pass covers a commit racing this check)
-        return [
-            (data, True)
-            for data in cluster.multi_get(
-                namespace, keys, n_values_each, listed_on, ahead
-            )
-        ]
-    if ahead is not None:  # not the whole batch to the cluster
+    if cache is None:
+        # the cluster's own overlay pass leaves what it answers uncounted
+        return cluster.multi_get(namespace, keys, values_of, listed_on, ahead)
+    if ahead is not None:
         ahead.close()
     versions = cluster.versions
-    snapshot_epoch = (
-        versions.read_epoch() if versions is not None else None
+    visible: Iterable[Tuple[bool, Optional[bytes]]] = (
+        repeat((False, None))  # the overlay answers no key at this pin
+        if versions is None or (epoch := versions.overlay_epoch()) is None
+        else versions.read_visible_many(namespace, keys, epoch)
     )
-    out: List[Tuple[Optional[bytes], bool]] = [(None, False)] * len(keys)
-    pending: List[Tuple[int, bytes]] = []
-
-    def fetch(wanted: Sequence[Tuple[int, bytes]]) -> List[Optional[bytes]]:
-        """The cluster's answer for the ``(index, key)`` pairs left."""
-        listed = listed_on
-        if listed is not None and len(wanted) < len(keys):
-            listed = (listed[0], [listed[1][index] for index, _ in wanted])
-        return cluster.multi_get(
-            namespace, [key for _, key in wanted], n_values_each, listed
-        )
-
-    if (
-        versions is None
-        or snapshot_epoch is None
-        or versions.nothing_newer(snapshot_epoch)
-    ):
-        # the overlay answers no key at this reader's pin
-        pending = list(enumerate(keys))
-    else:
-        visible = versions.read_visible_many(
-            namespace, keys, snapshot_epoch
-        )
-        for index, (handled, data) in enumerate(visible):
-            if handled:
-                out[index] = (data, False)
-            else:
-                pending.append((index, keys[index]))
-    if not pending:
-        return out
-    if cache is None:
-        for (index, _), data in zip(pending, fetch(pending)):
-            out[index] = (data, True)
-        return out
+    out: List[Optional[bytes]] = [None] * len(keys)
     missing: List[Tuple[int, bytes]] = []
     epochs: List[int] = []
-    for index, key_bytes in pending:
-        data = cache.get(namespace, key_bytes)
-        if data is not None:
-            out[index] = (data, False)
-        else:
-            missing.append((index, key_bytes))
-            epochs.append(cache.read_epoch(namespace, key_bytes))
-    if missing:
-        for (index, key_bytes), epoch, data in zip(
-            missing, epochs, fetch(missing)
+    for index, (key_bytes, (handled, data)) in enumerate(zip(keys, visible)):
+        if not handled:
+            data = cache.get(namespace, key_bytes)
+            if data is None:
+                missing.append((index, key_bytes))
+                epochs.append(cache.read_epoch(namespace, key_bytes))
+        out[index] = data
+    if not missing:
+        return out
+    listed = listed_on
+    if listed is not None and len(missing) < len(keys):
+        listed = (listed[0], [listed[1][index] for index, _ in missing])
+    fetched = cluster.multi_get(
+        namespace, [key for _, key in missing], values_of, listed
+    )
+    pin = None if versions is None else versions.read_epoch()
+    for (index, key_bytes), fill_epoch, data in zip(missing, epochs, fetched):
+        out[index] = data
+        if data is None:
+            continue
+        if (
+            versions is not None
+            and pin is not None
+            and versions.is_overlaid(namespace, key_bytes, pin)
         ):
-            out[index] = (data, True)
-            if data is not None:
-                if (
-                    versions is not None
-                    and snapshot_epoch is not None
-                    and versions.is_overlaid(
-                        namespace, key_bytes, snapshot_epoch
-                    )
-                ):
-                    # a commit raced the fetch: an overlay payload must
-                    # not be cached as the current base value
-                    continue
-                # guarded fill: a write that raced the fetch wins
-                cache.put_if_fresh(namespace, key_bytes, data, epoch)
+            # a commit raced the fetch: an overlay payload must not be
+            # cached as the current base value
+            continue
+        # guarded fill: a write that raced the fetch wins
+        cache.put_if_fresh(namespace, key_bytes, data, fill_epoch)
     return out
 
 
@@ -531,16 +491,18 @@ def read_waves(
     namespace: str,
     listing: "KeyListing",
     batch_size: int,
-    n_values_each: int = 1,
-) -> Iterator[List[Tuple[Optional[bytes], bool]]]:
-    """The keys of ``listing``, ``batch_size`` at a time, each wave read
-    by :func:`read_through_many` (routed by where the listing found
-    them): a batched scan's fetch loop.
+    values_of: Optional["ValuesOf"] = None,
+) -> Iterator[List[Optional[bytes]]]:
+    """The payloads of ``listing``'s keys, ``batch_size`` at a time, each
+    wave read by :func:`read_through_many` (routed by where the listing
+    found them, counted by ``values_of`` on the serving nodes): a
+    batched scan's fetch loop.
 
-    While a wave goes to the cluster whole (:func:`passes_through`),
-    the next one is shipped (``cluster.send_multi_get``) before this one
-    is yielded: the node processes serve it while the caller decodes.
-    A stream closed midway closes the wave it shipped.
+    Without a cache, the next wave is shipped (``cluster.send_multi_get``)
+    before this one is yielded: the node processes serve it while the
+    caller decodes. ``multi_get`` routes a shipped wave afresh when the
+    MVCC overlay took keys from it. A stream closed midway closes the
+    wave it shipped.
     """
     keys = listing.keys
     ahead: Optional["InFlight"] = None
@@ -548,11 +510,11 @@ def read_waves(
         for start in range(0, len(keys), batch_size):
             stop = start + batch_size
             wave = read_through_many(
-                cache, cluster, namespace, keys[start:stop], n_values_each,
+                cache, cluster, namespace, keys[start:stop], values_of,
                 listing.listed_on(start, stop), ahead,
             )
             ahead = None  # read, or closed unread
-            if stop < len(keys) and passes_through(cache, cluster):
+            if stop < len(keys) and cache is None:
                 ahead = cluster.send_multi_get(
                     namespace, keys[stop:stop + batch_size],
                     listing.listed_on(stop, stop + batch_size),

@@ -3,7 +3,9 @@
 This is the storage layer of Fig. 1: keys are placed on nodes by
 consistent hashing; clients issue ``get``/``put``/``delete`` and drive
 scans with ``next()``-style iteration. Every operation is counted on the
-serving node so the evaluation can report #get, #data and bytes moved.
+serving node so the evaluation can report #get, #data and bytes moved;
+a read's #data is what the caller's ``values_of(payload)`` reads off
+each payload's header there (one value a payload without it).
 Namespaces isolate key spaces of different relations / KV instances: the
 stored key is ``encode_value(namespace) + key_bytes``.
 
@@ -104,7 +106,7 @@ from repro.kv import wal as walmod
 from repro.kv import wire
 from repro.kv.codec import encode_value
 from repro.kv.hashring import HashRing
-from repro.kv.node import NodeCounters, StorageNode
+from repro.kv.node import NodeCounters, StorageNode, ValuesOf
 from repro.kv.remote import RemoteNode
 from repro.locks import RWLock, make_lock
 from repro.mvcc.versions import VersionStore
@@ -251,7 +253,6 @@ class KVCluster:
     def __init__(
         self,
         num_nodes: int = 4,
-        ring_replicas: int = 64,
         engine: str = "mem",
         replication_factor: int = 1,
         transport: Optional[str] = None,
@@ -311,7 +312,7 @@ class KVCluster:
                 self._owns_data_dir = True
         self.data_dir = data_dir
         self.nodes: Dict[int, StorageNode] = {}
-        self.ring = HashRing(replicas=ring_replicas)
+        self.ring = HashRing()
         #: node ids currently crashed (on the ring, but unreachable)
         self._down: Set[int] = set()
         #: bumped by every membership change (they all end in
@@ -406,13 +407,10 @@ class KVCluster:
         # repro-lint: holds=_lock -- callers hold the read lock
         results: List[Optional[bytes]] = [None] * len(keys)
         versions = self._versions
-        epoch = None if versions is None else versions.read_epoch()
 
         def from_overlay(positions: Sequence[int]) -> Sequence[int]:
             """Answer the positions the chains hold; return the rest."""
-            if epoch is None or versions is None or versions.nothing_newer(
-                epoch
-            ):
+            if versions is None or (epoch := versions.overlay_epoch()) is None:
                 return positions
             visible = versions.read_visible_many(
                 namespace, [keys[i] for i in positions], epoch
@@ -447,7 +445,7 @@ class KVCluster:
             return
         if not versions.version_needed(namespace, key_bytes, epoch):
             return
-        old_value = self.nodes[self._live_owner_ids(full)[0]].peek(full)
+        old_value = self.nodes[self._first_live_owner(full)].peek(full)
         versions.record_write(namespace, key_bytes, epoch, old_value)
 
     # -- topology --------------------------------------------------------
@@ -675,6 +673,20 @@ class KVCluster:
             )
         return owners
 
+    def _first_live_owner(self, full_key: bytes) -> int:
+        """The node a read of the key goes to: its first live owner,
+        whatever R — :meth:`HashRing.node_for` while no node is down
+        (the ring walk yields it first), else the walk's first live id
+        (refused when every node of the walk is down)."""
+        if not self._down:
+            return self.ring.node_for(full_key)
+        for node_id in self.ring.iter_nodes(full_key):
+            if node_id not in self._down:
+                return node_id
+        raise ClusterUnavailableError(
+            "no live replica for key (all owners are down)"
+        )
+
     @staticmethod
     def full_key(namespace: str, key_bytes: bytes) -> bytes:
         return encode_value(namespace) + key_bytes
@@ -689,24 +701,19 @@ class KVCluster:
 
         A write goes to every live owner. A read goes to one, whatever
         R: the node a still-current ``listed_on`` names, else the key's
-        first live owner — the node :meth:`_primary_walk` lists it from,
-        with one copy per key and every node up the ring's owner. The
-        third policy, every live node, is the fan-out's default.
+        :meth:`_first_live_owner` — the node :meth:`_primary_walk` lists
+        it from. The third policy, every live node, is the fan-out's
+        default.
         """
         # repro-lint: holds=_lock -- callers hold the read lock
         if listed_on and listed_on[0] != self._placement_generation:
             listed_on = None
-        first_owner = (
-            self.ring.node_for
-            if self.replication_factor == 1 and not self._down
-            else lambda full: self._live_owner_ids(full)[0]
-        )
         by_node: Dict[int, List[int]] = {}
         for index, full in enumerate(fulls):
             if listed_on is not None:
                 node_id = listed_on[1][index]
             elif read:
-                node_id = first_owner(full)
+                node_id = self._first_live_owner(full)
             else:
                 for node_id in self._live_owner_ids(full):
                     by_node.setdefault(node_id, []).append(index)
@@ -776,7 +783,7 @@ class KVCluster:
     def _primary_walk(self, prefix: bytes, pairs: bool) -> Dict[int, list]:
         """Every live node's keys under ``prefix`` (``pairs``: with their
         values), each logical key once — under replication, from its
-        primary (first live) owner only. The per-node reads take the
+        :meth:`_first_live_owner` only. The per-node reads take the
         node mutex: concurrent puts cannot mutate a store mid-read."""
         # repro-lint: holds=_lock -- callers hold the read lock
         op = wire.OP_SCAN if pairs else wire.OP_KEYS
@@ -788,24 +795,28 @@ class KVCluster:
             )
             return found if self.replication_factor == 1 else [
                 item for item in found
-                if self._live_owner_ids(item[0] if pairs else item)[0]
+                if self._first_live_owner(item[0] if pairs else item)
                 == node.node_id
             ]
         return self._fan_out(listed, send=lambda node, _: node.send(op, prefix))
 
     # -- KV API ------------------------------------------------------------
 
-    def get(self, namespace: str, key_bytes: bytes,
-            n_values: int = 1) -> Optional[bytes]:
+    def get(
+        self,
+        namespace: str,
+        key_bytes: bytes,
+        values_of: Optional[ValuesOf] = None,
+    ) -> Optional[bytes]:
         """Point get — a :meth:`multi_get` of one: counts one get (and
         one round trip) on the replica that served it."""
-        return self.multi_get(namespace, [key_bytes], n_values)[0]
+        return self.multi_get(namespace, [key_bytes], values_of)[0]
 
     def multi_get(
         self,
         namespace: str,
         keys: Sequence[bytes],
-        n_values_each: int = 1,
+        values_of: Optional[ValuesOf] = None,
         listed_on: Optional[ListedOn] = None,
         ahead: Optional["InFlight"] = None,
     ) -> List[Optional[bytes]]:
@@ -817,6 +828,10 @@ class KVCluster:
         are fetched once per node and fanned back out.
         Results are positional — ``out[i]`` answers ``keys[i]`` — so
         callers keep their ordering guarantees regardless of placement.
+
+        The serving node counts each payload's ``values_of(payload)``
+        logical values (one without it). A key the MVCC overlay answers
+        at the calling thread's pin reaches no node and counts nothing.
 
         ``listed_on`` is where a :class:`KeyListing` found these keys:
         while placement stands as the listing saw it, the batch is
@@ -856,7 +871,7 @@ class KVCluster:
                 # node and fanned back out
                 wanted = [fulls[i] for i in group]
                 distinct = list(dict.fromkeys(wanted))
-                values = node.multi_get(distinct, n_values_each, handle)
+                values = node.multi_get(distinct, values_of, handle)
                 if len(distinct) < len(wanted):
                     value_of = dict(zip(distinct, values))
                     values = [value_of[full] for full in wanted]
@@ -981,14 +996,14 @@ class KVCluster:
         full = self.full_key(namespace, key_bytes)
         return self._peer_failover(lambda: self._as_of_snapshot(
             namespace, [key_bytes],
-            lambda _: [self.nodes[self._live_owner_ids(full)[0]].peek(full)],
+            lambda _: [self.nodes[self._first_live_owner(full)].peek(full)],
         )[0])
 
     def scan(
         self,
         namespace: str,
         count_as_gets: bool = True,
-        values_of: Optional[Callable[[bytes, bytes], int]] = None,
+        values_of: Optional[ValuesOf] = None,
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Scan all pairs of a namespace, each yielded exactly once.
 
@@ -999,11 +1014,11 @@ class KVCluster:
         (and counted) only by its primary live owner, so #get stays the
         logical pair count, not R× it. Yields (stripped key, value).
 
-        ``values_of`` maps a (stripped key, value) pair to its logical
-        value count, so decode-aware callers charge ``values_read``
-        exactly like :meth:`StorageNode.get` would (a TaaV pair is
-        ``arity`` values, a stats sidecar ``4 × attrs``); without it
-        every pair counts as one value.
+        ``values_of`` maps a value to its logical value count, charged
+        to the node that served the pair exactly as :meth:`multi_get`
+        charges it (a TaaV pair is ``arity`` values, a stats sidecar
+        ``4 × attrs``); without it every pair counts as one value. A pair
+        the MVCC overlay put back reached no node and counts nothing.
         """
         prefix = encode_value(namespace)
         plen = len(prefix)
@@ -1036,8 +1051,7 @@ class KVCluster:
                 counters.round_trips += 1
                 counters.hits += 1
                 counters.bytes_out += len(value)
-                values = values_of(stripped, value) if values_of else 1
-                counters.values_read += values
+                counters.values_read += 1 if values_of is None else values_of(value)
             yield stripped, value
 
     def list_keys(self, namespace: str) -> KeyListing:
@@ -1055,10 +1069,7 @@ class KVCluster:
                 owners += [node_id] * len(node_keys)
             generation = self._placement_generation
             versions = self._versions
-            epoch = None if versions is None else versions.read_epoch()
-            if epoch is None or versions is None or versions.nothing_newer(
-                epoch
-            ):
+            if versions is None or (epoch := versions.overlay_epoch()) is None:
                 return KeyListing(keys, owners, generation)
             return KeyListing(
                 versions.adjust_keys(namespace, keys, epoch), None, generation
@@ -1200,44 +1211,6 @@ class KVCluster:
         return report
 
     # -- counters ----------------------------------------------------------
-
-    def charge_values_read_many(self, extras: Sequence[int]) -> None:
-        """Spread each of ``extras`` logical values over the live nodes'
-        read counters, in one pass over the nodes (a down node served
-        nothing).
-
-        Decode-aware callers (BaaV block top-ups, index posting-list
-        reads) know the logical value count only after decoding, when
-        the serving node is no longer identifiable; each charge is
-        spread evenly — node ``i`` of ``n`` takes ``extra // n``, plus
-        one if ``i < extra % n`` — so totals stay exact and per-node
-        counts approximate. A fetch wave hands all its blocks' charges
-        over at once: the nodes end where the same charges made one by
-        one would leave them. Runs under the read lock — membership
-        churn is exclusive, so the node set cannot change mid-iteration.
-        """
-        extras = [extra for extra in extras if extra > 0]
-        if not extras:
-            return
-        with self._lock.read():
-            nodes = [
-                node for nid, node in self.nodes.items()
-                if nid not in self._down
-            ]
-            share = 0
-            #: with_remainder[r] = charges whose remainder is r
-            with_remainder = [0] * len(nodes)
-            for extra in extras:
-                quotient, remainder = divmod(extra, len(nodes))
-                share += quotient
-                with_remainder[remainder] += 1
-            # charges whose remainder exceeds the node's position; the
-            # counters are client-side on either transport, so this is
-            # a plain loop, not a fan-out
-            one_more = len(extras)
-            for index, node in enumerate(nodes):
-                one_more -= with_remainder[index]
-                node.counters.values_read += share + one_more
 
     def reset_counters(self) -> None:
         """Zero the node counters of every thread (a query zeroes just

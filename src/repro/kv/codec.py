@@ -383,6 +383,16 @@ def encode_entries(entries: Sequence[Tuple[Row, int]]) -> bytes:
     return b"".join(parts)
 
 
+def entry_count(data: bytes, pos: int = 0) -> int:
+    """How many entries the :func:`encode_entries` payload at ``pos``
+    holds, read off its header — nothing is decoded."""
+    try:
+        count = data[pos]
+    except IndexError:
+        raise CodecError("truncated entries") from None
+    return count if count < 0x80 else _read_varint(data, pos)[0]
+
+
 def decode_entries(
     data: bytes,
     pos: int = 0,

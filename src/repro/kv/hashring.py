@@ -12,6 +12,10 @@ import hashlib
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 
+#: points each node takes on the ring
+VIRTUAL_NODES = 64
+
+
 def _hash64(data: bytes) -> int:
     return int.from_bytes(hashlib.md5(data).digest()[:8], "big")
 
@@ -19,10 +23,7 @@ def _hash64(data: bytes) -> int:
 class HashRing:
     """Consistent-hash ring mapping byte keys to node ids."""
 
-    def __init__(self, node_ids: Sequence[int] = (), replicas: int = 64) -> None:
-        if replicas <= 0:
-            raise ValueError("replicas must be positive")
-        self._replicas = replicas
+    def __init__(self, node_ids: Sequence[int] = ()) -> None:
         self._ring: List[Tuple[int, int]] = []  # (hash point, node id)
         self._points: List[int] = []
         self._nodes: Dict[int, bool] = {}
@@ -40,7 +41,7 @@ class HashRing:
         if node_id in self._nodes:
             raise ValueError(f"node {node_id} already on the ring")
         self._nodes[node_id] = True
-        for replica in range(self._replicas):
+        for replica in range(VIRTUAL_NODES):
             point = _hash64(f"node:{node_id}:{replica}".encode())
             index = bisect.bisect(self._points, point)
             self._points.insert(index, point)

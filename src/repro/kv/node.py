@@ -24,7 +24,7 @@ so a node must stay correct under concurrent callers:
 from __future__ import annotations
 
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.kv import wire
 from repro.kv.checkpoint import NodeDurability, RecoveryReport
@@ -33,6 +33,11 @@ from repro.kv.memstore import MemStore
 from repro.locks import make_lock
 from repro.tally import ShardSet, Tally, tally
 
+
+#: a payload's logical value count (the paper's ``#data`` unit), read off
+#: the payload by the node that serves it; a read without one counts a
+#: payload as one value
+ValuesOf = Callable[[bytes], int]
 
 #: engines a node can host, by name (validated *before* any spawn)
 ENGINE_FACTORIES = {"mem": MemStore, "lsm": LSMStore}
@@ -256,14 +261,9 @@ class StorageNode:
 
     # -- KV operations -----------------------------------------------------
 
-    def get(self, key: bytes, n_values: int = 1) -> Optional[bytes]:
-        """Serve a get; ``n_values`` is the logical value count returned.
-
-        Callers that know the decoded payload size (e.g. a block of 40
-        tuples x 3 attributes) pass it so ``values_read`` counts logical
-        values, the paper's ``#data`` unit.
-        """
-        return self.multi_get([key], n_values_each=n_values)[0]
+    def get(self, key: bytes, values_of: Optional[ValuesOf] = None) -> Optional[bytes]:
+        """Serve a get — a :meth:`multi_get` of one."""
+        return self.multi_get([key], values_of)[0]
 
     def send(self, op: int, *args: Any) -> Any:
         """Ship one read request's frame ahead of reading its answer —
@@ -272,12 +272,18 @@ class StorageNode:
         return None
 
     def multi_get(
-        self, keys: Sequence[bytes], n_values_each: int = 1, sent: Any = None
+        self,
+        keys: Sequence[bytes],
+        values_of: Optional[ValuesOf] = None,
+        sent: Any = None,
     ) -> List[Optional[bytes]]:
         """Serve a coalesced batch of gets in ONE round trip.
 
         Counts ``len(keys)`` gets (the paper's invocation unit) but a
         single round trip — the amortization the batched pipeline buys.
+        Each payload found counts ``values_of(payload)`` logical values
+        (one without it): a block of 40 tuples x 3 attributes is 120
+        ``#data``, counted here, on the node that served it.
         Results are positional: ``out[i]`` answers ``keys[i]``. ``sent``
         is this batch's ``MULTI_GET`` already shipped by :meth:`send`.
         """
@@ -289,7 +295,9 @@ class StorageNode:
             counters.round_trips += 1
         found = [value for value in values if value is not None]
         counters.hits += len(found)
-        counters.values_read += len(found) * n_values_each
+        counters.values_read += (
+            len(found) if values_of is None else sum(map(values_of, found))
+        )
         counters.bytes_out += sum(map(len, found))
         return values
 

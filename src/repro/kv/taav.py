@@ -105,15 +105,19 @@ class TaaVRelation:
         With a cache attached, only the cache-missing keys reach the
         cluster — the batch the nodes see shrinks with the hit rate.
         """
-        pairs = read_through_many(
+        payloads = read_through_many(
             self.cache,
             self.cluster,
             self.namespace,
             [codec.encode_key(tuple(key)) for key in keys],
-            self.schema.arity,
+            self._tuple_values,
         )
         decode = self._decode_tuple
-        return [None if data is None else decode(data, 0)[0] for data, _ in pairs]
+        return [None if data is None else decode(data, 0)[0] for data in payloads]
+
+    def _tuple_values(self, payload: bytes) -> int:
+        """A stored tuple's logical values (#data): its arity."""
+        return self.schema.arity
 
     def scan(self) -> Iterator[Row]:
         """Full scan: one counted get per tuple (the TaaV scan cost).
@@ -121,11 +125,8 @@ class TaaVRelation:
         Every pair is ``arity`` logical values, charged on its owning
         node — the blind scan's #data, which used to go uncounted.
         """
-        arity = self.schema.arity
         for _, value in self.cluster.scan(
-            self.namespace,
-            count_as_gets=True,
-            values_of=lambda _k, _v: arity,
+            self.namespace, count_as_gets=True, values_of=self._tuple_values
         ):
             yield self._decode_tuple(value, 0)[0]
 
@@ -144,11 +145,11 @@ class TaaVRelation:
         waves = read_waves(
             self.cache, self.cluster, self.namespace,
             self.cluster.list_keys(self.namespace), batch_size,
-            self.schema.arity,
+            self._tuple_values,
         )
         return Relation(self.schema, [
             decode(data, 0)[0]
-            for wave in waves for data, _ in wave if data is not None
+            for wave in waves for data in wave if data is not None
         ])
 
     def __len__(self) -> int:

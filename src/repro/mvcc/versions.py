@@ -210,6 +210,17 @@ class VersionStore:
         with self._lock:
             return epoch >= self._newest_birth
 
+    def overlay_epoch(self) -> Optional[int]:
+        """The calling thread's pin when the overlay may answer its
+        reads — some recorded write is newer than it — else ``None``:
+        unpinned, or every base value is visible at the pin. Ask again
+        after a fetch: :meth:`nothing_newer` is monotone, so a commit
+        that raced the fetch shows up then."""
+        epoch = self.read_epoch()
+        if epoch is None or self.nothing_newer(epoch):
+            return None
+        return epoch
+
     def read_visible(
         self, namespace: str, key_bytes: bytes, epoch: int
     ) -> Tuple[bool, Optional[bytes]]:

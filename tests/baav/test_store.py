@@ -72,25 +72,6 @@ class TestSplitting:
             db, baav, KVCluster(3), split_threshold=split_threshold
         )
 
-    def test_per_key_scan_charges_values_in_one_call(self, monkeypatch):
-        """The per-key scan tops up the values of every segment it read
-        with one cluster call, not one call per segment."""
-        _, store = self.make_store(split_threshold=10)
-        calls = []
-        charge = KVCluster.charge_values_read_many
-
-        def counting(cluster, extras):
-            calls.append(len(extras))
-            return charge(cluster, extras)
-
-        monkeypatch.setattr(KVCluster, "charge_values_read_many", counting)
-        store.cluster.reset_counters()
-        blocks = dict(store.instance("r_by_g").scan())
-        assert calls == [4]  # key 1's three segments and key 2's one
-        assert store.cluster.total_counters().values_read == sum(
-            block.num_values() for block in blocks.values()
-        )
-
     def test_oversized_block_splits(self):
         db, store = self.make_store(split_threshold=10)
         inst = store.instance("r_by_g")

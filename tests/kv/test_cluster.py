@@ -66,7 +66,7 @@ class TestKVCluster:
     def test_counters(self):
         cluster = KVCluster(2)
         cluster.put("ns", b"k", b"value", n_values=3)
-        cluster.get("ns", b"k", n_values=3)
+        cluster.get("ns", b"k", values_of=lambda _: 3)
         cluster.get("ns", b"missing")
         total = cluster.total_counters()
         assert total.puts == 1
@@ -150,13 +150,13 @@ class TestKVCluster:
         assert cluster.total_counters().values_read == 10
 
     def test_scan_values_of_charges_logical_counts(self):
-        """Decode-aware callers pass per-pair value counts (e.g. a TaaV
-        pair is ``arity`` values), charged on the owning node."""
+        """Decode-aware callers pass per-payload value counts (e.g. a
+        TaaV pair is ``arity`` values), charged on the owning node."""
         cluster = KVCluster(2)
         for i in range(10):
             cluster.put("ns", encode_key((i,)), b"v")
         cluster.reset_counters()
-        list(cluster.scan("ns", values_of=lambda k, v: 3))
+        list(cluster.scan("ns", values_of=lambda _: 3))
         total = cluster.total_counters()
         assert total.values_read == 30
         assert total.gets == 10

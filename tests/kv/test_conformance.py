@@ -233,7 +233,7 @@ class TestNodeContract:
 
     def test_get_counts_hit_and_miss(self, node):
         node.put(b"k", b"value", n_values=3)
-        assert node.get(b"k", n_values=3) == b"value"
+        assert node.get(b"k", values_of=lambda _: 3) == b"value"
         assert node.get(b"missing") is None
         counters = node.counters
         assert counters.gets == 2
@@ -254,7 +254,7 @@ class TestNodeContract:
         node.multi_put([(f"k{i}".encode(), b"v") for i in range(8)])
         node.counters.reset()
         values = node.multi_get(
-            [b"k1", b"absent", b"k3"], n_values_each=2
+            [b"k1", b"absent", b"k3"], values_of=lambda _: 2
         )
         assert values == [b"v", None, b"v"]
         counters = node.counters
@@ -382,10 +382,10 @@ class TestSingleIsBatchOfOne:
         single.put(b"k", b"value", n_values=3)
         batch.multi_put([(b"k", b"value")], n_values_each=3)
         assert _node_state(single) == _node_state(batch)
-        assert single.get(b"k", n_values=3) == b"value"
-        assert batch.multi_get([b"k"], n_values_each=3) == [b"value"]
-        assert single.get(b"miss", n_values=3) is None
-        assert batch.multi_get([b"miss"], n_values_each=3) == [None]
+        assert single.get(b"k", values_of=lambda _: 3) == b"value"
+        assert batch.multi_get([b"k"], values_of=lambda _: 3) == [b"value"]
+        assert single.get(b"miss", values_of=lambda _: 3) is None
+        assert batch.multi_get([b"miss"], values_of=lambda _: 3) == [None]
         state = _node_state(single)
         assert state == _node_state(batch)
         counters, wal_stats = state
@@ -457,9 +457,13 @@ def test_cluster_single_is_batch_of_one(engine_name, transport, durability):
                 lambda c: c.put("ns", key, b"old", n_values=2),
                 lambda c: c.multi_put("ns", [(key, b"old")], 2),
             )
+
+        def two(_payload):
+            return 2
+
         assert both(
-            lambda c: c.get("ns", b"a", n_values=2),
-            lambda c: c.multi_get("ns", [b"a"], 2)[0],
+            lambda c: c.get("ns", b"a", values_of=two),
+            lambda c: c.multi_get("ns", [b"a"], two)[0],
         ) == b"old"
         assert both(
             lambda c: c.get("ns", b"miss"),
@@ -484,12 +488,12 @@ def test_cluster_single_is_batch_of_one(engine_name, transport, durability):
             return run
 
         assert both(
-            pinned(lambda c: c.get("ns", b"a", n_values=2)),
-            pinned(lambda c: c.multi_get("ns", [b"a"], 2)[0]),
+            pinned(lambda c: c.get("ns", b"a", values_of=two)),
+            pinned(lambda c: c.multi_get("ns", [b"a"], two)[0]),
         ) == b"old"
         assert both(
-            pinned(lambda c: c.get("ns", b"b", n_values=2)),  # base visible
-            pinned(lambda c: c.multi_get("ns", [b"b"], 2)[0]),
+            pinned(lambda c: c.get("ns", b"b", values_of=two)),  # base visible
+            pinned(lambda c: c.multi_get("ns", [b"b"], two)[0]),
         ) == b"old"
         assert single.get("ns", b"a") == b"new"
 

@@ -182,6 +182,63 @@ class TestReplicatedReads:
         assert sorted(cluster.list_keys("ns").keys) == sorted(expected)
 
 
+class TestFirstLiveOwner:
+    """A read goes to its key's first live owner: the ring's owner while
+    every node is up, at any R — no ring walk."""
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        """How many ring walks were started from here on."""
+        walked = [0]
+        iter_nodes = HashRing.iter_nodes
+
+        def counting(self, key):
+            walked[0] += 1
+            return iter_nodes(self, key)
+
+        monkeypatch.setattr(HashRing, "iter_nodes", counting)
+        return walked
+
+    @pytest.mark.parametrize("replication", [2, 3])
+    def test_reads_walk_no_ring_with_every_node_up(self, replication, walks):
+        cluster = KVCluster(4, replication_factor=replication)
+        expected = load(cluster, 64)
+        keys = list(expected)
+        walks[0] = 0
+        listing = cluster.list_keys("ns")
+        assert sorted(listing.keys) == sorted(keys)
+        assert cluster.multi_get("ns", keys) == [expected[k] for k in keys]
+        assert dict(cluster.scan("ns")) == expected
+        assert cluster.peek("ns", keys[0]) == expected[keys[0]]
+        assert walks[0] == 0
+
+    def test_one_node_down_keeps_owners_and_counts(self):
+        """With a node down a read still goes to the first live id of
+        its key's preference list, and is counted there."""
+        cluster = KVCluster(4, replication_factor=2)
+        expected = load(cluster, 64)
+        cluster.fail_node(1)
+        owner = {
+            key: cluster._live_owner_ids(cluster.full_key("ns", key))[0]
+            for key in expected
+        }
+        listing = cluster.list_keys("ns")
+        assert dict(zip(listing.keys, listing.owners)) == owner
+        served = {node_id: 0 for node_id in cluster.nodes}
+        for node_id in owner.values():
+            served[node_id] += 1
+        assert served[1] == 0
+        for read in (
+            lambda: cluster.multi_get("ns", list(expected)),
+            lambda: list(cluster.scan("ns")),
+        ):
+            cluster.reset_counters()
+            read()
+            per_node = cluster.get_stats().per_node
+            assert {n: c.gets for n, c in per_node.items()} == served
+            assert {n: c.values_read for n, c in per_node.items()} == served
+
+
 class TestFailover:
     def test_single_crash_loses_nothing(self):
         cluster = KVCluster(4, replication_factor=3)

@@ -26,6 +26,11 @@ They were generated from the commit *before* the version store learnt
 to answer "nothing is newer than your pin" in O(1) and the key listing
 stopped reading payloads.
 
+Each record's per-node ``values_read`` was regenerated when a read's
+values came to be counted on the node that serves the payload (before,
+one value there and the rest spread over the live nodes): every other
+entry, and every per-query total, stayed as it was.
+
 Every case is rendered twice (ISSUE 24): *cold* — the plan-template map
 is emptied before each statement, so each is planned — and *warm* — every
 statement's shape was planned before the first one ran, so each is bound

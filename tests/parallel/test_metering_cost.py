@@ -1,13 +1,6 @@
-"""Bookkeeping costs a fetch wave and a stage, not a block — count-based
-guards (no clocks).
-
-* One batched value charge leaves every node where the same charges
-  made one by one leave it, for any node count and down set; a down
-  node is charged nothing.
-* During an analytic query the cluster is asked to charge values at most
-  once per fetch wave (two waves per block fetch), the batched scan
-  re-encodes no key it was handed as bytes, and no intermediate is
-  byte-walked twice within a stage.
+"""Bookkeeping costs a stage, not a block — count-based guards (no
+clocks): the batched scan re-encodes no key it was handed as bytes, and
+no intermediate is byte-walked twice within a stage.
 
 (The simulated costs these feed are pinned by ``test_meter_golden.py``.)
 """
@@ -15,85 +8,18 @@ guards (no clocks).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.parallel.engine as engine
 import repro.parallel.partitioner as partitioner
 from repro.kba.blockset import BlockSet
-from repro.kv import KVCluster, codec
+from repro.kv import codec
 from repro.systems import ZidianSystem
 from repro.workloads import airca
 
 BENCH_INDEXES = ("FLIGHT.tail_id", "FLIGHT.arr_delay:ordered")
-
-
-# -- (i) the batched charge is the sequence of single charges ---------------
-
-
-def _per_node(cluster: KVCluster) -> Dict[int, int]:
-    return {
-        node_id: node.counters_total().values_read
-        for node_id, node in cluster.nodes.items()
-    }
-
-
-def _charged_one_by_one(
-    cluster: KVCluster, extras: List[int]
-) -> Dict[int, int]:
-    """Where the per-block loop this replaced leaves the nodes: live
-    node ``i`` of ``n`` takes ``extra // n``, plus one if
-    ``i < extra % n``."""
-    node_ids = [
-        node_id for node_id in cluster.nodes if cluster.is_live(node_id)
-    ]
-    charged = {node_id: 0 for node_id in cluster.nodes}
-    for extra in extras:
-        if extra <= 0:
-            continue
-        share, remainder = divmod(extra, len(node_ids))
-        for index, node_id in enumerate(node_ids):
-            charged[node_id] += share + (1 if index < remainder else 0)
-    return charged
-
-
-@st.composite
-def charge_cases(draw):
-    num_nodes = draw(st.integers(min_value=1, max_value=7))
-    down = draw(
-        st.sets(st.integers(0, num_nodes - 1), max_size=num_nodes - 1)
-    )
-    extras = draw(
-        st.lists(
-            st.one_of(st.integers(-3, 40), st.integers(0, 10**6)), max_size=30
-        )
-    )
-    return num_nodes, sorted(down), extras
-
-
-@given(charge_cases())
-@settings(max_examples=150, deadline=None)
-def test_batched_charge_equals_single_charges(case):
-    num_nodes, down, extras = case
-    batched, singly = (
-        # R = n: any down set short of every node leaves each key an owner
-        KVCluster(num_nodes, replication_factor=num_nodes, transport="local")
-        for _ in range(2)
-    )
-    for cluster in (batched, singly):
-        for node_id in down:
-            cluster.fail_node(node_id)
-    expected = _charged_one_by_one(batched, extras)
-    batched.charge_values_read_many(extras)
-    for extra in extras:
-        singly.charge_values_read_many([extra])
-    assert _per_node(batched) == _per_node(singly) == expected
-
-
-# -- (ii) the per-block work is gone ------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -109,29 +35,6 @@ def system():
 def _instance(system: ZidianSystem, template: str) -> str:
     params = airca.sample_params(system.database, random.Random(7))
     return airca.TEMPLATES[template].format(**params).strip()
-
-
-@pytest.mark.parametrize("template", airca.NON_SCAN_FREE_TEMPLATES)
-def test_value_charges_per_fetch_wave_not_per_block(
-    system, template, monkeypatch
-):
-    count = {"charges": 0, "waves": 0}
-
-    def counting(owner, attr: str, name: str) -> None:
-        original = getattr(owner, attr)
-
-        def wrapper(self, *args, **kwargs):
-            count[name] += 1
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, wrapper)
-
-    counting(KVCluster, "charge_values_read_many", "charges")
-    counting(KVCluster, "multi_get", "waves")
-    metrics = system.execute(_instance(system, template)).metrics
-    assert 0 < count["charges"] <= count["waves"]
-    # a wave is a batch of gets: the charges do not scale with the blocks
-    assert count["waves"] <= metrics.n_round_trips < metrics.n_get
 
 
 def test_batched_scan_encodes_no_key(system, monkeypatch):
