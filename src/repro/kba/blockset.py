@@ -26,6 +26,10 @@ from repro.relational.types import Row, RowSizing, row_size
 
 Entry = Tuple[Row, int]
 
+#: the part of a block's row a picker or predicate reads: its key, its
+#: value row, or both (key + value)
+KEY, VALUE, ROW = "key", "value", "row"
+
 
 def row_picker(positions: Sequence[int]) -> Callable[[Row], Row]:
     """``row -> tuple(row[p] for p in positions)``, built once per
@@ -112,7 +116,7 @@ class BlockSet:
         return len(self.data)
 
     def num_entries(self) -> int:
-        return sum(len(entries) for entries in self.data.values())
+        return sum(map(len, self.data.values()))
 
     def num_tuples(self) -> int:
         """Logical (bag) tuple count."""
@@ -167,6 +171,18 @@ class BlockSet:
             raise ExecutionError(
                 f"attribute {attr!r} not among {self.attrs}"
             ) from None
+
+    def picker(self, attrs: Sequence[str]) -> Tuple[str, Callable[[Row], Row]]:
+        """``(part, pick)``: ``pick(part of a row)`` is ``attrs`` of the
+        row — read off the key (``KEY``) or the value row (``VALUE``)
+        when every attribute sits there, else off key + value (``ROW``)."""
+        positions = [self.position(a) for a in attrs]
+        n_key = len(self.key_attrs)
+        if not positions or max(positions) < n_key:
+            return KEY, row_picker(positions)
+        if min(positions) >= n_key:
+            return VALUE, row_picker([p - n_key for p in positions])
+        return ROW, row_picker(positions)
 
     # -- transformation ------------------------------------------------------
 

@@ -53,7 +53,7 @@ from repro.baav.block import Block
 from repro.baav.frame import BlockSetFrame, Frame, group_fold, hash_probe
 from repro.errors import CompileError, ExecutionError
 from repro.kba import plan as kp
-from repro.kba.blockset import BlockSet, Entry
+from repro.kba.blockset import KEY, ROW, VALUE, BlockSet, Entry
 from repro.relational.types import Row
 from repro.sql import ast
 from repro.sql.aggregates import make_accumulator
@@ -96,6 +96,62 @@ def _unknown_arith(symbol: str) -> Callable[[object, object], object]:
         raise ExecutionError(f"unknown arithmetic operator {symbol!r}")
 
     return fail
+
+
+#: ``column <op> literal`` as one closure per operator: ``False`` on a
+#: NULL, else the comparison — what ``Cmp.eval`` answers
+_CMP_LITERAL: Dict[str, Callable[[int, object], RowFn]] = {
+    "=": lambda pos, lit: lambda row: (v := row[pos]) is not None and v == lit,
+    "<>": lambda pos, lit: lambda row: (v := row[pos]) is not None and v != lit,
+    "<": lambda pos, lit: lambda row: (v := row[pos]) is not None and v < lit,
+    "<=": lambda pos, lit: lambda row: (v := row[pos]) is not None and v <= lit,
+    ">": lambda pos, lit: lambda row: (v := row[pos]) is not None and v > lit,
+    ">=": lambda pos, lit: lambda row: (v := row[pos]) is not None and v >= lit,
+}
+
+
+def _column_test(
+    expr: ast.Expr, attrs: Sequence[str]
+) -> Optional[Tuple[int, str, object]]:
+    """``(position, operator, literal)`` when ``expr`` compares a column
+    bound in ``attrs`` with a non-NULL literal, else ``None``."""
+    if not (
+        isinstance(expr, ast.Cmp)
+        and isinstance(expr.left, ast.Column)
+        and isinstance(expr.right, ast.Lit)
+        and expr.right.value is not None
+    ):
+        return None
+    try:
+        return _position(attrs, expr.left.name), expr.op, expr.right.value
+    except CompileError:
+        return None
+
+
+def _conjunction(items: Sequence[ast.Expr], attrs: Sequence[str]) -> RowFn:
+    """``AND``: ``all()`` over the items, as one closure — a loop of
+    ``operator`` calls when every item is ``column <op> literal``."""
+    tests = [_column_test(item, attrs) for item in items]
+    if all(test is not None for test in tests):
+        checks = [(pos, _CMP_OPS[symbol], lit) for pos, symbol, lit in tests]
+
+        def each_test(row: Row) -> bool:
+            for pos, op, lit in checks:
+                v = row[pos]
+                if v is None or not op(v, lit):
+                    return False
+            return True
+
+        return each_test
+    fns = [compile_row(item, attrs) for item in items]
+
+    def each_item(row: Row) -> bool:
+        for fn in fns:
+            if not fn(row):
+                return False
+        return True
+
+    return each_item
 
 
 def compile_row(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
@@ -145,6 +201,10 @@ def compile_row(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
 
         return arith
     if isinstance(expr, ast.Cmp):
+        test = _column_test(expr, attrs)
+        if test is not None:
+            pos, symbol, literal = test
+            return _CMP_LITERAL[symbol](pos, literal)
         op = _CMP_OPS[expr.op]
         left = compile_row(expr.left, attrs)
         right = compile_row(expr.right, attrs)
@@ -156,8 +216,7 @@ def compile_row(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
 
         return compare
     if isinstance(expr, ast.And):
-        fns = [compile_row(item, attrs) for item in expr.items]
-        return lambda row: all(fn(row) for fn in fns)
+        return _conjunction(expr.items, attrs)
     if isinstance(expr, ast.Or):
         fns = [compile_row(item, attrs) for item in expr.items]
         return lambda row: any(fn(row) for fn in fns)
@@ -196,6 +255,42 @@ def compile_row(expr: ast.Expr, attrs: Sequence[str]) -> RowFn:
     raise ExecutionError(
         f"no row compilation for {type(expr).__name__} expression"
     )
+
+
+def compile_block(
+    expr: ast.Expr, key_attrs: Sequence[str], value_attrs: Sequence[str]
+) -> Tuple[str, RowFn]:
+    """``expr`` compiled over the part of a block's row it reads:
+    ``(KEY, fn of the key)`` when every column it reads sits in the key,
+    ``(VALUE, fn of the value row)`` when every one sits in the value,
+    else ``(ROW, fn of key + value)`` — equal to ``compile_row(expr,
+    key_attrs + value_attrs)`` on the row each reads. A block operator
+    calls a ``KEY`` closure once per block; no tuple is concatenated."""
+    attrs = tuple(key_attrs) + tuple(value_attrs)
+    names: List[str] = []
+    _names_read(expr, names)
+    try:
+        positions = [_position(attrs, name) for name in names]
+    except CompileError:
+        return ROW, compile_row(expr, attrs)  # raises per call
+    n_key = len(key_attrs)
+    if not positions or max(positions) < n_key:
+        return KEY, compile_row(expr, key_attrs)
+    if min(positions) >= n_key:
+        return VALUE, compile_row(expr, value_attrs)
+    return ROW, compile_row(expr, attrs)
+
+
+def _names_read(expr: ast.Expr, out: List[str]) -> None:
+    """Append the names :func:`compile_row` looks ``expr`` up by: each
+    column's, and an aggregate call's output name (not its argument's)."""
+    if isinstance(expr, ast.Column):
+        out.append(expr.name)
+    elif isinstance(expr, ast.AggCall):
+        out.append(str(expr))
+    else:
+        for child in expr.children():
+            _names_read(child, out)
 
 
 # -- columnar compilation -----------------------------------------------------

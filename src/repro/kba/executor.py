@@ -9,14 +9,14 @@ costs to workers and stages.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baav.block import Block
 from repro.baav.store import BaaVStore
 from repro.errors import ExecutionError, PlanError
 from repro.kba import plan as kp
-from repro.kba.blockset import BlockSet, Entry, row_picker
-from repro.kba.compile import compile_row
+from repro.kba.blockset import KEY, ROW, VALUE, BlockSet, Entry, row_picker
+from repro.kba.compile import compile_block, compile_row
 from repro.kv.taav import TaaVStore
 from repro.relational.types import Row
 from repro.sql.aggregates import make_accumulator
@@ -274,12 +274,23 @@ def _run_shift(node: kp.Shift, ctx: ExecContext, inputs: List[BlockSet]) -> Bloc
 
 def _run_select(node: kp.SelectK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
     child = inputs[0]
-    keep = compile_row(node.predicate, child.attrs)
+    reads, keep = compile_block(node.predicate, child.key_attrs, child.value_attrs)
     data: Dict[Row, List[Entry]] = {}
-    for key, entries in child.data.items():
-        kept = [entry for entry in entries if keep(key + entry[0])]
-        if kept:
-            data[key] = kept
+    if reads is KEY:
+        # one verdict per block; a kept block keeps its entry list (no
+        # operator extends an input's lists: ∪ copies before merging)
+        for key, entries in child.data.items():
+            if entries and keep(key):
+                data[key] = entries
+    else:
+        on_value = reads is VALUE
+        for key, entries in child.data.items():
+            if on_value:
+                kept = [entry for entry in entries if keep(entry[0])]
+            else:
+                kept = [entry for entry in entries if keep(key + entry[0])]
+            if kept:
+                data[key] = kept
     return BlockSet(child.key_attrs, child.value_attrs, data, child.sizing)
 
 
@@ -312,43 +323,104 @@ def join_blocksets(
     on: Tuple[Tuple[str, str], ...],
     residual=None,
 ) -> BlockSet:
-    """Hash-join two block sets; result keyed by X1 ∪ X2 (§4.2)."""
-    pick_left = row_picker([left.position(l) for l, _ in on])
-    pick_right = row_picker([right.position(r) for _, r in on])
+    """Hash-join two block sets; result keyed by X1 ∪ X2 (§4.2).
 
-    index: Dict[Row, List[Entry]] = defaultdict(list)
-    for full, count in right.iter_full():
-        probe = pick_right(full)
-        if None in probe:
+    Block at a time, in the order of the row-at-a-time join (left
+    entries, and per entry its matches in right order): a probe read
+    off a key is picked once per block, the right side is indexed by
+    block when its probe is, an output key is built once per pair of
+    blocks and a value row is ``left row + right row``.
+    """
+    left_reads, pick_left = left.picker([l for l, _ in on])
+    right_reads, pick_right = right.picker([r for _, r in on])
+
+    # probe -> [(right key, its entries with that probe)], in right order
+    index: Dict[Row, List[Tuple[Row, Sequence[Entry]]]] = {}
+    for rkey, rentries in right.data.items():
+        if right_reads is KEY:
+            probe = pick_right(rkey)
+            if None in probe or not rentries:
+                continue
+            found = index.get(probe)
+            if found is None:
+                index[probe] = [(rkey, rentries)]
+            else:
+                found.append((rkey, rentries))
             continue
-        index[probe].append((full, count))
-
-    out_key_attrs = left.key_attrs + right.key_attrs
-    out_value_attrs = left.value_attrs + right.value_attrs
-    n_left_key = len(left.key_attrs)
-    n_right_key = len(right.key_attrs)
+        on_value = right_reads is VALUE
+        for entry in rentries:
+            probe = pick_right(entry[0] if on_value else rkey + entry[0])
+            if None in probe:
+                continue
+            found = index.get(probe)
+            if found is None:
+                index[probe] = [(rkey, (entry,))]
+            else:
+                found.append((rkey, (entry,)))
 
     passes = (
         None
         if residual is None
         else compile_row(residual, left.attrs + right.attrs)
     )
-    data: Dict[Row, List[Entry]] = defaultdict(list)
-    for lfull, lcount in left.iter_full():
-        probe = pick_left(lfull)
-        if None in probe:
-            continue
-        for rfull, rcount in index.get(probe, ()):
-            if passes is not None and not passes(lfull + rfull):
+    by_block = left_reads is KEY and right_reads is KEY and passes is None
+    data: Dict[Row, List[Entry]] = {}
+    for lkey, lentries in left.data.items():
+        if left_reads is KEY:
+            probe = pick_left(lkey)
+            if None in probe or probe not in index:
                 continue
-            key = lfull[:n_left_key] + rfull[:n_right_key]
-            value = lfull[n_left_key:] + rfull[n_right_key:]
-            data[key].append((value, lcount * rcount))
+            matches = index[probe]
+            if by_block:
+                # one right block per match: each pair of blocks is
+                # one output block of every left x right entry
+                for rkey, rentries in matches:
+                    produced = [
+                        (lrow + rrow, lcount * rcount)
+                        for lrow, lcount in lentries
+                        for rrow, rcount in rentries
+                    ]
+                    if produced:
+                        data[lkey + rkey] = produced
+                continue
+        for lrow, lcount in lentries:
+            if left_reads is not KEY:
+                probe = pick_left(lrow if left_reads is VALUE else lkey + lrow)
+                if None in probe or probe not in index:
+                    continue
+                matches = index[probe]
+            if passes is not None:
+                head = lkey + lrow
+            for rkey, rentries in matches:
+                if passes is None:
+                    produced = [
+                        (lrow + rrow, lcount * rcount) for rrow, rcount in rentries
+                    ]
+                else:
+                    row_head = head + rkey
+                    produced = [
+                        (lrow + rrow, lcount * rcount)
+                        for rrow, rcount in rentries
+                        if passes(row_head + rrow)
+                    ]
+                    if not produced:
+                        continue
+                key = lkey + rkey
+                bucket = data.get(key)
+                if bucket is None:
+                    data[key] = produced
+                else:
+                    bucket += produced
     # value rows are a left one then a right one: proven when both are
     sizing = None
     if left.sizing is not None and right.sizing is not None:
         sizing = left.sizing.followed_by(len(left.value_attrs), right.sizing)
-    return BlockSet(out_key_attrs, out_value_attrs, dict(data), sizing)
+    return BlockSet(
+        left.key_attrs + right.key_attrs,
+        left.value_attrs + right.value_attrs,
+        data,
+        sizing,
+    )
 
 
 def _run_union(node: kp.UnionK, ctx: ExecContext, inputs: List[BlockSet]) -> BlockSet:
@@ -402,22 +474,50 @@ def _run_group(node: kp.GroupK, ctx: ExecContext, inputs: List[BlockSet]) -> Blo
 def group_blockset(
     child: BlockSet, keys: Tuple[str, ...], aggs: Tuple[AggSpec, ...]
 ) -> BlockSet:
-    attrs = child.attrs
-    pick_key = row_picker([child.position(k) for k in keys])
+    """γ in the order of the row-at-a-time loop: groups in order of
+    first row, each accumulator fed its rows in order. The group key is
+    picked once per block when it is read off the block key, and the
+    arguments read the value row alone when they can."""
+    reads, pick_key = child.picker(keys)
     # COUNT(*) has no argument: every row counts
-    arg_fns = [
-        None if spec.arg is None else compile_row(spec.arg, attrs)
+    compiled = [
+        None
+        if spec.arg is None
+        else compile_block(spec.arg, child.key_attrs, child.value_attrs)
         for spec in aggs
     ]
+    on_value = reads is not ROW and all(
+        arg is None or arg[0] is VALUE for arg in compiled
+    )
+    if on_value:
+        arg_fns = [None if arg is None else arg[1] for arg in compiled]
+    else:
+        attrs = child.attrs
+        arg_fns = [
+            None if spec.arg is None else compile_row(spec.arg, attrs)
+            for spec in aggs
+        ]
+        if reads is VALUE:
+            reads, pick_key = ROW, row_picker([child.position(k) for k in keys])
+    by_block = reads is KEY
     groups: Dict[Row, List] = {}
-    for full, count in child.iter_full():
-        group_key = pick_key(full)
-        accs = groups.get(group_key)
-        if accs is None:
-            accs = [make_accumulator(a.func, a.distinct) for a in aggs]
-            groups[group_key] = accs
-        for arg_fn, acc in zip(arg_fns, accs):
-            acc.add(True if arg_fn is None else arg_fn(full), count)
+    for key, entries in child.data.items():
+        if by_block and entries:
+            group_key = pick_key(key)
+            accs = groups.get(group_key)
+            if accs is None:
+                accs = [make_accumulator(a.func, a.distinct) for a in aggs]
+                groups[group_key] = accs
+        for row, count in entries:
+            values = row if on_value else key + row
+            if not by_block:
+                group_key = pick_key(values)
+                accs = groups.get(group_key)
+                if accs is None:
+                    accs = [make_accumulator(a.func, a.distinct) for a in aggs]
+                    groups[group_key] = accs
+            for arg_fn, acc in zip(arg_fns, accs):
+                acc.add(True if arg_fn is None else arg_fn(values), count)
     if not keys and not groups:
         groups[()] = [make_accumulator(a.func, a.distinct) for a in aggs]
     data = {

@@ -22,16 +22,23 @@ Rows are what queries decode by the thousand, and every row of one KV
 instance (or TaaV relation) has the tag sequence its schema declares.
 :func:`row_decoder` compiles that declaration once: the decoder it
 returns *speculates* on the declared kinds. Strings cut a row into
-fixed-width stretches of numerics (9-byte cells) and bools (2-byte
-cells); a stretch's tags are verified with strided slice compares — one
-covers a whole run of numerics — and its payloads read with one
-pre-built ``struct`` call, and a string is checked by its own tag and
-sliced by its length. On this path the schema is the dispatch and the
-tags are the verification.
+fixed-width stretches of numerics (9-byte cells), bools (2-byte cells)
+and dates: a DATE is an ISO ``YYYY-MM-DD`` string, so its cell is the
+``S`` tag, a length byte of 10 checked like a tag, and 10 bytes. A
+stretch's tags are verified with strided slice compares — one covers a
+whole run of numerics — and its payloads read with one pre-built
+``struct`` call, and a string is checked by its own tag and sliced by
+its length. The decoder is generated as straight-line code per shape,
+with a loop over a block's entries beside it (:func:`decode_entries`
+runs that loop). On this path the schema is the dispatch and the tags
+are the verification.
 Any deviation (a NULL, another width, a value of another type, a short
 buffer) hands the row to :func:`decode_row`, the generic loop that
 dispatches on each tag byte and stays the single definition of the
-format: results, types and errors are its by construction.
+format: results, types and errors are its by construction. A row of a
+shape with DATE cells that they do not fit — a date of another length
+above all — first goes to the decoder that reads each DATE as a string,
+so it is decoded, and speculated on, exactly as before dates had cells.
 :func:`row_speculator` is the same compiled decoder answering ``None``
 for such a row instead, so :func:`decode_entries` can tell its caller
 which rows were *not* verified to hold exactly the declared kinds.
@@ -43,8 +50,10 @@ early.
 
 from __future__ import annotations
 
+import linecache
 import struct
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import CodecError
 from repro.relational.types import AttrType, Row
@@ -226,12 +235,31 @@ _FIXED_CELLS = {
     AttrType.FLOAT: ("d", _TAG_FLOAT),
     AttrType.BOOL: ("?", _TAG_BOOL),
 }
-#: one fixed-width stretch of a row — the count byte, numerics, bools,
-#: and the tag and first length byte of the string that ends it:
-#: ``(width, tag checks, unpack, ends in a string)``. A check is ``(slice
-#: of the stretch, expected bytes)``; the ``struct`` skips every checked
-#: byte and the string's length byte, which is the stretch's last
-_Stretch = Tuple[int, Tuple[Tuple[slice, bytes], ...], Callable, bool]
+#: a DATE is an ISO ``YYYY-MM-DD`` string, so its cell has a fixed width
+#: too: the ``S`` tag, a length byte of 10 — checked like a tag — and
+#: the 10 bytes
+_DATE_BYTES = 10
+_DATE_LENGTH = _varint(_DATE_BYTES)
+#: a stretch of up to this many values that is not the whole row is
+#: unpacked into names and the row built from them; a wider one is
+#: concatenated (and sliced around its dates)
+_NAMED_VALUES = 8
+
+
+class _Stretch(NamedTuple):
+    """One fixed-width stretch of a row: the count byte, fixed cells, and
+    the tag and first length byte of the string that ends it, if one
+    does. The ``struct`` skips every checked byte and that length byte,
+    which is the stretch's last."""
+
+    width: int
+    #: ``(offset, expected byte)`` of each tag and date length byte
+    tags: Tuple[Tuple[int, bytes], ...]
+    unpack: Callable
+    #: how many values ``unpack`` answers, and where a date's bytes are
+    values: int
+    dates: Tuple[int, ...]
+    ends_in_string: bool
 
 
 def _tag_checks(tags: Sequence[Tuple[int, bytes]]) -> Tuple[Tuple[slice, bytes], ...]:
@@ -254,12 +282,13 @@ def _tag_checks(tags: Sequence[Tuple[int, bytes]]) -> Tuple[Tuple[slice, bytes],
     return tuple(checks)
 
 
-def _stretches(types: Sequence[AttrType]) -> List[_Stretch]:
-    """The layout of a row declared to hold ``types``."""
+def _stretches(types: Sequence[AttrType], date_cells: bool) -> List[_Stretch]:
+    """The layout of a row declared to hold ``types``; a DATE is a fixed
+    cell when ``date_cells``, a string otherwise."""
     stretches: List[_Stretch] = []
     # the count byte opens the first stretch
     tags: List[Tuple[int, bytes]] = [(0, _varint(len(types)))]
-    fmt, width = ">x", 1
+    fmt, width, values, dates = ">x", 1, 0, []
     for kind in types:
         cell = _FIXED_CELLS.get(kind)
         if cell is not None:
@@ -267,16 +296,25 @@ def _stretches(types: Sequence[AttrType]) -> List[_Stretch]:
             tags.append((width, tag))
             fmt += "x" + code
             width += 1 + struct.calcsize(code)
+        elif date_cells and kind is AttrType.DATE:
+            tags += [(width, _TAG_STR), (width + 1, _DATE_LENGTH)]
+            dates.append(values)
+            fmt += f"xx{_DATE_BYTES}s"
+            width += 2 + _DATE_BYTES
+        else:
+            tags.append((width, _TAG_STR))
+            stretches.append(_Stretch(
+                width + 2, tuple(tags), struct.Struct(fmt + "xx").unpack,
+                values, tuple(dates), True,
+            ))
+            tags, fmt, width, values, dates = [], ">", 0, 0, []
             continue
-        tags.append((width, _TAG_STR))
-        stretches.append(
-            (width + 2, _tag_checks(tags), struct.Struct(fmt + "xx").unpack, True)
-        )
-        tags, fmt, width = [], ">", 0
+        values += 1
     if width:
-        stretches.append(
-            (width, _tag_checks(tags), struct.Struct(fmt).unpack, False)
-        )
+        stretches.append(_Stretch(
+            width, tuple(tags), struct.Struct(fmt).unpack, values,
+            tuple(dates), False,
+        ))
     return stretches
 
 
@@ -287,6 +325,14 @@ def _decode_generically(data: bytes, pos: int) -> Tuple[Row, int]:
 
 def _decline(data: bytes, pos: int) -> None:
     return None
+
+
+def _date_cell_missed(cut: Callable, data: bytes, pos: int):
+    """A row that the fixed cells of a shape with DATE cells do not fit
+    — a date of another length, or any other deviation — read by
+    ``cut``, the shape's decoder with each DATE read as a string (looked
+    up per call: a test counts these rows by swapping this function)."""
+    return cut(data, pos)
 
 
 def row_decoder(types: Sequence[AttrType]) -> RowDecoder:
@@ -303,13 +349,13 @@ def row_decoder(types: Sequence[AttrType]) -> RowDecoder:
     """
     if len(types) > 0x7F:
         return decode_row  # the count is not one byte
-    fixed = sum(kind in _FIXED_CELLS for kind in types)
-    if fixed < len(types) and fixed < 2 * len(_stretches(types)):
+    fixed = sum(kind in _FIXED_CELLS or kind is AttrType.DATE for kind in types)
+    if fixed < len(types) and fixed < 2 * len(_stretches(types, True)):
         # strings cut the row into stretches of under two cells: checking
         # a stretch costs what the generic loop spends on two cells
         # (measured), so there is nothing to win by speculating
         return decode_row
-    return _compile(types, _decode_generically)
+    return _compile(types, _decode_generically, False)
 
 
 def row_speculator(types: Sequence[AttrType]) -> RowSpeculator:
@@ -322,56 +368,184 @@ def row_speculator(types: Sequence[AttrType]) -> RowSpeculator:
     every row only where the count does not fit one byte."""
     if len(types) > 0x7F:
         return _decline
-    return _compile(types, _decline)
+    return _compile(types, _decline, True)
 
 
-def _compile(types: Sequence[AttrType], give_up: Callable) -> Callable:
+def _compile(types: Sequence[AttrType], give_up: Callable, loop: bool) -> Callable:
     """The speculating decoder of ``types`` (at most 127 of them); a
     deviating row is answered by ``give_up(data, first byte of the
-    row)``."""
-    stretches = _stretches(types)
-    if all(kind in _FIXED_CELLS for kind in types):
-        ((width, checks, unpack, _),) = stretches
+    row)``. With a DATE among ``types``, a row that does not fit the
+    date cells goes to the decoder that reads each DATE as a string,
+    which answers it as it would without date cells — the same row, and
+    the same verdict for a date of another length. ``loop``: also
+    generate its entry loop (for value rows; keys and tuples are
+    decoded one at a time, and compiling a shape costs ≈ 0.65 ms)."""
+    if AttrType.DATE not in types:
+        return _generate(types, give_up, None, loop)
+    return _generate(types, give_up, _generate(types, give_up, None, False), loop)
 
-        def decode_fixed(data: bytes, pos: int = 0):
-            end = pos + width
-            cells = data[pos:end]
-            for where, tags in checks:
-                if cells[where] != tags:
-                    return give_up(data, pos)
-            try:
-                return unpack(cells), end
-            except struct.error:
-                return give_up(data, pos)
 
-        return decode_fixed
+class _Deviation(Exception):
+    """A row off the declared kinds, inside a generated entry loop."""
 
-    def decode(data: bytes, pos: int = 0):
-        first = pos
-        values: List[object] = []
-        try:
-            for width, checks, unpack, ends_in_string in stretches:
-                end = pos + width
-                cells = data[pos:end]
-                for where, tags in checks:
-                    if cells[where] != tags:
-                        return give_up(data, first)
-                values += unpack(cells)
-                pos = end
-                if ends_in_string:
-                    length = cells[-1]
-                    if length > 0x7F:
-                        length, pos = _read_varint(data, pos - 1)
-                    end = pos + length
-                    if end > len(data):
-                        return give_up(data, first)
-                    values.append(data[pos:end].decode("utf-8"))
-                    pos = end
-        except struct.error:
-            return give_up(data, first)
-        return tuple(values), pos
 
-    return decode
+def _row_code(
+    stretches: Sequence[_Stretch], fail: str, in_loop: bool
+) -> Tuple[List[str], str]:
+    """The statements that read one row at ``pos`` of ``data`` into
+    ``end`` and the expression of the row. A deviation runs ``fail``:
+    ``return`` the fallback's answer, or, ``in_loop``, raise — a
+    ``struct.error`` of a short buffer then reaches the loop's handler
+    unguarded."""
+    lines: List[str] = []
+    parts: List[Tuple[bool, str]] = []  # (a tuple?, its expression)
+    several = len(stretches) > 1 or stretches[0].ends_in_string
+    for k, stretch in enumerate(stretches):
+        if 0 < stretch.values <= _NAMED_VALUES and (stretch.dates or several):
+            names = [f"v{k}_{i}" for i in range(stretch.values)]
+            target = ", ".join(names) + ","
+            for i, name in enumerate(names):
+                parts.append(
+                    (False, f"{name}.decode()" if i in stretch.dates else name)
+                )
+        else:
+            target = f"v{k}"
+            start = 0
+            for i in stretch.dates:
+                if i > start:
+                    parts.append((True, f"v{k}[{start}:{i}]"))
+                parts.append((False, f"v{k}[{i}].decode()"))
+                start = i + 1
+            if not stretch.dates:
+                parts.append((True, target))
+            elif start < stretch.values:
+                parts.append((True, f"v{k}[{start}:]"))
+        checks = " or ".join(
+            f"cells[{where.start}] != {tags[0]}" if len(tags) == 1
+            else f"cells[{where.start}:{where.stop}] != {tags!r}" if where.step == 1
+            else f"cells[{where.start}:{where.stop}:{where.step}] != {tags!r}"
+            for where, tags in _tag_checks(stretch.tags)
+        )
+        lines += [f"end = pos + {stretch.width}", "cells = data[pos:end]"]
+        if in_loop:
+            lines += [f"{target} = unpack{k}(cells)"]
+        else:
+            lines += [
+                "try:",
+                f"    {target} = unpack{k}(cells)",
+                "except struct.error:",
+                f"    {fail}",
+            ]
+        lines += [f"if {checks}:", f"    {fail}"]
+        if stretch.ends_in_string:
+            lines += [
+                f"length = cells[{stretch.width - 1}]",
+                "pos = end",
+                "if length > 0x7F:",
+                "    length, pos = _read_varint(data, pos - 1)",
+                "end = pos + length",
+                "if end > len(data):",
+                f"    {fail}",
+                f"s{k} = data[pos:end].decode()",
+                "pos = end",
+            ]
+            parts.append((False, f"s{k}"))
+    row, items = [], []
+    for is_tuple, expression in parts + [(True, "")]:
+        if not is_tuple:
+            items.append(expression)
+            continue
+        if items:
+            row.append(f"({', '.join(items)},)")
+            items = []
+        if expression:
+            row.append(expression)
+    return lines, " + ".join(row) or "()"
+
+
+def _generate(
+    types: Sequence[AttrType],
+    give_up: Callable,
+    cut: Optional[Callable],
+    loop: bool,
+) -> Callable:
+    """:func:`_compile`'s decoder — DATE cells when ``cut`` takes the
+    rows they miss — as straight-line code, the way
+    :func:`repro.tally.tally` writes ``add``: each check a slice literal,
+    each stretch one ``struct`` call. With ``loop``, its ``entries``
+    attribute is :func:`decode_entries` with this decoder, the row read
+    inline and a deviating row handed to the same fallback. Both are
+    compiled under a file name that names the shape
+    (``codec.py<INT,DATE,FLOAT*2>``), so profiles and tracebacks tell
+    them apart."""
+    stretches = _stretches(types, cut is not None)
+    several = len(stretches) > 1 or stretches[0].ends_in_string
+    fallback = (
+        "give_up(data, {})" if cut is None else "_date_cell_missed(cut, data, {})"
+    )
+    row_lines, row = _row_code(
+        stretches, "return " + fallback.format("first" if several else "pos"), False
+    )
+    unpacks = ", ".join(f"unpack{k}" for k in range(len(stretches)))
+    source = [
+        f"def _compile(give_up, cut, {unpacks}):",
+        "    def decode(data, pos=0):",
+        *(["        first = pos"] if several else []),
+        *(f"        {line}" for line in row_lines),
+        f"        return {row}, end",
+    ]
+    if loop:
+        loop_lines, loop_row = _row_code(stretches, "raise _Deviation", True)
+        source += [
+            "    def entries(data, pos, deviants):",
+            "        try:",
+            "            n_entries = data[pos]",
+            "            pos += 1",
+            "            if n_entries > 0x7F:",
+            "                n_entries, pos = _read_varint(data, pos - 1)",
+            "            out = []",
+            "            append = out.append",
+            "            for index in range(n_entries):",
+            "                count = data[pos]",
+            "                pos += 1",
+            "                if count > 0x7F:",
+            "                    count, pos = _read_varint(data, pos - 1)",
+            "                first = pos",
+            "                try:",
+            *(f"                    {line}" for line in loop_lines),
+            f"                    append(({loop_row}, count))",
+            "                except (struct.error, _Deviation):",
+            f"                    decoded = {fallback.format('first')}",
+            "                    if decoded is None:",
+            "                        if deviants is not None:",
+            "                            deviants.append(index)",
+            "                        decoded = decode_row(data, first)",
+            "                    row, end = decoded",
+            "                    append((row, count))",
+            "                pos = end",
+            "        except IndexError:",
+            '            raise CodecError("truncated entries") from None',
+            "        return out, pos",
+            "    decode.entries = entries",
+        ]
+    source.append("    return decode")
+    shape = ",".join(
+        (kind.name if cut is not None or kind is not AttrType.DATE else "DATE:STR")
+        + (f"*{len(run)}" if len(run := list(group)) > 1 else "")
+        for kind, group in groupby(types)
+    )
+    text = "\n".join(source)
+    filename = f"{__file__}<{shape}>"
+    # a traceback prints the generated line, not codec.py's line of that
+    # number (``mtime`` None: ``linecache.checkcache`` keeps the entry);
+    # a shape's source with the entry loop holds the one without it
+    if len(text) > linecache.cache.get(filename, (0,))[0]:
+        linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    namespace: dict = {}
+    # the module's globals: ``_date_cell_missed`` and ``decode_row`` are
+    # looked up per call
+    exec(compile(text, filename, "exec"), globals(), namespace)
+    return namespace["_compile"](give_up, cut, *(s.unpack for s in stretches))
 
 
 def encode_entries(entries: Sequence[Tuple[Row, int]]) -> bytes:
@@ -405,7 +579,13 @@ def decode_entries(
     :func:`row_speculator`: a row that one declines is decoded by
     :func:`decode_row` and its index appended to ``deviants``, the
     caller's own list, so an empty list afterwards says every row of
-    *this* payload was verified against the declared kinds."""
+    *this* payload was verified against the declared kinds. A compiled
+    decoder brings this loop with it, the row read inline (its
+    ``entries``); the loop below is the one for any other decoder."""
+    if decoder is not None:
+        compiled = getattr(decoder, "entries", None)
+        if compiled is not None:
+            return compiled(data, pos, deviants)
     decode = decode_row if decoder is None else decoder
     entries: List[Tuple[Row, int]] = []
     try:

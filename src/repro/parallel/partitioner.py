@@ -57,8 +57,23 @@ def partition_blockset(blockset: BlockSet, n: int) -> List[int]:
     n = max(1, n)
     sizes = [0] * n
     sizing = blockset.sizing
+    text_hash = _text_hash
+    if sizing is None:
+        # nothing vouches for the rows: walk them (the definition)
+        for key, entries in blockset.data.items():
+            sizes[text_hash(repr(key)) % n] += block_bytes(key, entries)
+        return sizes
+    # block_bytes and _bucket inline: a proven entry weighs its key, a
+    # 4-byte count, the fixed part of its row and its strings' lengths
+    per_row = 4 + sizing.fixed
+    strings = sizing.strings
     for key, entries in blockset.data.items():
-        sizes[_bucket(key, n)] += block_bytes(key, entries, sizing)
+        total = (row_size(key) + per_row) * len(entries)
+        if strings:
+            for row, _count in entries:
+                for position in strings:
+                    total += len(row[position])
+        sizes[text_hash(repr(key)) % n] += total
     return sizes
 
 

@@ -214,10 +214,52 @@ class TestRowDecoder:
         rows of 128 values or more (a two-byte count), get the generic
         loop itself — no check to fail first."""
         assert codec.row_decoder([T.STR, T.STR]) is codec.decode_row
-        assert codec.row_decoder([T.INT, T.DATE, T.INT]) is codec.decode_row
+        assert codec.row_decoder([T.INT, T.DATE, T.INT]) is not codec.decode_row
         assert codec.row_decoder([T.INT] * 128) is codec.decode_row
         assert codec.row_decoder([T.INT] * 127) is not codec.decode_row
         assert codec.row_decoder([T.INT, T.INT, T.STR]) is not codec.decode_row
+
+
+class TestDateCell:
+    """A DATE is a fixed 10-byte cell; a row it does not fit is read by
+    the decoder that cuts at the date as at a string, so its result and
+    its speculated verdict are what they were before dates had cells."""
+
+    KINDS = [T.INT, T.DATE, T.INT]
+
+    @pytest.mark.parametrize(
+        "date",
+        [
+            "1999-01-2",    # 9 bytes
+            "1999-01-022",  # 11 bytes
+            "ééééé",        # 10 UTF-8 bytes, 5 characters
+            None,
+        ],
+    )
+    def test_a_row_off_the_cell_is_the_generic_loops(self, date):
+        row = (7, date, -7)
+        data = b"\x00" + codec.encode_row(row) + b"\xff"
+        expected = codec.decode_row(data, 1)
+        assert expected == (row, len(data) - 1)
+        assert codec.row_decoder(self.KINDS)(data, 1) == expected
+        verdict = codec.row_speculator(self.KINDS)(data, 1)
+        assert verdict == (None if date is None else expected)
+
+    def test_a_date_of_another_length_stays_proven(self):
+        speculate = codec.row_speculator(self.KINDS + [T.FLOAT])
+        for date in ("1999-1-2", "1999-01-022"):
+            row = (1, date, 2, 0.5)
+            data = codec.encode_row(row)
+            assert speculate(data, 0) == (row, len(data))
+
+    def test_a_truncated_row_is_a_codec_error(self):
+        data = codec.encode_row((7, "1999-01-02", -7))
+        decode = codec.row_decoder(self.KINDS)
+        for cut in range(len(data)):
+            with pytest.raises(CodecError):
+                codec.decode_row(data[:cut], 0)
+            with pytest.raises(CodecError):
+                decode(data[:cut], 0)
 
 
 class TestVarint:

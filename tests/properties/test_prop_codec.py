@@ -178,12 +178,41 @@ _text = st.one_of(
     st.text(min_size=1, max_size=3).map(lambda text: text * 128),
     st.text(alphabet="éß漢🙂", min_size=1, max_size=40),
 )
+#: a DATE is stored as ISO ``YYYY-MM-DD``, the fixed 10-byte cell; any
+#: other string of 10 UTF-8 bytes fits the cell as well, and one of
+#: another length takes the decoder that reads the date as a string
+#: characters by UTF-8 width; surrogates (U+D800–U+DFFF) have no
+#: encoding, so the 3-byte range leaves them out
+_CHARACTERS_OF_WIDTH = {
+    1: st.characters(max_codepoint=0x7F),
+    2: st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    3: st.characters(
+        min_codepoint=0x800, max_codepoint=0xFFFF, exclude_categories=("Cs",)
+    ),
+    4: st.characters(min_codepoint=0x10000),
+}
+
+
+@st.composite
+def _ten_bytes(draw):
+    """A string of exactly 10 UTF-8 bytes, of 1- to 4-byte characters."""
+    chars, size = [], 0
+    while size < 10:
+        width = draw(st.integers(min_value=1, max_value=min(4, 10 - size)))
+        chars.append(draw(_CHARACTERS_OF_WIDTH[width]))
+        size += width
+    return "".join(chars)
+
+
+_date = st.one_of(
+    st.dates().map(lambda day: day.isoformat()), _ten_bytes(), _text
+)
 _CONFORMING = {
     AttrType.INT: _int64,
     AttrType.FLOAT: _float64,
     AttrType.BOOL: st.booleans(),
     AttrType.STR: _text,
-    AttrType.DATE: _text,
+    AttrType.DATE: _date,
 }
 #: an encoded cell of any kind — including a bool whose payload byte is
 #: neither 0 nor 1, which ``encode_value`` never writes but every
@@ -266,6 +295,25 @@ def test_compiled_decoder_equals_generic_on_one_deviation_anywhere(
             assert _outcome(decode, data, len(lead)) == generic
 
 
+@given(declared_rows(wide=True), st.binary(max_size=3), st.binary(max_size=3))
+def test_speculator_answers_exactly_the_rows_of_the_declared_kinds(
+    declared, lead, trail
+):
+    """The verdict a scan's size proof rests on: a row is answered iff
+    it holds one value of exactly each declared kind — whichever cell
+    or fallback read it (a date of another length is still a str)."""
+    kinds, encoded = declared
+    data = lead + encoded + trail
+    row, end = codec.decode_row(data, len(lead))
+    conforming = len(kinds) <= 0x7F and [type(v) for v in row] == [
+        kind.python_type for kind in kinds
+    ]
+    verdict = codec.row_speculator(kinds)(data, len(lead))
+    assert verdict == ((row, end) if conforming else None)
+    if verdict is not None:
+        assert _typed(verdict[0]) == _typed(row)
+
+
 @given(declared_rows(max_deviations=0))
 def test_compiled_decoder_every_cut_is_a_codec_error(declared):
     kinds, encoded = declared
@@ -300,3 +348,38 @@ def test_entries_with_a_decoder_equal_entries_without(rows, lead):
     assert out_end == end == len(data)
     assert [c for _, c in out] == [c for _, c in expected]
     assert [_typed(r) for r, _ in out] == [_typed(r) for r, _ in expected]
+
+
+@given(
+    st.lists(
+        st.tuples(declared_rows(), multiplicity_strategy), max_size=5
+    ),
+    st.binary(max_size=3),
+)
+def test_entries_with_a_speculator_list_the_rows_it_declines(rows, lead):
+    """A speculator's entry loop reads the rows inline: the same entries
+    as the generic loop, ``deviants`` the indexes of exactly the rows
+    the speculator declines on its own, and a truncated payload the same
+    ``CodecError``."""
+    kinds = rows[0][0][0] if rows else []
+    speculate = codec.row_speculator(kinds)
+    data = lead + codec._varint(len(rows)) + b"".join(
+        codec._varint(count) + encoded for (_, encoded), count in rows
+    )
+    deviants = []
+    out, end = codec.decode_entries(data, len(lead), speculate, deviants)
+    expected, expected_end = codec.decode_entries(data, len(lead))
+    assert end == expected_end == len(data)
+    assert [c for _, c in out] == [c for _, c in expected]
+    assert [_typed(r) for r, _ in out] == [_typed(r) for r, _ in expected]
+    assert deviants == [
+        index
+        for index, ((_, encoded), _) in enumerate(rows)
+        if speculate(encoded, 0) is None
+    ]
+    def speculated_entries(data, pos):
+        return codec.decode_entries(data, pos, speculate, [])
+
+    for cut in range(len(lead), len(data)):
+        outcome = _outcome(speculated_entries, data[:cut], len(lead))
+        assert outcome is codec.CodecError
