@@ -212,10 +212,11 @@ def test_a5_storage_engine(once):
 
     def run():
         from repro.baav import BaaVStore
-        from repro.core import Zidian, substitute_table
+        from repro.core import Zidian
         from repro.kba import ExecContext, execute
         from repro.kv import KVCluster
-        from repro.sql.executor import Table, run as ra_run
+        from repro.parallel.engine import Executable
+        from repro.sql.executor import Table
 
         db = dataset("mot", 4)
         baav = baav_schema_for("mot")
@@ -229,8 +230,7 @@ def test_a5_storage_engine(once):
             cluster.reset_counters()
             blockset = execute(plan.root, ExecContext(store))
             table = Table(blockset.attrs, list(blockset.expand()))
-            final = substitute_table(plan.ra_plan, plan.replace_node, table)
-            result = ra_run(final, db)
+            result = Executable(plan).top(table)
             counters = cluster.total_counters()
             lsm_stats = None
             if engine == "lsm":

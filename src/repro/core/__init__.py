@@ -2,7 +2,7 @@
 
 from repro.core.closure import closure, closures
 from repro.core.middleware import QueryDecision, Zidian
-from repro.core.plangen import PlanGenerator, ZidianPlan, substitute_table
+from repro.core.plangen import PlanGenerator, ZidianPlan
 from repro.core.preservation import (
     PreservationReport,
     ResultPreservationReport,
@@ -48,5 +48,4 @@ __all__ = [
     "is_data_preserving",
     "is_result_preserving",
     "is_scan_free",
-    "substitute_table",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.baav.schema import BaaVSchema
@@ -94,6 +95,67 @@ class QueryDecision:
         if not self.preservation.preserved:
             parts.append(f"missing={self.preservation.missing}")
         return " ".join(parts)
+
+
+class Template(tuple):
+    """A shape's ``(plan, decision)``, which nothing may mutate, and the
+    ``executable`` a system compiled of the plan (``None`` until then)."""
+
+    executable: object = None
+
+
+class _BoundDecision(QueryDecision):
+    """A template's verdict over one statement's values: the degree
+    check is made at once, the rest is bound when first read."""
+
+    def __init__(self, template: QueryDecision, binder: ast.Binder, bounded) -> None:
+        self.preservation = template.preservation
+        self.bounded = bounded
+        self.candidates = None
+        self._from = (template, binder)
+
+    def __getattr__(self, name: str):
+        if name not in ("bound", "analysis", "minimized", "scan_free"):
+            raise AttributeError(name)
+        template, binder = self._from
+        stmt = template.bound.stmt
+        if stmt.where is not None:
+            stmt = ast.altered(stmt, where=binder.expr(stmt.where))
+        bound = BoundQuery(stmt, template.bound.schema, template.bound.aliases)
+        analysis = template.analysis.bind(bound, binder)
+        minimized = analysis  # min(Q) is Q itself, or a clone with fewer atoms
+        if template.minimized is not template.analysis:
+            minimized = template.minimized.bind(bound, binder)
+        scan_free = template.scan_free
+        if scan_free.index_covered:
+            covered = scan_free.index_covered.items()
+            covered = {alias: choice.bind(binder) for alias, choice in covered}
+            scan_free = replace(scan_free, index_covered=covered)
+        self.__dict__.update(
+            bound=bound, analysis=analysis, minimized=minimized, scan_free=scan_free
+        )
+        return self.__dict__[name]
+
+
+class Bound:
+    """One SELECT bound from its shape's template: the statement's
+    values and verdict. Unpacks as the ``(plan, decision)``
+    :meth:`Zidian.plan` returns for it; the plan is built when read."""
+
+    def __init__(self, template: Template, binder: ast.Binder, decision) -> None:
+        self.template = template
+        self.binder = binder
+        self.decision = decision
+
+    @cached_property
+    def plan(self) -> ZidianPlan:
+        plan = self.template[0]
+        root = kp.bind(plan.root, self.binder)
+        bound = self.decision.bound
+        return ast.altered(plan, root=root, bound=bound, access=dict(plan.access))
+
+    def __iter__(self):
+        return iter((self.plan, self.decision))
 
 
 class Zidian:
@@ -205,15 +267,16 @@ class Zidian:
 
     def planned(self, sql: str):
         """What a system executes for ``sql``: per SELECT of the
-        statement an executable ``(plan, decision)`` — a compound
-        statement's nested as :class:`ast.CompoundSelect` nests its
-        sides — equal to what :meth:`plan` returns for it now.
+        statement a :class:`Bound`, which unpacks as what :meth:`plan`
+        returns for it now — a compound statement's nested as
+        :class:`ast.CompoundSelect` nests its sides.
 
         The statement's *shape* is planned once (a miss: today's parse →
-        bind → :meth:`plan`, over parameters that remember their slot),
-        kept as a template nothing may mutate, and each statement's
-        literals are bound into a copy; M1's degree check is made live
-        on every statement."""
+        bind → :meth:`plan`, over parameters that remember their slot)
+        and kept as a :class:`Template`; a statement of the shape is its
+        template and its literals. M1's degree check is made live on
+        every statement; the rest of a bound plan and verdict is built
+        only when read."""
         skeleton, literals = shape(sql)
         counters = self.shape_stats.local()
         template = key = None
@@ -282,34 +345,14 @@ class Zidian:
         # and with the summary every plan bound from it will show
         decision.candidates = None
         _ = plan.access_summary
-        return plan, decision
+        return Template((plan, decision))
 
-    def _bind(self, template, binder: ast.Binder):
-        plan, decision = template
-        stmt = plan.bound.stmt
-        if stmt.where is not None:
-            stmt = ast.altered(stmt, where=binder.expr(stmt.where))
-        bound = BoundQuery(stmt, plan.bound.schema, plan.bound.aliases)
-        analysis = decision.analysis.bind(bound, binder)
-        minimized = analysis  # min(Q) is Q itself, or a clone with fewer atoms
-        if decision.minimized is not decision.analysis:
-            minimized = decision.minimized.bind(bound, binder)
-        scan_free = decision.scan_free
-        if scan_free.index_covered:
-            covered = scan_free.index_covered.items()
-            covered = {alias: choice.bind(binder) for alias, choice in covered}
-            scan_free = replace(scan_free, index_covered=covered)
-        plan = ast.altered(
-            plan, root=kp.bind(plan.root, binder), bound=bound, access=dict(plan.access)
-        )
-        return plan, QueryDecision(
-            bound,
-            analysis,
-            minimized,
-            decision.preservation,
-            scan_free,
-            self._bounded(analysis, scan_free),
-        )
+    def _bind(self, template: "Template", binder: ast.Binder) -> "Bound":
+        # the degree check reads the store as it is now; of the scan-free
+        # report, binding changes only its index choices' literals
+        decision = template[1]
+        bounded = self._bounded(decision.analysis, decision.scan_free)
+        return Bound(template, binder, _BoundDecision(decision, binder, bounded))
 
     # -- diagnostics ------------------------------------------------------------
 
@@ -401,6 +444,8 @@ def _shape_key(
         value = literal_value(literals[position])
         values.append(value)
         marks[position] = type(value)
+    if len(values) < 2:  # nothing to order
+        return values, (skeleton, tuple(marks), (0,) * len(values))
     # strings after numbers: the two never compare
     ordered = sorted(set(values), key=lambda v: (isinstance(v, str), v))
     ranks = {value: rank for rank, value in enumerate(ordered)}

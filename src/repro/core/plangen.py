@@ -34,7 +34,6 @@ counted as covered is what the plan fetches.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -791,7 +790,7 @@ def _split_top(
 
     Returns ``(core, replace_node, groupby, having)``: ``replace_node`` is
     the subtree whose result the KBA plan computes (core, or group-by, or
-    having-select) — the system substitutes a TableNode there.
+    having-select); the engine runs the operators above it over its table.
     """
     # descend through unary top operators to the core
     path: List[algebra.PlanNode] = []
@@ -817,36 +816,3 @@ def _split_top(
             having = path[-2]
             replace_node = having
     return core, replace_node, groupby, having
-
-
-def substitute_table(
-    ra_plan: algebra.PlanNode,
-    target: algebra.PlanNode,
-    table,
-) -> algebra.PlanNode:
-    """``ra_plan`` with a TableNode over ``table`` where ``target`` is.
-
-    ``ra_plan`` is left as it was — a plan can be executed again — so
-    the nodes above ``target`` (one to four of them) are copied and
-    everything beside the path is shared with the original.
-    """
-    return _substituted(ra_plan, target, algebra.TableNode(table))
-
-
-def _substituted(
-    node: algebra.PlanNode,
-    target: algebra.PlanNode,
-    replacement: algebra.PlanNode,
-) -> algebra.PlanNode:
-    if node is target:
-        return replacement
-    for attr in ("child", "left", "right"):
-        child = getattr(node, attr, None)
-        if isinstance(child, algebra.PlanNode):
-            rebuilt = _substituted(child, target, replacement)
-            if rebuilt is not child:
-                # a shallow copy keeps the node's declared output
-                clone = copy.copy(node)
-                setattr(clone, attr, rebuilt)
-                return clone
-    return node

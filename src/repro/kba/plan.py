@@ -249,13 +249,10 @@ class StatsGroup(KBANode):
 
 
 def bind(node: KBANode, binder: ast.Binder) -> KBANode:
-    """The plan ``node`` is a template of, over ``binder``'s values.
-
-    Four node kinds hold literals — :class:`Constant`,
-    :class:`IndexProbe`, :class:`SelectK`, :class:`JoinK` — and are
-    built again, as is every node above one; the rest is shared.
-    """
-    changes: dict[str, Any] = {}
+    """The plan ``node`` is a template of, over ``binder``'s values: a
+    node that holds literals is built again, as is every node above one;
+    the rest is shared."""
+    changes = literals(node, binder)
     fields = node.__dict__
     for name in ("child", "left", "right"):
         child = fields.get(name)
@@ -263,17 +260,28 @@ def bind(node: KBANode, binder: ast.Binder) -> KBANode:
             bound = bind(child, binder)
             if bound is not child:
                 changes[name] = bound
-    if isinstance(node, Constant):
-        changes["keys"] = tuple([binder.row(key) for key in node.keys])
-    elif isinstance(node, IndexProbe):
-        changes["eq_values"] = binder.row(node.eq_values)
-        changes["lo"] = binder.value(node.lo)
-        changes["hi"] = binder.value(node.hi)
-    elif isinstance(node, SelectK):
-        changes["predicate"] = binder.expr(node.predicate)
-    elif isinstance(node, JoinK) and node.residual is not None:
-        changes["residual"] = binder.expr(node.residual)
     return ast.altered(node, **changes) if changes else node
+
+
+#: the node kinds that may hold literals
+LITERAL_NODES = (Constant, IndexProbe, SelectK, JoinK)
+
+
+def literals(node: KBANode, binder: ast.Binder) -> "dict[str, Any]":
+    """``node``'s own fields that hold literals, over ``binder``'s values."""
+    if isinstance(node, Constant):
+        return {"keys": tuple([binder.row(key) for key in node.keys])}
+    if isinstance(node, IndexProbe):
+        return {
+            "eq_values": binder.row(node.eq_values),
+            "lo": binder.value(node.lo),
+            "hi": binder.value(node.hi),
+        }
+    if isinstance(node, SelectK):
+        return {"predicate": binder.expr(node.predicate)}
+    if isinstance(node, JoinK) and node.residual is not None:
+        return {"residual": binder.expr(node.residual)}
+    return {}
 
 
 def walk(node: KBANode):

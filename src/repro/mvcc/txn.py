@@ -34,11 +34,9 @@ belongs to one session/thread; it is not itself thread-safe.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     Callable,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -100,18 +98,10 @@ class TransactionManager:
 
     # -- reader surface ----------------------------------------------------
 
-    @contextmanager
-    def snapshot(self) -> Iterator[int]:
-        """Pin the published epoch for the calling thread's reads."""
-        epoch = self.epochs.pin()
-        try:
-            with self.versions.reading(epoch):
-                yield epoch
-        finally:
-            if self.epochs.unpin(epoch):
-                # the last live snapshot is gone: the horizon advanced
-                # to the published epoch, so sweep now
-                self.gc_now()
+    def snapshot(self) -> "_Snapshot":
+        """Pin the published epoch for the calling thread's reads: a
+        context manager that yields the epoch."""
+        return _Snapshot(self)
 
     # -- writer surface ----------------------------------------------------
 
@@ -246,3 +236,26 @@ class Transaction:
             f"Transaction({self._state}, "
             f"statements={len(self._statements)}, epoch={self.epoch})"
         )
+
+
+class _Snapshot:
+    """:meth:`TransactionManager.snapshot`, written out rather than a
+    generator: every query of an MVCC system enters one."""
+
+    __slots__ = ("manager", "epoch", "previous")
+
+    def __init__(self, manager: TransactionManager) -> None:
+        self.manager = manager
+
+    def __enter__(self) -> int:
+        self.epoch = self.manager.epochs.pin()
+        self.previous = self.manager.versions.read_at(self.epoch)
+        return self.epoch
+
+    def __exit__(self, *exc: object) -> None:
+        manager = self.manager
+        manager.versions.read_at(self.previous)
+        if manager.epochs.unpin(self.epoch):
+            # the last live snapshot is gone: the horizon advanced to
+            # the published epoch, so sweep now
+            manager.gc_now()

@@ -107,11 +107,17 @@ class VersionStore:
         reads see the current base, the pre-MVCC behavior)."""
         return getattr(self._ctx, "read", None)
 
+    def read_at(self, epoch: Optional[int]) -> Optional[int]:
+        """Pin the calling thread's reads at ``epoch`` (``None``: unpin);
+        returns the pin it replaces."""
+        previous = getattr(self._ctx, "read", None)
+        self._ctx.read = epoch
+        return previous
+
     @contextmanager
     def reading(self, epoch: int) -> Iterator[int]:
         """Pin the calling thread's reads at ``epoch``."""
-        previous = getattr(self._ctx, "read", None)
-        self._ctx.read = epoch
+        previous = self.read_at(epoch)
         try:
             yield epoch
         finally:

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import operator
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.baav.store import BaaVStore
-from repro.core.plangen import ZidianPlan, substitute_table
-from repro.errors import ExecutionError
+from repro.core.plangen import ZidianPlan
 from repro.kba import plan as kp
 from repro.kba.blockset import BlockSet
 from repro.kba.compile import compile_row
@@ -45,10 +44,9 @@ from repro.parallel.partitioner import (
     skew_factor,
 )
 from repro.parallel.metrics import ExecutionMetrics, StageCost
-from repro.relational.database import Database
 from repro.relational.types import row_size
 from repro.sql import algebra, ast
-from repro.sql.executor import Table, run as ra_run, run_node
+from repro.sql.executor import Table, run_node, to_relation
 
 
 def _table_bytes(table: Table) -> int:
@@ -115,7 +113,7 @@ class _IOProbe:
         return gets, values, out, trips, hits, misses, probes, postings
 
     def delta(self) -> Tuple[int, ...]:
-        """The I/O since the previous call (runs once per plan node)."""
+        """The I/O since the previous call (once per fetch stage)."""
         now, last = self._snapshot(), self._last
         self._last = now
         return tuple(map(operator.sub, now, last))
@@ -228,19 +226,16 @@ class BaselineEngine(_Engine):
     With an index manager attached, a selection directly above a scan
     leaf is answered through an **index probe → multi_get** access path
     when a usable secondary index exists — the conventional engine's
-    only escape from fetch-all — and the chosen path per alias is
-    recorded in :attr:`access` for EXPLAIN-style inspection.
+    only escape from fetch-all.
     """
 
-    #: alias -> access-path description of the last execute()
-    access: Dict[str, str]
-
     def execute(
-        self, ra_plan: algebra.PlanNode
+        self, ra_plan: algebra.PlanNode, access: Optional[Dict[str, str]] = None
     ) -> Tuple[Table, ExecutionMetrics]:
+        """Run ``ra_plan``; ``access``, when given, receives the access
+        path each alias took (EXPLAIN-style)."""
         metrics, probe = self._begin()
-        self.access = {}
-        table = self._run(ra_plan, metrics, probe)
+        table = self._run(ra_plan, metrics, probe, {} if access is None else access)
         return table, probe.finish(metrics)
 
     def describe_access(self, ra_plan: algebra.PlanNode) -> Dict[str, str]:
@@ -268,6 +263,7 @@ class BaselineEngine(_Engine):
         node: algebra.PlanNode,
         metrics: ExecutionMetrics,
         probe: _IOProbe,
+        access: Dict[str, str],
         above: Optional[ast.Expr] = None,
     ) -> Table:
         """Metered walk: scans fetch from the TaaV store, every other
@@ -278,9 +274,9 @@ class BaselineEngine(_Engine):
         selection still applies the FULL predicate to what was fetched.
         """
         if isinstance(node, algebra.ScanNode):
-            return self._scan(node, above, metrics, probe)
+            return self._scan(node, above, metrics, probe, access)
         inputs = [
-            self._run(child, metrics, probe, _predicate_of(node))
+            self._run(child, metrics, probe, access, _predicate_of(node))
             for child in node.children()
         ]
         out = run_node(node, inputs, compile_row)
@@ -314,13 +310,14 @@ class BaselineEngine(_Engine):
         predicate,
         metrics: ExecutionMetrics,
         probe: _IOProbe,
+        access: Dict[str, str],
     ) -> Table:
         """Fetch a scan leaf: through an index probe → ``multi_get``
         when the selection directly above it (``predicate``) admits one,
         else the whole relation."""
         choice = self._choose_index(scan, predicate)
         taav = self.taav.relation(scan.relation)
-        self.access[scan.alias] = _access_path(scan.relation, choice)
+        access[scan.alias] = _access_path(scan.relation, choice)
         if choice is None:
             name = f"scan {scan.relation}"
             rows = list(taav.fetch_all(batch_size=self.batch_size).rows)
@@ -368,80 +365,137 @@ class ZidianEngine(_Engine):
         )
 
     def execute(
-        self, plan: ZidianPlan, database_for_top: Optional[Database] = None
+        self, plan: "Union[ZidianPlan, Executable]", binder: Optional[ast.Binder] = None
     ) -> Tuple[Table, ExecutionMetrics]:
-        """Run the KBA core in the interleaved model, then the RA top."""
+        """Run the KBA core in the interleaved model, then the RA top;
+        a template's :class:`Executable` runs over ``binder``'s values."""
+        executable = plan if isinstance(plan, Executable) else Executable(plan)
         metrics, probe = self._begin()
-        result = self._run(plan.root, metrics, probe)
-
-        table = Table(result.attrs, list(result.expand()))
-        final_plan = substitute_table(plan.ra_plan, plan.replace_node, table)
-        # The RA top (order/limit/final projection) over the small result:
-        top = ra_run(final_plan, database_for_top or _EMPTY_DB)
-        metrics.add_stage(
-            self.model.compute_stage("top", _table_values(table))
-        )
+        ctx, workers, model = self.ctx, self.workers, self.model
+        stack: List[BlockSet] = []  # the results no operator has read yet
+        for node, (kind, name, arity) in zip(executable.bind(binder), executable.steps):
+            inputs = stack[len(stack) - arity:]
+            del stack[len(stack) - arity:]
+            result = execute_node(node, ctx, inputs)
+            stack.append(result)
+            if kind == _FETCH:
+                # an ∝ repartitions the intermediate by the target's key
+                # distribution, then fetches only the needed blocks
+                shipped = inputs[0].size_bytes() if inputs else 0
+                stage = model.fetch_stage(name, *probe.delta(), shipped)
+            elif kind == _JOIN:
+                # one walk per input: the per-worker byte vector the skew
+                # is read off sums to the bytes the shuffle ships
+                partitions = [partition_blockset(i, workers) for i in inputs]
+                values = sum(i.num_values() for i in inputs) + result.num_values()
+                stage = model.shuffle_stage(name, sum(map(sum, partitions)), values)
+                stage.skew = max(map(skew_factor, partitions))
+            elif kind == _GROUP:
+                shipped, values = inputs[0].size_bytes(), inputs[0].num_values()
+                stage = model.shuffle_stage(name, shipped, values)
+                stage.skew = blockset_skew(result, workers)
+            elif kind == _COMPUTE:  # σ, π, copy, shift (all unary)
+                stage = model.compute_stage(name, inputs[0].num_values())
+            else:
+                continue
+            metrics.add_stage(stage)
+        (core,) = stack
+        table = Table(core.attrs, list(core.expand()))
+        top = executable.top(table)
+        metrics.add_stage(model.compute_stage("top", _table_values(table)))
         return top, probe.finish(metrics)
 
-    # -- recursive walker ------------------------------------------------------
 
-    def _run(
-        self,
-        node: kp.KBANode,
-        metrics: ExecutionMetrics,
-        probe: _IOProbe,
-    ) -> BlockSet:
-        inputs = [self._run(c, metrics, probe) for c in node.children()]
-        result = execute_node(node, self.ctx, inputs)
-        delta = probe.delta()
-        model = self.model
-        if isinstance(node, kp.Constant):
-            return result
-        if isinstance(node, kp.Extend):
-            # interleaving: repartition the intermediate by the target's
-            # key distribution, then fetch only the needed blocks
-            stage = model.fetch_stage(
-                f"extend {node.kv_name}",
-                *delta,
-                repartition_bytes=inputs[0].size_bytes(),
-            )
-        elif isinstance(node, kp.IndexProbe):
-            stage = model.fetch_stage(
-                f"index-probe {node.relation}.{node.attr}", *delta
-            )
-        elif isinstance(node, (kp.ScanKV, kp.StatsGroup)):
-            stage = model.fetch_stage(f"scan {node.kv_name}", *delta)
-        elif isinstance(node, kp.TaaVScan):
-            stage = model.fetch_stage(f"taav-scan {node.relation}", *delta)
-        elif isinstance(node, (kp.JoinK, kp.UnionK, kp.DifferenceK)):
-            # one walk per input: the per-worker byte vector the skew
-            # is read off sums to the bytes the shuffle ships
-            partitions = [partition_blockset(i, self.workers) for i in inputs]
-            shuffle = sum(map(sum, partitions))
-            values = sum(i.num_values() for i in inputs) + result.num_values()
-            stage = model.shuffle_stage("joink", shuffle, values)
-            stage.skew = max(map(skew_factor, partitions))
-        elif isinstance(node, kp.GroupK):
-            stage = model.shuffle_stage(
-                "groupk", inputs[0].size_bytes(), inputs[0].num_values()
-            )
-            stage.skew = blockset_skew(result, self.workers)
-        else:
-            # the block-local operators: σ, π, copy, shift (all unary)
-            stage = model.compute_stage(
-                type(node).__name__.lower(), inputs[0].num_values()
-            )
-        metrics.add_stage(stage)
-        return result
+#: how the walk meters a plan node: not at all, as a read of the storage
+#: layer, as a shuffle (a join's, a group-by's) or as block-local work
+#: on each worker's partition (σ, π, copy, shift: named by their type)
+_FREE, _FETCH, _JOIN, _GROUP, _COMPUTE = range(5)
+#: KBA operator -> its stage's kind and name (over the node's fields)
+_STAGES = {
+    kp.Constant: (_FREE, ""),
+    kp.Extend: (_FETCH, "extend {kv_name}"),
+    kp.IndexProbe: (_FETCH, "index-probe {relation}.{attr}"),
+    kp.ScanKV: (_FETCH, "scan {kv_name}"),
+    kp.StatsGroup: (_FETCH, "scan {kv_name}"),
+    kp.TaaVScan: (_FETCH, "taav-scan {relation}"),
+    kp.JoinK: (_JOIN, "joink"),
+    kp.UnionK: (_JOIN, "joink"),
+    kp.DifferenceK: (_JOIN, "joink"),
+    kp.GroupK: (_GROUP, "groupk"),
+}
 
 
-class _EmptyDatabase:
-    """Placeholder database for RA tops that only touch TableNodes."""
+def _post_order(node: kp.KBANode, nodes: List[kp.KBANode], steps: list) -> None:
+    """Append ``node``'s subtree to ``nodes``, children first, and each
+    node's ``(stage kind, stage name, number of children)`` to ``steps``."""
+    for child in node.children():
+        _post_order(child, nodes, steps)
+    kind, name = _STAGES.get(type(node), (_COMPUTE, type(node).__name__.lower()))
+    nodes.append(node)
+    steps.append((kind, name.format_map(vars(node)), len(node.children())))
 
-    def relation(self, name: str):
-        raise ExecutionError(
-            f"RA top unexpectedly scanned base relation {name!r}"
-        )
+
+def _projection(above: List[algebra.PlanNode], attrs: Tuple[str, ...]):
+    """The RA top as one function of the core's rows (laid out as
+    ``attrs``) when it is a projection of columns, else ``None``."""
+    if len(above) != 1 or not isinstance(above[0], algebra.ProjectNode):
+        return None
+    columns = [expr for _, expr in above[0].items]
+    if not all(isinstance(e, ast.Column) and e.name in attrs for e in columns):
+        return None
+    positions = [attrs.index(e.name) for e in columns]  # type: ignore[attr-defined]
+    if len(positions) == 1:
+        (at,) = positions
+        return lambda rows: [(row[at],) for row in rows]
+    pick = operator.itemgetter(*positions)
+    return lambda rows: list(map(pick, rows))
 
 
-_EMPTY_DB = _EmptyDatabase()
+class Executable:
+    """A :class:`ZidianPlan` compiled for :meth:`ZidianEngine.execute`,
+    once per plan template: its KBA operators in post-order with their
+    stages, the positions of those that hold literals, and the RA top
+    (the unary operators above the core: order, limit, the final
+    projection), which holds none, with the result's schema. Nothing in
+    it changes per query."""
+
+    def __init__(self, plan: ZidianPlan) -> None:
+        self.nodes: List[kp.KBANode] = []
+        self.steps: List[Tuple[int, str, int]] = []
+        _post_order(plan.root, self.nodes, self.steps)
+        literal = [isinstance(node, kp.LITERAL_NODES) for node in self.nodes]
+        self.params = [i for i, holds in enumerate(literal) if holds]
+        self.above: List[algebra.PlanNode] = []
+        node = plan.ra_plan
+        while node is not plan.replace_node:
+            self.above.insert(0, node)
+            (node,) = node.children()
+        #: the core's attributes, and the top compiled over them
+        self._layout: Optional[tuple] = None
+        self.schema = to_relation(Table(plan.ra_plan.output, [])).schema
+        self.summary = plan.access_summary
+
+    def bind(self, binder: Optional[ast.Binder]) -> List[kp.KBANode]:
+        """The operators over ``binder``'s values: a node holding a
+        literal is copied with it bound; its children are not, as the
+        walk hands each operator its inputs."""
+        if binder is None:
+            return self.nodes
+        nodes = list(self.nodes)
+        for i in self.params:
+            changes = kp.literals(nodes[i], binder)
+            if changes:
+                nodes[i] = ast.altered(nodes[i], **changes)
+        return nodes
+
+    def top(self, table: Table) -> Table:
+        """The RA top over the core's result ``table``; a projection of
+        columns is compiled the first time it meets the core's layout."""
+        layout = self._layout
+        if layout is None or layout[0] != table.attrs:
+            layout = self._layout = (table.attrs, _projection(self.above, table.attrs))
+        if layout[1] is not None:
+            return Table(self.above[0].output, layout[1](table.rows))
+        for node in self.above:
+            table = run_node(node, (table,))
+        return table

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from typing import List, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class StageCost:
     """Cost of one plan stage (operator) in the parallel model.
 

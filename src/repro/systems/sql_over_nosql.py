@@ -34,7 +34,7 @@ from repro.mvcc import (
     VersionStore,
 )
 from repro.mvcc.txn import Statement
-from repro.parallel.engine import BaselineEngine, ZidianEngine
+from repro.parallel.engine import BaselineEngine, Executable, ZidianEngine
 from repro.parallel.metrics import ExecutionMetrics
 from repro.relational.database import Database
 from repro.relational.relation import Relation
@@ -269,24 +269,42 @@ class KVSystem(TransactionalMixin):
         self.taav: Optional[TaaVStore] = None
         #: MVCC transaction surface (None until enable_transactions())
         self.transactions: Optional[TransactionManager] = None
+        #: (what it was built over, the engine): see :meth:`_engine`
+        self._built: Optional[tuple] = None
 
     def cache_stats(self) -> Optional[CacheStats]:
         """Aggregate block-cache statistics (``None`` when cache is off)."""
         return self.cache.stats if self.cache is not None else None
 
     def _engine(self, engine_cls, *stores):
-        """The per-query engine over this system's cluster and stores."""
-        return engine_cls(
-            *stores,
+        """The system's engine over its cluster and stores. It is built
+        again when one of its inputs changes — the live node count it
+        prices storage over (a membership change), whether an index
+        exists, ``vectorized``, the stores (a ``load``) — and holds no
+        per-query state, so every thread of a service shares it."""
+        inputs = (
+            engine_cls,
+            self.cluster.placement_generation,
+            self.indexes.generation,
+            self.vectorized,
             self.taav,
-            self.cluster,
-            self.profile,
-            self.workers,
-            batch_size=self.batch_size,
-            cache=self.cache,
-            indexes=self.indexes if len(self.indexes) else None,
-            vectorized=self.vectorized,
+            *stores,
         )
+        built = self._built
+        if built is None or built[0] != inputs:
+            engine = engine_cls(
+                *stores,
+                self.taav,
+                self.cluster,
+                self.profile,
+                self.workers,
+                batch_size=self.batch_size,
+                cache=self.cache,
+                indexes=self.indexes if len(self.indexes) else None,
+                vectorized=self.vectorized,
+            )
+            built = self._built = (inputs, engine)
+        return built[1]
 
     def _rebuild_indexes(self, database: Database) -> None:
         """(Re)build every index over a freshly loaded database.
@@ -417,10 +435,9 @@ class SQLOverNoSQL(KVSystem):
         return self._snapshot_execute(lambda: self._execute(sql))
 
     def _execute(self, sql: str) -> QueryResult:
-        ra_plan = self._plan(sql)
-        engine = self._engine(BaselineEngine)
-        table, metrics = engine.execute(ra_plan)
-        summary = _access_summary(engine.access)
+        access: Dict[str, str] = {}
+        table, metrics = self._engine(BaselineEngine).execute(self._plan(sql), access)
+        summary = _access_summary(access)
         return QueryResult(
             to_relation(table), metrics, plan_summary=summary or None
         )
@@ -526,15 +543,16 @@ class ZidianSystem(KVSystem):
         # a compound query read the same epoch
         return self._snapshot_execute(lambda: self._run(self.middleware.planned(sql)))
 
-    def _execute_plan(self, plan, decision: QueryDecision) -> QueryResult:
-        engine = self._engine(ZidianEngine, self.store)
-        table, metrics = engine.execute(plan)
-        return QueryResult(
-            to_relation(table),
-            metrics,
-            decision,
-            plan_summary=plan.access_summary,
-        )
+    def _execute_plan(
+        self, plan, decision: QueryDecision, binder: Optional[ast.Binder] = None
+    ) -> QueryResult:
+        """Run a plan, or a template's :class:`Executable` over the
+        statement's ``binder``."""
+        if not isinstance(plan, Executable):
+            plan = Executable(plan)
+        table, metrics = self._engine(ZidianEngine, self.store).execute(plan, binder)
+        relation = Relation(plan.schema, table.rows)
+        return QueryResult(relation, metrics, decision, plan_summary=plan.summary)
 
     def explain(self, sql: str) -> str:
         """M1 checks, chase trace, index coverage and the KBA plan; a
@@ -557,9 +575,12 @@ class ZidianSystem(KVSystem):
         ALL / EXCEPT ALL evaluate each side over the BaaV store and
         combine with KBA's bag ∪ / − semantics (§4.2)."""
         if not isinstance(stmt, ast.CompoundSelect):
-            return self._execute_plan(*stmt)
-        left = self._run(stmt.left)
-        right = self._execute_plan(*stmt.right)
+            # the shape's executable is compiled the first time it runs
+            template = stmt.template
+            if template.executable is None:
+                template.executable = Executable(template[0])
+            return self._execute_plan(template.executable, stmt.decision, stmt.binder)
+        left, right = self._run(stmt.left), self._run(stmt.right)
         if len(left.relation.schema.attributes) != len(
             right.relation.schema.attributes
         ):

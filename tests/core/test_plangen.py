@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baav import BaaVSchema, BaaVStore, KVSchema, kv_schema
-from repro.core import Zidian, substitute_table
+from repro.core import Zidian
 from repro.kba import (
     Constant,
     ExecContext,
@@ -17,6 +17,7 @@ from repro.kba import (
 )
 from repro.errors import NotPreservedError
 from repro.relational import bag_equal
+from repro.parallel.engine import Executable
 from repro.sql import execute as ra_execute, plan_sql
 from repro.sql.executor import Table, run as ra_run
 from repro.systems import ZidianSystem
@@ -25,9 +26,7 @@ from repro.workloads import airca
 
 def run_zidian_plan(plan, store, taav, db):
     blockset = execute(plan.root, ExecContext(store, taav))
-    table = Table(blockset.attrs, list(blockset.expand()))
-    final = substitute_table(plan.ra_plan, plan.replace_node, table)
-    return ra_run(final, db)
+    return Executable(plan).top(Table(blockset.attrs, list(blockset.expand())))
 
 
 def reference(db, sql):

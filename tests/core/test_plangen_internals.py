@@ -1,9 +1,11 @@
-"""Unit tests for plan-generation internals: top splitting, substitution."""
+"""Unit tests for plan-generation internals: top splitting, the RA top."""
 
 
-from repro.core.plangen import _split_top, substitute_table
+from repro.core.plangen import ZidianPlan, _split_top
+from repro.kba import plan as kp
+from repro.parallel.engine import Executable
 from repro.sql import algebra, plan_sql
-from repro.sql.executor import Table, run as ra_run
+from repro.sql.executor import Table
 
 
 def plan_for(db, sql):
@@ -48,17 +50,20 @@ class TestSplitTop:
         assert "OrderBy" in labels and "Limit" in labels
 
 
-class TestSubstituteTable:
-    def test_replaces_core_and_executes_top(self, paper_db, q1_sql):
+def _top(ra_plan, replace):
+    """What the engine runs of ``ra_plan`` above ``replace``."""
+    return Executable(ZidianPlan(kp.Constant((), ()), ra_plan, replace, bound=None))
+
+
+class TestRATop:
+    def test_runs_the_operators_above_the_core(self, paper_db, q1_sql):
         plan = plan_for(paper_db, q1_sql + " order by total desc limit 1 ")
         core, replace, groupby, having = _split_top(plan)
         fake = Table(
             tuple(replace.output),
             [(1, 99.0), (2, 3.0)],
         )
-        final = substitute_table(plan, replace, fake)
-        out = ra_run(final, _NoDb())
-        assert out.rows == [(1, 99.0)]
+        assert _top(plan, replace).top(fake).rows == [(1, 99.0)]
 
     def test_the_plan_is_left_as_it_was(self, paper_db, q1_sql):
         plan = plan_for(
@@ -67,27 +72,20 @@ class TestSubstituteTable:
         )
         _, replace, _, _ = _split_top(plan)
         described = plan.describe()
+        top = _top(plan, replace)
         fake = Table(tuple(replace.output), [(1, 99.0)])
-        final = substitute_table(plan, replace, fake)
+        final = top.top(fake)
         assert plan.describe() == described  # `replace` is still in it
-        assert final is not plan and "Table(2 cols)" in final.describe()
-        assert final.output == plan.output
-        # a second substitution into the same plan sees its own table
-        again = substitute_table(plan, replace, Table(fake.attrs, [(2, 5.0)]))
-        assert ra_run(again, _NoDb()).rows == [(2, 5.0)]
-        assert ra_run(final, _NoDb()).rows == [(1, 99.0)]
+        assert final.attrs == tuple(plan.output)
+        # a second run over the same plan sees its own table
+        again = top.top(Table(fake.attrs, [(2, 5.0)]))
+        assert again.rows == [(2, 5.0)]
+        assert final.rows == [(1, 99.0)]
 
-    def test_root_replacement(self):
+    def test_a_plan_with_no_top_returns_the_table(self):
         table = Table(("x",), [(1,)])
         node = algebra.TableNode(Table(("x",), []))
-        replaced = substitute_table(node, node, table)
-        assert isinstance(replaced, algebra.TableNode)
-        assert replaced.table is table
-
-
-class _NoDb:
-    def relation(self, name):
-        raise AssertionError(f"top unexpectedly scanned {name}")
+        assert _top(node, node).top(table) is table
 
 
 class TestUniqueNames:

@@ -160,12 +160,13 @@ class TestLSMBackedCluster:
                                       q1_sql):
         """The whole stack runs unchanged on the LSM engine."""
         from repro.baav import BaaVStore
-        from repro.core import Zidian, substitute_table
+        from repro.core import Zidian
         from repro.kba import ExecContext, execute
         from repro.kv import KVCluster
         from repro.relational.compare import rows_bag_equal
         from repro.sql import execute as ra_execute, plan_sql
-        from repro.sql.executor import Table, run as ra_run
+        from repro.parallel.engine import Executable
+        from repro.sql.executor import Table
 
         cluster = KVCluster(3, engine="lsm")
         store = BaaVStore.map_database(paper_db, paper_baav_schema, cluster)
@@ -173,9 +174,7 @@ class TestLSMBackedCluster:
         plan, decision = zidian.plan(q1_sql)
         assert decision.is_scan_free
         blockset = execute(plan.root, ExecContext(store))
-        table = Table(blockset.attrs, list(blockset.expand()))
-        final = substitute_table(plan.ra_plan, plan.replace_node, table)
-        got = ra_run(final, paper_db)
+        got = Executable(plan).top(Table(blockset.attrs, list(blockset.expand())))
         ref_plan, _ = plan_sql(q1_sql, paper_db.schema)
         want = ra_execute(ref_plan, paper_db)
         assert rows_bag_equal(got.rows, want.rows)

@@ -24,7 +24,13 @@ the pass loop are the benchmark's own.
     python tools/sample_profile.py --workload analytic_local --passes 8
     python tools/sample_profile.py --match "D.cause" --gc
     python tools/sample_profile.py --workload scanfree_local --cold
+    python tools/sample_profile.py --workload scanfree_local --phases
     python tools/sample_profile.py --smoke
+
+``--phases`` times, instead of sampling, where a statement's wall-clock
+goes between the layers (:data:`PHASES`: the service, the system,
+binding the plan, building the engine, the walk around the operators,
+the operators, the RA top and the result relation), in µs per op.
 
 ``--match SUBSTR`` keeps only the ops whose SQL contains the string (one
 template's profile); ``--gc`` also prints, per pass, what the cyclic
@@ -43,7 +49,9 @@ import argparse
 import gc
 import signal
 import sys
+import threading
 import time
+from importlib import import_module
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -117,6 +125,87 @@ class Sampler:
         ]
 
 
+#: (phase, module, class or ``None``, attribute): the callables
+#: ``--phases`` times. A phase's time is its calls' own, less the calls
+#: to the phases nested in them; a callable a tree lacks is skipped, so
+#: the table reads the same on a tree before and after a change.
+PHASES = (
+    ("service", "repro.service.service", "Session", "execute"),
+    ("system", "repro.systems.sql_over_nosql", "ZidianSystem", "execute"),
+    ("bind (Zidian.planned)", "repro.core.middleware", "Zidian", "planned"),
+    ("engine build + prologue", "repro.systems.sql_over_nosql", "KVSystem", "_engine"),
+    ("engine build + prologue", "repro.parallel.engine", "_Engine", "_begin"),
+    ("walk + meter", "repro.parallel.engine", "ZidianEngine", "execute"),
+    ("operators (execute_node)", "repro.kba.executor", None, "execute_node"),
+    ("RA top + relation", "repro.parallel.engine", None, "substitute_table"),
+    ("RA top + relation", "repro.parallel.engine", None, "ra_run"),
+    ("RA top + relation", "repro.parallel.engine", "Executable", "top"),
+    ("RA top + relation", "repro.systems.sql_over_nosql", None, "to_relation"),
+)
+
+
+class Phases:
+    """Wall seconds per phase of :data:`PHASES`, while :meth:`installed`."""
+
+    def __init__(self) -> None:
+        self.seconds: Counter = Counter()
+        self.ops = 0
+        self._local = threading.local()
+
+    def _timed(self, phase: str, fn):
+        local, seconds, clock = self._local, self.seconds, time.perf_counter
+
+        def timed(*args, **kwargs):
+            stack = local.__dict__.setdefault("stack", [])
+            stack.append(0.0)
+            start = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                took = clock() - start
+                seconds[phase] += took - stack.pop()
+                if stack:
+                    stack[-1] += took
+
+        return timed
+
+    @contextmanager
+    def installed(self) -> Iterator["Phases"]:
+        """Swap every callable of :data:`PHASES` for a timing shim — a
+        module function in each loaded ``repro`` module holding it — and
+        put the originals back afterwards."""
+        patched = []
+        for phase, module_name, owner, attr in PHASES:
+            module = import_module(module_name)
+            loaded = [m for n, m in list(sys.modules.items()) if n.startswith("repro")]
+            if owner is None:
+                original = getattr(module, attr, None)
+                holders = [m for m in loaded if getattr(m, attr, None) is original]
+            else:
+                holder = getattr(module, owner, None)
+                original = None if holder is None else vars(holder).get(attr)
+                holders = [holder]
+            if original is None:
+                continue
+            for holder in holders:
+                patched.append((holder, attr, original))
+                setattr(holder, attr, self._timed(phase, original))
+        try:
+            yield self
+        finally:
+            for holder, attr, original in reversed(patched):
+                setattr(holder, attr, original)
+
+    def lines(self) -> List[str]:
+        ops = max(1, self.ops)
+        total = sum(self.seconds.values())
+        out = [f"{'µs/op':>8}  phase (over {self.ops} ops)"]
+        for phase in dict.fromkeys(phase for phase, *_ in PHASES):
+            out.append(f"{self.seconds[phase] * 1e6 / ops:8.1f}  {phase}")
+        out.append(f"{total * 1e6 / ops:8.1f}  total")
+        return out
+
+
 @dataclass
 class PassCollections:
     """What the cyclic collector did during one pass."""
@@ -171,12 +260,14 @@ def profile(
     match: str = "",
     collector: Optional[CollectorLog] = None,
     cold: bool = False,
+    phases: Optional[Phases] = None,
 ) -> Tuple[Sampler, List[str]]:
     """Sample ``passes`` replays of ``workload``'s op list — of its ops
     whose SQL contains ``match`` — after the benchmark's own answer
     check, which is also the warm-up. ``collector`` logs each pass;
-    ``cold`` forgets every plan template before each statement. Returns
-    the sampler and one plan-reuse line per pass."""
+    ``cold`` forgets every plan template before each statement;
+    ``phases``, when given, times the passes instead of sampling them.
+    Returns the sampler and one plan-reuse line per pass."""
     for path in (str(REPO), _SRC):
         if path not in sys.path:
             sys.path.insert(0, path)
@@ -204,13 +295,17 @@ def profile(
         if wrong:
             raise SystemExit(f"{wrong} wrong answers on {workload}")
         watching = nullcontext() if collector is None else collector.watching()
-        with watching, sampler.running():
+        measuring = sampler.running() if phases is None else phases.installed()
+        with watching, measuring:
             for _ in range(passes):
                 if collector is not None:
                     collector.next_pass()
                 before = shapes.total()
-                if runner.run_pass().failed:
+                done = runner.run_pass()
+                if done.failed:
                     raise SystemExit(f"failed ops on {workload}")
+                if phases is not None:
+                    phases.ops += len(done.latencies)
                 after = shapes.total()
                 hits = after.hits - before.hits
                 misses = after.misses - before.misses
@@ -248,12 +343,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="forget every plan template before each statement",
     )
+    parser.add_argument(
+        "--phases",
+        action="store_true",
+        help="time the layers of a statement (µs per op) instead of sampling",
+    )
     args = parser.parse_args(argv)
     passes = 1 if args.smoke else args.passes
     collector = CollectorLog() if args.gc else None
+    phases = Phases() if args.phases else None
     sampler, reuse = profile(
-        args.workload, args.seed, passes, args.smoke, args.match, collector, args.cold
+        args.workload,
+        args.seed,
+        passes,
+        args.smoke,
+        args.match,
+        collector,
+        args.cold,
+        phases,
     )
+    if phases is not None:
+        print(f"# {args.workload} seed {args.seed}: {passes} passes, timed")
+        print("\n".join(reuse + phases.lines()))
+        return 0
     print(
         f"# {args.workload} seed {args.seed}: {sampler.total} samples "
         f"at {INTERVAL_S * 1e3:g} ms over {passes} passes"
